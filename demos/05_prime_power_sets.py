@@ -3,9 +3,11 @@
 A plain tensor product of shift generators has a degenerate spectrum, so
 its "eigenbasis" is not well defined.  The construction below labels every
 tensor operator by exponent vectors (x, z) over F_p, groups the labels into
-p^e + 1 maximal pairwise-commuting classes (a symplectic spread, found by
-deterministic backtracking), and takes each class's joint eigenbasis.  The
-unbiasedness verifier is the arbiter of correctness.
+p^e + 1 maximal pairwise-commuting classes (the Desarguesian spread over
+F_{p^e}: the all-clock class plus one graph {(x, S_g x)} per field element
+g), and takes each class's joint eigenbasis, a set of stabilizer states
+with quadratic-form phases.  The unbiasedness verifier is the arbiter of
+correctness.
 """
 
 import numpy as np

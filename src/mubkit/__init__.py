@@ -24,7 +24,6 @@ from .composite import (
     CommutingClass,
     ConstructionError,
     DegeneracyReport,
-    InconsistentClassError,
     WeylLabel,
     build_composite_set,
     build_w,
@@ -79,7 +78,6 @@ __all__ = [
     "DegeneracyReport",
     "DEFAULT_TOL",
     "INTERNAL_TOL",
-    "InconsistentClassError",
     "MubBasis",
     "MubSet",
     "MubVector",

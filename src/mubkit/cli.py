@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import composite as composite_mod
@@ -41,7 +41,6 @@ class RunConfig:
     output: Path | None = None
     set_path: Path | None = None
     matrix: str = "v"
-    extra: dict = field(default_factory=dict)
 
 
 def _default_tol() -> float:

@@ -4,36 +4,37 @@ Tensor products of shift-type factors alone have degenerate spectra as soon
 as e > 1, so single-operator eigenbases are not well defined.  The fix used
 here augments the label set with clock-type factors: every non-identity
 label (x, z) in (F_p^e)^2 names the operator with per-slot factor
-V_{a_i}**x_i Z**z_i, two labeled operators commute exactly iff the
-symplectic form x.z' - z.x' vanishes mod p, and a backtracking search
-partitions all p**(2e) - 1 labels into p**e + 1 pairwise-commuting classes
-of p**e - 1 labels (the nonzero points of a spread of maximal isotropic
-subspaces).  The joint eigenbasis of each class supplies one basis; the
-all-clock class, always found first under lexicographic order, supplies the
-computational basis.  Correctness rests on the unbiasedness verifier, not
-on the construction.
+V_{a_i}**x_i Z**z_i, and two labeled operators commute exactly iff the
+symplectic form x.z' - z.x' vanishes mod p.
+
+The p**e + 1 commuting classes are the Desarguesian spread over F_{p^e}
+(Wootters & Fields 1989; Bandyopadhyay et al. 2002), written in closed
+form: the all-clock class {(0, z)} first, then one graph {(x, S_g x)} per
+field element g, where S_g[i, j] = Tr(g alpha**(i+j)) is symmetric (so the
+class is isotropic) and S_g - S_g' is invertible for g != g' (so the
+classes partition all p**(2e) - 1 labels).  Each graph class has the
+stabilizer states omega**(-1/2 j.Rj + b.j) (i-powers for p = 2) as its
+joint eigenbasis, with R = S + diag(a_params); the all-clock class gives
+the computational basis.  Correctness rests on the unbiasedness verifier,
+not on the construction.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
-from .cyclo import DEFAULT_TOL, is_prime
+from .cyclo import DEFAULT_TOL, _phase_table, is_prime
 from .mub import MubBasis, MubSet, MubVector, spherical_basis, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, build_v, build_z
 
-#: Largest dimension the dense eigendecomposition path is sized for.
+#: Largest dimension accepted; build_composite_set verifies all pairs of its
+#: d + 1 bases with dense d x d Gram matrices, O(d**5) in total.
 MAX_DIM = 128
 
 #: Pairwise checks inside build_composite_set run at this tolerance.
 COMPOSITE_TOL = 1e-9
-
-
-class InconsistentClassError(RuntimeError):
-    """A commuting class failed validation (non-commuting or unresolvable)."""
 
 
 class ConstructionError(RuntimeError):
@@ -81,6 +82,28 @@ class CommutingClass:
         return all(not any(lbl.x) for lbl in self.members)
 
 
+def _check_dim(p: int, e: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if e < 1:
+        raise ValueError(f"e must be >= 1, got {e}")
+    if p**e > MAX_DIM:
+        raise ValueError(f"dimension {p**e} exceeds the supported bound {MAX_DIM}")
+
+
+def _check_params(p: int, e: int, a_params) -> tuple:
+    _check_dim(p, e)
+    a_params = tuple(int(v) for v in a_params)
+    if len(a_params) != e or any(not 0 <= v < p for v in a_params):
+        raise ValueError(f"a_params must be length {e} with entries in 0..{p - 1}")
+    return a_params
+
+
+def _points(p: int, e: int) -> np.ndarray:
+    """All of F_p^e in lexicographic order (slot 0 most significant), (p**e, e)."""
+    return np.array(list(product(range(p), repeat=e)), dtype=np.int64).reshape(p**e, e)
+
+
 # -- operators ----------------------------------------------------------------
 
 
@@ -91,15 +114,7 @@ def build_w(p: int, e: int, label: WeylLabel, a_params) -> OperatorMatrix:
     phased shifts; clock-type factors are the auxiliary content that resolves
     spectral degeneracy.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if e < 1:
-        raise ValueError(f"e must be >= 1, got {e}")
-    if p**e > MAX_DIM:
-        raise ValueError(f"dimension {p**e} exceeds the supported bound {MAX_DIM}")
-    a_params = tuple(int(v) for v in a_params)
-    if len(a_params) != e or any(not 0 <= v < p for v in a_params):
-        raise ValueError(f"a_params must be length {e} with entries in 0..{p - 1}")
+    a_params = _check_params(p, e, a_params)
     out = None
     for x_i, z_i, a_i in zip(label.x, label.z, a_params):
         slot = build_v(p, a_i).power(x_i) @ build_z(p).power(z_i)
@@ -150,154 +165,109 @@ def _cluster_phases(eigs: np.ndarray, tol: float) -> list[list[int]]:
 # -- class partition -----------------------------------------------------------
 
 
+def _spread_forms(p: int, e: int) -> np.ndarray:
+    """S_g[i, j] = Tr(g alpha**(i+j)) mod p for every g in F_{p^e}, (p**e, e, e).
+
+    F_{p^e} is F_p[alpha] for the first monic irreducible polynomial of
+    degree e (coefficients in lexicographic order); g = sum_k g_k alpha**k
+    acts as M_g = sum_k g_k C**k with C the companion matrix, and the field
+    trace of g alpha**m is tr(M_g C**m) mod p.
+    """
+    field = _points(p, e)
+    for low in field:
+        comp = np.zeros((e, e), dtype=np.int64)
+        comp[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+        comp[:, -1] = -low % p
+        powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(2 * e - 2):
+            powers.append(powers[-1] @ comp % p)
+        mult = np.einsum("gk,kij->gij", field, np.stack(powers[:e])) % p
+        # a field has no zero divisors: g * h != 0 for all nonzero g, h
+        if (mult[1:] @ field[1:].T % p).any(axis=1).all():
+            break
+    shifted = np.stack(powers)[np.add.outer(np.arange(e), np.arange(e))]
+    return np.einsum("gab,ijba->gij", mult, shifted) % p
+
+
 def partition_commuting_classes(p: int, e: int) -> list[CommutingClass]:
     """Partition all non-identity labels into p**e + 1 commuting classes.
 
-    Backtracking on the symplectic commutation graph at subspace granularity:
-    each class is grown as a subgroup (closure comes free, since a pairwise
-    commuting set of p**e - 1 labels spans an isotropic subspace of maximal
-    size).  Candidate generators are scanned in lexicographic label order, so
-    the output is deterministic and the all-clock class always comes first.
+    Class 0 is the all-clock class {(0, z)}; class 1 + n is the graph
+    {(x, S_g x) : x != 0} of the n-th field element g in lexicographic
+    order, so class 1 (g = 0) is the shift-only class.  Members are listed
+    in lexicographic label order.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if e < 1:
-        raise ValueError(f"e must be >= 1, got {e}")
-    d = p**e
-    if d > MAX_DIM:
-        raise ValueError(f"dimension {d} exceeds the supported bound {MAX_DIM}")
-
-    vectors = [np.array(v, dtype=np.int64) for v in product(range(p), repeat=2 * e)]
-    nonzero = [i for i, v in enumerate(vectors) if v.any()]
-    index_of = {tuple(v): i for i, v in enumerate(vectors)}
-
-    def form(i: int, j: int) -> int:
-        vi, vj = vectors[i], vectors[j]
-        return int(vi[:e] @ vj[e:] - vi[e:] @ vj[:e]) % p
-
-    def subgroup(gens: list[int]) -> list[int] | None:
-        """All nonzero combinations of the generators, or None on collision."""
-        elems = {0}
-        span = [np.zeros(2 * e, dtype=np.int64)]
-        for g in gens:
-            new_span = []
-            for coeff in range(p):
-                for base in span:
-                    w = (base + coeff * vectors[g]) % p
-                    new_span.append(w)
-            span = new_span
-        out = set()
-        for w in span:
-            if w.any():
-                out.add(index_of[tuple(w)])
-        if len(out) != p ** len(gens) - 1:
-            return None  # generators were dependent
-        return sorted(out)
-
-    covered: set[int] = set()
-    classes: list[list[int]] = []
-    target_classes = d + 1
-
-    def extend(gens: list[int], members: list[int]) -> bool:
-        if len(members) == d - 1:
-            classes.append(members)
-            covered.update(members)
-            if place_next():
-                return True
-            covered.difference_update(members)
-            classes.pop()
-            return False
-        start = gens[-1] + 1
-        for g in nonzero:
-            if g < start or g in covered:
-                continue
-            if any(form(g, h) != 0 for h in gens):
-                continue
-            grown = subgroup(gens + [g])
-            if grown is None or any(m in covered for m in grown):
-                continue
-            if extend(gens + [g], grown):
-                return True
-        return False
-
-    def place_next() -> bool:
-        if len(classes) == target_classes:
-            return True
-        seed = next((i for i in nonzero if i not in covered), None)
-        if seed is None:
-            return False
-        return extend([seed], subgroup([seed]))
-
-    if not place_next():
-        raise RuntimeError(
-            f"commuting-class search failed for p={p}, e={e}; this should be "
-            "impossible for prime p and indicates a bug"
-        )
-
-    out = []
-    for cid, members in enumerate(classes):
-        labels = tuple(
-            WeylLabel(p, e, tuple(vectors[i][:e]), tuple(vectors[i][e:])) for i in members
-        )
-        out.append(CommutingClass(cid, labels))
-    return out
+    _check_dim(p, e)
+    nonzero = _points(p, e)[1:]
+    zero = np.zeros_like(nonzero)
+    graphs = [(zero, nonzero)] + [(nonzero, nonzero @ s % p) for s in _spread_forms(p, e)]
+    return [
+        CommutingClass(cid, tuple(WeylLabel(p, e, x, z) for x, z in zip(xs, zs)))
+        for cid, (xs, zs) in enumerate(graphs)
+    ]
 
 
 # -- joint eigenbases -----------------------------------------------------------
 
 
-def joint_eigenbasis(
-    cls: CommutingClass, p: int, e: int, a_params, tol: float = DEFAULT_TOL
-) -> MubBasis:
-    """Orthonormal simultaneous eigenbasis of every operator in the class.
+def _class_form(cls: CommutingClass, p: int, e: int) -> np.ndarray | None:
+    """The symmetric S with cls = {(x, Sx) : x != 0}, or None for the all-clock class.
 
-    Recursive block diagonalization: Schur-diagonalize the first generator,
-    then recurse into each eigenspace with the next one (lexicographic label
-    order).  Each eigenvector's phase is fixed by making its first
-    largest-modulus component real positive.
+    Raises ValueError for any other class.
     """
     d = p**e
-    mats = [build_w(p, e, lbl, a_params) for lbl in cls.members]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            res = np.abs(
-                mats[i].entries @ mats[j].entries - mats[j].entries @ mats[i].entries
-            ).max()
-            if res > 1e-10:
-                raise InconsistentClassError(
-                    f"class {cls.id}: members {i} and {j} fail to commute "
-                    f"(residual {res:.3e})"
-                )
+    xs = np.array([lbl.x for lbl in cls.members], dtype=np.int64).reshape(-1, e)
+    zs = np.array([lbl.z for lbl in cls.members], dtype=np.int64).reshape(-1, e)
+    symplectic = (xs @ zs.T - zs @ xs.T) % p
+    if symplectic.any():
+        i, j = np.argwhere(symplectic)[0]
+        raise ValueError(f"class {cls.id}: members {i} and {j} fail to commute")
+    weights = p ** np.arange(e - 1, -1, -1)
+    if not xs.any() and sorted(zs @ weights) == list(range(1, d)):
+        return None
+    index = xs @ weights
+    if sorted(index) != list(range(1, d)):
+        raise ValueError(
+            f"class {cls.id} leaves joint eigenspaces unresolved: it must be the "
+            "all-clock class or list every nonzero shift part x exactly once"
+        )
+    # column k of S is the z paired with the unit vector x = e_k, whose index is weights[k]
+    form = zs[np.argsort(index)[weights - 1]].T
+    if not np.array_equal(xs @ form.T % p, zs) or not np.array_equal(form, form.T):
+        raise ValueError(f"class {cls.id} is not a graph {{(x, Sx)}} with S symmetric")
+    return form
 
-    arrays = [m.entries for m in mats]
 
-    def resolve(block: np.ndarray, queue: list[np.ndarray]) -> list[np.ndarray]:
-        if block.shape[1] == 1:
-            return [block[:, 0]]
-        if not queue:
-            raise InconsistentClassError(
-                f"class {cls.id}: eigenspace of dimension {block.shape[1]} left "
-                "unresolved after all generators"
-            )
-        sub = block.conj().T @ queue[0] @ block
-        t, u = scipy.linalg.schur(sub, output="complex")
-        eigs = np.diag(t)
-        vectors = []
-        for cluster in _cluster_phases(eigs, 1e-6):
-            vectors.extend(resolve(block @ u[:, cluster], queue[1:]))
-        return vectors
+def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
+    """Orthonormal simultaneous eigenbasis of every operator in the class.
 
-    columns = resolve(np.eye(d, dtype=np.complex128), arrays)
-    fixed = []
-    for col in columns:
-        moduli = np.abs(col)
-        pivot = int(np.argmax(moduli >= moduli.max() - 1e-12))
-        col = col * (col[pivot].conjugate() / moduli[pivot])
-        fixed.append(col / np.linalg.norm(col))
-
+    The all-clock class gives the computational basis (exact amplitudes).
+    A graph class {(x, Sx)} gives the stabilizer states with R = S +
+    diag(a_params) mod p: vector n, for b the n-th point of F_p^e, has
+    component omega**(-1/2 j.Rj + b.j) / sqrt(d) at index j (slot 0 most
+    significant).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2
+    the quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    """
+    a_params = _check_params(p, e, a_params)
+    d = p**e
     label = f"class:{cls.id}"
+    form = _class_form(cls, p, e)
+    if form is None:
+        vectors = tuple(
+            MubVector(d, label, v.n, v.amps, v.exact_exponents, v.scale_sqrt_dim)
+            for v in spherical_basis(d).vectors
+        )
+        return MubBasis(d, label, vectors, class_labels=cls.members)
+
+    quad_form = (form + np.diag(a_params)) % p
+    points = _points(p, e)
+    quad = np.einsum("ji,ik,jk->j", points, quad_form, points)
+    # omega_p = tau**(2d/p); for p = 2 the phases live in Z_4, with tau**(d/2) = i
+    mod, half = (4, 1) if p == 2 else (p, (p + 1) // 2)
+    exps = (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad) % (2 * d)
+    amps = _phase_table(2 * d)[exps] / np.sqrt(d)
     vectors = tuple(
-        MubVector(d, label, n, amps, None, scale_sqrt_dim=1) for n, amps in enumerate(fixed)
+        MubVector(d, label, n, row, None, scale_sqrt_dim=1) for n, row in enumerate(amps)
     )
     return MubBasis(d, label, vectors, class_labels=cls.members)
 
@@ -308,27 +278,15 @@ def joint_eigenbasis(
 def build_composite_set(p: int, e: int, a_params=None, tol: float = COMPOSITE_TOL) -> MubSet:
     """p**e + 1 pairwise-unbiased bases in dimension p**e.
 
-    The all-clock class contributes the computational basis (its joint
-    eigenbasis, written exactly); every other class contributes the joint
-    eigenbasis of its operators.  The whole set is verified pairwise before
-    being returned; failure raises ConstructionError with the offending pair.
+    Every class of the spread contributes its joint eigenbasis; the
+    all-clock class, first, contributes the computational basis (written
+    exactly).  The whole set is verified pairwise before being returned;
+    failure raises ConstructionError with the offending pair.
     """
     if a_params is None:
         a_params = (0,) * e
     classes = partition_commuting_classes(p, e)
-    d = p**e
-    bases = []
-    for cls in classes:
-        if cls.is_diagonal():
-            computational = spherical_basis(d)
-            vectors = tuple(
-                MubVector(d, f"class:{cls.id}", v.n, v.amps, v.exact_exponents, v.scale_sqrt_dim)
-                for v in computational.vectors
-            )
-            bases.append(MubBasis(d, f"class:{cls.id}", vectors, class_labels=cls.members))
-        else:
-            bases.append(joint_eigenbasis(cls, p, e, a_params))
-    mub_set = MubSet(d, tuple(bases))
+    mub_set = MubSet(p**e, tuple(joint_eigenbasis(cls, p, e, a_params) for cls in classes))
     report = verify_set(mub_set, tol)
     if not report.passed:
         pair = report.details["failing_pairs"][0]

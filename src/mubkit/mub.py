@@ -9,7 +9,7 @@ d is prime; the verifier checks the defining overlap condition both
 exactly (cyclotomic arithmetic) and numerically.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -341,11 +341,6 @@ def eigen_relation_residual(d: int, a: int, n: int) -> int:
     lhs[d - 1] = exps[0]
     rhs = (lam + exps) % two_d
     return int(np.count_nonzero(lhs - rhs))
-
-
-def spectrum_exponents(d: int, a: int) -> list[int]:
-    """Eigenvalue exponents (d-1)a - 2n mod 2d for n = 0..d-1 (all distinct)."""
-    return [eigenvalue_exponent(d, a, n).value for n in range(d)]
 
 
 def eigen_relation_numeric_residual(d: int, a: int, n: int) -> float:

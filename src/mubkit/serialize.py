@@ -140,19 +140,32 @@ def _parse_label(text: str) -> int | str:
 def mubset_from_doc(doc: dict) -> MubSet:
     d = int(doc["dim"])
     exact = bool(doc["exact"])
+    if not doc["bases"]:
+        raise ValueError("set document has no bases")
+    mod = 2 * d
     bases = []
     for basis_doc in doc["bases"]:
         label = _parse_label(basis_doc["label"])
         vectors = []
         for n, amp_list in enumerate(basis_doc["vectors"]):
+            where = f"basis {label} vector {n}"
+            if len(amp_list) != d:
+                raise ValueError(f"{where} has {len(amp_list)} amplitudes, expected {d}")
             if exact:
-                exps = np.full(d, -1, dtype=np.int64)
-                scale = 0
-                for s, amp in enumerate(amp_list):
-                    if amp is not None:
-                        exps[s] = int(amp["num"]) % (2 * d)
-                        scale = int(amp["scale_sqrt_dim"])
-                table = _phase_table(2 * d)
+                present = [amp for amp in amp_list if amp is not None]
+                if any(int(amp["mod"]) != mod for amp in present):
+                    raise ValueError(f"{where}: every amplitude needs mod = 2*dim = {mod}")
+                scales = {int(amp["scale_sqrt_dim"]) for amp in present}
+                if len(scales) != 1:
+                    raise ValueError(
+                        f"{where}: needs a single scale_sqrt_dim, got {sorted(scales)}"
+                    )
+                scale = scales.pop()
+                exps = np.array(
+                    [-1 if amp is None else int(amp["num"]) % mod for amp in amp_list],
+                    dtype=np.int64,
+                )
+                table = _phase_table(mod)
                 amps = np.where(exps < 0, 0, table[np.where(exps < 0, 0, exps)])
                 amps = amps / d ** (scale / 2)
                 vectors.append(MubVector(d, label, n, amps, exps, scale))

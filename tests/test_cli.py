@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mubkit
 from mubkit.cli import RunConfig, main, parse_args
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
 from mubkit.mub import build_complete_set, verify_set
@@ -128,6 +133,48 @@ class TestVerifyCommand:
         rc = main(["verify", "--set", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @staticmethod
+    def _verify_edited(tmp_path, edit):
+        """Verify an exact d = 3 set file after edit(doc) has tampered with it."""
+        path = tmp_path / "set3.json"
+        assert main(["set", "--dim", "3", "--exact", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return main(["verify", "--set", str(path)])
+
+    def test_wrong_mod_exit_2(self, tmp_path, capsys):
+        def edit(doc):
+            for basis in doc["bases"]:
+                for vec in basis["vectors"]:
+                    for amp in vec:
+                        if amp is not None:
+                            amp["mod"] = 12
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "mod = 2*dim = 6" in capsys.readouterr().err
+
+    def test_mixed_scale_exit_2(self, tmp_path, capsys):
+        def edit(doc):
+            doc["bases"][1]["vectors"][0][0]["scale_sqrt_dim"] = 0
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "single scale_sqrt_dim" in capsys.readouterr().err
+
+    def test_empty_bases_exit_2(self, tmp_path, capsys):
+        def edit(doc):
+            doc["bases"] = []
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "no bases" in capsys.readouterr().err
+
+    def test_ragged_vector_exit_2(self, tmp_path, capsys):
+        def edit(doc):
+            doc["bases"][1]["vectors"][0].pop()
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert "has 2 amplitudes, expected 3" in capsys.readouterr().err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -230,6 +277,13 @@ class TestCompositeCommand:
 
     def test_bad_a_list(self, capsys):
         assert main(["composite", "--p", "2", "--e", "2", "--a", "0,7"]) == 2
+
+
+def test_cli_import_skips_scipy():
+    src = str(Path(mubkit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import mubkit.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSerializeRoundTrip:

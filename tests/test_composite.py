@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.composite import (
     CommutingClass,
     ConstructionError,
-    InconsistentClassError,
     WeylLabel,
     build_composite_set,
     build_w,
@@ -140,6 +141,13 @@ class TestPartition:
             assert classes[0].is_diagonal()
             assert not any(c.is_diagonal() for c in classes[1:])
 
+    def test_spread_order(self):
+        # all-clock class, then one graph {(x, g x)} per g in increasing order
+        classes = partition_commuting_classes(5, 1)
+        for g, cls in enumerate(classes[1:]):
+            assert [(l.x, l.z) for l in cls.members] == [((x,), (g * x % 5,)) for x in range(1, 5)]
+        assert all(not any(l.z) for l in partition_commuting_classes(2, 3)[1].members)
+
     def test_matrix_level_commutation(self):
         classes = partition_commuting_classes(2, 2)
         rep = commutation_soundness(classes, 2, 2, (0, 0))
@@ -190,7 +198,7 @@ class TestJointEigenbasis:
 
     def test_single_degenerate_member_refused(self):
         lone = CommutingClass(99, (WeylLabel(2, 2, (1, 1), (0, 0)),))
-        with pytest.raises(InconsistentClassError, match="unresolved"):
+        with pytest.raises(ValueError, match="unresolved"):
             joint_eigenbasis(lone, 2, 2, (0, 0))
 
     def test_non_commuting_class_refused(self):
@@ -198,22 +206,35 @@ class TestJointEigenbasis:
             98,
             (WeylLabel(2, 1, (1,), (0,)), WeylLabel(2, 1, (0,), (1,))),
         )
-        with pytest.raises(InconsistentClassError, match="commute"):
+        with pytest.raises(ValueError, match="commute"):
             joint_eigenbasis(bad, 2, 1, (0,))
 
-    def test_eigenvector_residuals(self):
-        classes = partition_commuting_classes(3, 2)
-        cls = classes[3]
-        basis = joint_eigenbasis(cls, 3, 2, (0, 0))
-        from mubkit.composite import build_w as bw
+    def test_non_graph_class_refused(self):
+        # commuting and complete, but neither all-clock nor a graph over x
+        mixed = CommutingClass(
+            97,
+            tuple(WeylLabel(2, 2, (x, 0), (0, z)) for x, z in [(0, 1), (1, 0), (1, 1)]),
+        )
+        with pytest.raises(ValueError, match="unresolved"):
+            joint_eigenbasis(mixed, 2, 2, (0, 0))
 
-        for lbl in cls.members:
-            w = bw(3, 2, lbl, (0, 0)).entries
-            for vec in basis.vectors:
-                image = w @ vec.amps
-                lam = vec.amps.conj() @ image
-                assert np.linalg.norm(image - lam * vec.amps) < 1e-9
-                assert abs(abs(lam) - 1) < 1e-9
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2)]).flatmap(
+            lambda pe: st.tuples(
+                st.just(pe), st.tuples(*[st.integers(0, pe[0] - 1)] * pe[1])
+            )
+        )
+    )
+    def test_eigenvector_residuals(self, case):
+        (p, e), a_params = case
+        for cls in partition_commuting_classes(p, e):
+            rows = joint_eigenbasis(cls, p, e, a_params).as_array()
+            for lbl in cls.members:
+                image = build_w(p, e, lbl, a_params).entries @ rows.T
+                lam = np.einsum("ij,ji->i", rows.conj(), image)
+                assert np.abs(image - rows.T * lam).max() < 1e-9
+                assert np.abs(np.abs(lam) - 1).max() < 1e-9
 
 
 class TestBuildCompositeSet:
@@ -248,6 +269,12 @@ class TestBuildCompositeSet:
 
     def test_nonzero_phase_parameters(self):
         mub_set = build_composite_set(2, 2, (1, 1))
+        assert verify_set(mub_set, tol=1e-9).passed
+
+    @pytest.mark.parametrize("p,e", [(2, 5), (7, 2)])
+    def test_sizes_beyond_search_reach(self, p, e):
+        mub_set = build_composite_set(p, e)
+        assert len(mub_set.bases) == p**e + 1
         assert verify_set(mub_set, tol=1e-9).passed
 
     def test_a_params_validation(self):
