@@ -4,7 +4,8 @@ A single d x d unitary generates everything: the phased cyclic shift V_a,
 whose d eigenbases together with the computational basis are pairwise
 mutually unbiased whenever d is prime.  Because every amplitude is a root
 of unity over sqrt(d), the unbiasedness condition |<u|v>| = 1/sqrt(d) can
-be certified with integer arithmetic, not just floats.
+be certified exactly, by the integer norm of cyclotomic integers, not just
+with floats.
 """
 
 import numpy as np

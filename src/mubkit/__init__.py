@@ -15,10 +15,7 @@ from .cyclo import (
     INTERNAL_TOL,
     CyclotomicSum,
     PhaseExponent,
-    abs_squared_exact,
-    evaluate,
     is_prime,
-    reduce,
 )
 from .composite import (
     CommutingClass,
@@ -86,7 +83,6 @@ __all__ = [
     "VerificationReport",
     "WedgeIndex",
     "WeylLabel",
-    "abs_squared_exact",
     "build_basis",
     "build_complete_set",
     "build_composite_set",
@@ -103,7 +99,6 @@ __all__ = [
     "check_su2",
     "degeneracy_report",
     "eigenvalue_exponent",
-    "evaluate",
     "ffz_commutator_residual",
     "ffz_sweep",
     "gauss_sum_magnitude",
@@ -112,7 +107,6 @@ __all__ = [
     "overlap_matrix",
     "partition_commuting_classes",
     "q_commutation_residual",
-    "reduce",
     "select_ffz_sign_convention",
     "spherical_basis",
     "trace_inner_exact",

@@ -4,24 +4,24 @@ Every amplitude produced by the generator matrices and their eigenvectors is
 an integer power of tau = exp(i*pi/d), the primitive 2d-th root of unity
 (tau**2 = q = exp(2i*pi/d); half-integer powers of q are therefore integer
 powers of tau).  A sum of such amplitudes is an integer coefficient vector
-indexed by tau**0 .. tau**(2d-1), and identities between sums can be decided
-with integer arithmetic alone once the vectors are put in canonical form.
+indexed by tau**0 .. tau**(2d-1).
 
-Canonical reduction uses exactly two relations:
+Identities are decided, for every d, by the Galois-conjugate norm
+certificate.  The conjugations sigma_k: tau -> tau**k (k coprime to 2d) only
+multiply exponents by k, and a nonzero y in Z[tau] has a nonzero integer
+norm |N(y)| = prod_k |sigma_k(y)| >= 1.  Conjugates pair up with equal
+moduli (k and 2d-k), so y = 0 exactly when every sigma_k(y) with k < d,
+evaluated with float error below 1/4, has modulus below 1/2.
 
-* tau**d = -1, which folds exponents d..2d-1 into 0..d-1 with a sign flip;
-* for odd prime d, 1 + zeta + ... + zeta**(d-1) = 0 with zeta = tau**2 a
-  primitive d-th root, which removes the one remaining redundancy.  In the
-  tau-folded coordinates this relation reads sum_k (-1)**k tau**k = 0, and
-  eliminating it zeroes the coefficient that carries zeta**(d-1).
-
-After both folds the representation is a free Z-module of rank phi(2d), so
-equality is component-wise comparison.  For d = 2 the tau-fold alone is
-canonical (Z[i]).  For non-prime d only the tau-fold applies, canonical
-forms are not unique, and equality testing falls back to numeric comparison
-at NUMERIC_EQ_TOL.
+Coefficients are kept reduced by tau**d = -1 (folding exponents d..2d-1
+into 0..d-1 with a sign flip) and, for odd prime d, by the root sum
+1 + zeta + ... + zeta**(d-1) = 0 with zeta = tau**2; in tau-folded
+coordinates it reads sum_k (-1)**k tau**k = 0, and eliminating it zeroes the
+coefficient that carries zeta**(d-1).  For d = 2 and odd prime d this form
+is unique; elsewhere it is not, which the certificate does not need.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,8 +31,6 @@ import numpy as np
 DEFAULT_TOL = 1e-10
 #: Default tolerance for internal consistency checks (exact vs float shadow).
 INTERNAL_TOL = 1e-12
-#: Tolerance used when exact equality is unavailable (non-prime d).
-NUMERIC_EQ_TOL = 1e-10
 
 
 def is_prime(n: int) -> bool:
@@ -66,6 +64,20 @@ def _phase_table(modulus: int) -> np.ndarray:
             table[k] = cardinal[quarters]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def conjugate_phases(d: int) -> np.ndarray:
+    """tau**(k*j) at row k, column j = 0..2d-1, for the conjugating exponents k.
+
+    The rows run over k in 1..d-1 with gcd(k, 2d) = 1, one Galois conjugation
+    sigma_k per complex-conjugate pair (only k = 1 for d = 2).  Indexing the
+    columns by tau exponents applies every sigma_k at once.  Read-only.
+    """
+    ks = np.array([k for k in range(1, d) if math.gcd(k, 2 * d) == 1], dtype=np.int64)
+    rows = _phase_table(2 * d)[np.outer(ks, np.arange(2 * d)) % (2 * d)]
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -213,10 +225,9 @@ class CyclotomicSum:
         """Exponent-index cyclic convolution followed by reduction."""
         self._check(other)
         two_d = 2 * self.dim
-        prod = np.zeros(two_d, dtype=np.int64)
-        for k in np.nonzero(self.coeffs)[0]:
-            prod += self.coeffs[k] * np.roll(other.coeffs, k)
-        return CyclotomicSum(prod, self.dim)
+        prod = np.convolve(self.coeffs, other.coeffs)
+        prod[: two_d - 1] += prod[two_d:]
+        return CyclotomicSum(prod[:two_d], self.dim)
 
     def conj(self) -> "CyclotomicSum":
         """Complex conjugation: negate every exponent mod 2d."""
@@ -233,21 +244,23 @@ class CyclotomicSum:
         return complex(self.coeffs @ _phase_table(2 * self.dim))
 
     def is_zero(self) -> bool:
-        if is_prime(self.dim):
-            return not self.coeffs.any()
-        return abs(self.evaluate()) < NUMERIC_EQ_TOL
+        """Exact zero test by the norm certificate (module docstring).
+
+        Each conjugate sums 2d terms, so its float error stays below
+        l1(coeffs) * 2d * 2**-52; a sum too large for that to be below 1/4
+        raises ValueError instead of being guessed.
+        """
+        l1 = int(np.abs(self.coeffs).sum())
+        if l1 * 2 * self.dim * 2.0**-52 >= 0.25:
+            raise ValueError(
+                f"coefficients too large (l1 norm {l1}) to decide exactly at dim {self.dim}"
+            )
+        return bool(np.abs(conjugate_phases(self.dim) @ self.coeffs).max() < 0.5)
 
     def as_int(self) -> int | None:
         """The rational integer this sum equals, or None if it is not one."""
-        if is_prime(self.dim):
-            if self.coeffs[1:].any():
-                return None
-            return int(self.coeffs[0])
-        val = self.evaluate()
-        nearest = round(val.real)
-        if abs(val - nearest) < NUMERIC_EQ_TOL:
-            return int(nearest)
-        return None
+        nearest = round(self.evaluate().real)
+        return nearest if self == nearest else None
 
     def _check(self, other: "CyclotomicSum") -> None:
         if not isinstance(other, CyclotomicSum) or other.dim != self.dim:
@@ -258,10 +271,7 @@ class CyclotomicSum:
             other = CyclotomicSum.integer(int(other), self.dim)
         if not isinstance(other, CyclotomicSum) or other.dim != self.dim:
             return False
-        if is_prime(self.dim):
-            return bool(np.array_equal(self.coeffs, other.coeffs))
-        # Non-prime d: canonical forms are not unique, compare numerically.
-        return abs(self.evaluate() - other.evaluate()) < NUMERIC_EQ_TOL
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -269,18 +279,3 @@ class CyclotomicSum:
         terms = [f"{c}*tau^{k}" for k, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"CyclotomicSum({body}; dim={self.dim})"
-
-
-def reduce(raw, d: int) -> CyclotomicSum:
-    """Canonicalize a raw length-2d integer coefficient sequence."""
-    return CyclotomicSum(raw, d)
-
-
-def evaluate(x: CyclotomicSum) -> complex:
-    """Floating-point value sum_k coeffs[k] * exp(i*pi*k/d)."""
-    return x.evaluate()
-
-
-def abs_squared_exact(x: CyclotomicSum) -> CyclotomicSum:
-    """x * conj(x) in canonical form; an integer iff |x|^2 is an integer."""
-    return x.abs_squared()

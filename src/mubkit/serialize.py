@@ -7,10 +7,12 @@ used.  Parsing uses the stdlib.
 """
 
 import json
+import math
 
 import numpy as np
 
-from .cyclo import _phase_table
+from .composite import WeylLabel
+from .cyclo import _phase_table, is_prime
 from .mub import MubBasis, MubSet, MubVector
 from .weyl import OperatorMatrix
 
@@ -137,6 +139,35 @@ def _parse_label(text: str) -> int | str:
     return int(text) if text.isdigit() else text
 
 
+def _prime_power(d: int) -> tuple[int, int]:
+    """(p, e) with d = p**e; ValueError if d is not a prime power."""
+    for p in filter(is_prime, range(2, d + 1)):
+        e = round(math.log(d, p))
+        if p**e == d:
+            return p, e
+    raise ValueError(f"class_labels need a prime-power dim, got {d}")
+
+
+def _parse_class_labels(label_docs, d: int, where: str) -> tuple:
+    p, e = _prime_power(d)
+    if not isinstance(label_docs, list):
+        raise ValueError(f"{where}: class_labels must be a list")
+    labels = []
+    for lbl in label_docs:
+        if not isinstance(lbl, dict) or not all(
+            isinstance(lbl.get(k), list)
+            and len(lbl[k]) == e
+            and all(type(v) is int and 0 <= v < p for v in lbl[k])
+            for k in "xz"
+        ):
+            raise ValueError(
+                f"{where}: class label {lbl} needs x and z lists of length {e} "
+                f"with entries in 0..{p - 1}"
+            )
+        labels.append(WeylLabel(p, e, lbl["x"], lbl["z"]))
+    return tuple(labels)
+
+
 def mubset_from_doc(doc: dict) -> MubSet:
     d = int(doc["dim"])
     exact = bool(doc["exact"])
@@ -172,7 +203,10 @@ def mubset_from_doc(doc: dict) -> MubSet:
             else:
                 amps = np.array([complex(re, im) for re, im in amp_list])
                 vectors.append(MubVector(d, label, n, amps, None, 1))
-        bases.append(MubBasis(d, label, tuple(vectors)))
+        class_labels = None
+        if "class_labels" in basis_doc:
+            class_labels = _parse_class_labels(basis_doc["class_labels"], d, f"basis {label}")
+        bases.append(MubBasis(d, label, tuple(vectors), class_labels))
     return MubSet(d, tuple(bases))
 
 

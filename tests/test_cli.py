@@ -129,6 +129,40 @@ class TestVerifyCommand:
         assert report["pass"] is False
         assert report["failing_pairs"]
 
+    def test_forced_exact_set_fails_exactly(self, tmp_path, capsys):
+        out = tmp_path / "set6.json"
+        assert main(["set", "--dim", "6", "--force", "--exact", "--output", str(out)]) == 1
+        capsys.readouterr()
+        assert main(["verify", "--set", str(out)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["exact"] is True
+        assert [(p["a"], p["b"]) for p in report["failing_pairs"]] == [
+            (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (["composite", "--p", "2", "--e", "2"],
+             lambda b: b["class_labels"][0].update(x=[0]), "length 2"),
+            (["composite", "--p", "2", "--e", "2"],
+             lambda b: b["class_labels"][0].update(z=[2, 0]), "entries in 0..1"),
+            (["composite", "--p", "2", "--e", "2"],
+             lambda b: b["class_labels"][0].update(x=5), "lists of length 2"),
+            (["set", "--dim", "6", "--force"],
+             lambda b: b.update(class_labels=[{"x": [0], "z": [1]}]), "prime-power dim"),
+        ],
+    )
+    def test_bad_class_labels_exit_2(self, argv, edit, message, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        main(argv + ["--output", str(path)])
+        doc = json.loads(path.read_text())
+        edit(doc["bases"][1])
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--set", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["verify", "--set", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -299,6 +333,15 @@ class TestSerializeRoundTrip:
         assert rep.details["exact"] is exact
         for basis_a, basis_b in zip(original.bases, restored.bases):
             assert np.abs(basis_a.as_array() - basis_b.as_array()).max() < 1e-15
+
+    def test_class_labels_round_trip(self):
+        from mubkit.composite import build_composite_set
+
+        original = build_composite_set(2, 2)
+        restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(original, exact=False))))
+        assert [b.class_labels for b in restored.bases] == [
+            b.class_labels for b in original.bases
+        ]
 
     def test_exact_serialization_needs_exact_set(self):
         from mubkit.composite import build_composite_set

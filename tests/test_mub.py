@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mubkit.cyclo import CyclotomicSum, _phase_table
 from mubkit.mub import (
+    MubBasis,
+    MubVector,
     build_basis,
     build_complete_set,
     build_mub_vector,
@@ -207,11 +212,103 @@ class TestVerifyUnbiased:
         with pytest.raises(ValueError):
             verify_unbiased(build_basis(2, 0), build_basis(3, 0))
 
-    def test_report_carries_overlap_table(self):
-        rep = verify_unbiased(build_basis(3, 0), build_basis(3, 1))
-        table = np.array(rep.details["overlap_moduli"])
-        assert table.shape == (3, 3)
-        assert np.allclose(table, 1 / np.sqrt(3), atol=1e-12)
+    def test_max_residual_is_overlap_deviation(self):
+        b0, b1 = build_basis(3, 0), build_basis(3, 1)
+        rep = verify_unbiased(b0, b1)
+        moduli = np.abs(overlap_matrix(b0, b1))
+        assert rep.max_residual == np.abs(moduli - 1 / np.sqrt(3)).max()
+        assert "overlap_moduli" not in rep.details
+
+
+def basis_from_exponents(d, label, exps, scale):
+    """A basis whose vector n has amplitudes tau**exps[n] / d**(scale/2), 0 at -1."""
+    exps = np.asarray(exps, dtype=np.int64)
+    amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / d ** (scale / 2)
+    return MubBasis(
+        d, label, tuple(MubVector(d, label, n, amps[n], exps[n], scale) for n in range(d))
+    )
+
+
+def coefficient_oracle(a_basis, b_basis, same):
+    """The overlap identity decided on canonical coefficients (unique for prime d)."""
+    d = a_basis.dim
+    sa, sb = a_basis.vectors[0].scale_sqrt_dim, b_basis.vectors[0].scale_sqrt_dim
+    if not same and sa + sb < 1:
+        return False
+    for u in a_basis.vectors:
+        for v in b_basis.vectors:
+            both = (u.exact_exponents >= 0) & (v.exact_exponents >= 0)
+            z = CyclotomicSum.from_exponent_counts(
+                (v.exact_exponents - u.exact_exponents)[both], d
+            )
+            if same:
+                value, target = z, d**sa if u.n == v.n else 0
+            else:
+                value, target = z.abs_squared(), d ** (sa + sb - 1)
+            if not np.array_equal(value.coeffs, CyclotomicSum.integer(target, d).coeffs):
+                return False
+    return True
+
+
+@st.composite
+def exponent_bases(draw, d, label):
+    """A random exponent grid, or a built basis, as is or with one exponent changed."""
+    mode = draw(st.sampled_from(["random", "built", "perturbed"]))
+    if mode == "random":
+        exps = draw(st.lists(st.integers(-1, 2 * d - 1), min_size=d * d, max_size=d * d))
+        return basis_from_exponents(d, label, np.reshape(exps, (d, d)), draw(st.integers(0, 2)))
+    a = draw(st.sampled_from(["s", *range(d)]))
+    base = spherical_basis(d) if a == "s" else build_basis(d, a)
+    exps = np.stack([v.exact_exponents for v in base.vectors])
+    if mode == "perturbed":
+        n, s = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        exps[n, s] = draw(st.integers(-1, 2 * d - 1))
+    return basis_from_exponents(d, label, exps, base.vectors[0].scale_sqrt_dim)
+
+
+class TestNormCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda d: st.tuples(exponent_bases(d, "a"), exponent_bases(d, "b"), st.booleans())
+    ))
+    def test_verdict_matches_coefficient_oracle(self, case):
+        a_basis, b_basis, same = case
+        if same:
+            b_basis = a_basis
+        rep = verify_unbiased(a_basis, b_basis)
+        assert rep.details["exact"] is coefficient_oracle(a_basis, b_basis, same)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 7])
+    def test_relabelled_computational_basis_is_exactly_biased(self, d):
+        original = spherical_basis(d)
+        copy = MubBasis(d, "t", original.vectors)
+        rep = verify_unbiased(original, copy)
+        assert rep.details["exact"] is False
+        assert not rep.passed
+
+    def test_sub_unit_target_is_exactly_unmet(self):
+        # |z|**2 = 1/d has no algebraic-integer solution, even where every z is 0
+        empty = basis_from_exponents(3, "t", np.full((3, 3), -1), 0)
+        assert verify_unbiased(spherical_basis(3), empty).details["exact"] is False
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 9, 10])
+    def test_forced_sets_exact_verdicts_match_numeric(self, d):
+        mub_set = build_complete_set(d, force=True)
+        rep = verify_set(mub_set)
+        assert rep.details["exact"] is True
+        bases = mub_set.bases
+        numeric = [
+            (a.label, b.label)
+            for i, a in enumerate(bases)
+            for b in bases[i + 1 :]
+            if np.abs(np.abs(overlap_matrix(a, b)) - 1 / np.sqrt(d)).max() >= 1e-10
+        ]
+        assert numeric
+        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == numeric
+
+    def test_complete_set_exact_at_d23(self):
+        rep = verify_set(build_complete_set(23))
+        assert rep.passed and rep.details["exact"] is True
 
 
 class TestGaussSum:
