@@ -25,12 +25,14 @@ from itertools import product
 import numpy as np
 
 from .cyclo import DEFAULT_TOL, _phase_table, is_prime
-from .mub import MubBasis, MubSet, MubVector, spherical_basis, verify_set
+from .mub import MubBasis, MubSet, spherical_basis, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, build_v, build_z
 
 #: Largest dimension accepted; build_composite_set verifies all pairs of its
-#: d + 1 bases with dense d x d Gram matrices, O(d**5) in total.
+#: d + 1 bases with verify_set's blocked kernel, one batched Gram per block of
+#: bases sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and memory stays
+#: bounded by the stacked set plus one block.
 MAX_DIM = 128
 
 #: Pairwise checks inside build_composite_set run at this tolerance.
@@ -253,11 +255,8 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     label = f"class:{cls.id}"
     form = _class_form(cls, p, e)
     if form is None:
-        vectors = tuple(
-            MubVector(d, label, v.n, v.amps, v.exact_exponents, v.scale_sqrt_dim)
-            for v in spherical_basis(d).vectors
-        )
-        return MubBasis(d, label, vectors, class_labels=cls.members)
+        s = spherical_basis(d)
+        return MubBasis.from_arrays(d, label, s.amps, s.exponents, s.scales, cls.members)
 
     quad_form = (form + np.diag(a_params)) % p
     points = _points(p, e)
@@ -266,10 +265,7 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     mod, half = (4, 1) if p == 2 else (p, (p + 1) // 2)
     exps = (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad) % (2 * d)
     amps = _phase_table(2 * d)[exps] / np.sqrt(d)
-    vectors = tuple(
-        MubVector(d, label, n, row, None, scale_sqrt_dim=1) for n, row in enumerate(amps)
-    )
-    return MubBasis(d, label, vectors, class_labels=cls.members)
+    return MubBasis.from_arrays(d, label, amps, class_labels=cls.members)
 
 
 # -- complete sets ---------------------------------------------------------------

@@ -72,10 +72,13 @@ def conjugate_phases(d: int) -> np.ndarray:
 
     The rows run over k in 1..d-1 with gcd(k, 2d) = 1, one Galois conjugation
     sigma_k per complex-conjugate pair (only k = 1 for d = 2).  Indexing the
-    columns by tau exponents applies every sigma_k at once.  Read-only.
+    columns by tau exponents applies every sigma_k at once; a final zero
+    column makes exponent -1, the package's mark for an exact zero, give 0.
+    Read-only.
     """
     ks = np.array([k for k in range(1, d) if math.gcd(k, 2 * d) == 1], dtype=np.int64)
     rows = _phase_table(2 * d)[np.outer(ks, np.arange(2 * d)) % (2 * d)]
+    rows = np.concatenate([rows, np.zeros((len(ks), 1))], axis=1)
     rows.setflags(write=False)
     return rows
 
@@ -255,7 +258,7 @@ class CyclotomicSum:
             raise ValueError(
                 f"coefficients too large (l1 norm {l1}) to decide exactly at dim {self.dim}"
             )
-        return bool(np.abs(conjugate_phases(self.dim) @ self.coeffs).max() < 0.5)
+        return bool(np.abs(conjugate_phases(self.dim)[:, :-1] @ self.coeffs).max() < 0.5)
 
     def as_int(self) -> int | None:
         """The rational integer this sum equals, or None if it is not one."""

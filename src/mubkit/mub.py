@@ -7,9 +7,13 @@ highest-weight component first).  The computational basis plus the d
 eigenbases form a complete set of d+1 mutually unbiased bases exactly when
 d is prime; the verifier checks the defining overlap condition both
 exactly (the cyclotomic norm certificate) and numerically.
+
+Bases and sets are stored as read-only arrays with vectors as rows: a basis
+holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
+a set stacks them once into (n, d, d) and (n, d).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +28,17 @@ from .cyclo import (
 )
 from .report import VerificationReport
 from .weyl import build_v
+
+#: Bytes of the buffer that verify_set writes one block's conjugate phase
+#: grids and Grams into; it sets how many bases one batched Gram covers (at
+#: least one), so memory stays bounded whatever d and the number of bases.
+GRAM_BLOCK_BYTES = 1 << 20
+
+
+def _frozen(array, dtype) -> np.ndarray:
+    array = np.ascontiguousarray(array, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -42,47 +57,133 @@ class MubVector:
     scale_sqrt_dim: int = 1
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen(self.amps, np.complex128))
         if self.exact_exponents is not None:
-            exps = np.ascontiguousarray(self.exact_exponents, dtype=np.int64)
-            exps.setflags(write=False)
-            object.__setattr__(self, "exact_exponents", exps)
+            object.__setattr__(self, "exact_exponents", _frozen(self.exact_exponents, np.int64))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MubBasis:
-    """An ordered orthonormal basis labeled 's', an integer a, or 'class:<id>'."""
+    """An ordered orthonormal basis labeled 's', an integer a, or 'class:<id>'.
+
+    amps (d, d) holds the vectors as rows; exponents (d, d) their tau
+    exponents (-1 for an exact zero), or None when the basis has no exact
+    form; scales (d,) each vector's scale_sqrt_dim.  All are read-only.
+    MubBasis(dim, label, vectors) stacks MubVectors once; the build functions use
+    from_arrays.
+    """
 
     dim: int
     label: int | str
-    vectors: tuple
-    class_labels: tuple | None = None
+    amps: np.ndarray
+    exponents: np.ndarray | None
+    scales: np.ndarray
+    class_labels: tuple | None
+
+    def __init__(self, dim: int, label, vectors, class_labels=None):
+        exps = [v.exact_exponents for v in vectors]
+        self._store(
+            dim,
+            label,
+            np.stack([v.amps for v in vectors]),
+            None if any(e is None for e in exps) else np.stack(exps),
+            [v.scale_sqrt_dim for v in vectors],
+            class_labels,
+        )
+
+    @classmethod
+    def from_arrays(cls, dim: int, label, amps, exponents=None, scales=1, class_labels=None):
+        """A basis from its arrays; scales may be one value for every vector."""
+        basis = cls.__new__(cls)
+        basis._store(dim, label, amps, exponents, scales, class_labels)
+        return basis
+
+    def _store(self, dim, label, amps, exponents, scales, class_labels):
+        amps = _frozen(amps, np.complex128)
+        exps = None if exponents is None else _frozen(exponents, np.int64)
+        if amps.shape != (dim, dim) or (exps is not None and exps.shape != (dim, dim)):
+            raise ValueError(f"basis {label} must hold {dim} vectors of length {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "scales", _frozen(np.broadcast_to(scales, (dim,)), np.int64))
+        object.__setattr__(self, "class_labels", class_labels)
+
+    @property
+    def vectors(self) -> tuple:
+        """Read-only MubVector views of the rows."""
+        rows = [None] * self.dim if self.exponents is None else self.exponents
+        return tuple(
+            MubVector(self.dim, self.label, n, amps, exps, int(scale))
+            for n, (amps, exps, scale) in enumerate(zip(self.amps, rows, self.scales))
+        )
 
     def as_array(self) -> np.ndarray:
         """Vectors as rows."""
-        return np.stack([v.amps for v in self.vectors])
+        return self.amps
 
     @property
     def exact(self) -> bool:
-        return all(v.exact_exponents is not None for v in self.vectors)
+        return self.exponents is not None
+
+
+def _restack(bases, name: str, stack: np.ndarray) -> np.ndarray:
+    """Copy each basis's array `name` into its row of stack and re-point the basis there.
+
+    Re-pointing basis by basis frees each array that nothing else holds once
+    it is copied, rather than after the whole set is stacked.
+    """
+    for b, row in zip(bases, stack):
+        row[...] = getattr(b, name)
+        view = row.view()
+        view.setflags(write=False)
+        object.__setattr__(b, name, view)
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)
 class MubSet:
+    """Bases of one dimension, their arrays stacked once in basis order.
+
+    amps (n, d, d) and scales (n, d) stack every basis's arrays; exponents
+    (m, d, d) stacks those of the m bases that have them, which exact_bases
+    (n,) marks.  Each basis is re-pointed at read-only views of these rows,
+    so the set holds its arrays once.
+    """
+
     dim: int
     bases: tuple
     forced: bool = False
+    amps: np.ndarray = field(init=False, repr=False, compare=False)
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    scales: np.ndarray = field(init=False, repr=False, compare=False)
+    exact_bases: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = [b.label for b in self.bases]
         if len(set(labels)) != len(labels):
             raise ValueError(f"basis labels must be unique, got {labels}")
+        if not self.bases:
+            raise ValueError("a set needs at least one basis")
+        for b in self.bases:
+            if b.dim != self.dim:
+                raise ValueError(f"basis {b.label} has dim {b.dim}, expected {self.dim}")
+        d, n = self.dim, len(self.bases)
+        exact = [b for b in self.bases if b.exact]
+        stacked = {
+            "amps": _restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
+            "exponents": _restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
+            "scales": _restack(self.bases, "scales", np.empty((n, d), np.int64)),
+            "exact_bases": _frozen([b.exact for b in self.bases], bool),
+        }
+        for key, value in stacked.items():
+            object.__setattr__(self, key, value)
 
     @property
     def exact(self) -> bool:
-        return all(b.exact for b in self.bases)
+        return bool(self.exact_bases.all())
 
 
 # -- construction ------------------------------------------------------------
@@ -98,37 +199,39 @@ def _check_index(d: int, name: str, value: int) -> None:
         raise ValueError(f"{name} must be in 0..{d - 1}, got {value}")
 
 
+def _eigen_exponents(d: int, a, n) -> np.ndarray:
+    """tau exponents t(d-t)a + 2tn mod 2d at slots s = d-1-t, broadcast over a and n.
+
+    The last axis runs over slots.  t(d-t) is even for odd d, so every
+    exponent is then an integer q-power.
+    """
+    t = d - 1 - np.arange(d)
+    return (t * (d - t) * np.asarray(a)[..., None] + 2 * t * np.asarray(n)[..., None]) % (2 * d)
+
+
 def build_mub_vector(d: int, a: int, n: int) -> MubVector:
     """The eigenvector of the phased shift with eigenvalue exponent (d-1)a - 2n."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_index(d, "a", a)
     _check_index(d, "n", n)
-    s = np.arange(d)
-    t = d - 1 - s
-    if d % 2:
-        # t(d-t) is even for odd d, so every exponent is an integer q-power
-        assert not (t * (d - t) * a % 2).any()
-    exps = (t * (d - t) * a + 2 * t * n) % (2 * d)
-    amps = _phase_table(2 * d)[exps] / np.sqrt(d)
-    return MubVector(d, a, n, amps, exps, scale_sqrt_dim=1)
+    exps = _eigen_exponents(d, a, n)
+    return MubVector(d, a, n, _phase_table(2 * d)[exps] / np.sqrt(d), exps, scale_sqrt_dim=1)
 
 
 def build_basis(d: int, a: int) -> MubBasis:
     """The orthonormal eigenbasis of the phased shift at parameter a."""
-    return MubBasis(d, a, tuple(build_mub_vector(d, a, n) for n in range(d)))
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    _check_index(d, "a", a)
+    exps = _eigen_exponents(d, a, np.arange(d))
+    return MubBasis.from_arrays(d, a, _phase_table(2 * d)[exps] / np.sqrt(d), exps)
 
 
 def spherical_basis(d: int) -> MubBasis:
-    """The computational basis (identity columns), labeled 's'."""
-    vectors = []
-    for i in range(d):
-        amps = np.zeros(d, dtype=np.complex128)
-        amps[i] = 1.0
-        exps = np.full(d, -1, dtype=np.int64)
-        exps[i] = 0
-        vectors.append(MubVector(d, "s", i, amps, exps, scale_sqrt_dim=0))
-    return MubBasis(d, "s", tuple(vectors))
+    """The computational basis (identity rows), labeled 's'."""
+    eye = np.eye(d, dtype=np.int64)
+    return MubBasis.from_arrays(d, "s", eye, eye - 1, scales=0)
 
 
 def build_complete_set(d: int, force: bool = False) -> MubSet:
@@ -146,8 +249,10 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
             "unbiased bases only in prime dimension; pass force=True to build "
             "the (incomplete) family anyway"
         )
-    bases = [spherical_basis(d)] + [build_basis(d, a) for a in range(d)]
-    return MubSet(d, tuple(bases), forced=not is_prime(d))
+    exps = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
+    amps = _phase_table(2 * d)[exps] / np.sqrt(d)
+    eigenbases = [MubBasis.from_arrays(d, a, amps[a], exps[a]) for a in range(d)]
+    return MubSet(d, (spherical_basis(d), *eigenbases), forced=not is_prime(d))
 
 
 # -- verification ------------------------------------------------------------
@@ -155,15 +260,59 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
 
 def overlap_matrix(a_basis: MubBasis, b_basis: MubBasis) -> np.ndarray:
     """All inner products <u_i|v_j> between two bases."""
-    return a_basis.as_array().conj() @ b_basis.as_array().T
+    return a_basis.amps.conj() @ b_basis.amps.T
 
 
-def _conjugate_grids(basis: MubBasis) -> tuple[np.ndarray, np.ndarray]:
-    """tau**(k*e) of every exponent e for each conjugating exponent k, (K, d, d)
-    with vectors as rows and zeros kept zero, plus each vector's scale_sqrt_dim."""
-    exps = np.stack([v.exact_exponents for v in basis.vectors])
-    grids = np.where(exps < 0, 0, conjugate_phases(basis.dim)[:, exps])
-    return grids, np.array([v.scale_sqrt_dim for v in basis.vectors])
+def _deviations(amps_a: np.ndarray, amps_b: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Worst float deviation of basis a against each of B bases, (B,).
+
+    amps_b is (B, d, d); same (B,) marks the bases that are a itself, whose
+    overlaps must form the identity; all others need moduli 1/sqrt(d).
+    """
+    n_b, d = amps_b.shape[:2]
+    overlaps = (amps_a.conj() @ amps_b.reshape(n_b * d, d).T).reshape(d, n_b, d)
+    deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(0, 2))
+    deviation[same] = np.abs(overlaps[:, same] - np.eye(d)[:, None]).max(axis=(0, 2))
+    return deviation
+
+
+def _certificate_residuals(row_grid, sa, exps_b, sb, same, work) -> np.ndarray:
+    """Worst Galois-conjugate residual of basis a against each of B bases, (B,).
+
+    row_grid (K, d, d) is the conjugate of basis a's k-conjugated phase grid,
+    conjugate_phases(d)[:, exps_a].conj(); exps_b (B, d, d) and sb (B, d)
+    stack the other bases' exponents and scales.  For amplitudes
+    tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
+    |z|**2 = d**(sa+sb-1) across bases (z = d**sa * I within one) holds
+    exactly iff the residual is below 1/2 in every conjugate sigma_k
+    (mubkit.cyclo).  All K conjugates come from one batched Gram, (K, d, B*d).
+    A target below 1 (sa = sb = 0) has no algebraic-integer solution, so its
+    residual is inf.  The grids and Grams are written into work, a flat
+    complex buffer of at least 2*K*B*d*d entries, so that verify_set reuses
+    one allocation for every block.
+    """
+    n_k, d = row_grid.shape[:2]
+    n_b = len(exps_b)
+    size = n_k * n_b * d * d
+    # exponent -1 wraps to the zero column of conjugate_phases
+    grid = np.take(
+        conjugate_phases(d), exps_b, axis=1, mode="wrap", out=work[:size].reshape(n_k, n_b, d, d)
+    )
+    grams = np.matmul(
+        row_grid,
+        grid.reshape(n_k, n_b * d, d).transpose(0, 2, 1),
+        out=work[size : 2 * size].reshape(n_k, d, n_b * d),
+    ).reshape(n_k, d, n_b, d)
+    # the grids are spent, so the moduli overwrite them
+    residual = np.abs(grams, out=work[:size].view(np.float64)[:size].reshape(grams.shape))
+    np.square(residual, out=residual)
+    power = sa[:, None, None] + sb[None] - 1
+    residual -= float(d) ** power
+    worst = np.abs(residual, out=residual).max(axis=(0, 1, 3))
+    worst[(power < 0).any(axis=(0, 2))] = np.inf
+    target = np.diag(float(d) ** sa)[:, None]
+    worst[same] = np.abs(grams[:, :, same] - target).max(axis=(0, 1, 3))
+    return worst
 
 
 def verify_unbiased(
@@ -173,35 +322,24 @@ def verify_unbiased(
 
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
     basis against itself the Gram matrix must be the identity.  With both
-    bases exact the verdict is exact in every dimension: for amplitudes
-    tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
-    |z|**2 = d**(sa+sb-1) (z = d**sa * I for the same basis) holds iff the
-    residual is below 1/2 in every Galois conjugate (mubkit.cyclo), the Gram
-    matrix of the k-conjugated grids; its float error is near d**2 * 2**-50.
-    |z|**2 = 1/d (sa = sb = 0) has no algebraic-integer solution, so such
-    entries fail outright.
+    bases exact the verdict is exact in every dimension: every Galois
+    conjugate of the scaled overlaps must meet its target within 1/2 (see
+    _certificate_residuals); the float error is near d**2 * 2**-50.  This is
+    the two-basis case of the kernel that verify_set runs.
     """
     if a_basis.dim != b_basis.dim:
         raise ValueError("dimension mismatch between bases")
     d = a_basis.dim
-    same = a_basis is b_basis or a_basis.label == b_basis.label
-    overlaps = overlap_matrix(a_basis, b_basis)
-    if same:
-        deviation = float(np.abs(overlaps - np.eye(d)).max())
-    else:
-        deviation = float(np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max())
-
+    same = np.array([a_basis is b_basis or a_basis.label == b_basis.label])
+    deviation = float(_deviations(a_basis.amps, b_basis.amps[None], same)[0])
     exact_ok = None
     if a_basis.exact and b_basis.exact:
-        ga, sa = _conjugate_grids(a_basis)
-        gb, sb = _conjugate_grids(b_basis)
-        grams = ga.conj() @ gb.transpose(0, 2, 1)
-        if same:
-            residual = np.abs(grams - np.diag(float(d) ** sa))
-        else:
-            power = sa[:, None] + sb[None, :] - 1
-            residual = np.where(power < 0, np.inf, np.abs(np.abs(grams) ** 2 - float(d) ** power))
-        exact_ok = bool(residual.max() < 0.5)
+        row_grid = conjugate_phases(d)[:, a_basis.exponents].conj()
+        work = np.empty(2 * row_grid.size, dtype=np.complex128)
+        residual = _certificate_residuals(
+            row_grid, a_basis.scales, b_basis.exponents[None], b_basis.scales[None], same, work
+        )
+        exact_ok = bool(residual[0] < 0.5)
 
     passed = exact_ok if exact_ok is not None else deviation < tol
     return VerificationReport(
@@ -213,7 +351,7 @@ def verify_unbiased(
             "dim": d,
             "a": a_basis.label,
             "b": b_basis.label,
-            "same_basis": same,
+            "same_basis": bool(same[0]),
             "exact": exact_ok,
         },
     )
@@ -224,29 +362,52 @@ def verify_set(
 ) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
-    When a pair verifies exactly, its float shadow must agree within
-    internal_tol, so the two evaluation paths cannot drift apart silently.
+    Runs basis by basis: basis i is checked against itself and every later
+    basis in blocks of as many bases as GRAM_BLOCK_BYTES allows, one batched
+    Gram per block.  A pair of exact bases gets the exact verdict, and its
+    float shadow must also agree within internal_tol, so the two evaluation
+    paths cannot drift apart silently; any other pair is decided by its
+    float deviation against tol.
     """
-    reports = []
-    bases = mub_set.bases
-    for i in range(len(bases)):
-        reports.append(verify_unbiased(bases[i], bases[i], tol))
-        for j in range(i + 1, len(bases)):
-            reports.append(verify_unbiased(bases[i], bases[j], tol))
-    worst = max(r.max_residual for r in reports)
-    for r in reports:
-        if r.details["exact"] and r.max_residual >= internal_tol:
-            r.passed = False
-            r.details["inconsistent"] = True
-    failing = [
-        {"a": r.details["a"], "b": r.details["b"], "max_residual": r.max_residual}
-        for r in reports
-        if not r.passed
-    ]
+    d = mub_set.dim
+    n = len(mub_set.bases)
+    amps, exps, scales, exact = mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases
+    exps_row = np.cumsum(exact) - 1  # basis index -> row of exps
+    phases = conjugate_phases(d)
+    width = max(1, GRAM_BLOCK_BYTES // (2 * phases.itemsize * len(phases) * d * d))
+    work = np.empty(2 * len(phases) * min(width, n) * d * d, dtype=np.complex128)
+    worst = 0.0
+    failing = []
+    for i in range(n):
+        deviation = np.empty(n - i)
+        residual = np.full(n - i, np.nan)
+        row_grid = phases[:, exps[exps_row[i]]].conj() if exact[i] else None
+        for j0 in range(i, n, width):
+            j1 = min(j0 + width, n)
+            same = np.arange(j0, j1) == i
+            deviation[j0 - i : j1 - i] = _deviations(amps[i], amps[j0:j1], same)
+            cols = np.flatnonzero(exact[j0:j1]) if exact[i] else []
+            if len(cols):
+                rows = j0 + cols
+                residual[rows - i] = _certificate_residuals(
+                    row_grid, scales[i], exps[exps_row[rows]], scales[rows], same[cols], work
+                )
+        passed = np.where(
+            np.isnan(residual), deviation < tol, (residual < 0.5) & (deviation < internal_tol)
+        )
+        worst = max(worst, float(deviation.max()))
+        failing.extend(
+            {
+                "a": mub_set.bases[i].label,
+                "b": mub_set.bases[i + k].label,
+                "max_residual": float(deviation[k]),
+            }
+            for k in np.flatnonzero(~passed)
+        )
     details = {
-        "dim": mub_set.dim,
-        "n_bases": len(bases),
-        "n_pairs": len(bases) * (len(bases) - 1) // 2,
+        "dim": d,
+        "n_bases": n,
+        "n_pairs": n * (n - 1) // 2,
         "failing_pairs": failing,
         "exact": mub_set.exact,
     }
@@ -256,7 +417,7 @@ def verify_set(
         kind="mub_set",
         passed=not failing,
         tolerance=tol,
-        max_residual=float(worst),
+        max_residual=worst,
         details=details,
     )
 

@@ -8,12 +8,13 @@ used.  Parsing uses the stdlib.
 
 import json
 import math
+import sys
 
 import numpy as np
 
 from .composite import WeylLabel
 from .cyclo import _phase_table, is_prime
-from .mub import MubBasis, MubSet, MubVector
+from .mub import MubBasis, MubSet
 from .weyl import OperatorMatrix
 
 
@@ -113,19 +114,13 @@ def mubset_to_doc(mub_set: MubSet, exact: bool) -> dict:
     mod = 2 * mub_set.dim
     bases = []
     for basis in mub_set.bases:
-        vectors = []
-        for vec in basis.vectors:
-            if exact:
-                vectors.append(
-                    [
-                        _amplitude_exact_doc(int(k), mod, vec.scale_sqrt_dim)
-                        for k in vec.exact_exponents
-                    ]
-                )
-            else:
-                vectors.append(
-                    [[float(v.real), float(v.imag)] for v in vec.amps]
-                )
+        if exact:
+            vectors = [
+                [_amplitude_exact_doc(k, mod, scale) for k in row]
+                for row, scale in zip(basis.exponents.tolist(), basis.scales.tolist())
+            ]
+        else:
+            vectors = basis.amps.view(np.float64).reshape(mub_set.dim, mub_set.dim, 2).tolist()
         basis_doc = {"label": str(basis.label), "vectors": vectors}
         if basis.class_labels is not None:
             basis_doc["class_labels"] = [
@@ -168,45 +163,89 @@ def _parse_class_labels(label_docs, d: int, where: str) -> tuple:
     return tuple(labels)
 
 
-def mubset_from_doc(doc: dict) -> MubSet:
-    d = int(doc["dim"])
-    exact = bool(doc["exact"])
-    if not doc["bases"]:
-        raise ValueError("set document has no bases")
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _exact_row(amp_list: list, d: int, where: str) -> tuple[list, int]:
+    """tau exponents (-1 for null) and the single scale of one exact vector."""
     mod = 2 * d
+    exps, scales = [], set()
+    for k, amp in enumerate(amp_list):
+        if amp is None:
+            exps.append(-1)
+            continue
+        if not isinstance(amp, dict) or any(
+            type(amp.get(key)) is not int for key in ("num", "mod", "scale_sqrt_dim")
+        ):
+            raise ValueError(
+                f"{where} amplitude {k} must be null or an object with integer "
+                "num, mod and scale_sqrt_dim"
+            )
+        if amp["mod"] != mod:
+            raise ValueError(f"{where}: every amplitude needs mod = 2*dim = {mod}")
+        if amp["scale_sqrt_dim"] not in (0, 1):
+            # d entries of modulus d**(-s/2) make a unit vector only for s = 0 or 1
+            raise ValueError(f"{where} amplitude {k}: scale_sqrt_dim must be 0 or 1")
+        exps.append(amp["num"] % mod)
+        scales.add(amp["scale_sqrt_dim"])
+    if len(scales) != 1:
+        raise ValueError(f"{where}: needs a single scale_sqrt_dim, got {sorted(scales)}")
+    return exps, scales.pop()
+
+
+def _numeric_row(amp_list: list, where: str) -> list:
+    """[re, im] pairs of one numeric vector, checked to be pairs of finite floats."""
+    for k, amp in enumerate(amp_list):
+        if not (
+            isinstance(amp, list)
+            and len(amp) == 2
+            and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in amp)
+        ):
+            raise ValueError(f"{where} amplitude {k} must be an [re, im] pair of finite numbers")
+    return amp_list
+
+
+def mubset_from_doc(doc: dict) -> MubSet:
+    """The set a mubset_to_doc document describes; ValueError names any malformed field."""
+    if not isinstance(doc, dict):
+        raise ValueError("set document must be an object")
+    d = doc["dim"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f"dim must be a positive integer, got {d!r}")
+    exact = doc["exact"]
+    if type(exact) is not bool:
+        raise ValueError(f"exact must be true or false, got {exact!r}")
+    if not _list(doc["bases"], "bases"):
+        raise ValueError("set document has no bases")
     bases = []
-    for basis_doc in doc["bases"]:
+    for index, basis_doc in enumerate(doc["bases"]):
+        if not isinstance(basis_doc, dict) or not isinstance(basis_doc.get("label"), str):
+            raise ValueError(f"basis {index} must be an object with a string label")
         label = _parse_label(basis_doc["label"])
-        vectors = []
-        for n, amp_list in enumerate(basis_doc["vectors"]):
+        vector_docs = _list(basis_doc["vectors"], f"basis {label}: vectors")
+        if len(vector_docs) != d:
+            raise ValueError(f"basis {label} has {len(vector_docs)} vectors, expected {d}")
+        rows = []
+        for n, amp_list in enumerate(vector_docs):
             where = f"basis {label} vector {n}"
-            if len(amp_list) != d:
+            if len(_list(amp_list, where)) != d:
                 raise ValueError(f"{where} has {len(amp_list)} amplitudes, expected {d}")
-            if exact:
-                present = [amp for amp in amp_list if amp is not None]
-                if any(int(amp["mod"]) != mod for amp in present):
-                    raise ValueError(f"{where}: every amplitude needs mod = 2*dim = {mod}")
-                scales = {int(amp["scale_sqrt_dim"]) for amp in present}
-                if len(scales) != 1:
-                    raise ValueError(
-                        f"{where}: needs a single scale_sqrt_dim, got {sorted(scales)}"
-                    )
-                scale = scales.pop()
-                exps = np.array(
-                    [-1 if amp is None else int(amp["num"]) % mod for amp in amp_list],
-                    dtype=np.int64,
-                )
-                table = _phase_table(mod)
-                amps = np.where(exps < 0, 0, table[np.where(exps < 0, 0, exps)])
-                amps = amps / d ** (scale / 2)
-                vectors.append(MubVector(d, label, n, amps, exps, scale))
-            else:
-                amps = np.array([complex(re, im) for re, im in amp_list])
-                vectors.append(MubVector(d, label, n, amps, None, 1))
+            rows.append(_exact_row(amp_list, d, where) if exact else _numeric_row(amp_list, where))
         class_labels = None
         if "class_labels" in basis_doc:
             class_labels = _parse_class_labels(basis_doc["class_labels"], d, f"basis {label}")
-        bases.append(MubBasis(d, label, tuple(vectors), class_labels))
+        if exact:
+            exps, scales = zip(*rows)
+            exps = np.array(exps, dtype=np.int64)
+            norms = np.array([d ** (scale / 2) for scale in scales])
+            amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / norms[:, None]
+            bases.append(MubBasis.from_arrays(d, label, amps, exps, scales, class_labels))
+        else:
+            amps = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+            bases.append(MubBasis.from_arrays(d, label, amps, class_labels=class_labels))
     return MubSet(d, tuple(bases))
 
 
@@ -214,9 +253,9 @@ def mubset_to_csv(mub_set: MubSet) -> str:
     """One row per vector across all bases, columns interleaved re/im."""
     lines = []
     for basis in mub_set.bases:
-        for vec in basis.vectors:
+        for row in basis.amps:
             cells = []
-            for v in vec.amps:
+            for v in row:
                 cells.append(format_float(v.real))
                 cells.append(format_float(v.imag))
             lines.append(",".join(cells))

@@ -168,10 +168,10 @@ class TestVerifyCommand:
         assert rc == 2
 
     @staticmethod
-    def _verify_edited(tmp_path, edit):
-        """Verify an exact d = 3 set file after edit(doc) has tampered with it."""
-        path = tmp_path / "set3.json"
-        assert main(["set", "--dim", "3", "--exact", "--output", str(path)]) == 0
+    def _verify_edited(tmp_path, edit, argv=("set", "--dim", "3", "--exact")):
+        """Verify a set file (by default exact, d = 3) after edit(doc) has tampered with it."""
+        path = tmp_path / "set.json"
+        assert main([*argv, "--output", str(path)]) == 0
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -208,6 +208,49 @@ class TestVerifyCommand:
 
         assert self._verify_edited(tmp_path, edit) == 2
         assert "has 2 amplitudes, expected 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, edit, message",
+        [
+            (("composite", "--p", "2", "--e", "2"),
+             lambda doc: doc["bases"][1]["vectors"][0].__setitem__(2, 5),
+             "basis class:1 vector 0 amplitude 2 must be an [re, im] pair of finite numbers"),
+            (("set", "--dim", "3"),
+             lambda doc: doc["bases"][0]["vectors"][1].__setitem__(0, [10**400, 0]),
+             "basis s vector 1 amplitude 0 must be an [re, im] pair of finite numbers"),
+            (("set", "--dim", "3", "--exact"),
+             lambda doc: doc["bases"][1]["vectors"][2].__setitem__(1, 5),
+             "basis 0 vector 2 amplitude 1 must be null or an object"),
+            (("set", "--dim", "3", "--exact"),
+             lambda doc: [a.update(scale_sqrt_dim=2000) for a in doc["bases"][2]["vectors"][0]],
+             "basis 1 vector 0 amplitude 0: scale_sqrt_dim must be 0 or 1"),
+            (("set", "--dim", "3", "--exact"),
+             lambda doc: [a.update(scale_sqrt_dim=2**70) for a in doc["bases"][2]["vectors"][0]],
+             "basis 1 vector 0 amplitude 0: scale_sqrt_dim must be 0 or 1"),
+            (("set", "--dim", "3"), lambda doc: doc.update(bases="s"), "bases must be a list"),
+            (("set", "--dim", "3"),
+             lambda doc: doc["bases"][2].update(vectors=7), "basis 1: vectors must be a list"),
+        ],
+        ids=[
+            "numeric-amplitude", "huge-amplitude", "exact-amplitude", "huge-scale", "int64-scale",
+            "bases", "vectors",
+        ],
+    )
+    def test_malformed_field_exit_2(self, argv, edit, message, tmp_path, capsys):
+        assert self._verify_edited(tmp_path, edit, argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_vector_count_exit_2(self, extra, tmp_path, capsys):
+        def edit(doc):
+            vectors = doc["bases"][1]["vectors"]
+            if extra < 0:
+                vectors.pop()
+            else:
+                vectors.append(vectors[0])
+
+        assert self._verify_edited(tmp_path, edit) == 2
+        assert f"basis 0 has {3 + extra} vectors, expected 3" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubkit.cyclo import CyclotomicSum, _phase_table
+from mubkit import mub
+from mubkit.composite import build_composite_set
+from mubkit.cyclo import DEFAULT_TOL, INTERNAL_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
     MubBasis,
+    MubSet,
     MubVector,
     build_basis,
     build_complete_set,
@@ -177,8 +182,6 @@ class TestCompleteSet:
         assert [b.label for b in mub_set.bases] == ["s", 0, 1, 2, 3, 4]
 
     def test_duplicate_labels_rejected(self):
-        from mubkit.mub import MubSet
-
         basis = build_basis(3, 1)
         with pytest.raises(ValueError, match="unique"):
             MubSet(3, (basis, basis))
@@ -221,11 +224,15 @@ class TestVerifyUnbiased:
 
 
 def basis_from_exponents(d, label, exps, scale):
-    """A basis whose vector n has amplitudes tau**exps[n] / d**(scale/2), 0 at -1."""
+    """A basis whose vector n has amplitudes tau**exps[n] / d**(scale[n]/2), 0 at -1.
+
+    scale is one value for every vector or a list of d values.
+    """
     exps = np.asarray(exps, dtype=np.int64)
-    amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / d ** (scale / 2)
+    scale = np.broadcast_to(scale, (d,))
+    amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / d ** (scale[:, None] / 2)
     return MubBasis(
-        d, label, tuple(MubVector(d, label, n, amps[n], exps[n], scale) for n in range(d))
+        d, label, tuple(MubVector(d, label, n, amps[n], exps[n], int(scale[n])) for n in range(d))
     )
 
 
@@ -309,6 +316,175 @@ class TestNormCertificate:
     def test_complete_set_exact_at_d23(self):
         rep = verify_set(build_complete_set(23))
         assert rep.passed and rep.details["exact"] is True
+
+
+def stripped(basis):
+    """The same basis with every vector's exact exponents removed."""
+    return MubBasis(
+        basis.dim,
+        basis.label,
+        tuple(dataclasses.replace(v, exact_exponents=None) for v in basis.vectors),
+    )
+
+
+def reference_verdict(mub_set, tol=DEFAULT_TOL, internal_tol=INTERNAL_TOL):
+    """(passed, failing pairs, exact) from the per-pair rule, one pair at a time.
+
+    A pair of exact bases passes iff every Galois conjugate sigma_k of its
+    scaled overlaps meets the target within 1/2 and the float deviation is
+    below internal_tol; any other pair iff the float deviation is below tol.
+    """
+    d = mub_set.dim
+    ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
+    failing = []
+    for i, a in enumerate(mub_set.bases):
+        for b in mub_set.bases[i:]:
+            same = a is b
+            overlaps = a.as_array().conj() @ b.as_array().T
+            if same:
+                deviation = np.abs(overlaps - np.eye(d)).max()
+            else:
+                deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max()
+            if a.exact and b.exact:
+                ea = np.stack([v.exact_exponents for v in a.vectors])
+                eb = np.stack([v.exact_exponents for v in b.vectors])
+                sa = np.array([v.scale_sqrt_dim for v in a.vectors])
+                sb = np.array([v.scale_sqrt_dim for v in b.vectors])
+                worst = 0.0
+                for k in ks:
+                    ga = np.where(ea < 0, 0, np.exp(1j * np.pi * k * ea / d))
+                    gb = np.where(eb < 0, 0, np.exp(1j * np.pi * k * eb / d))
+                    gram = ga.conj() @ gb.T
+                    if same:
+                        residual = np.abs(gram - np.diag(float(d) ** sa))
+                    else:
+                        power = sa[:, None] + sb[None, :] - 1
+                        residual = np.where(
+                            power < 0, np.inf, np.abs(np.abs(gram) ** 2 - float(d) ** power)
+                        )
+                    worst = max(worst, residual.max())
+                passed = worst < 0.5 and deviation < internal_tol
+            else:
+                passed = deviation < tol
+            if not passed:
+                failing.append((a.label, b.label))
+    return not failing, failing, all(b.exact for b in mub_set.bases)
+
+
+@st.composite
+def candidate_sets(draw):
+    """1-5 bases at d <= 7: random, built or perturbed exponent grids, some with
+    per-vector scales, some with their exponents stripped, and some whose float
+    amplitudes are shifted by 1e-11, between internal_tol and tol."""
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
+    bases = []
+    for i in range(draw(st.integers(1, 5))):
+        basis = draw(exponent_bases(d, f"b{i}"))
+        if draw(st.booleans()):
+            scales = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+            basis = basis_from_exponents(d, basis.label, basis.exponents, scales)
+        change = draw(st.sampled_from(["none", "none", "strip", "shift"]))
+        if change == "strip":
+            basis = stripped(basis)
+        elif change == "shift":
+            basis = MubBasis.from_arrays(
+                d, basis.label, basis.amps + 1e-11, basis.exponents, basis.scales
+            )
+        bases.append(basis)
+    return MubSet(d, tuple(bases))
+
+
+def block_bytes(d, width):
+    """The GRAM_BLOCK_BYTES that makes verify_set take `width` bases per block."""
+    return width * 2 * 16 * len(conjugate_phases(d)) * d * d
+
+
+class TestBlockedKernel:
+    """verify_set against the per-pair reference, at the default block size and
+    with one or two bases per block, so that block boundaries are crossed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_sets())
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    def test_matches_per_pair_reference(self, width, mub_set):
+        with pytest.MonkeyPatch.context() as patch:
+            if width is not None:
+                patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
+            rep = verify_set(mub_set)
+        passed, failing, exact = reference_verdict(mub_set)
+        assert rep.passed is passed
+        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+        assert rep.details["exact"] is exact
+
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda d=d: build_complete_set(d, force=True) for d in (4, 6, 8, 9, 10, 12)),
+            *(lambda p=p, e=e: build_composite_set(p, e) for p, e in ((2, 2), (2, 3), (3, 2))),
+        ],
+        ids=["forced4", "forced6", "forced8", "forced9", "forced10", "forced12",
+             "composite4", "composite8", "composite9"],
+    )
+    def test_forced_and_composite_sets(self, build, width, monkeypatch):
+        mub_set = build()
+        if width is not None:
+            monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
+        rep = verify_set(mub_set)
+        passed, failing, exact = reference_verdict(mub_set)
+        assert (rep.passed, rep.details["exact"]) == (passed, exact)
+        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+
+
+class TestArrayStorage:
+    def test_stripped_exponents_give_numeric_verdicts(self):
+        # how a caller plants a set without exact exponents
+        bases = tuple(stripped(b) for b in build_complete_set(7).bases)
+        assert not any(b.exact for b in bases)
+        assert all(b.exponents is None for b in bases)
+        rep = verify_set(MubSet(7, bases))
+        assert rep.passed
+        assert rep.details["exact"] is False
+
+    def test_vectors_are_read_only_row_views(self):
+        basis = build_basis(5, 2)
+        assert basis.as_array().shape == (5, 5)
+        for n, vec in enumerate(basis.vectors):
+            assert (vec.dim, vec.a, vec.n, vec.scale_sqrt_dim) == (5, 2, n, 1)
+            assert np.shares_memory(vec.amps, basis.amps)
+            assert np.array_equal(vec.exact_exponents, basis.exponents[n])
+            assert not vec.amps.flags.writeable
+        with pytest.raises(ValueError):
+            basis.amps[0, 0] = 0
+
+    def test_set_stacks_its_bases(self):
+        mub_set = build_complete_set(5)
+        assert mub_set.amps.shape == mub_set.exponents.shape == (6, 5, 5)
+        assert mub_set.scales.tolist() == [[0] * 5] + [[1] * 5] * 5
+        for basis, amps, exps in zip(mub_set.bases, mub_set.amps, mub_set.exponents):
+            # the bases hold views of the stacked rows, not a second copy
+            assert np.shares_memory(basis.amps, amps)
+            assert np.shares_memory(basis.exponents, exps)
+            assert np.shares_memory(basis.scales, mub_set.scales)
+
+    def test_set_stacks_only_present_exponents(self):
+        mub_set = build_composite_set(2, 2)
+        assert mub_set.exact_bases.tolist() == [b.exact for b in mub_set.bases]
+        assert 0 < mub_set.exact_bases.sum() < len(mub_set.bases)
+        assert mub_set.exponents.shape == (mub_set.exact_bases.sum(), 4, 4)
+        exact = [b for b in mub_set.bases if b.exact]
+        for basis, exps in zip(exact, mub_set.exponents):
+            assert np.shares_memory(basis.exponents, exps)
+        assert MubSet(7, tuple(stripped(b) for b in build_complete_set(7).bases)).exponents.shape == (
+            0, 7, 7
+        )
+
+    def test_wrong_shape_refused(self):
+        rows = build_basis(3, 1).vectors
+        with pytest.raises(ValueError, match="3 vectors of length 3"):
+            MubBasis(3, 1, rows[:2])
+        with pytest.raises(ValueError, match="dim 3, expected 5"):
+            MubSet(5, (build_basis(3, 1),))
 
 
 class TestGaussSum:
