@@ -248,6 +248,9 @@ def _run_sumrule(config: RunConfig) -> int:
 
 
 def _run_su2(config: RunConfig) -> int:
+    if config.two_j < 1:
+        raise ValueError(f"--two-j must be >= 1, got {config.two_j}")
+
     def one(a: int) -> dict:
         commutators = su2.check_su2(config.two_j, a, config.tol)
         action = su2.check_ladder_action(config.two_j, a, config.tol)
@@ -276,6 +279,8 @@ def _run_su2(config: RunConfig) -> int:
 
 
 def _run_ffz(config: RunConfig) -> int:
+    if config.dim < 2:
+        raise ValueError(f"--dim must be >= 2, got {config.dim}")
     a_values = [config.a] if config.a is not None else list(range(config.dim))
     reports = []
     overall = True

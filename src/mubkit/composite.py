@@ -20,6 +20,7 @@ not on the construction.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .cyclo import DEFAULT_TOL, _phase_table, is_prime
 from .mub import MubBasis, MubSet, spherical_basis, verify_set
 from .report import VerificationReport
-from .weyl import OperatorMatrix, build_v, build_z
+from .weyl import OperatorMatrix, _monomial_exponents
 
 #: Largest dimension accepted; build_composite_set verifies all pairs of its
 #: d + 1 bases with verify_set's blocked kernel, one batched Gram per block of
@@ -117,11 +118,8 @@ def build_w(p: int, e: int, label: WeylLabel, a_params) -> OperatorMatrix:
     spectral degeneracy.
     """
     a_params = _check_params(p, e, a_params)
-    out = None
-    for x_i, z_i, a_i in zip(label.x, label.z, a_params):
-        slot = build_v(p, a_i).power(x_i) @ build_z(p).power(z_i)
-        out = slot if out is None else out.tensor(slot)
-    return out
+    slots = _monomial_exponents(p, a_params, label.x, label.z, 0)
+    return reduce(OperatorMatrix.tensor, map(OperatorMatrix.from_exact, slots))
 
 
 @dataclass(frozen=True)

@@ -315,8 +315,27 @@ def _certificate_residuals(row_grid, sa, exps_b, sb, same, work) -> np.ndarray:
     return worst
 
 
+def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, work, tol,
+                    internal_tol):
+    """Deviations, residuals (NaN: no exact verdict) and verdicts of basis a against B bases.
+
+    The rules are those verify_set states.  exps_b stacks the exponents of
+    the bases exact_b (B,) marks; row_grid is None when basis a has none.
+    """
+    deviation = _deviations(amps_a, amps_b, same)
+    residual = np.full(len(amps_b), np.nan)
+    passed = deviation < tol
+    if row_grid is not None and exact_b.any():
+        residual[exact_b] = _certificate_residuals(
+            row_grid, sa, exps_b, sb[exact_b], same[exact_b], work
+        )
+        passed[exact_b] = (residual[exact_b] < 0.5) & (deviation[exact_b] < internal_tol)
+    return deviation, residual, passed
+
+
 def verify_unbiased(
-    a_basis: MubBasis, b_basis: MubBasis, tol: float = DEFAULT_TOL
+    a_basis: MubBasis, b_basis: MubBasis, tol: float = DEFAULT_TOL,
+    internal_tol: float = INTERNAL_TOL,
 ) -> VerificationReport:
     """Check the unbiasedness condition between two bases.
 
@@ -325,34 +344,30 @@ def verify_unbiased(
     bases exact the verdict is exact in every dimension: every Galois
     conjugate of the scaled overlaps must meet its target within 1/2 (see
     _certificate_residuals); the float error is near d**2 * 2**-50.  This is
-    the two-basis case of the kernel that verify_set runs.
+    the two-basis case of the kernel that verify_set runs, with its rules.
     """
     if a_basis.dim != b_basis.dim:
         raise ValueError("dimension mismatch between bases")
     d = a_basis.dim
     same = np.array([a_basis is b_basis or a_basis.label == b_basis.label])
-    deviation = float(_deviations(a_basis.amps, b_basis.amps[None], same)[0])
-    exact_ok = None
-    if a_basis.exact and b_basis.exact:
-        row_grid = conjugate_phases(d)[:, a_basis.exponents].conj()
-        work = np.empty(2 * row_grid.size, dtype=np.complex128)
-        residual = _certificate_residuals(
-            row_grid, a_basis.scales, b_basis.exponents[None], b_basis.scales[None], same, work
-        )
-        exact_ok = bool(residual[0] < 0.5)
-
-    passed = exact_ok if exact_ok is not None else deviation < tol
+    phases = conjugate_phases(d)
+    deviation, residual, passed = _block_verdicts(
+        a_basis.amps, phases[:, a_basis.exponents].conj() if a_basis.exact else None,
+        a_basis.scales, b_basis.amps[None], b_basis.exponents[None] if b_basis.exact else None,
+        b_basis.scales[None], np.array([b_basis.exact]), same,
+        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol, internal_tol,
+    )
     return VerificationReport(
         kind="unbiasedness",
-        passed=bool(passed),
+        passed=bool(passed[0]),
         tolerance=tol,
-        max_residual=deviation,
+        max_residual=float(deviation[0]),
         details={
             "dim": d,
             "a": a_basis.label,
             "b": b_basis.label,
             "same_basis": bool(same[0]),
-            "exact": exact_ok,
+            "exact": None if np.isnan(residual[0]) else bool(residual[0] < 0.5),
         },
     )
 
@@ -380,21 +395,16 @@ def verify_set(
     failing = []
     for i in range(n):
         deviation = np.empty(n - i)
-        residual = np.full(n - i, np.nan)
+        passed = np.empty(n - i, dtype=bool)
         row_grid = phases[:, exps[exps_row[i]]].conj() if exact[i] else None
         for j0 in range(i, n, width):
             j1 = min(j0 + width, n)
-            same = np.arange(j0, j1) == i
-            deviation[j0 - i : j1 - i] = _deviations(amps[i], amps[j0:j1], same)
-            cols = np.flatnonzero(exact[j0:j1]) if exact[i] else []
-            if len(cols):
-                rows = j0 + cols
-                residual[rows - i] = _certificate_residuals(
-                    row_grid, scales[i], exps[exps_row[rows]], scales[rows], same[cols], work
-                )
-        passed = np.where(
-            np.isnan(residual), deviation < tol, (residual < 0.5) & (deviation < internal_tol)
-        )
+            rows, block = np.arange(j0, j1), exact[j0:j1]
+            deviation[j0 - i : j1 - i], _, passed[j0 - i : j1 - i] = _block_verdicts(
+                amps[i], row_grid, scales[i], amps[j0:j1],
+                exps[exps_row[rows[block]]] if exact[i] else None, scales[j0:j1], block,
+                rows == i, work, tol, internal_tol,
+            )
         worst = max(worst, float(deviation.max()))
         failing.extend(
             {

@@ -165,7 +165,7 @@ def _parse_class_labels(label_docs, d: int, where: str) -> tuple:
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list")
+        raise ValueError(f"{what} is missing" if value is None else f"{what} must be a list")
     return value
 
 
@@ -212,20 +212,20 @@ def mubset_from_doc(doc: dict) -> MubSet:
     """The set a mubset_to_doc document describes; ValueError names any malformed field."""
     if not isinstance(doc, dict):
         raise ValueError("set document must be an object")
-    d = doc["dim"]
-    if type(d) is not int or d < 1:
-        raise ValueError(f"dim must be a positive integer, got {d!r}")
-    exact = doc["exact"]
+    d = doc.get("dim")
+    if type(d) is not int or d < 2:
+        raise ValueError(f"dim must be an integer >= 2, got {d!r}")
+    exact = doc.get("exact")
     if type(exact) is not bool:
         raise ValueError(f"exact must be true or false, got {exact!r}")
-    if not _list(doc["bases"], "bases"):
+    if not _list(doc.get("bases"), "bases"):
         raise ValueError("set document has no bases")
     bases = []
     for index, basis_doc in enumerate(doc["bases"]):
         if not isinstance(basis_doc, dict) or not isinstance(basis_doc.get("label"), str):
             raise ValueError(f"basis {index} must be an object with a string label")
         label = _parse_label(basis_doc["label"])
-        vector_docs = _list(basis_doc["vectors"], f"basis {label}: vectors")
+        vector_docs = _list(basis_doc.get("vectors"), f"basis {label}: vectors")
         if len(vector_docs) != d:
             raise ValueError(f"basis {label} has {len(vector_docs)} vectors, expected {d}")
         rows = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclo import DEFAULT_TOL, _phase_table
 from .report import VerificationReport
-from .weyl import OperatorMatrix
+from .weyl import OperatorMatrix, build_v
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,12 @@ def build_h(two_j: int) -> OperatorMatrix:
 
 
 def build_va_operator(two_j: int, a: int) -> OperatorMatrix:
-    """The unitary shift v_a built from its action on the standard vectors.
+    """The unitary shift v_a: |j, m> -> q**((j-m)a) |j, m+1> for m < j, |j, j> -> |j, -j>.
 
-    |j, m> -> q**((j-m)a) |j, m+1> for m < j, and |j, j> -> |j, -j>.
+    In storage order this is the Weyl shift build_v(2j + 1, a).
     """
-    params = AngularParams(two_j, a)
-    d = params.dim
-    exact = np.full((d, d), -1, dtype=np.int64)
-    for s in range(1, d):  # m = j - s < j raises to row s - 1
-        exact[s - 1, s] = (2 * s * a) % (2 * d)
-    exact[d - 1, 0] = 0  # the wrap |j, j> -> |j, -j>
-    return OperatorMatrix.from_exact(exact)
+    AngularParams(two_j, a)
+    return build_v(two_j + 1, a)
 
 
 def _shift_permutation(va: OperatorMatrix) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Generator matrices and their algebraic relations.
 
 build_v produces the phased cyclic shift (superdiagonal of progressive
-q-powers, wrap entry 1), build_z the clock matrix diag(1, q, ..., q**(d-1)).
-The two q-commute, V_a = V_0 Z**a, and their phase-corrected monomials T_m
-close under the trigonometric sine-algebra commutator.  All of these claims
-are verified here, exactly where the matrices carry exact phase annotations
-and numerically otherwise.
+q-powers, wrap entry 1), build_z the clock matrix diag(1, q, ..., q**(d-1)),
+and build_t their phase-corrected monomials T_m, all from one closed form.
+The two q-commute, V_a = V_0 Z**a, and the T_m close under the sine-algebra
+commutator, checked for a whole grid of index pairs at once.  These claims
+are verified exactly where the matrices carry exact phase annotations.
 """
 
 from dataclasses import dataclass
@@ -169,27 +169,36 @@ def as_wedge(m) -> WedgeIndex:
 # -- constructions -----------------------------------------------------------
 
 
+def _monomial_exponents(d: int, a, m1, m2, phase) -> np.ndarray:
+    """Tau-exponent grid of tau**phase V_a**m1 Z**m2, -1 off its one entry per row.
+
+    The arguments broadcast; the grid has their shape plus (d, d).  Row r
+    holds its entry at column c = (r + m1) mod d.  The shifts on the way
+    there pick up q**(a (r+j)) for j = 1..m1 (q**d = 1, so the wrap of the
+    row index needs no reduction), and the clock adds q**(m2 c): in tau
+    exponents a m1 (2r + m1 + 1) + 2 m2 c + phase, mod 2d.
+    """
+    a, m1, m2, phase = (np.asarray(v, dtype=np.int64)[..., None] for v in (a, m1, m2, phase))
+    r = np.arange(d)
+    col = (r + m1) % d
+    exps = (a * m1 * (2 * r + m1 + 1) + 2 * m2 * col + phase) % (2 * d)
+    return np.where(col[..., None] == r, exps[..., None], -1)
+
+
 def build_v(d: int, a: int) -> OperatorMatrix:
     """The phased cyclic shift: (k, k+1) entry q**((k+1)a), wrap entry 1.
 
     Rows and columns are in spherical storage order (highest weight first).
     """
     _check_dim_param(d, a)
-    exact = np.full((d, d), -1, dtype=np.int64)
-    for k in range(d - 1):
-        exact[k, k + 1] = (2 * (k + 1) * a) % (2 * d)
-    exact[d - 1, 0] = 0
-    return OperatorMatrix.from_exact(exact)
+    return OperatorMatrix.from_exact(_monomial_exponents(d, a, 1, 0, 0))
 
 
 def build_z(d: int) -> OperatorMatrix:
     """The clock matrix diag(1, q, ..., q**(d-1))."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    exact = np.full((d, d), -1, dtype=np.int64)
-    for k in range(d):
-        exact[k, k] = (2 * k) % (2 * d)
-    return OperatorMatrix.from_exact(exact)
+    return OperatorMatrix.from_exact(_monomial_exponents(d, 0, 0, 1, 0))
 
 
 def character_vector(d: int, a: int) -> tuple:
@@ -206,8 +215,8 @@ def build_t(d: int, a: int, m, sign_convention: int = +1) -> OperatorMatrix:
     if sign_convention not in (+1, -1):
         raise ValueError("sign_convention must be +1 or -1")
     _check_dim_param(d, a)
-    base = build_v(d, a).power(m.m1) @ build_z(d).power(m.m2)
-    return base.scale_phase(sign_convention * m.m1 * m.m2)
+    phase = sign_convention * m.m1 * m.m2
+    return OperatorMatrix.from_exact(_monomial_exponents(d, a, m.m1, m.m2, phase))
 
 
 def _check_dim_param(d: int, a: int) -> None:
@@ -246,26 +255,41 @@ def q_commutation_residual(d: int, a: int, tol: float = DEFAULT_TOL) -> Verifica
     )
 
 
+def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> np.ndarray:
+    """max |[T_m, T_n] - 2i sin(pi m^n/d) T_{m+n}| for m in ms, n in ns, as (M, N).
+
+    ms (M, 2) and ns (N, 2) hold nonnegative index pairs.  Each T is read off
+    its exponent grid, and one m at a time meets the whole stack of n, so
+    memory stays O(N d**2).
+    """
+    _check_dim_param(d, a)
+    if sigma not in (+1, -1):
+        raise ValueError("sign_convention must be +1 or -1")
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2)
+    n1, n2 = np.asarray(ns, dtype=np.int64).reshape(-1, 2).T
+    table = np.append(_phase_table(2 * d), 0)  # exponent -1 reads the trailing 0
+
+    def monomials(m1, m2):
+        return table[_monomial_exponents(d, a, m1, m2, sigma * m1 * m2)]
+
+    t_n = monomials(n1, n2)
+    out = np.empty((len(ms), len(n1)))
+    for i, (m1, m2) in enumerate(ms):
+        t_m, t_sum = monomials(m1, m2), monomials(m1 + n1, m2 + n2)
+        sine = 2j * np.sin(np.pi * (m1 * n2 - m2 * n1) / d)
+        out[i] = np.abs(t_m @ t_n - t_n @ t_m - sine[:, None, None] * t_sum).max(axis=(1, 2))
+    return out
+
+
 @lru_cache(maxsize=None)
 def select_ffz_sign_convention() -> int:
     """Pick the monomial prefactor sign satisfying the sine-algebra commutator.
 
-    Brute-force matrix check at d = 3, a = 0 over small index pairs; exactly
-    one of the two candidate signs passes and is returned.
+    Checks both signs at d = 3, a = 0 over every pair of indices in 0..2;
+    exactly one of the two candidate signs passes and is returned.
     """
-    winners = []
-    for sigma in (+1, -1):
-        worst = 0.0
-        for m1 in range(3):
-            for m2 in range(3):
-                for n1 in range(3):
-                    for n2 in range(3):
-                        rep = ffz_commutator_residual(
-                            3, 0, (m1, m2), (n1, n2), sign_convention=sigma
-                        )
-                        worst = max(worst, rep.max_residual)
-        if worst < 1e-10:
-            winners.append(sigma)
+    grid = [(m1, m2) for m1 in range(3) for m2 in range(3)]
+    winners = [s for s in (+1, -1) if _commutator_residuals(3, 0, s, grid, grid).max() < 1e-10]
     if len(winners) != 1:
         raise RuntimeError(f"sign selection did not isolate one convention: {winners}")
     return winners[0]
@@ -278,13 +302,7 @@ def ffz_commutator_residual(
     m = as_wedge(m)
     n = as_wedge(n)
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
-    t_m = build_t(d, a, m, sigma).entries
-    t_n = build_t(d, a, n, sigma).entries
-    t_sum = build_t(d, a, m + n, sigma).entries
-    wedge = m.wedge(n)
-    comm = t_m @ t_n - t_n @ t_m
-    target = 2j * np.sin(np.pi * wedge / d) * t_sum
-    residual = float(np.abs(comm - target).max())
+    residual = float(_commutator_residuals(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])[0, 0])
     return VerificationReport(
         kind="ffz_commutator",
         passed=residual < tol,
@@ -295,7 +313,7 @@ def ffz_commutator_residual(
             "a": a,
             "m": [m.m1, m.m2],
             "n": [n.m1, n.m2],
-            "wedge": wedge,
+            "wedge": m.wedge(n),
             "sign_convention": sigma,
         },
     )
@@ -314,44 +332,14 @@ def ffz_sweep(
     """
     if max_m is None:
         max_m = 2 * d - 1
+    if max_m < 0:
+        raise ValueError(f"max_m must be >= 0, got {max_m}")
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
-    k = max_m + 1
-
-    v = build_v(d, a)
-    z = build_z(d)
-    v_pow = [OperatorMatrix.identity(d)]
-    z_pow = [OperatorMatrix.identity(d)]
-    for _ in range(2 * max_m):
-        v_pow.append(v_pow[-1] @ v)
-        z_pow.append(z_pow[-1] @ z)
-
-    def t_numeric(m1: int, m2: int) -> np.ndarray:
-        phase = _phase_table(2 * d)[(sigma * m1 * m2) % (2 * d)]
-        return phase * (v_pow[m1].entries @ z_pow[m2].entries)
-
-    grid = [(m1, m2) for m1 in range(k) for m2 in range(k)]
-    t_all = np.stack([t_numeric(m1, m2) for m1, m2 in grid])
-    t_sum = np.empty((2 * max_m + 1, 2 * max_m + 1, d, d), dtype=np.complex128)
-    for s1 in range(2 * max_m + 1):
-        for s2 in range(2 * max_m + 1):
-            t_sum[s1, s2] = t_numeric(s1, s2)
-
-    mm = np.array(grid)
-    worst = 0.0
-    worst_pair = None
-    for i, (m1, m2) in enumerate(grid):
-        comm = np.einsum("ij,njk->nik", t_all[i], t_all) - np.einsum(
-            "nij,jk->nik", t_all, t_all[i]
-        )
-        wedges = m1 * mm[:, 1] - m2 * mm[:, 0]
-        targets = (2j * np.sin(np.pi * wedges / d))[:, None, None] * t_sum[
-            m1 + mm[:, 0], m2 + mm[:, 1]
-        ]
-        residuals = np.abs(comm - targets).max(axis=(1, 2))
-        j = int(residuals.argmax())
-        if residuals[j] > worst:
-            worst = float(residuals[j])
-            worst_pair = ([m1, m2], [int(mm[j, 0]), int(mm[j, 1])])
+    grid = [(m1, m2) for m1 in range(max_m + 1) for m2 in range(max_m + 1)]
+    residuals = _commutator_residuals(d, a, sigma, grid, grid)
+    i, j = np.unravel_index(residuals.argmax(), residuals.shape)
+    worst = float(residuals[i, j])
+    worst_pair = (list(grid[i]), list(grid[j])) if worst > 0 else None
 
     opposite = ffz_commutator_residual(d, a, (1, 0), (0, 1), sign_convention=-sigma, tol=tol)
     return VerificationReport(

@@ -230,10 +230,18 @@ class TestVerifyCommand:
             (("set", "--dim", "3"), lambda doc: doc.update(bases="s"), "bases must be a list"),
             (("set", "--dim", "3"),
              lambda doc: doc["bases"][2].update(vectors=7), "basis 1: vectors must be a list"),
+            (("set", "--dim", "3", "--exact"), lambda doc: doc.update(dim=1),
+             "dim must be an integer >= 2, got 1"),
+            (("set", "--dim", "3"), lambda doc: doc.update(dim=1),
+             "dim must be an integer >= 2, got 1"),
+            (("set", "--dim", "3"), lambda doc: doc.pop("bases"),
+             "error: bases is missing"),
+            (("set", "--dim", "3", "--exact"), lambda doc: doc["bases"][1].pop("vectors"),
+             "basis 0: vectors is missing"),
         ],
         ids=[
             "numeric-amplitude", "huge-amplitude", "exact-amplitude", "huge-scale", "int64-scale",
-            "bases", "vectors",
+            "bases", "vectors", "exact-dim-1", "numeric-dim-1", "no-bases", "no-vectors",
         ],
     )
     def test_malformed_field_exit_2(self, argv, edit, message, tmp_path, capsys):
@@ -306,6 +314,21 @@ class TestSu2Command:
         assert main(["su2", "--two-j", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 5 and doc["pass"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ffz", "--dim", "0"], "--dim must be >= 2, got 0"),
+        (["ffz", "--dim", "-3"], "--dim must be >= 2, got -3"),
+        (["ffz", "--dim", "3", "--max-m", "-1"], "max_m must be >= 0, got -1"),
+        (["su2", "--two-j", "-1"], "--two-j must be >= 1, got -1"),
+    ],
+)
+def test_empty_sweep_refused(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 class TestFfzCommand:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,18 @@ class TestBuildW:
         assert np.allclose(w.entries, oracle, atol=1e-14)
         eigs = np.sort_complex(np.linalg.eigvals(w.entries))
         assert np.allclose(eigs, [-1, -1, 1, 1], atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (2, 3), (3, 2)])
+        .flatmap(lambda pe: st.tuples(st.just(pe), *[st.integers(0, pe[0] - 1)] * (3 * pe[1])))
+    )
+    def test_equals_tensor_of_operator_products(self, drawn):
+        (p, e), *flat = drawn
+        a_params, x, z = flat[:e], flat[e : 2 * e], flat[2 * e :]
+        slots = [build_v(p, a).power(i) @ build_z(p).power(j) for a, i, j in zip(a_params, x, z)]
+        expected = reduce(OperatorMatrix.tensor, slots)
+        assert np.array_equal(build_w(p, e, WeylLabel(p, e, x, z), a_params).exact, expected.exact)
 
     def test_capacity_bound(self):
         with pytest.raises(ValueError, match="bound"):

@@ -215,6 +215,16 @@ class TestVerifyUnbiased:
         with pytest.raises(ValueError):
             verify_unbiased(build_basis(2, 0), build_basis(3, 0))
 
+    def test_float_shadow_beyond_internal_tol_fails_as_in_verify_set(self):
+        first, second = build_complete_set(5).bases[:2]
+        amps = second.amps.copy()
+        amps[0, 0] += 1e-11
+        shifted = MubBasis.from_arrays(5, second.label, amps, second.exponents, second.scales)
+        rep = verify_unbiased(first, shifted)
+        assert rep.details["exact"] is True and not rep.passed
+        assert not verify_set(MubSet(5, (first, shifted))).passed
+        assert verify_unbiased(first, shifted, internal_tol=1e-9).passed
+
     def test_max_residual_is_overlap_deviation(self):
         b0, b1 = build_basis(3, 0), build_basis(3, 1)
         rep = verify_unbiased(b0, b1)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubkit.weyl import (
     OperatorMatrix,
     WedgeIndex,
+    _commutator_residuals,
     build_t,
     build_v,
     build_z,
@@ -130,6 +133,51 @@ class TestBuildT:
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             build_t(3, 0, (-1, 0), +1)
+
+
+def monomial_chain(d, a, m1, m2, sigma):
+    """tau**(sigma m1 m2) V_a**m1 Z**m2 from exact operator products."""
+    return (build_v(d, a).power(m1) @ build_z(d).power(m2)).scale_phase(sigma * m1 * m2)
+
+
+def commutator_reference(d, a, sigma, m, n):
+    """max |[T_m, T_n] - 2i sin(pi m^n/d) T_{m+n}| for one pair, from build_t matrices."""
+    t_m, t_n, t_sum = (
+        build_t(d, a, k, sigma).entries for k in (m, n, (m[0] + n[0], m[1] + n[1]))
+    )
+    wedge = m[0] * n[1] - m[1] * n[0]
+    return np.abs(t_m @ t_n - t_n @ t_m - 2j * np.sin(np.pi * wedge / d) * t_sum).max()
+
+
+@st.composite
+def weyl_params(draw, max_d):
+    d = draw(st.integers(2, max_d))
+    return d, draw(st.integers(0, d - 1)), draw(st.sampled_from([+1, -1]))
+
+
+class TestClosedForm:
+    @settings(max_examples=80, deadline=None)
+    @given(weyl_params(13), st.data())
+    def test_build_t_equals_operator_products(self, params, data):
+        d, a, sigma = params
+        m1, m2 = data.draw(st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)))
+        assert np.array_equal(
+            build_t(d, a, (m1, m2), sigma).exact, monomial_chain(d, a, m1, m2, sigma).exact
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_params(9), st.data())
+    def test_batched_residuals_match_per_pair_reference(self, params, data):
+        d, a, sigma = params
+        pairs = st.lists(
+            st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)), min_size=1, max_size=4
+        )
+        ms, ns = data.draw(pairs), data.draw(pairs)
+        expected = [[commutator_reference(d, a, sigma, m, n) for n in ns] for m in ms]
+        # entries are O(1), so rounding stays far below 1e-13
+        np.testing.assert_allclose(
+            _commutator_residuals(d, a, sigma, ms, ns), expected, rtol=0, atol=1e-13
+        )
 
 
 class TestQCommutation:
