@@ -248,8 +248,7 @@ def _run_sumrule(config: RunConfig) -> int:
 
 
 def _run_su2(config: RunConfig) -> int:
-    if config.two_j < 1:
-        raise ValueError(f"--two-j must be >= 1, got {config.two_j}")
+    su2.AngularParams(config.two_j, 0)
 
     def one(a: int) -> dict:
         commutators = su2.check_su2(config.two_j, a, config.tol)
@@ -279,8 +278,7 @@ def _run_su2(config: RunConfig) -> int:
 
 
 def _run_ffz(config: RunConfig) -> int:
-    if config.dim < 2:
-        raise ValueError(f"--dim must be >= 2, got {config.dim}")
+    weyl._check_dim_param(config.dim, 0)
     a_values = [config.a] if config.a is not None else list(range(config.dim))
     reports = []
     overall = True

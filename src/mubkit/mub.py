@@ -334,8 +334,7 @@ def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, wor
 
 
 def verify_unbiased(
-    a_basis: MubBasis, b_basis: MubBasis, tol: float = DEFAULT_TOL,
-    internal_tol: float = INTERNAL_TOL,
+    a_basis: MubBasis, b_basis: MubBasis, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Check the unbiasedness condition between two bases.
 
@@ -355,7 +354,7 @@ def verify_unbiased(
         a_basis.amps, phases[:, a_basis.exponents].conj() if a_basis.exact else None,
         a_basis.scales, b_basis.amps[None], b_basis.exponents[None] if b_basis.exact else None,
         b_basis.scales[None], np.array([b_basis.exact]), same,
-        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol, internal_tol,
+        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol, INTERNAL_TOL,
     )
     return VerificationReport(
         kind="unbiasedness",

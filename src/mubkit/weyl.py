@@ -196,8 +196,7 @@ def build_v(d: int, a: int) -> OperatorMatrix:
 
 def build_z(d: int) -> OperatorMatrix:
     """The clock matrix diag(1, q, ..., q**(d-1))."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    _check_dim_param(d, 0)
     return OperatorMatrix.from_exact(_monomial_exponents(d, 0, 0, 1, 0))
 
 

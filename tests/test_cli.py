@@ -319,10 +319,10 @@ class TestSu2Command:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["ffz", "--dim", "0"], "--dim must be >= 2, got 0"),
-        (["ffz", "--dim", "-3"], "--dim must be >= 2, got -3"),
+        (["ffz", "--dim", "0"], "d must be >= 2, got 0"),
+        (["ffz", "--dim", "-3"], "d must be >= 2, got -3"),
         (["ffz", "--dim", "3", "--max-m", "-1"], "max_m must be >= 0, got -1"),
-        (["su2", "--two-j", "-1"], "--two-j must be >= 1, got -1"),
+        (["su2", "--two-j", "-1"], "two_j must be >= 1, got -1"),
     ],
 )
 def test_empty_sweep_refused(argv, message, capsys):

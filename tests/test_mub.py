@@ -223,7 +223,6 @@ class TestVerifyUnbiased:
         rep = verify_unbiased(first, shifted)
         assert rep.details["exact"] is True and not rep.passed
         assert not verify_set(MubSet(5, (first, shifted))).passed
-        assert verify_unbiased(first, shifted, internal_tol=1e-9).passed
 
     def test_max_residual_is_overlap_deviation(self):
         b0, b1 = build_basis(3, 0), build_basis(3, 1)
