@@ -10,7 +10,9 @@ stderr.  Output is byte-identical for identical configurations.
 """
 
 import argparse
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import composite as composite_mod
 from . import mub, serialize, su2, weyl
-from .cyclo import DEFAULT_TOL, INTERNAL_TOL, is_prime
+from .cyclo import DEFAULT_TOL, is_prime
 
 ENV_TOL = "MUBKIT_TOL"
 
@@ -34,7 +36,6 @@ class RunConfig:
     a_params: tuple | None = None
     max_m: int | None = None
     tol: float = DEFAULT_TOL
-    internal_tol: float = INTERNAL_TOL
     exact: bool = False
     force: bool = False
     format: str = "json"
@@ -43,16 +44,25 @@ class RunConfig:
     matrix: str = "v"
 
 
-def _default_tol() -> float:
-    env = os.environ.get(ENV_TOL)
-    return float(env) if env else DEFAULT_TOL
+def _tolerance(text: str) -> float:
+    """A pass/fail tolerance: anything but a finite positive number is a usage error."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number (from --tol or ${ENV_TOL}), got {text!r}"
+        )
+    return tol
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
-    parser.add_argument("--tol", type=float, default=None,
+    # argparse passes a string default through type= as well, so $MUBKIT_TOL
+    # is checked like --tol (and only read when --tol is absent)
+    parser.add_argument("--tol", type=_tolerance,
+                        default=os.environ.get(ENV_TOL) or str(DEFAULT_TOL),
                         help=f"pass/fail tolerance (default {DEFAULT_TOL}, or ${ENV_TOL})")
-    parser.add_argument("--internal-tol", type=float, default=INTERNAL_TOL,
-                        help="internal consistency tolerance")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the report/artifact here instead of stdout")
     if formats:
@@ -108,11 +118,8 @@ def parse_args(argv=None) -> RunConfig:
 
     ns = parser.parse_args(argv)
     config = RunConfig(command=ns.command)
-    config.tol = ns.tol if ns.tol is not None else _default_tol()
-    config.internal_tol = ns.internal_tol
+    config.tol = ns.tol
     config.output = ns.output
-    if config.tol <= 0:
-        parser.error("--tol must be positive")
     if hasattr(ns, "format"):
         config.format = ns.format
     if ns.command == "gen":
@@ -165,7 +172,7 @@ def _run_gen(config: RunConfig) -> int:
 
 def _run_set(config: RunConfig) -> int:
     mub_set = mub.build_complete_set(config.dim, force=config.force)
-    report = mub.verify_set(mub_set, config.tol, config.internal_tol)
+    report = mub.verify_set(mub_set, config.tol)
     if config.format == "csv":
         _write(config, serialize.mubset_to_csv(mub_set))
     else:
@@ -186,7 +193,7 @@ def _run_set(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     doc = json.loads(config.set_path.read_text())
     mub_set = serialize.mubset_from_doc(doc)
-    report = mub.verify_set(mub_set, config.tol, config.internal_tol)
+    report = mub.verify_set(mub_set, config.tol)
     out = {
         "dim": mub_set.dim,
         "n_bases": len(mub_set.bases),
@@ -206,25 +213,28 @@ def _run_sumrule(config: RunConfig) -> int:
         raise ValueError(f"the sum rule holds for prime dimensions; got {d}")
     entries = []
     all_ok = True
-    for a in range(d):
-        for b in range(d):
-            for n_alpha in range(d):
-                for n_beta in range(d):
-                    abs2, numeric = mub.gauss_sum_magnitude(d, a, b, n_alpha, n_beta)
-                    expected = mub.gauss_sum_expected_sq(d, a, b, n_alpha, n_beta)
-                    ok = abs2 == expected
-                    all_ok &= ok
-                    entries.append(
-                        {
-                            "a": a,
-                            "b": b,
-                            "n_alpha": n_alpha,
-                            "n_beta": n_beta,
-                            "magnitude": numeric,
-                            "expected_sq": expected,
-                            "exact_match": ok,
-                        }
-                    )
+    # The sum, and so every field below, depends on the indices only through
+    # (a - b, n_alpha - n_beta): each such key is decided once.
+    decided = {}
+    for a, b, n_alpha, n_beta in itertools.product(range(d), repeat=4):
+        key = (a - b, n_alpha - n_beta)
+        if key not in decided:
+            abs2, numeric = mub.gauss_sum_magnitude(d, a, b, n_alpha, n_beta)
+            expected = mub.gauss_sum_expected_sq(d, a, b, n_alpha, n_beta)
+            decided[key] = numeric, expected, abs2 == expected
+        numeric, expected, ok = decided[key]
+        all_ok &= ok
+        entries.append(
+            {
+                "a": a,
+                "b": b,
+                "n_alpha": n_alpha,
+                "n_beta": n_beta,
+                "magnitude": numeric,
+                "expected_sq": expected,
+                "exact_match": ok,
+            }
+        )
     if config.format == "csv":
         lines = ["a,b,n_alpha,n_beta,magnitude,expected_sq,exact_match"]
         for row in entries:
@@ -312,9 +322,7 @@ def _run_composite(config: RunConfig) -> int:
     a_params = config.a_params
     if a_params is not None and len(a_params) == 1 and config.e > 1:
         a_params = a_params * config.e
-    mub_set = composite_mod.build_composite_set(
-        config.p, config.e, a_params, tol=max(config.tol, composite_mod.COMPOSITE_TOL)
-    )
+    mub_set = composite_mod.build_composite_set(config.p, config.e, a_params, tol=config.tol)
     if config.format == "csv":
         _write(config, serialize.mubset_to_csv(mub_set))
     else:

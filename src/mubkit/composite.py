@@ -36,9 +36,6 @@ from .weyl import OperatorMatrix, _monomial_exponents
 #: bounded by the stacked set plus one block.
 MAX_DIM = 128
 
-#: Pairwise checks inside build_composite_set run at this tolerance.
-COMPOSITE_TOL = 1e-9
-
 
 class ConstructionError(RuntimeError):
     """A constructed set failed verification; carries the offending pair."""
@@ -269,7 +266,7 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
 # -- complete sets ---------------------------------------------------------------
 
 
-def build_composite_set(p: int, e: int, a_params=None, tol: float = COMPOSITE_TOL) -> MubSet:
+def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL) -> MubSet:
     """p**e + 1 pairwise-unbiased bases in dimension p**e.
 
     Every class of the spread contributes its joint eigenbasis; the

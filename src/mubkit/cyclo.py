@@ -13,12 +13,9 @@ norm |N(y)| = prod_k |sigma_k(y)| >= 1.  Conjugates pair up with equal
 moduli (k and 2d-k), so y = 0 exactly when every sigma_k(y) with k < d,
 evaluated with float error below 1/4, has modulus below 1/2.
 
-Coefficients are kept reduced by tau**d = -1 (folding exponents d..2d-1
-into 0..d-1 with a sign flip) and, for odd prime d, by the root sum
-1 + zeta + ... + zeta**(d-1) = 0 with zeta = tau**2; in tau-folded
-coordinates it reads sum_k (-1)**k tau**k = 0, and eliminating it zeroes the
-coefficient that carries zeta**(d-1).  For d = 2 and odd prime d this form
-is unique; elsewhere it is not, which the certificate does not need.
+Coefficients are kept as they arise, cyclically over tau**0 .. tau**(2d-1):
+the certificate needs no canonical form, so equal sums may carry different
+coefficient vectors.
 """
 
 import math
@@ -121,50 +118,12 @@ class PhaseExponent:
         return complex(_phase_table(self.modulus)[self.value])
 
 
-def _fold_tau(raw: np.ndarray) -> np.ndarray:
-    """Fold tau**k = -tau**(k-d) on the last axis (length 2d -> 2d, top half 0)."""
-    two_d = raw.shape[-1]
-    d = two_d // 2
-    out = np.zeros_like(raw)
-    out[..., :d] = raw[..., :d] - raw[..., d:]
-    return out
-
-@lru_cache(maxsize=None)
-def _alt_signs(d: int) -> np.ndarray:
-    signs = np.where(np.arange(d) % 2 == 0, 1, -1).astype(np.int64)
-    signs.setflags(write=False)
-    return signs
-
-
-def _fold_prime(folded: np.ndarray, d: int) -> np.ndarray:
-    """Remove the root-of-unity-sum redundancy for odd prime d.
-
-    Input must already be tau-folded.  Subtracting the right multiple of
-    sum_k (-1)**k tau**k zeroes the coefficient at exponent d-2, which is
-    where zeta**(d-1) lives after the tau-fold.
-    """
-    pivot = folded[..., d - 2 : d - 1]
-    out = folded.copy()
-    out[..., :d] += pivot * _alt_signs(d)
-    return out
-
-
-def canonicalize_coeffs(raw: np.ndarray, d: int) -> np.ndarray:
-    """Canonical form of coefficient arrays over tau exponents (last axis 2d)."""
-    if raw.shape[-1] != 2 * d:
-        raise ValueError(f"coefficient axis must have length {2 * d}, got {raw.shape[-1]}")
-    out = _fold_tau(raw)
-    if d > 2 and is_prime(d):
-        out = _fold_prime(out, d)
-    return out
-
-
 class CyclotomicSum:
-    """An integer combination of powers of tau = exp(i*pi/dim), kept canonical.
+    """An integer combination of powers of tau = exp(i*pi/dim).
 
-    coeffs has length 2*dim; after construction the invariants hold:
-    coefficients at exponents >= dim are zero, and for odd prime dim the
-    coefficient at exponent dim-2 is zero as well.
+    coeffs (length 2*dim, read-only) holds the coefficient of tau**k at
+    index k; equality is decided by the norm certificate, not by comparing
+    coefficients.
     """
 
     __slots__ = ("dim", "coeffs")
@@ -172,10 +131,9 @@ class CyclotomicSum:
     def __init__(self, coeffs, dim: int):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
-        arr = np.asarray(coeffs, dtype=np.int64)
+        arr = np.array(coeffs, dtype=np.int64)
         if arr.ndim != 1 or arr.shape[0] != 2 * dim:
             raise ValueError(f"expected {2 * dim} coefficients for dim {dim}, got shape {arr.shape}")
-        arr = canonicalize_coeffs(arr, dim)
         arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coeffs", arr)
@@ -225,7 +183,7 @@ class CyclotomicSum:
         return CyclotomicSum(-self.coeffs, self.dim)
 
     def __mul__(self, other: "CyclotomicSum") -> "CyclotomicSum":
-        """Exponent-index cyclic convolution followed by reduction."""
+        """Exponent-index cyclic convolution (tau**(2d) = 1)."""
         self._check(other)
         two_d = 2 * self.dim
         prod = np.convolve(self.coeffs, other.coeffs)
@@ -251,7 +209,10 @@ class CyclotomicSum:
 
         Each conjugate sums 2d terms, so its float error stays below
         l1(coeffs) * 2d * 2**-52; a sum too large for that to be below 1/4
-        raises ValueError instead of being guessed.
+        raises ValueError instead of being guessed.  The bound reads the
+        coefficients as stored, unreduced: a Gauss-sum |G|**2 has l1 = d**2
+        and trace_inner_exact l1 <= d, so even at d = 128 their differences
+        with an integer (l1 <= 2 d**2 = 2**15) stay far below 2**50 / (2d).
         """
         l1 = int(np.abs(self.coeffs).sum())
         if l1 * 2 * self.dim * 2.0**-52 >= 0.25:

@@ -315,8 +315,7 @@ def _certificate_residuals(row_grid, sa, exps_b, sb, same, work) -> np.ndarray:
     return worst
 
 
-def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, work, tol,
-                    internal_tol):
+def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, work, tol):
     """Deviations, residuals (NaN: no exact verdict) and verdicts of basis a against B bases.
 
     The rules are those verify_set states.  exps_b stacks the exponents of
@@ -329,7 +328,7 @@ def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, wor
         residual[exact_b] = _certificate_residuals(
             row_grid, sa, exps_b, sb[exact_b], same[exact_b], work
         )
-        passed[exact_b] = (residual[exact_b] < 0.5) & (deviation[exact_b] < internal_tol)
+        passed[exact_b] = (residual[exact_b] < 0.5) & (deviation[exact_b] < INTERNAL_TOL)
     return deviation, residual, passed
 
 
@@ -354,7 +353,7 @@ def verify_unbiased(
         a_basis.amps, phases[:, a_basis.exponents].conj() if a_basis.exact else None,
         a_basis.scales, b_basis.amps[None], b_basis.exponents[None] if b_basis.exact else None,
         b_basis.scales[None], np.array([b_basis.exact]), same,
-        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol, INTERNAL_TOL,
+        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol,
     )
     return VerificationReport(
         kind="unbiasedness",
@@ -371,15 +370,13 @@ def verify_unbiased(
     )
 
 
-def verify_set(
-    mub_set: MubSet, tol: float = DEFAULT_TOL, internal_tol: float = INTERNAL_TOL
-) -> VerificationReport:
+def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
     Runs basis by basis: basis i is checked against itself and every later
     basis in blocks of as many bases as GRAM_BLOCK_BYTES allows, one batched
     Gram per block.  A pair of exact bases gets the exact verdict, and its
-    float shadow must also agree within internal_tol, so the two evaluation
+    float shadow must also agree within INTERNAL_TOL, so the two evaluation
     paths cannot drift apart silently; any other pair is decided by its
     float deviation against tol.
     """
@@ -402,7 +399,7 @@ def verify_set(
             deviation[j0 - i : j1 - i], _, passed[j0 - i : j1 - i] = _block_verdicts(
                 amps[i], row_grid, scales[i], amps[j0:j1],
                 exps[exps_row[rows[block]]] if exact[i] else None, scales[j0:j1], block,
-                rows == i, work, tol, internal_tol,
+                rows == i, work, tol,
             )
         worst = max(worst, float(deviation.max()))
         failing.extend(

@@ -4,8 +4,11 @@ build_v produces the phased cyclic shift (superdiagonal of progressive
 q-powers, wrap entry 1), build_z the clock matrix diag(1, q, ..., q**(d-1)),
 and build_t their phase-corrected monomials T_m, all from one closed form.
 The two q-commute, V_a = V_0 Z**a, and the T_m close under the sine-algebra
-commutator, checked for a whole grid of index pairs at once.  These claims
-are verified exactly where the matrices carry exact phase annotations.
+commutator.  A product of monomials is a monomial, so the commutator is
+decided exactly from the composed tau exponents, for a whole grid of index
+pairs at once, with a float residual from the same exponents as its shadow.
+The other claims are verified exactly where the matrices carry exact phase
+annotations.
 """
 
 from dataclasses import dataclass
@@ -169,10 +172,10 @@ def as_wedge(m) -> WedgeIndex:
 # -- constructions -----------------------------------------------------------
 
 
-def _monomial_exponents(d: int, a, m1, m2, phase) -> np.ndarray:
-    """Tau-exponent grid of tau**phase V_a**m1 Z**m2, -1 off its one entry per row.
+def _monomial_rows(d: int, a, m1, m2, phase) -> np.ndarray:
+    """Tau exponent of the one entry in each row of tau**phase V_a**m1 Z**m2.
 
-    The arguments broadcast; the grid has their shape plus (d, d).  Row r
+    The arguments broadcast; the result has their shape plus (d,).  Row r
     holds its entry at column c = (r + m1) mod d.  The shifts on the way
     there pick up q**(a (r+j)) for j = 1..m1 (q**d = 1, so the wrap of the
     row index needs no reduction), and the clock adds q**(m2 c): in tau
@@ -180,9 +183,14 @@ def _monomial_exponents(d: int, a, m1, m2, phase) -> np.ndarray:
     """
     a, m1, m2, phase = (np.asarray(v, dtype=np.int64)[..., None] for v in (a, m1, m2, phase))
     r = np.arange(d)
-    col = (r + m1) % d
-    exps = (a * m1 * (2 * r + m1 + 1) + 2 * m2 * col + phase) % (2 * d)
-    return np.where(col[..., None] == r, exps[..., None], -1)
+    return (a * m1 * (2 * r + m1 + 1) + 2 * m2 * ((r + m1) % d) + phase) % (2 * d)
+
+
+def _monomial_exponents(d: int, a, m1, m2, phase) -> np.ndarray:
+    """The (..., d, d) tau-exponent grid of _monomial_rows, -1 off the entries."""
+    r = np.arange(d)
+    col = (r + np.asarray(m1, dtype=np.int64)[..., None]) % d
+    return np.where(col[..., None] == r, _monomial_rows(d, a, m1, m2, phase)[..., None], -1)
 
 
 def build_v(d: int, a: int) -> OperatorMatrix:
@@ -254,41 +262,63 @@ def q_commutation_residual(d: int, a: int, tol: float = DEFAULT_TOL) -> Verifica
     )
 
 
-def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> np.ndarray:
-    """max |[T_m, T_n] - 2i sin(pi m^n/d) T_{m+n}| for m in ms, n in ns, as (M, N).
+def _unit_sums_equal(u1, u2, v1, v2, two_d: int) -> np.ndarray:
+    """tau**u1 + tau**u2 == tau**v1 + tau**v2, elementwise, for exponents mod two_d.
 
-    ms (M, 2) and ns (N, 2) hold nonnegative index pairs.  Each T is read off
-    its exponent grid, and one m at a time meets the whole stack of n, so
-    memory stays O(N d**2).
+    Two roots of unity with a given nonzero sum are fixed up to order; sums
+    that vanish are antipodal pairs.
+    """
+    u1, u2, v1, v2 = (np.asarray(t) % two_d for t in (u1, u2, v1, v2))
+    antipodal = ((u1 - u2) % two_d == two_d // 2) & ((v1 - v2) % two_d == two_d // 2)
+    return ((u1 == v1) & (u2 == v2)) | ((u1 == v2) & (u2 == v1)) | antipodal
+
+
+def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> tuple[np.ndarray, np.ndarray]:
+    """Float residuals and exact verdicts of [T_m, T_n] = 2i sin(pi m^n/d) T_{m+n}, each (M, N).
+
+    ms (M, 2) and ns (N, 2) hold nonnegative index pairs.  T_m T_n is the
+    monomial with row exponents x_r = e_m(r) + e_n((r + m1) mod d) on the
+    support of T_{m+n} (row exponents e_r), and T_n T_m gives x'_r likewise.
+    With w = m^n and 2i sin(pi w/d) = tau**w - tau**(-w), the identity holds
+    exactly iff tau**x + tau**(e-w) = tau**x' + tau**(e+w) in every row
+    (_unit_sums_equal).  The residual max_r |tau**x - tau**x' - 2i sin(pi w/d)
+    tau**e| is the float shadow.  One m at a time meets the whole stack of n,
+    so memory is O(N d).
     """
     _check_dim_param(d, a)
     if sigma not in (+1, -1):
         raise ValueError("sign_convention must be +1 or -1")
     ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2)
     n1, n2 = np.asarray(ns, dtype=np.int64).reshape(-1, 2).T
-    table = np.append(_phase_table(2 * d), 0)  # exponent -1 reads the trailing 0
+    two_d, r = 2 * d, np.arange(d)
+    table = _phase_table(two_d)
 
-    def monomials(m1, m2):
-        return table[_monomial_exponents(d, a, m1, m2, sigma * m1 * m2)]
+    def rows(m1, m2):
+        return _monomial_rows(d, a, m1, m2, sigma * m1 * m2)
 
-    t_n = monomials(n1, n2)
-    out = np.empty((len(ms), len(n1)))
+    e_n = rows(n1, n2)
+    residual = np.empty((len(ms), len(n1)))
+    exact = np.empty((len(ms), len(n1)), dtype=bool)
     for i, (m1, m2) in enumerate(ms):
-        t_m, t_sum = monomials(m1, m2), monomials(m1 + n1, m2 + n2)
-        sine = 2j * np.sin(np.pi * (m1 * n2 - m2 * n1) / d)
-        out[i] = np.abs(t_m @ t_n - t_n @ t_m - sine[:, None, None] * t_sum).max(axis=(1, 2))
-    return out
+        e_m, e = rows(m1, m2), rows(m1 + n1, m2 + n2)
+        x = (e_m + e_n[:, (r + m1) % d]) % two_d
+        x_rev = (e_n + e_m[(r + n1[:, None]) % d]) % two_d
+        w = (m1 * n2 - m2 * n1)[:, None]
+        exact[i] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=1)
+        sine = 2j * np.sin(np.pi * w / d)
+        residual[i] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=1)
+    return residual, exact
 
 
 @lru_cache(maxsize=None)
 def select_ffz_sign_convention() -> int:
     """Pick the monomial prefactor sign satisfying the sine-algebra commutator.
 
-    Checks both signs at d = 3, a = 0 over every pair of indices in 0..2;
-    exactly one of the two candidate signs passes and is returned.
+    Decides both signs exactly at d = 3, a = 0 over every pair of indices in
+    0..2; exactly one of the two candidate signs passes and is returned.
     """
     grid = [(m1, m2) for m1 in range(3) for m2 in range(3)]
-    winners = [s for s in (+1, -1) if _commutator_residuals(3, 0, s, grid, grid).max() < 1e-10]
+    winners = [s for s in (+1, -1) if _commutator_residuals(3, 0, s, grid, grid)[1].all()]
     if len(winners) != 1:
         raise RuntimeError(f"sign selection did not isolate one convention: {winners}")
     return winners[0]
@@ -297,14 +327,15 @@ def select_ffz_sign_convention() -> int:
 def ffz_commutator_residual(
     d: int, a: int, m, n, sign_convention: int | None = None, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Residual of [T_m, T_n] - 2i sin(pi (m^n)/d) T_{m+n}."""
+    """[T_m, T_n] = 2i sin(pi (m^n)/d) T_{m+n}, decided exactly, with its float residual."""
     m = as_wedge(m)
     n = as_wedge(n)
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
-    residual = float(_commutator_residuals(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])[0, 0])
+    residuals, exact = _commutator_residuals(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])
+    residual, exact = float(residuals[0, 0]), bool(exact[0, 0])
     return VerificationReport(
         kind="ffz_commutator",
-        passed=residual < tol,
+        passed=exact and residual < tol,
         tolerance=tol,
         max_residual=residual,
         details={
@@ -314,6 +345,7 @@ def ffz_commutator_residual(
             "n": [n.m1, n.m2],
             "wedge": m.wedge(n),
             "sign_convention": sigma,
+            "exact": exact,
         },
     )
 
@@ -326,8 +358,10 @@ def ffz_sweep(
 
     The swept range includes 0 (so T_(1,0) = V_a and T_(0,1) = Z appear),
     which widens the strictly-positive index set the identity is stated for;
-    the report records the range.  The failure of the opposite sign at the
-    basic pair (1,0),(0,1) is recorded as a negative control.
+    the report records the range.  The sweep passes when every pair holds
+    exactly and its float shadow stays below tol.  The failure of the
+    opposite sign at the basic pair (1,0),(0,1) is recorded as a negative
+    control.
     """
     if max_m is None:
         max_m = 2 * d - 1
@@ -335,7 +369,8 @@ def ffz_sweep(
         raise ValueError(f"max_m must be >= 0, got {max_m}")
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
     grid = [(m1, m2) for m1 in range(max_m + 1) for m2 in range(max_m + 1)]
-    residuals = _commutator_residuals(d, a, sigma, grid, grid)
+    residuals, exact = _commutator_residuals(d, a, sigma, grid, grid)
+    exact = bool(exact.all())
     i, j = np.unravel_index(residuals.argmax(), residuals.shape)
     worst = float(residuals[i, j])
     worst_pair = (list(grid[i]), list(grid[j])) if worst > 0 else None
@@ -343,7 +378,7 @@ def ffz_sweep(
     opposite = ffz_commutator_residual(d, a, (1, 0), (0, 1), sign_convention=-sigma, tol=tol)
     return VerificationReport(
         kind="ffz_sweep",
-        passed=worst < tol,
+        passed=exact and worst < tol,
         tolerance=tol,
         max_residual=worst,
         details={
@@ -355,5 +390,6 @@ def ffz_sweep(
             "worst_pair": worst_pair,
             "opposite_sign_residual_at_basic_pair": opposite.max_residual,
             "opposite_sign_fails": not opposite.passed,
+            "exact": exact,
         },
     )

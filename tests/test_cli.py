@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,11 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mubkit
 from mubkit.cli import RunConfig, main, parse_args
+from mubkit.composite import build_composite_set
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
-from mubkit.mub import build_complete_set, verify_set
+from mubkit.mub import (
+    build_complete_set,
+    gauss_sum_expected_sq,
+    gauss_sum_magnitude,
+    verify_set,
+)
 
 
 class TestParseArgs:
@@ -56,6 +65,28 @@ class TestParseArgs:
         assert parse_args(["set", "--dim", "3"]).tol == 1e-7
         monkeypatch.delenv("MUBKIT_TOL")
         assert parse_args(["set", "--dim", "3"]).tol == 1e-10
+
+    @pytest.mark.parametrize("argv,env", [
+        (["gen", "--dim", "2"], "abc"),
+        (["su2", "--two-j", "2"], "nan"),
+        (["set", "--dim", "5"], "inf"),
+        (["set", "--dim", "5", "--tol", "nan"], None),
+        (["set", "--dim", "5", "--tol", "inf"], None),
+    ], ids=["env-abc", "env-nan", "env-inf", "flag-nan", "flag-inf"])
+    def test_tolerance_must_be_finite_and_positive(self, argv, env, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("MUBKIT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("MUBKIT_TOL", env)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+
+    def test_internal_tol_flag_is_gone(self):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["set", "--dim", "3", "--internal-tol", "1e-9"])
+        assert err.value.code == 2
 
 
 class TestFloatFormatting:
@@ -292,6 +323,18 @@ class TestSumruleCommand:
             round(v, 9) for v in (7.0, 0.0, np.sqrt(7))
         }
 
+    def test_d5_entries_match_per_tuple_gauss_sums(self, capsys):
+        assert main(["sumrule", "--dim", "5"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        indices = [(e["a"], e["b"], e["n_alpha"], e["n_beta"]) for e in entries]
+        assert indices == list(itertools.product(range(5), repeat=4))
+        for entry, idx in zip(entries, indices):
+            abs2, numeric = gauss_sum_magnitude(5, *idx)
+            expected = gauss_sum_expected_sq(5, *idx)
+            assert entry["magnitude"] == numeric  # %.17g round-trips exactly
+            assert entry["expected_sq"] == expected
+            assert entry["exact_match"] is (abs2 == expected)
+
     def test_non_prime_rejected(self, capsys):
         assert main(["sumrule", "--dim", "6"]) == 2
 
@@ -378,6 +421,11 @@ class TestCompositeCommand:
     def test_bad_a_list(self, capsys):
         assert main(["composite", "--p", "2", "--e", "2", "--a", "0,7"]) == 2
 
+    def test_stricter_tol_is_honoured(self, capsys):
+        # the d = 8 set deviates from unbiasedness by about 1e-16 in floats
+        assert main(["composite", "--p", "2", "--e", "3", "--tol", "1e-30"]) == 1
+        assert "failed unbiasedness" in capsys.readouterr().err
+
 
 def test_cli_import_skips_scipy():
     src = str(Path(mubkit.__file__).parents[1])
@@ -386,7 +434,42 @@ def test_cli_import_skips_scipy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+@st.composite
+def serializable_sets(draw):
+    """(set, exact): a prime, forced or composite set and a mode it supports."""
+    kind = draw(st.sampled_from(["prime", "forced", "composite"]))
+    if kind == "prime":
+        mub_set = build_complete_set(draw(st.sampled_from([2, 3, 5, 7, 11])))
+    elif kind == "forced":
+        mub_set = build_complete_set(draw(st.sampled_from([4, 6, 8, 9])), force=True)
+    else:
+        p, e = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)]))
+        a_params = draw(st.tuples(*[st.integers(0, p - 1)] * e))
+        mub_set = build_composite_set(p, e, a_params)
+    return mub_set, draw(st.booleans()) if mub_set.exact else False
+
+
 class TestSerializeRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(serializable_sets())
+    def test_round_trip_keeps_every_field(self, case):
+        original, exact = case
+        restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(original, exact=exact))))
+        assert restored.dim == original.dim
+        assert [b.label for b in restored.bases] == [b.label for b in original.bases]
+        assert [b.class_labels for b in restored.bases] == [
+            b.class_labels for b in original.bases
+        ]
+        for a, b in zip(original.bases, restored.bases):
+            if exact:
+                np.testing.assert_array_equal(b.exponents, a.exponents)
+                np.testing.assert_array_equal(b.scales, a.scales)
+                np.testing.assert_allclose(b.amps, a.amps, rtol=0, atol=1e-15)
+            else:
+                # a numeric document carries amplitudes only
+                assert b.exponents is None
+                np.testing.assert_array_equal(b.amps, a.amps)
+
     @pytest.mark.parametrize("exact", [True, False])
     def test_doc_round_trip(self, exact):
         original = build_complete_set(5)
@@ -401,8 +484,6 @@ class TestSerializeRoundTrip:
             assert np.abs(basis_a.as_array() - basis_b.as_array()).max() < 1e-15
 
     def test_class_labels_round_trip(self):
-        from mubkit.composite import build_composite_set
-
         original = build_composite_set(2, 2)
         restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(original, exact=False))))
         assert [b.class_labels for b in restored.bases] == [
@@ -410,8 +491,6 @@ class TestSerializeRoundTrip:
         ]
 
     def test_exact_serialization_needs_exact_set(self):
-        from mubkit.composite import build_composite_set
-
         numeric_set = build_composite_set(2, 2)
         with pytest.raises(ValueError, match="exact"):
             mubset_to_doc(numeric_set, exact=True)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import canonicalize_coeffs
 from mubkit.cyclo import CyclotomicSum, PhaseExponent, is_prime
 
 
@@ -54,23 +55,28 @@ class TestPhaseExponent:
 
 class TestReduce:
     def test_full_root_sum_vanishes(self):
-        # zeta^0 + zeta^1 + zeta^2 at d=3
-        x = CyclotomicSum(zeta_coeffs([(0, 1), (1, 1), (2, 1)], 3), 3)
+        # zeta^0 + zeta^1 + zeta^2 at d=3: stored as given, zero by the certificate
+        raw = zeta_coeffs([(0, 1), (1, 1), (2, 1)], 3)
+        x = CyclotomicSum(raw, 3)
         assert x.is_zero()
-        assert not x.coeffs.any()
+        assert np.array_equal(x.coeffs, raw)
+        assert not canonicalize_coeffs(x.coeffs, 3).any()
 
     def test_tau_d_folds_to_minus_one(self):
         x = CyclotomicSum([0, 0, 0, 1, 0, 0], 3)  # tau^3
         expected = np.zeros(6, dtype=np.int64)
         expected[0] = -1
-        assert np.array_equal(x.coeffs, expected)
+        assert x == -1
+        assert x.as_int() == -1
+        assert np.array_equal(canonicalize_coeffs(x.coeffs, 3), expected)
 
     def test_d5_canonical_against_direct_eval(self):
         raw = zeta_coeffs([(0, 2), (1, 1)], 5)  # 2 + zeta
-        x = CyclotomicSum(raw, 5)
+        canonical = canonicalize_coeffs(raw, 5)
         # zeta^4 = -tau^3 after the tau-fold, so the 4th zeta slot is exponent 3
-        assert x.coeffs[3] == 0
-        assert x.evaluate() == pytest.approx(direct_eval(raw, 5), abs=1e-12)
+        assert canonical[3] == 0
+        assert direct_eval(canonical, 5) == pytest.approx(direct_eval(raw, 5), abs=1e-12)
+        assert CyclotomicSum(raw, 5).evaluate() == pytest.approx(direct_eval(raw, 5), abs=1e-12)
 
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError):
@@ -80,18 +86,18 @@ class TestReduce:
     def test_idempotent(self, d):
         rng = np.random.RandomState(7 * d)
         raw = rng.randint(-5, 6, size=2 * d)
-        once = CyclotomicSum(raw, d)
-        twice = CyclotomicSum(once.coeffs, d)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        once = canonicalize_coeffs(raw, d)
+        assert np.array_equal(canonicalize_coeffs(once, d), once)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
     def test_reduction_preserves_value(self, d):
         rng = np.random.RandomState(13 * d)
         for _ in range(20):
             raw = rng.randint(-9, 10, size=2 * d)
-            assert CyclotomicSum(raw, d).evaluate() == pytest.approx(
+            assert direct_eval(canonicalize_coeffs(raw, d), d) == pytest.approx(
                 direct_eval(raw, d), abs=1e-12
             )
+            assert CyclotomicSum(raw, d) == CyclotomicSum(canonicalize_coeffs(raw, d), d)
 
 
 class TestEvaluate:
@@ -141,7 +147,7 @@ class TestRingProperties:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 9])
     def test_multiplication_matches_shift_loop(self, d):
-        # reference: sum over k of x_k * (y shifted cyclically by k), canonicalized
+        # reference: sum over k of x_k * (y shifted cyclically by k)
         rng = np.random.RandomState(151 + d)
         for _ in range(15):
             x = CyclotomicSum(rng.randint(-4, 5, size=2 * d), d)
@@ -175,10 +181,13 @@ class TestRingProperties:
             perturbed = perturbed + rng.randint(-3, 4) * relation_root
             a, b = CyclotomicSum(raw, d), CyclotomicSum(perturbed, d)
             assert a.evaluate() == pytest.approx(b.evaluate(), abs=1e-9)
-            assert np.array_equal(a.coeffs, b.coeffs)
+            assert a == b
+            assert np.array_equal(
+                canonicalize_coeffs(a.coeffs, d), canonicalize_coeffs(b.coeffs, d)
+            )
 
     def test_nonprime_equality_is_exact(self):
-        # At d=6 extra relations hold that the canonical form cannot see;
+        # At d=6 relations beyond tau^d = -1 and the prime root sum hold;
         # zeta^0 + zeta^2 + zeta^4 = 0 (cube-root sum inside the hexagon).
         # The norm certificate decides it all the same.
         x = CyclotomicSum(zeta_coeffs([(0, 1), (2, 1), (4, 1)], 6), 6)

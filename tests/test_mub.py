@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclo_oracle import canonicalize_coeffs
 from mubkit import mub
 from mubkit.composite import build_composite_set
 from mubkit.cyclo import DEFAULT_TOL, INTERNAL_TOL, CyclotomicSum, _phase_table, conjugate_phases
@@ -261,7 +262,8 @@ def coefficient_oracle(a_basis, b_basis, same):
                 value, target = z, d**sa if u.n == v.n else 0
             else:
                 value, target = z.abs_squared(), d ** (sa + sb - 1)
-            if not np.array_equal(value.coeffs, CyclotomicSum.integer(target, d).coeffs):
+            if not np.array_equal(canonicalize_coeffs(value.coeffs, d),
+                                  CyclotomicSum.integer(target, d).coeffs):
                 return False
     return True
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mubkit.cyclo import CyclotomicSum
 from mubkit.weyl import (
     OperatorMatrix,
     WedgeIndex,
     _commutator_residuals,
+    _unit_sums_equal,
     build_t,
     build_v,
     build_z,
@@ -176,8 +178,47 @@ class TestClosedForm:
         expected = [[commutator_reference(d, a, sigma, m, n) for n in ns] for m in ms]
         # entries are O(1), so rounding stays far below 1e-13
         np.testing.assert_allclose(
-            _commutator_residuals(d, a, sigma, ms, ns), expected, rtol=0, atol=1e-13
+            _commutator_residuals(d, a, sigma, ms, ns)[0], expected, rtol=0, atol=1e-13
         )
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(weyl_params(9), st.data())
+    def test_exact_verdict_matches_dense_oracle(self, params, data):
+        d, a, sigma = params
+        pairs = st.lists(
+            st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)), min_size=1, max_size=4
+        )
+        ms, ns = data.draw(pairs), data.draw(pairs)
+        # a failing pair misses by O(1/d**2), far above float rounding
+        expected = [[commutator_reference(d, a, sigma, m, n) < 1e-9 for n in ns] for m in ms]
+        assert _commutator_residuals(d, a, sigma, ms, ns)[1].tolist() == expected
+        opposite = -select_ffz_sign_convention()
+        assert not _commutator_residuals(d, a, opposite, [(1, 0)], [(0, 1)])[1][0, 0]
+
+
+@st.composite
+def unit_sum_cases(draw):
+    """(d, u1, u2, v1, v2): random exponents, a swapped pair, or two antipodal pairs."""
+    d = draw(st.integers(2, 12))
+    u1, u2, v1, v2 = (draw(st.integers(-2 * d, 4 * d)) for _ in range(4))
+    mode = draw(st.sampled_from(["random", "swap", "antipodal"]))
+    if mode == "swap":
+        v1, v2 = u2 + 2 * d, u1
+    elif mode == "antipodal":
+        u2, v2 = u1 + d, v1 - d
+    return d, u1, u2, v1, v2
+
+
+class TestUnitSums:
+    @settings(max_examples=200, deadline=None)
+    @given(unit_sum_cases())
+    @example((4, 1, 5, 2, 6))
+    def test_matches_certificate(self, case):
+        d, u1, u2, v1, v2 = case
+        lhs = CyclotomicSum.from_exponent_counts([u1, u2], d)
+        rhs = CyclotomicSum.from_exponent_counts([v1, v2], d)
+        assert bool(_unit_sums_equal(u1, u2, v1, v2, 2 * d)) is (lhs == rhs)
 
 
 class TestQCommutation:
@@ -217,6 +258,7 @@ class TestFfz:
     def test_opposite_convention_fails(self):
         rep = ffz_commutator_residual(3, 0, (1, 0), (0, 1), sign_convention=+1)
         assert not rep.passed
+        assert rep.details["exact"] is False
         assert rep.max_residual > 0.1
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -224,6 +266,7 @@ class TestFfz:
         for a in range(d):
             rep = ffz_sweep(d, a)
             assert rep.passed
+            assert rep.details["exact"] is True
             assert rep.details["m_range"] == [0, 2 * d - 1]
             assert rep.details["opposite_sign_fails"]
 
