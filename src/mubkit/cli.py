@@ -12,7 +12,6 @@ stderr.  Output is byte-identical for identical configurations.
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from . import composite as composite_mod
 from . import mub, serialize, su2, weyl
-from .cyclo import DEFAULT_TOL, is_prime
+from .cyclo import DEFAULT_TOL, check_tolerance, is_prime
 
 ENV_TOL = "MUBKIT_TOL"
 
@@ -47,14 +46,11 @@ class RunConfig:
 def _tolerance(text: str) -> float:
     """A pass/fail tolerance: anything but a finite positive number is a usage error."""
     try:
-        tol = float(text)
+        return check_tolerance(float(text))
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(
             f"must be a finite positive number (from --tol or ${ENV_TOL}), got {text!r}"
-        )
-    return tol
+        ) from None
 
 
 def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:

@@ -25,15 +25,17 @@ from itertools import product
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _phase_table, is_prime
+from .cyclo import DEFAULT_TOL, _phase_table, check_tolerance, is_prime
 from .mub import MubBasis, MubSet, spherical_basis, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
 
 #: Largest dimension accepted; build_composite_set verifies all pairs of its
-#: d + 1 bases with verify_set's blocked kernel, one batched Gram per block of
-#: bases sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and memory stays
-#: bounded by the stacked set plus one block.
+#: d + 1 bases with verify_set's blocked kernel, one float Gram per block of
+#: row by column bases sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and
+#: memory stays bounded by the stacked set plus one block.  Only the
+#: computational basis carries exponents, so the Galois closure check and the
+#: certificate cover its own pair alone.
 MAX_DIM = 128
 
 
@@ -274,6 +276,7 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     exactly).  The whole set is verified pairwise before being returned;
     failure raises ConstructionError with the offending pair.
     """
+    check_tolerance(tol)
     if a_params is None:
         a_params = (0,) * e
     classes = partition_commuting_classes(p, e)

@@ -30,6 +30,13 @@ DEFAULT_TOL = 1e-10
 INTERNAL_TOL = 1e-12
 
 
+def check_tolerance(tol: float) -> float:
+    """tol, if it is a finite positive number; ValueError otherwise."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    return tol
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (desk-scale inputs)."""
     if n < 2:

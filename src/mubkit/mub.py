@@ -13,7 +13,9 @@ holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
 a set stacks them once into (n, d, d) and (n, d).
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .cyclo import (
     CyclotomicSum,
     PhaseExponent,
     _phase_table,
+    check_tolerance,
     conjugate_phases,
     is_prime,
 )
@@ -30,8 +33,9 @@ from .report import VerificationReport
 from .weyl import build_v
 
 #: Bytes of the buffer that verify_set writes one block's conjugate phase
-#: grids and Grams into; it sets how many bases one batched Gram covers (at
-#: least one), so memory stays bounded whatever d and the number of bases.
+#: grids, Grams and moduli into, at 32 bytes per Gram entry; it sets how many
+#: row by column basis pairs one batched Gram covers (at least one), so memory
+#: stays bounded whatever d and the number of bases.
 GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -263,73 +267,201 @@ def overlap_matrix(a_basis: MubBasis, b_basis: MubBasis) -> np.ndarray:
     return a_basis.amps.conj() @ b_basis.amps.T
 
 
-def _deviations(amps_a: np.ndarray, amps_b: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Worst float deviation of basis a against each of B bases, (B,).
+def _tiles(n: int, offset: int, n_conj: int, d: int):
+    """Blocks of rows x cols bases covering the pairs (i, j >= i + offset) of n bases.
 
-    amps_b is (B, d, d); same (B,) marks the bases that are a itself, whose
+    Offset 0 includes each basis's pair with itself.  rows * cols is at most
+    GRAM_BLOCK_BYTES // (32 * n_conj * d * d), at least one pair: 32 bytes
+    per Gram entry hold the entry and its share of the phase grids and
+    moduli.  Returns the (row, col) slices, largest first.
+    """
+    area = max(1, GRAM_BLOCK_BYTES // (32 * n_conj * d * d))
+    rows = min(n, math.isqrt(area))
+    cols = min(n, area // rows)
+    return [
+        (slice(i, min(i + rows, n)), slice(j, min(j + cols, n)))
+        for i in range(0, n, rows)
+        for j in range(i + offset, n, cols)
+    ]
+
+
+def _deviations(amps: np.ndarray, same: np.ndarray, offset: int) -> np.ndarray:
+    """Worst float deviation of the pairs (i, j >= i + offset) of n bases, in an (n, n) array.
+
+    amps is (n, d, d); same (n, n) marks the pairs of one basis, whose
     overlaps must form the identity; all others need moduli 1/sqrt(d).
     """
-    n_b, d = amps_b.shape[:2]
-    overlaps = (amps_a.conj() @ amps_b.reshape(n_b * d, d).T).reshape(d, n_b, d)
-    deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(0, 2))
-    deviation[same] = np.abs(overlaps[:, same] - np.eye(d)[:, None]).max(axis=(0, 2))
+    n, d = amps.shape[:2]
+    deviation = np.zeros((n, n))
+    for r, c in _tiles(n, offset, 1, d):
+        overlaps = (amps[r].reshape(-1, d).conj() @ amps[c].reshape(-1, d).T).reshape(
+            r.stop - r.start, d, c.stop - c.start, d
+        )
+        block = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(1, 3))
+        i, j = np.nonzero(same[r, c])
+        block[i, j] = np.abs(overlaps[i, :, j] - np.eye(d)).max(axis=(1, 2))
+        deviation[r, c] = block
     return deviation
 
 
-def _certificate_residuals(row_grid, sa, exps_b, sb, same, work) -> np.ndarray:
-    """Worst Galois-conjugate residual of basis a against each of B bases, (B,).
+def _certificate_residuals(exps, scales, same, offset, phases) -> np.ndarray:
+    """Worst conjugate residual of the pairs (i, j >= i + offset) of m exact bases, (m, m).
 
-    row_grid (K, d, d) is the conjugate of basis a's k-conjugated phase grid,
-    conjugate_phases(d)[:, exps_a].conj(); exps_b (B, d, d) and sb (B, d)
-    stack the other bases' exponents and scales.  For amplitudes
-    tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
-    |z|**2 = d**(sa+sb-1) across bases (z = d**sa * I within one) holds
-    exactly iff the residual is below 1/2 in every conjugate sigma_k
-    (mubkit.cyclo).  All K conjugates come from one batched Gram, (K, d, B*d).
-    A target below 1 (sa = sb = 0) has no algebraic-integer solution, so its
-    residual is inf.  The grids and Grams are written into work, a flat
-    complex buffer of at least 2*K*B*d*d entries, so that verify_set reuses
-    one allocation for every block.
+    exps (m, d, d) and scales (m, d) stack the bases' exponents and scales;
+    same (m, m) marks the pairs of one basis; phases holds the rows of
+    conjugate_phases(d) to evaluate.  For amplitudes tau**e / d**(s/2) the
+    scaled overlaps z are cyclotomic integers, and |z|**2 = d**(sa+sb-1)
+    across bases (z = d**sa * I within one) holds exactly iff the residual is
+    below 1/2 in every conjugate sigma_k (mubkit.cyclo).  A target below 1
+    (sa = sb = 0) has no algebraic-integer solution, so its residual is inf.
+    Each block of _tiles is one batched Gram (K, rows*d, cols*d) over the K
+    conjugates; its phase grids, Gram and moduli share one work buffer that
+    every block reuses, so memory stays bounded.
     """
-    n_k, d = row_grid.shape[:2]
-    n_b = len(exps_b)
-    size = n_k * n_b * d * d
-    # exponent -1 wraps to the zero column of conjugate_phases
-    grid = np.take(
-        conjugate_phases(d), exps_b, axis=1, mode="wrap", out=work[:size].reshape(n_k, n_b, d, d)
-    )
-    grams = np.matmul(
-        row_grid,
-        grid.reshape(n_k, n_b * d, d).transpose(0, 2, 1),
-        out=work[size : 2 * size].reshape(n_k, d, n_b * d),
-    ).reshape(n_k, d, n_b, d)
-    # the grids are spent, so the moduli overwrite them
-    residual = np.abs(grams, out=work[:size].view(np.float64)[:size].reshape(grams.shape))
-    np.square(residual, out=residual)
-    power = sa[:, None, None] + sb[None] - 1
-    residual -= float(d) ** power
-    worst = np.abs(residual, out=residual).max(axis=(0, 1, 3))
-    worst[(power < 0).any(axis=(0, 2))] = np.inf
-    target = np.diag(float(d) ** sa)[:, None]
-    worst[same] = np.abs(grams[:, :, same] - target).max(axis=(0, 1, 3))
-    return worst
-
-
-def _block_verdicts(amps_a, row_grid, sa, amps_b, exps_b, sb, exact_b, same, work, tol):
-    """Deviations, residuals (NaN: no exact verdict) and verdicts of basis a against B bases.
-
-    The rules are those verify_set states.  exps_b stacks the exponents of
-    the bases exact_b (B,) marks; row_grid is None when basis a has none.
-    """
-    deviation = _deviations(amps_a, amps_b, same)
-    residual = np.full(len(amps_b), np.nan)
-    passed = deviation < tol
-    if row_grid is not None and exact_b.any():
-        residual[exact_b] = _certificate_residuals(
-            row_grid, sa, exps_b, sb[exact_b], same[exact_b], work
+    m, d = exps.shape[:2]
+    n_k = len(phases)
+    tiles = _tiles(m, offset, n_k, d)
+    rows, cols = (s.stop - s.start for s in tiles[0])
+    gram_size = n_k * rows * cols * d * d
+    spare_size = n_k * d * d * max(rows + cols, (rows * cols + 1) // 2)
+    work = np.empty(gram_size + spare_size, np.complex128)
+    spare = work[gram_size:]
+    weights = float(d) ** scales
+    residual = np.zeros((m, m))
+    for r, c in tiles:
+        nr, nc = r.stop - r.start, c.stop - c.start
+        # exponent -1 wraps to the zero column of conjugate_phases
+        row_grid = np.take(phases, exps[r], axis=1, mode="wrap",
+                           out=spare[: n_k * nr * d * d].reshape(n_k, nr, d, d))
+        np.conjugate(row_grid, out=row_grid)
+        col_grid = np.take(phases, exps[c], axis=1, mode="wrap",
+                           out=spare[n_k * nr * d * d :][: n_k * nc * d * d].reshape(n_k, nc, d, d))
+        grams = np.matmul(
+            row_grid.reshape(n_k, nr * d, d),
+            col_grid.reshape(n_k, nc * d, d).transpose(0, 2, 1),
+            out=work[: n_k * nr * nc * d * d].reshape(n_k, nr * d, nc * d),
         )
-        passed[exact_b] = (residual[exact_b] < 0.5) & (deviation[exact_b] < INTERNAL_TOL)
-    return deviation, residual, passed
+        i, j = np.nonzero(same[r, c])
+        targets = np.eye(d) * weights[r][i][:, None, None, :]  # diag(d**s) per pair
+        same_grams = grams.reshape(n_k, nr, d, nc, d)[:, i, :, j]
+        same_residuals = np.abs(same_grams - targets).max(axis=(1, 2, 3))
+        # the grids are spent, so the squared moduli overwrite them
+        moduli = np.multiply(grams.real, grams.real,
+                             out=spare.view(np.float64)[: grams.size].reshape(grams.shape))
+        moduli += np.square(grams.imag, out=grams.imag)
+        moduli -= np.multiply.outer(weights[r].reshape(-1), weights[c].reshape(-1)) / d
+        block = np.abs(moduli, out=moduli).reshape(n_k, nr, d, nc, d).max(axis=(0, 2, 4))
+        block[scales[r].min(axis=1)[:, None] + scales[c].min(axis=1) < 1] = np.inf
+        block[i, j] = same_residuals
+        residual[r, c] = block
+    return residual
+
+
+@lru_cache(maxsize=None)
+def _unit_generators(d: int) -> tuple:
+    """Units g < d of Z/2d that generate its unit group together with -1.
+
+    Each is picked greedily to generate the most, so an odd prime power d or
+    a power of 2, whose group is cyclic modulo -1, gets one; no d <= 128
+    needs more than three, and d = 2, 3 (where -1 alone does) none.
+    """
+    modulus = 2 * d
+
+    def span(group, g):
+        while not group >= (grown := {x * g % modulus for x in group}):
+            group = group | grown
+        return group
+
+    units = [g for g in range(3, d, 2) if math.gcd(g, modulus) == 1]
+    group, gens = {1, modulus - 1}, []
+    while len(group) < 2 * (len(units) + 1):
+        gens.append(max(units, key=lambda g: len(span(group, g))))
+        group = span(group, gens[-1])
+    return tuple(gens)
+
+
+def _closure_permutations(exps: np.ndarray, scales: np.ndarray) -> list | None:
+    """Basis permutations pi_g, one per generator g, if each sigma_g maps the bases to themselves.
+
+    sigma_g multiplies every tau exponent by g (-1, an exact zero, stays).
+    pi_g[i] is the index of a basis equal to sigma_g(basis i) up to the order
+    and global phases of its rows, with the same scale on each row; such a
+    basis gives every pair the same overlap moduli and targets.  The check
+    is on integers: each row is shifted so that its first nonzero exponent
+    is 0, its scale is appended, and a basis is keyed by its sorted rows.  The
+    images' keys, sorted, must equal the keys, sorted; matching the two
+    orders maps bases one to one, so two distinct bases never map onto one
+    (whose pair has the same-basis target).  Returns None if some sigma_g
+    does not map the set onto itself.
+    """
+    m, d = exps.shape[:2]
+    gens = _unit_generators(d)
+    if not gens:
+        return []
+    if exps.min() < -1 or exps.max() >= 2 * d:
+        return None  # not exponents mod 2d: left to every conjugate
+    dtype = np.min_scalar_type(-max(2 * d, int(np.abs(scales).max()) + 1))
+    exps = exps.astype(dtype)
+    first = np.take_along_axis(exps, (exps >= 0).argmax(axis=2)[..., None], axis=2)
+    rows = np.where(exps >= 0, (exps - first) % (2 * d), -1).astype(dtype)
+    tail = scales[..., None].astype(dtype)
+
+    def keys(rows):
+        keyed = np.concatenate([rows, tail], axis=2)
+        row_keys = keyed.view(np.dtype((np.void, keyed.itemsize * (d + 1))))[..., 0]
+        row_keys = np.sort(row_keys, axis=1)
+        return row_keys.view(np.dtype((np.void, row_keys.itemsize * d)))[:, 0]
+
+    base = keys(rows)
+    order = np.argsort(base, kind="stable")
+    perms = []
+    for g in gens:
+        # index -1 reads the appended -1, so exact zeros stay zeros
+        image = keys(np.append(np.arange(2 * d) * g % (2 * d), -1).astype(dtype)[rows])
+        image_order = np.argsort(image, kind="stable")
+        if (image[image_order] != base[order]).any():
+            return None
+        perm = np.empty(m, dtype=np.intp)
+        perm[image_order] = order
+        perms.append(perm)
+    return perms
+
+
+def _pair_verdicts(amps, exps, scales, exact, same, offset, tol):
+    """Deviations, certificate verdicts and verdicts of the pairs (i, j >= i + offset).
+
+    amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
+    exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
+    one basis.  Returns (n, n) deviations, certificate verdicts and
+    verdicts, each valid on those pairs, and the number of conjugates
+    evaluated per exact pair (None when no basis is exact).  The rules are
+    those verify_set states.  Offset 1 leaves out each basis's pair with
+    itself, which suits the orbits only when no other pair maps onto one,
+    as with two bases.
+    """
+    n, d = amps.shape[:2]
+    deviation = _deviations(amps, same, offset)
+    passed = deviation < tol
+    certified = np.zeros((n, n), dtype=bool)
+    if not exact.any():
+        return deviation, certified, passed, None
+    exact_pairs = np.ix_(exact, exact)
+    perms = _closure_permutations(exps, scales[exact])
+    phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
+    residual = _certificate_residuals(exps, scales[exact], same[exact_pairs], offset, phases)
+    fail = np.triu(residual >= 0.5, offset)
+    fail |= fail.T
+    # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
+    # (pi_g[i], pi_g[j]): a pair fails if any pair of its orbit fails
+    grown = perms is not None and fail.any()
+    while grown:
+        before = np.count_nonzero(fail)
+        for perm in perms:
+            fail |= fail[np.ix_(perm, perm)]
+        grown = np.count_nonzero(fail) > before
+    certified[exact_pairs] = ~fail
+    passed[exact_pairs] = ~fail & (deviation[exact_pairs] < INTERNAL_TOL)
+    return deviation, certified, passed, len(phases)
 
 
 def verify_unbiased(
@@ -342,30 +474,33 @@ def verify_unbiased(
     bases exact the verdict is exact in every dimension: every Galois
     conjugate of the scaled overlaps must meet its target within 1/2 (see
     _certificate_residuals); the float error is near d**2 * 2**-50.  This is
-    the two-basis case of the kernel that verify_set runs, with its rules.
+    the two-basis case of the kernel that verify_set runs, with its rules
+    and its details["conjugates"].
     """
+    check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
         raise ValueError("dimension mismatch between bases")
     d = a_basis.dim
-    same = np.array([a_basis is b_basis or a_basis.label == b_basis.label])
-    phases = conjugate_phases(d)
-    deviation, residual, passed = _block_verdicts(
-        a_basis.amps, phases[:, a_basis.exponents].conj() if a_basis.exact else None,
-        a_basis.scales, b_basis.amps[None], b_basis.exponents[None] if b_basis.exact else None,
-        b_basis.scales[None], np.array([b_basis.exact]), same,
-        np.empty(2 * len(phases) * d * d, dtype=np.complex128), tol,
+    bases = (a_basis,) if a_basis is b_basis else (a_basis, b_basis)
+    same = np.eye(len(bases), dtype=bool) | (a_basis.label == b_basis.label)
+    exact = np.full(len(bases), a_basis.exact and b_basis.exact)
+    deviation, certified, passed, conjugates = _pair_verdicts(
+        np.stack([b.amps for b in bases]),
+        np.array([b.exponents for b in bases if exact[0]], dtype=np.int64).reshape(-1, d, d),
+        np.stack([b.scales for b in bases]), exact, same, len(bases) - 1, tol,
     )
     return VerificationReport(
         kind="unbiasedness",
-        passed=bool(passed[0]),
+        passed=bool(passed[0, -1]),
         tolerance=tol,
-        max_residual=float(deviation[0]),
+        max_residual=float(deviation[0, -1]),
         details={
             "dim": d,
             "a": a_basis.label,
             "b": b_basis.label,
-            "same_basis": bool(same[0]),
-            "exact": None if np.isnan(residual[0]) else bool(residual[0] < 0.5),
+            "same_basis": bool(same[0, -1]),
+            "exact": bool(certified[0, -1]) if exact[0] else None,
+            "conjugates": conjugates,
         },
     )
 
@@ -373,49 +508,38 @@ def verify_unbiased(
 def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
-    Runs basis by basis: basis i is checked against itself and every later
-    basis in blocks of as many bases as GRAM_BLOCK_BYTES allows, one batched
-    Gram per block.  A pair of exact bases gets the exact verdict, and its
-    float shadow must also agree within INTERNAL_TOL, so the two evaluation
-    paths cannot drift apart silently; any other pair is decided by its
-    float deviation against tol.
+    Each pair of exact bases gets the exact verdict, and its float shadow
+    must also agree within INTERNAL_TOL, so the two evaluation paths cannot
+    drift apart silently; any other pair is decided by its float deviation
+    against tol.  When every Galois conjugation sigma_g maps the exact bases
+    onto themselves (an integer check on their exponents and scales, see
+    _closure_permutations), conjugate g of a pair is conjugate 1 of its
+    image pair, so only conjugate 1 is evaluated and a pair's exact verdict
+    is the AND of the conjugate-1 verdicts over its orbit; otherwise every
+    conjugate is evaluated.  details["conjugates"] records how many, per
+    exact pair (None when no basis is exact).  Pairs are checked in blocks
+    of row and column bases sized by GRAM_BLOCK_BYTES, one float Gram and
+    one batched certificate Gram per block.
     """
-    d = mub_set.dim
+    check_tolerance(tol)
     n = len(mub_set.bases)
-    amps, exps, scales, exact = mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases
-    exps_row = np.cumsum(exact) - 1  # basis index -> row of exps
-    phases = conjugate_phases(d)
-    width = max(1, GRAM_BLOCK_BYTES // (2 * phases.itemsize * len(phases) * d * d))
-    work = np.empty(2 * len(phases) * min(width, n) * d * d, dtype=np.complex128)
-    worst = 0.0
-    failing = []
-    for i in range(n):
-        deviation = np.empty(n - i)
-        passed = np.empty(n - i, dtype=bool)
-        row_grid = phases[:, exps[exps_row[i]]].conj() if exact[i] else None
-        for j0 in range(i, n, width):
-            j1 = min(j0 + width, n)
-            rows, block = np.arange(j0, j1), exact[j0:j1]
-            deviation[j0 - i : j1 - i], _, passed[j0 - i : j1 - i] = _block_verdicts(
-                amps[i], row_grid, scales[i], amps[j0:j1],
-                exps[exps_row[rows[block]]] if exact[i] else None, scales[j0:j1], block,
-                rows == i, work, tol,
-            )
-        worst = max(worst, float(deviation.max()))
-        failing.extend(
-            {
-                "a": mub_set.bases[i].label,
-                "b": mub_set.bases[i + k].label,
-                "max_residual": float(deviation[k]),
-            }
-            for k in np.flatnonzero(~passed)
-        )
+    deviation, _, passed, conjugates = _pair_verdicts(
+        mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases,
+        np.eye(n, dtype=bool), 0, tol,
+    )
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    labels = [b.label for b in mub_set.bases]
+    failing = [
+        {"a": labels[i], "b": labels[j], "max_residual": float(deviation[i, j])}
+        for i, j in np.argwhere(upper & ~passed)
+    ]
     details = {
-        "dim": d,
+        "dim": mub_set.dim,
         "n_bases": n,
         "n_pairs": n * (n - 1) // 2,
         "failing_pairs": failing,
         "exact": mub_set.exact,
+        "conjugates": conjugates,
     }
     if mub_set.forced:
         details["note"] = "not complete by construction"
@@ -423,7 +547,7 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
         kind="mub_set",
         passed=not failing,
         tolerance=tol,
-        max_residual=worst,
+        max_residual=float(deviation[upper].max()),
         details=details,
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _phase_table
+from .cyclo import DEFAULT_TOL, _phase_table, check_tolerance
 from .report import VerificationReport
 from .weyl import OperatorMatrix, build_v
 
@@ -113,6 +113,7 @@ def su2_residuals(
 
 def check_su2(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Verify the commutation relations and the j_z action at (two_j, a)."""
+    check_tolerance(tol)
     j_plus, j_minus, j_z = build_ladder(two_j, a)
     residuals = su2_residuals(j_plus.entries, j_minus.entries, j_z.entries, two_j)
     worst = max(residuals.values())

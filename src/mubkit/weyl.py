@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table
+from .cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, check_tolerance
 from .report import VerificationReport
 
 
@@ -363,6 +363,7 @@ def ffz_sweep(
     opposite sign at the basic pair (1,0),(0,1) is recorded as a negative
     control.
     """
+    check_tolerance(tol)
     if max_m is None:
         max_m = 2 * d - 1
     if max_m < 0:

@@ -29,7 +29,8 @@ from mubkit.mub import (
     verify_set,
     verify_unbiased,
 )
-from mubkit.weyl import build_v
+from mubkit.su2 import check_su2
+from mubkit.weyl import build_v, ffz_sweep
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -382,11 +383,46 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL, internal_tol=INTERNAL_TOL):
     return not failing, failing, all(b.exact for b in mub_set.bases)
 
 
+def replaced(basis, **arrays):
+    """The basis with some of its amps, exponents and scales replaced."""
+    fields = {"amps": basis.amps, "exponents": basis.exponents, "scales": basis.scales, **arrays}
+    return MubBasis.from_arrays(basis.dim, basis.label, **fields)
+
+
+@st.composite
+def built_sets(draw):
+    """A built prime set at d in {3, 5, 7}, its bases maybe reordered, with one
+    change: a basis's rows permuted, its scales changed or its amps shifted by
+    1e-11, or a basis dropped.  Most draws stay closed under every sigma_g."""
+    d = draw(st.sampled_from([3, 5, 7]))
+    bases = list(build_complete_set(d).bases)
+    if draw(st.booleans()):
+        bases = draw(st.permutations(bases))
+    i = draw(st.integers(0, d))
+    change = draw(st.sampled_from(["none", "rows", "scales", "shift", "drop"]))
+    if change == "rows":
+        order = np.array(draw(st.permutations(range(d))))
+        b = bases[i]
+        bases[i] = replaced(b, amps=b.amps[order], exponents=b.exponents[order],
+                            scales=b.scales[order])
+    elif change == "scales":
+        scales = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
+        bases[i] = replaced(bases[i], scales=scales)
+    elif change == "shift":
+        bases[i] = replaced(bases[i], amps=bases[i].amps + 1e-11)
+    elif change == "drop":
+        del bases[i]
+    return MubSet(d, tuple(bases))
+
+
 @st.composite
 def candidate_sets(draw):
-    """1-5 bases at d <= 7: random, built or perturbed exponent grids, some with
-    per-vector scales, some with their exponents stripped, and some whose float
-    amplitudes are shifted by 1e-11, between internal_tol and tol."""
+    """Built prime sets with one change (built_sets), or 1-5 bases at d <= 7:
+    random, built or perturbed exponent grids, some with per-vector scales,
+    some with their exponents stripped, and some whose float amplitudes are
+    shifted by 1e-11, between internal_tol and tol."""
+    if draw(st.booleans()):
+        return draw(built_sets())
     d = draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
     bases = []
     for i in range(draw(st.integers(1, 5))):
@@ -398,16 +434,42 @@ def candidate_sets(draw):
         if change == "strip":
             basis = stripped(basis)
         elif change == "shift":
-            basis = MubBasis.from_arrays(
-                d, basis.label, basis.amps + 1e-11, basis.exponents, basis.scales
-            )
+            basis = replaced(basis, amps=basis.amps + 1e-11)
         bases.append(basis)
     return MubSet(d, tuple(bases))
 
 
 def block_bytes(d, width):
-    """The GRAM_BLOCK_BYTES that makes verify_set take `width` bases per block."""
-    return width * 2 * 16 * len(conjugate_phases(d)) * d * d
+    """The GRAM_BLOCK_BYTES that gives verify_set blocks of width x width bases.
+
+    That holds for the float Gram and for a certificate on conjugate 1 alone;
+    one on all K conjugates gets blocks of width**2 // K pairs (at least one).
+    """
+    return width * width * 32 * d * d
+
+
+def planted_orbit_set():
+    """A d = 5 set that sigma_3 maps onto itself, with pairs of one orbit on both
+    sides of the certificate's bound at conjugate 1.
+
+    Basis "p" (scale 0) has every row tau**0 at slots 0 and 1, and basis
+    "c<alpha>" (scale 1) rows tau**(2n) and tau**(2n - alpha) there; sigma_3
+    sends c<alpha> to c<3 alpha>.  With target 1, |1 + tau**-alpha|**2 - 1 =
+    1 + 2 cos(pi alpha / 5) is 0.38 for alpha = 3, 7 and 2.62 for alpha = 1, 9,
+    so (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3.  The float
+    amps are those of a built set, so every float shadow passes.
+    """
+    d = 5
+    built = build_complete_set(d).bases
+    exps = np.full((d, d), -1)
+    exps[:, :2] = 0
+    bases = [MubBasis.from_arrays(d, "p", built[0].amps, exps, 0)]
+    for alpha, source in zip((1, 3, 9, 7), built[1:]):
+        exps = np.full((d, d), -1)
+        exps[:, 0] = 2 * np.arange(d)
+        exps[:, 1] = (2 * np.arange(d) - alpha) % (2 * d)
+        bases.append(MubBasis.from_arrays(d, f"c{alpha}", source.amps, exps, 1))
+    return MubSet(d, tuple(bases))
 
 
 class TestBlockedKernel:
@@ -433,9 +495,10 @@ class TestBlockedKernel:
         [
             *(lambda d=d: build_complete_set(d, force=True) for d in (4, 6, 8, 9, 10, 12)),
             *(lambda p=p, e=e: build_composite_set(p, e) for p, e in ((2, 2), (2, 3), (3, 2))),
+            planted_orbit_set,
         ],
         ids=["forced4", "forced6", "forced8", "forced9", "forced10", "forced12",
-             "composite4", "composite8", "composite9"],
+             "composite4", "composite8", "composite9", "planted5"],
     )
     def test_forced_and_composite_sets(self, build, width, monkeypatch):
         mub_set = build()
@@ -445,6 +508,110 @@ class TestBlockedKernel:
         passed, failing, exact = reference_verdict(mub_set)
         assert (rep.passed, rep.details["exact"]) == (passed, exact)
         assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+
+
+class TestGaloisOrbit:
+    """verify_set evaluates conjugate 1 alone exactly when every sigma_g maps
+    the exact bases onto themselves, and decides each pair over its orbit."""
+
+    @pytest.mark.parametrize("d", [5, 7, 11, 13, 4, 6, 8, 9, 10, 12])
+    def test_built_sets_are_closed_until_an_eigenbasis_is_dropped(self, d):
+        mub_set = build_complete_set(d, force=True)
+        rep = verify_set(mub_set)
+        assert rep.details["conjugates"] == 1
+        # sigma_g sends eigenbasis a to eigenbasis g*a, so dropping a = 1 opens the set
+        dropped = MubSet(d, tuple(b for b in mub_set.bases if b.label != 1))
+        rep = verify_set(dropped)
+        assert rep.details["conjugates"] == len(conjugate_phases(d)) > 1
+        assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
+            reference_verdict(dropped)[:2]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # a scale belongs to the key: the image of eigenbasis 1 must have scale 2
+            lambda bases: {2: replaced(bases[2], scales=2)},
+            # rows are keyed by basis: the set's rows are unchanged, its bases not
+            lambda bases: {
+                i: replaced(
+                    bases[i],
+                    amps=np.concatenate([bases[j].amps[:1], bases[i].amps[1:]]),
+                    exponents=np.concatenate([bases[j].exponents[:1], bases[i].exponents[1:]]),
+                )
+                for i, j in ((2, 3), (3, 2))
+            },
+        ],
+        ids=["scales", "row_swap"],
+    )
+    def test_changed_bases_open_the_set(self, change):
+        bases = list(build_complete_set(5).bases)
+        for i, basis in change(bases).items():
+            bases[i] = basis
+        mub_set = MubSet(5, tuple(bases))
+        rep = verify_set(mub_set)
+        assert rep.details["conjugates"] == 2
+        assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
+            reference_verdict(mub_set)[:2]
+
+    def test_failures_propagate_along_orbits(self):
+        mub_set = planted_orbit_set()
+        exps, scales = mub_set.exponents, mub_set.scales
+        same = np.eye(5, dtype=bool)
+        one = mub._certificate_residuals(exps, scales, same, 0, conjugate_phases(5)[:1])
+        assert one[0, 1:].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
+        rep = verify_set(mub_set)
+        assert rep.details["conjugates"] == 1
+        failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
+        assert ("p", "c3") in failing and ("p", "c7") in failing
+        assert (rep.passed, failing) == reference_verdict(mub_set)[:2]
+
+    def test_non_exact_pairs_keep_the_float_verdict(self):
+        bases = list(build_complete_set(7).bases)
+        bases[3] = stripped(bases[3])
+        rep = verify_set(MubSet(7, tuple(bases)))
+        assert rep.passed and rep.details["exact"] is False
+        # the exact bases lost eigenbasis 2, so they are no longer closed
+        assert rep.details["conjugates"] == 3
+        none = verify_set(MubSet(7, tuple(stripped(b) for b in bases)))
+        assert none.details["conjugates"] is None
+
+    def test_verify_unbiased_reports_conjugates(self):
+        s, fourier, one, two = build_complete_set(5).bases[:4]
+        assert verify_unbiased(s, fourier).details["conjugates"] == 1
+        assert verify_unbiased(one, two).details["conjugates"] == 2
+        assert verify_unbiased(one, stripped(two)).details["conjugates"] is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 9, 23, 27, 61, 64, 127, 128, 12, 60, 105, 120])
+    def test_generators_reach_every_conjugate(self, d):
+        gens = mub._unit_generators(d)
+        # the units mod 2d are cyclic modulo -1 for odd prime powers and powers of 2
+        if d in (4, 5, 9, 23, 27, 61, 64, 127, 128):
+            assert len(gens) == 1
+        reached = {1}
+        while True:
+            grown = reached | {x * g % (2 * d) for x in reached for g in (*gens, 2 * d - 1)}
+            if grown == reached:
+                break
+            reached = grown
+        assert reached == {k for k in range(2 * d) if math.gcd(k, 2 * d) == 1}
+        assert len(gens) <= 3
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: verify_set(build_complete_set(3), tol),
+        lambda tol: verify_unbiased(build_basis(3, 0), build_basis(3, 1), tol),
+        lambda tol: build_composite_set(2, 2, tol=tol),
+        lambda tol: ffz_sweep(3, 1, 2, tol=tol),
+        lambda tol: check_su2(2, 0, tol),
+    ],
+    ids=["verify_set", "verify_unbiased", "build_composite_set", "ffz_sweep", "check_su2"],
+)
+def test_library_refuses_bad_tolerance(check, tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+        check(tol)
 
 
 class TestArrayStorage:
