@@ -31,8 +31,8 @@ from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
 
 #: Largest dimension accepted; build_composite_set verifies all pairs of its
-#: d + 1 bases with verify_set's blocked kernel, one float Gram per block of
-#: row by column bases sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and
+#: d + 1 bases with verify_set's blocked kernel, one batched float Gram per
+#: block of basis pairs sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and
 #: memory stays bounded by the stacked set plus one block.  Only the
 #: computational basis carries exponents, so the Galois closure check and the
 #: certificate cover its own pair alone.

@@ -32,10 +32,13 @@ from .cyclo import (
 from .report import VerificationReport
 from .weyl import build_v
 
-#: Bytes of the buffer that verify_set writes one block's conjugate phase
-#: grids, Grams and moduli into, at 32 bytes per Gram entry; it sets how many
-#: row by column basis pairs one batched Gram covers (at least one), so memory
-#: stays bounded whatever d and the number of bases.
+#: Bytes of the buffer that verify_set writes one block's gathered conjugate
+#: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
+#: how many basis pairs one batched Gram covers (at least one), so memory
+#: stays bounded whatever d and the number of bases.  Each pair stays its own
+#: d x d x d product: OpenBLAS splits products from about 65536 multiply-adds
+#: (d = 40) over threads, and such split products stalled for about 250 ms
+#: at a time on a 2-CPU machine.
 GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -267,45 +270,36 @@ def overlap_matrix(a_basis: MubBasis, b_basis: MubBasis) -> np.ndarray:
     return a_basis.amps.conj() @ b_basis.amps.T
 
 
-def _tiles(n: int, offset: int, n_conj: int, d: int):
-    """Blocks of rows x cols bases covering the pairs (i, j >= i + offset) of n bases.
+def _blocks(pairs: np.ndarray, n_conj: int, d: int) -> list:
+    """The (P, 2) basis pairs in blocks, each as its row and column indices.
 
-    Offset 0 includes each basis's pair with itself.  rows * cols is at most
-    GRAM_BLOCK_BYTES // (32 * n_conj * d * d), at least one pair: 32 bytes
-    per Gram entry hold the entry and its share of the phase grids and
-    moduli.  Returns the (row, col) slices, largest first.
+    A block holds at most GRAM_BLOCK_BYTES // (48 * n_conj * d * d) pairs, at
+    least one: 48 bytes per Gram entry hold the entry and its share of the
+    two gathered grids.
     """
-    area = max(1, GRAM_BLOCK_BYTES // (32 * n_conj * d * d))
-    rows = min(n, math.isqrt(area))
-    cols = min(n, area // rows)
-    return [
-        (slice(i, min(i + rows, n)), slice(j, min(j + cols, n)))
-        for i in range(0, n, rows)
-        for j in range(i + offset, n, cols)
-    ]
+    size = max(1, GRAM_BLOCK_BYTES // (48 * n_conj * d * d))
+    return [tuple(pairs[k : k + size].T) for k in range(0, len(pairs), size)]
 
 
-def _deviations(amps: np.ndarray, same: np.ndarray, offset: int) -> np.ndarray:
-    """Worst float deviation of the pairs (i, j >= i + offset) of n bases, in an (n, n) array.
+def _deviations(amps: np.ndarray, same: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Worst float deviation of the (P, 2) pairs of n bases, in an (n, n) array.
 
     amps is (n, d, d); same (n, n) marks the pairs of one basis, whose
     overlaps must form the identity; all others need moduli 1/sqrt(d).
     """
     n, d = amps.shape[:2]
     deviation = np.zeros((n, n))
-    for r, c in _tiles(n, offset, 1, d):
-        overlaps = (amps[r].reshape(-1, d).conj() @ amps[c].reshape(-1, d).T).reshape(
-            r.stop - r.start, d, c.stop - c.start, d
-        )
-        block = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(1, 3))
-        i, j = np.nonzero(same[r, c])
-        block[i, j] = np.abs(overlaps[i, :, j] - np.eye(d)).max(axis=(1, 2))
-        deviation[r, c] = block
+    for i, j in _blocks(pairs, 1, d):
+        overlaps = np.matmul(amps[i].conj(), amps[j].transpose(0, 2, 1))
+        block = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(1, 2))
+        one = same[i, j]
+        block[one] = np.abs(overlaps[one] - np.eye(d)).max(axis=(1, 2))
+        deviation[i, j] = block
     return deviation
 
 
-def _certificate_residuals(exps, scales, same, offset, phases) -> np.ndarray:
-    """Worst conjugate residual of the pairs (i, j >= i + offset) of m exact bases, (m, m).
+def _certificate_residuals(exps, scales, same, phases, pairs) -> np.ndarray:
+    """Worst conjugate residual of the (P, 2) pairs of m exact bases, in an (m, m) array.
 
     exps (m, d, d) and scales (m, d) stack the bases' exponents and scales;
     same (m, m) marks the pairs of one basis; phases holds the rows of
@@ -314,46 +308,39 @@ def _certificate_residuals(exps, scales, same, offset, phases) -> np.ndarray:
     across bases (z = d**sa * I within one) holds exactly iff the residual is
     below 1/2 in every conjugate sigma_k (mubkit.cyclo).  A target below 1
     (sa = sb = 0) has no algebraic-integer solution, so its residual is inf.
-    Each block of _tiles is one batched Gram (K, rows*d, cols*d) over the K
-    conjugates; its phase grids, Gram and moduli share one work buffer that
-    every block reuses, so memory stays bounded.
+    Each block of _blocks is one batched Gram (K, P, d, d) over the K
+    conjugates and its pairs; its gathered phase grids, Gram and moduli share
+    one work buffer that every block reuses, so memory stays bounded.
     """
     m, d = exps.shape[:2]
     n_k = len(phases)
-    tiles = _tiles(m, offset, n_k, d)
-    rows, cols = (s.stop - s.start for s in tiles[0])
-    gram_size = n_k * rows * cols * d * d
-    spare_size = n_k * d * d * max(rows + cols, (rows * cols + 1) // 2)
-    work = np.empty(gram_size + spare_size, np.complex128)
-    spare = work[gram_size:]
+    blocks = _blocks(pairs, n_k, d)
+    size = n_k * len(blocks[0][0]) * d * d
+    work = np.empty(3 * size, np.complex128)
     weights = float(d) ** scales
     residual = np.zeros((m, m))
-    for r, c in tiles:
-        nr, nc = r.stop - r.start, c.stop - c.start
+    for i, j in blocks:
+        shape = (n_k, len(i), d, d)
+        used = n_k * len(i) * d * d
         # exponent -1 wraps to the zero column of conjugate_phases
-        row_grid = np.take(phases, exps[r], axis=1, mode="wrap",
-                           out=spare[: n_k * nr * d * d].reshape(n_k, nr, d, d))
+        row_grid = np.take(phases, exps[i], axis=1, mode="wrap", out=work[:used].reshape(shape))
         np.conjugate(row_grid, out=row_grid)
-        col_grid = np.take(phases, exps[c], axis=1, mode="wrap",
-                           out=spare[n_k * nr * d * d :][: n_k * nc * d * d].reshape(n_k, nc, d, d))
-        grams = np.matmul(
-            row_grid.reshape(n_k, nr * d, d),
-            col_grid.reshape(n_k, nc * d, d).transpose(0, 2, 1),
-            out=work[: n_k * nr * nc * d * d].reshape(n_k, nr * d, nc * d),
-        )
-        i, j = np.nonzero(same[r, c])
-        targets = np.eye(d) * weights[r][i][:, None, None, :]  # diag(d**s) per pair
-        same_grams = grams.reshape(n_k, nr, d, nc, d)[:, i, :, j]
-        same_residuals = np.abs(same_grams - targets).max(axis=(1, 2, 3))
+        col_grid = np.take(phases, exps[j], axis=1, mode="wrap",
+                           out=work[size : size + used].reshape(shape))
+        grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
+                          out=work[2 * size : 2 * size + used].reshape(shape))
+        one = same[i, j]
+        # diag(d**s) per pair of one basis
+        targets = np.eye(d) * weights[i[one]][:, None]
+        one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
         # the grids are spent, so the squared moduli overwrite them
-        moduli = np.multiply(grams.real, grams.real,
-                             out=spare.view(np.float64)[: grams.size].reshape(grams.shape))
-        moduli += np.square(grams.imag, out=grams.imag)
-        moduli -= np.multiply.outer(weights[r].reshape(-1), weights[c].reshape(-1)) / d
-        block = np.abs(moduli, out=moduli).reshape(n_k, nr, d, nc, d).max(axis=(0, 2, 4))
-        block[scales[r].min(axis=1)[:, None] + scales[c].min(axis=1) < 1] = np.inf
-        block[i, j] = same_residuals
-        residual[r, c] = block
+        moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
+        np.square(moduli, out=moduli)
+        moduli -= weights[i][:, :, None] * weights[j][:, None, :] / d
+        block = np.abs(moduli, out=moduli).max(axis=(0, 2, 3))
+        block[scales[i].min(axis=1) + scales[j].min(axis=1) < 1] = np.inf
+        block[one] = one_residuals
+        residual[i, j] = block
     return residual
 
 
@@ -400,8 +387,8 @@ def _closure_permutations(exps: np.ndarray, scales: np.ndarray) -> list | None:
         return []
     if exps.min() < -1 or exps.max() >= 2 * d:
         return None  # not exponents mod 2d: left to every conjugate
+    # the narrowest signed type that holds exponents below 2d and the scales
     dtype = np.min_scalar_type(-max(2 * d, int(np.abs(scales).max()) + 1))
-    exps = exps.astype(dtype)
     first = np.take_along_axis(exps, (exps >= 0).argmax(axis=2)[..., None], axis=2)
     rows = np.where(exps >= 0, (exps - first) % (2 * d), -1).astype(dtype)
     tail = scales[..., None].astype(dtype)
@@ -427,20 +414,20 @@ def _closure_permutations(exps: np.ndarray, scales: np.ndarray) -> list | None:
     return perms
 
 
-def _pair_verdicts(amps, exps, scales, exact, same, offset, tol):
-    """Deviations, certificate verdicts and verdicts of the pairs (i, j >= i + offset).
+def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
+    """Deviations, certificate verdicts and verdicts of the pairs that checked marks.
 
     amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
     exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
-    one basis.  Returns (n, n) deviations, certificate verdicts and
-    verdicts, each valid on those pairs, and the number of conjugates
+    one basis and checked (n, n) the pairs (i, j >= i) to check: all of
+    them for verify_set, one for verify_unbiased (two bases, so the pair is
+    its own orbit).  Returns (n, n) deviations, certificate verdicts and
+    verdicts, each valid on the pairs checked, and the number of conjugates
     evaluated per exact pair (None when no basis is exact).  The rules are
-    those verify_set states.  Offset 1 leaves out each basis's pair with
-    itself, which suits the orbits only when no other pair maps onto one,
-    as with two bases.
+    those verify_set states.
     """
     n, d = amps.shape[:2]
-    deviation = _deviations(amps, same, offset)
+    deviation = _deviations(amps, same, np.argwhere(checked))
     passed = deviation < tol
     certified = np.zeros((n, n), dtype=bool)
     if not exact.any():
@@ -448,8 +435,10 @@ def _pair_verdicts(amps, exps, scales, exact, same, offset, tol):
     exact_pairs = np.ix_(exact, exact)
     perms = _closure_permutations(exps, scales[exact])
     phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
-    residual = _certificate_residuals(exps, scales[exact], same[exact_pairs], offset, phases)
-    fail = np.triu(residual >= 0.5, offset)
+    residual = _certificate_residuals(
+        exps, scales[exact], same[exact_pairs], phases, np.argwhere(checked[exact_pairs])
+    )
+    fail = residual >= 0.5
     fail |= fail.T
     # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
     # (pi_g[i], pi_g[j]): a pair fails if any pair of its orbit fails
@@ -484,10 +473,12 @@ def verify_unbiased(
     bases = (a_basis,) if a_basis is b_basis else (a_basis, b_basis)
     same = np.eye(len(bases), dtype=bool) | (a_basis.label == b_basis.label)
     exact = np.full(len(bases), a_basis.exact and b_basis.exact)
+    checked = np.zeros_like(same)
+    checked[0, -1] = True
     deviation, certified, passed, conjugates = _pair_verdicts(
         np.stack([b.amps for b in bases]),
         np.array([b.exponents for b in bases if exact[0]], dtype=np.int64).reshape(-1, d, d),
-        np.stack([b.scales for b in bases]), exact, same, len(bases) - 1, tol,
+        np.stack([b.scales for b in bases]), exact, same, checked, tol,
     )
     return VerificationReport(
         kind="unbiasedness",
@@ -518,16 +509,16 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     is the AND of the conjugate-1 verdicts over its orbit; otherwise every
     conjugate is evaluated.  details["conjugates"] records how many, per
     exact pair (None when no basis is exact).  Pairs are checked in blocks
-    of row and column bases sized by GRAM_BLOCK_BYTES, one float Gram and
-    one batched certificate Gram per block.
+    of basis pairs sized by GRAM_BLOCK_BYTES, one batched float Gram and one
+    batched certificate Gram per block.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)
+    upper = np.triu(np.ones((n, n), dtype=bool))
     deviation, _, passed, conjugates = _pair_verdicts(
         mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases,
-        np.eye(n, dtype=bool), 0, tol,
+        np.eye(n, dtype=bool), upper, tol,
     )
-    upper = np.triu(np.ones((n, n), dtype=bool))
     labels = [b.label for b in mub_set.bases]
     failing = [
         {"a": labels[i], "b": labels[j], "max_residual": float(deviation[i, j])}

@@ -417,12 +417,9 @@ def built_sets(draw):
 
 @st.composite
 def candidate_sets(draw):
-    """Built prime sets with one change (built_sets), or 1-5 bases at d <= 7:
-    random, built or perturbed exponent grids, some with per-vector scales,
-    some with their exponents stripped, and some whose float amplitudes are
-    shifted by 1e-11, between internal_tol and tol."""
-    if draw(st.booleans()):
-        return draw(built_sets())
+    """1-5 bases at d <= 7: random, built or perturbed exponent grids, some with
+    per-vector scales, some with their exponents stripped, and some whose float
+    amplitudes are shifted by 1e-11, between internal_tol and tol."""
     d = draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
     bases = []
     for i in range(draw(st.integers(1, 5))):
@@ -440,12 +437,12 @@ def candidate_sets(draw):
 
 
 def block_bytes(d, width):
-    """The GRAM_BLOCK_BYTES that gives verify_set blocks of width x width bases.
+    """The GRAM_BLOCK_BYTES that gives verify_set blocks of width basis pairs.
 
     That holds for the float Gram and for a certificate on conjugate 1 alone;
-    one on all K conjugates gets blocks of width**2 // K pairs (at least one).
+    one on all K conjugates gets blocks of width // K pairs (at least one).
     """
-    return width * width * 32 * d * d
+    return width * 48 * d * d
 
 
 def planted_orbit_set():
@@ -474,12 +471,10 @@ def planted_orbit_set():
 
 class TestBlockedKernel:
     """verify_set against the per-pair reference, at the default block size and
-    with one or two bases per block, so that block boundaries are crossed."""
+    with one or two basis pairs per block, so that block boundaries are crossed."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(candidate_sets())
-    @pytest.mark.parametrize("width", [None, 1, 2])
-    def test_matches_per_pair_reference(self, width, mub_set):
+    @staticmethod
+    def check_against_reference(width, mub_set):
         with pytest.MonkeyPatch.context() as patch:
             if width is not None:
                 patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
@@ -488,6 +483,18 @@ class TestBlockedKernel:
         assert rep.passed is passed
         assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
         assert rep.details["exact"] is exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_sets())
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    def test_matches_per_pair_reference(self, width, mub_set):
+        self.check_against_reference(width, mub_set)
+
+    @settings(max_examples=150, deadline=None)
+    @given(built_sets())
+    @pytest.mark.parametrize("width", [None, 1, 2])
+    def test_built_sets_match_per_pair_reference(self, width, mub_set):
+        self.check_against_reference(width, mub_set)
 
     @pytest.mark.parametrize("width", [None, 1, 2])
     @pytest.mark.parametrize(
@@ -557,7 +564,9 @@ class TestGaloisOrbit:
         mub_set = planted_orbit_set()
         exps, scales = mub_set.exponents, mub_set.scales
         same = np.eye(5, dtype=bool)
-        one = mub._certificate_residuals(exps, scales, same, 0, conjugate_phases(5)[:1])
+        one = mub._certificate_residuals(
+            exps, scales, same, conjugate_phases(5)[:1], np.argwhere(np.triu(~same))
+        )
         assert one[0, 1:].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
         rep = verify_set(mub_set)
         assert rep.details["conjugates"] == 1
@@ -574,6 +583,14 @@ class TestGaloisOrbit:
         assert rep.details["conjugates"] == 3
         none = verify_set(MubSet(7, tuple(stripped(b) for b in bases)))
         assert none.details["conjugates"] is None
+
+    def test_sets_at_d64_are_closed(self):
+        # 2d = 128 is the first modulus whose exponents fill a signed byte
+        rep = verify_set(build_composite_set(2, 6))
+        assert rep.passed and rep.details["conjugates"] == 1
+        s, fourier, one = build_complete_set(64, force=True).bases[:3]
+        assert verify_unbiased(s, fourier).details["conjugates"] == 1
+        assert verify_unbiased(fourier, one).details["conjugates"] == 32
 
     def test_verify_unbiased_reports_conjugates(self):
         s, fourier, one, two = build_complete_set(5).bases[:4]
