@@ -15,25 +15,29 @@ class is isotropic) and S_g - S_g' is invertible for g != g' (so the
 classes partition all p**(2e) - 1 labels).  Each graph class has the
 stabilizer states omega**(-1/2 j.Rj + b.j) (i-powers for p = 2) as its
 joint eigenbasis, with R = S + diag(a_params); the all-clock class gives
-the computational basis.  Correctness rests on the unbiasedness verifier,
-not on the construction.
+the computational basis.  The spread forms and the class labels, an int
+array (p**e + 1, p**e - 1, 2, e), are cached per (p, e) and read-only;
+build_composite_set writes every graph basis in one broadcast over the
+forms, with no per-label objects.  Correctness rests on the unbiasedness
+verifier, not on the construction.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 
 from .cyclo import DEFAULT_TOL, _phase_table, check_tolerance, is_prime
-from .mub import MubBasis, MubSet, spherical_basis, verify_set
+from .mub import MubBasis, MubSet, _frozen, spherical_basis, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
 
-#: Largest dimension accepted; build_composite_set verifies all pairs of its
-#: d + 1 bases with verify_set's blocked kernel, one batched float Gram per
-#: block of basis pairs sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and
-#: memory stays bounded by the stacked set plus one block.  Only the
+#: Largest dimension accepted; build_composite_set writes its d graph bases
+#: as one (d, d, d) array, then verifies all pairs of its d + 1 bases with
+#: verify_set's blocked kernel, one batched float Gram per block of basis
+#: pairs sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and memory stays
+#: bounded by two copies of the stacked set plus one block.  Only the
 #: computational basis carries exponents, so the Galois closure check and the
 #: certificate cover its own pair alone.
 MAX_DIM = 128
@@ -164,8 +168,9 @@ def _cluster_phases(eigs: np.ndarray, tol: float) -> list[list[int]]:
 # -- class partition -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _spread_forms(p: int, e: int) -> np.ndarray:
-    """S_g[i, j] = Tr(g alpha**(i+j)) mod p for every g in F_{p^e}, (p**e, e, e).
+    """S_g[i, j] = Tr(g alpha**(i+j)) mod p for every g in F_{p^e}, (p**e, e, e), read-only.
 
     F_{p^e} is F_p[alpha] for the first monic irreducible polynomial of
     degree e (coefficients in lexicographic order); g = sum_k g_k alpha**k
@@ -185,7 +190,23 @@ def _spread_forms(p: int, e: int) -> np.ndarray:
         if (mult[1:] @ field[1:].T % p).any(axis=1).all():
             break
     shifted = np.stack(powers)[np.add.outer(np.arange(e), np.arange(e))]
-    return np.einsum("gab,ijba->gij", mult, shifted) % p
+    return _frozen(np.einsum("gab,ijba->gij", mult, shifted) % p, np.int64)
+
+
+@lru_cache(maxsize=None)
+def _class_labels(p: int, e: int) -> np.ndarray:
+    """Every class's member labels, (p**e + 1, p**e - 1, 2, e), read-only.
+
+    Entry [c, m] holds member m of class c as rows x and z: class 0 is
+    {(0, z)} and class 1 + g is {(x, S_g x)}, each over the nonzero points
+    in lexicographic order.
+    """
+    nonzero = _points(p, e)[1:]
+    labels = np.zeros((p**e + 1, p**e - 1, 2, e), dtype=np.int64)
+    labels[0, :, 1] = nonzero
+    labels[1:, :, 0] = nonzero
+    labels[1:, :, 1] = nonzero @ _spread_forms(p, e) % p
+    return _frozen(labels, np.int64)
 
 
 def partition_commuting_classes(p: int, e: int) -> list[CommutingClass]:
@@ -197,44 +218,68 @@ def partition_commuting_classes(p: int, e: int) -> list[CommutingClass]:
     in lexicographic label order.
     """
     _check_dim(p, e)
-    nonzero = _points(p, e)[1:]
-    zero = np.zeros_like(nonzero)
-    graphs = [(zero, nonzero)] + [(nonzero, nonzero @ s % p) for s in _spread_forms(p, e)]
     return [
-        CommutingClass(cid, tuple(WeylLabel(p, e, x, z) for x, z in zip(xs, zs)))
-        for cid, (xs, zs) in enumerate(graphs)
+        CommutingClass(cid, tuple(WeylLabel(p, e, x, z) for x, z in members))
+        for cid, members in enumerate(_class_labels(p, e))
     ]
 
 
 # -- joint eigenbases -----------------------------------------------------------
 
 
-def _class_form(cls: CommutingClass, p: int, e: int) -> np.ndarray | None:
-    """The symmetric S with cls = {(x, Sx) : x != 0}, or None for the all-clock class.
+def _class_form(cid: int, members: np.ndarray, p: int, e: int) -> np.ndarray | None:
+    """The symmetric S with members (m, 2, e) = {(x, Sx) : x != 0}, or None for the all-clock class.
 
     Raises ValueError for any other class.
     """
     d = p**e
-    xs = np.array([lbl.x for lbl in cls.members], dtype=np.int64).reshape(-1, e)
-    zs = np.array([lbl.z for lbl in cls.members], dtype=np.int64).reshape(-1, e)
+    xs, zs = members[:, 0], members[:, 1]
     symplectic = (xs @ zs.T - zs @ xs.T) % p
     if symplectic.any():
         i, j = np.argwhere(symplectic)[0]
-        raise ValueError(f"class {cls.id}: members {i} and {j} fail to commute")
+        raise ValueError(f"class {cid}: members {i} and {j} fail to commute")
     weights = p ** np.arange(e - 1, -1, -1)
     if not xs.any() and sorted(zs @ weights) == list(range(1, d)):
         return None
     index = xs @ weights
     if sorted(index) != list(range(1, d)):
         raise ValueError(
-            f"class {cls.id} leaves joint eigenspaces unresolved: it must be the "
+            f"class {cid} leaves joint eigenspaces unresolved: it must be the "
             "all-clock class or list every nonzero shift part x exactly once"
         )
     # column k of S is the z paired with the unit vector x = e_k, whose index is weights[k]
     form = zs[np.argsort(index)[weights - 1]].T
     if not np.array_equal(xs @ form.T % p, zs) or not np.array_equal(form, form.T):
-        raise ValueError(f"class {cls.id} is not a graph {{(x, Sx)}} with S symmetric")
+        raise ValueError(f"class {cid} is not a graph {{(x, Sx)}} with S symmetric")
     return form
+
+
+def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) -> np.ndarray:
+    """tau exponents (G, d, d) of the joint eigenbases of G graph classes with forms (G, e, e).
+
+    With R = S + diag(a_params) mod p, vector n, for b the n-th point of
+    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at index j (slot 0 most
+    significant): the 1/2 is the inverse of 2 mod p for odd p, and for p = 2
+    the quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    """
+    d = p**e
+    points = _points(p, e)
+    quad = ((points @ ((forms + np.diag(a_params)) % p)) * points).sum(axis=2)
+    # omega_p = tau**(2d/p); for p = 2 the phases live in Z_4, with tau**(d/2) = i
+    mod, half = (4, 1) if p == 2 else (p, (p + 1) // 2)
+    return (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad[:, None, :]) % (2 * d)
+
+
+def _graph_amps(p: int, e: int, forms: np.ndarray, a_params: tuple) -> np.ndarray:
+    """Amplitudes (G, d, d), tau**exps / sqrt(d), for exps the _stabilizer_exponents of forms."""
+    d = p**e
+    return (_phase_table(2 * d) / np.sqrt(d))[_stabilizer_exponents(p, e, forms, a_params)]
+
+
+def _computational_basis(d: int, label: str, members: np.ndarray) -> MubBasis:
+    """The all-clock class's joint eigenbasis, written exactly, holding members as class_labels."""
+    s = spherical_basis(d)
+    return MubBasis.from_arrays(d, label, s.amps, s.exponents, s.scales, members)
 
 
 def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
@@ -246,23 +291,17 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     component omega**(-1/2 j.Rj + b.j) / sqrt(d) at index j (slot 0 most
     significant).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2
     the quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    The basis holds the members as class_labels (m, 2, e), rows x and z.
     """
     a_params = _check_params(p, e, a_params)
     d = p**e
     label = f"class:{cls.id}"
-    form = _class_form(cls, p, e)
+    members = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
+    form = _class_form(cls.id, members, p, e)
     if form is None:
-        s = spherical_basis(d)
-        return MubBasis.from_arrays(d, label, s.amps, s.exponents, s.scales, cls.members)
-
-    quad_form = (form + np.diag(a_params)) % p
-    points = _points(p, e)
-    quad = np.einsum("ji,ik,jk->j", points, quad_form, points)
-    # omega_p = tau**(2d/p); for p = 2 the phases live in Z_4, with tau**(d/2) = i
-    mod, half = (4, 1) if p == 2 else (p, (p + 1) // 2)
-    exps = (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad) % (2 * d)
-    amps = _phase_table(2 * d)[exps] / np.sqrt(d)
-    return MubBasis.from_arrays(d, label, amps, class_labels=cls.members)
+        return _computational_basis(d, label, members)
+    amps = _graph_amps(p, e, form[None], a_params)[0]
+    return MubBasis.from_arrays(d, label, amps, class_labels=members)
 
 
 # -- complete sets ---------------------------------------------------------------
@@ -271,16 +310,25 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
 def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL) -> MubSet:
     """p**e + 1 pairwise-unbiased bases in dimension p**e.
 
-    Every class of the spread contributes its joint eigenbasis; the
-    all-clock class, first, contributes the computational basis (written
-    exactly).  The whole set is verified pairwise before being returned;
-    failure raises ConstructionError with the offending pair.
+    Every class of the spread contributes its joint eigenbasis, in the order
+    and with the members of partition_commuting_classes; the all-clock
+    class, first, contributes the computational basis (written exactly).
+    The p**e graph classes are built in one broadcast from the spread forms,
+    and each basis holds a read-only view of its row of the class labels.
+    The whole set is verified pairwise before being returned; failure
+    raises ConstructionError with the offending pair.
     """
     check_tolerance(tol)
-    if a_params is None:
-        a_params = (0,) * e
-    classes = partition_commuting_classes(p, e)
-    mub_set = MubSet(p**e, tuple(joint_eigenbasis(cls, p, e, a_params) for cls in classes))
+    a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
+    d = p**e
+    labels = _class_labels(p, e)
+    amps = _graph_amps(p, e, _spread_forms(p, e), a_params)
+    bases = [_computational_basis(d, "class:0", labels[0])]
+    bases += [
+        MubBasis.from_arrays(d, f"class:{g + 1}", amps[g], class_labels=labels[g + 1])
+        for g in range(d)
+    ]
+    mub_set = MubSet(d, tuple(bases))
     report = verify_set(mub_set, tol)
     if not report.passed:
         pair = report.details["failing_pairs"][0]

@@ -74,10 +74,12 @@ class MubBasis:
     """An ordered orthonormal basis labeled 's', an integer a, or 'class:<id>'.
 
     amps (d, d) holds the vectors as rows; exponents (d, d) their tau
-    exponents (-1 for an exact zero), or None when the basis has no exact
-    form; scales (d,) each vector's scale_sqrt_dim.  All are read-only.
-    MubBasis(dim, label, vectors) stacks MubVectors once; the build functions use
-    from_arrays.
+    exponents in -1..2d-1 (-1 for an exact zero), or None when the basis has
+    no exact form; scales (d,) each vector's scale_sqrt_dim; class_labels
+    (m, 2, e) the Weyl labels of a composite basis's commuting class, rows x
+    and z of each member, or None.  All are read-only.  The verifiers reject
+    exponents outside -1..2d-1.  MubBasis(dim, label, vectors) stacks
+    MubVectors once; the build functions use from_arrays.
     """
 
     dim: int
@@ -85,7 +87,7 @@ class MubBasis:
     amps: np.ndarray
     exponents: np.ndarray | None
     scales: np.ndarray
-    class_labels: tuple | None
+    class_labels: np.ndarray | None
 
     def __init__(self, dim: int, label, vectors, class_labels=None):
         exps = [v.exact_exponents for v in vectors]
@@ -110,6 +112,10 @@ class MubBasis:
         exps = None if exponents is None else _frozen(exponents, np.int64)
         if amps.shape != (dim, dim) or (exps is not None and exps.shape != (dim, dim)):
             raise ValueError(f"basis {label} must hold {dim} vectors of length {dim}")
+        if class_labels is not None:
+            class_labels = _frozen(class_labels, np.int64)
+            if class_labels.ndim != 3 or class_labels.shape[1] != 2:
+                raise ValueError(f"basis {label}: class_labels must have shape (members, 2, e)")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "amps", amps)
@@ -379,14 +385,13 @@ def _closure_permutations(exps: np.ndarray, scales: np.ndarray) -> list | None:
     images' keys, sorted, must equal the keys, sorted; matching the two
     orders maps bases one to one, so two distinct bases never map onto one
     (whose pair has the same-basis target).  Returns None if some sigma_g
-    does not map the set onto itself.
+    does not map the set onto itself.  Exponents must lie in -1..2d-1, as
+    _pair_verdicts checks.
     """
     m, d = exps.shape[:2]
     gens = _unit_generators(d)
     if not gens:
         return []
-    if exps.min() < -1 or exps.max() >= 2 * d:
-        return None  # not exponents mod 2d: left to every conjugate
     # the narrowest signed type that holds exponents below 2d and the scales
     dtype = np.min_scalar_type(-max(2 * d, int(np.abs(scales).max()) + 1))
     first = np.take_along_axis(exps, (exps >= 0).argmax(axis=2)[..., None], axis=2)
@@ -424,9 +429,13 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     its own orbit).  Returns (n, n) deviations, certificate verdicts and
     verdicts, each valid on the pairs checked, and the number of conjugates
     evaluated per exact pair (None when no basis is exact).  The rules are
-    those verify_set states.
+    those verify_set states.  Raises ValueError if an exponent lies outside
+    -1..2d-1.
     """
     n, d = amps.shape[:2]
+    if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
+        # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
+        raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
     deviation = _deviations(amps, same, np.argwhere(checked))
     passed = deviation < tol
     certified = np.zeros((n, n), dtype=bool)

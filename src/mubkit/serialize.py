@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from .composite import WeylLabel
 from .cyclo import _phase_table, is_prime
 from .mub import MubBasis, MubSet
 from .weyl import OperatorMatrix
@@ -123,9 +122,7 @@ def mubset_to_doc(mub_set: MubSet, exact: bool) -> dict:
             vectors = basis.amps.view(np.float64).reshape(mub_set.dim, mub_set.dim, 2).tolist()
         basis_doc = {"label": str(basis.label), "vectors": vectors}
         if basis.class_labels is not None:
-            basis_doc["class_labels"] = [
-                {"x": list(lbl.x), "z": list(lbl.z)} for lbl in basis.class_labels
-            ]
+            basis_doc["class_labels"] = [{"x": x, "z": z} for x, z in basis.class_labels.tolist()]
         bases.append(basis_doc)
     return {"dim": mub_set.dim, "exact": exact, "bases": bases}
 
@@ -143,11 +140,11 @@ def _prime_power(d: int) -> tuple[int, int]:
     raise ValueError(f"class_labels need a prime-power dim, got {d}")
 
 
-def _parse_class_labels(label_docs, d: int, where: str) -> tuple:
+def _parse_class_labels(label_docs, d: int, where: str) -> np.ndarray:
+    """The members (m, 2, e) of a class_labels list, rows x and z."""
     p, e = _prime_power(d)
     if not isinstance(label_docs, list):
         raise ValueError(f"{where}: class_labels must be a list")
-    labels = []
     for lbl in label_docs:
         if not isinstance(lbl, dict) or not all(
             isinstance(lbl.get(k), list)
@@ -159,8 +156,7 @@ def _parse_class_labels(label_docs, d: int, where: str) -> tuple:
                 f"{where}: class label {lbl} needs x and z lists of length {e} "
                 f"with entries in 0..{p - 1}"
             )
-        labels.append(WeylLabel(p, e, lbl["x"], lbl["z"]))
-    return tuple(labels)
+    return np.array([(lbl["x"], lbl["z"]) for lbl in label_docs], dtype=np.int64).reshape(-1, 2, e)
 
 
 def _list(value, what: str) -> list:

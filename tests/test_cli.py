@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mubkit
 from mubkit.cli import RunConfig, main, parse_args
-from mubkit.composite import build_composite_set
+from mubkit.composite import build_composite_set, partition_commuting_classes
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
 from mubkit.mub import (
     build_complete_set,
@@ -421,6 +421,14 @@ class TestCompositeCommand:
     def test_bad_a_list(self, capsys):
         assert main(["composite", "--p", "2", "--e", "2", "--a", "0,7"]) == 2
 
+    def test_class_labels_list_the_partition(self, capsys):
+        assert main(["composite", "--p", "3", "--e", "2", "--a", "0,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["class_labels"] for b in doc["bases"]] == [
+            [{"x": list(lbl.x), "z": list(lbl.z)} for lbl in cls.members]
+            for cls in partition_commuting_classes(3, 2)
+        ]
+
     def test_stricter_tol_is_honoured(self, capsys):
         # the d = 8 set deviates from unbiasedness by about 1e-16 in floats
         assert main(["composite", "--p", "2", "--e", "3", "--tol", "1e-30"]) == 1
@@ -449,6 +457,15 @@ def serializable_sets(draw):
     return mub_set, draw(st.booleans()) if mub_set.exact else False
 
 
+def assert_same_class_labels(restored, original):
+    """class_labels are int arrays (members, 2, e), or None, basis by basis."""
+    for a, b in zip(original.bases, restored.bases, strict=True):
+        assert (b.class_labels is None) == (a.class_labels is None)
+        if a.class_labels is not None:
+            assert b.class_labels.dtype == np.int64
+            np.testing.assert_array_equal(b.class_labels, a.class_labels)
+
+
 class TestSerializeRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(serializable_sets())
@@ -457,9 +474,7 @@ class TestSerializeRoundTrip:
         restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(original, exact=exact))))
         assert restored.dim == original.dim
         assert [b.label for b in restored.bases] == [b.label for b in original.bases]
-        assert [b.class_labels for b in restored.bases] == [
-            b.class_labels for b in original.bases
-        ]
+        assert_same_class_labels(restored, original)
         for a, b in zip(original.bases, restored.bases):
             if exact:
                 np.testing.assert_array_equal(b.exponents, a.exponents)
@@ -486,9 +501,7 @@ class TestSerializeRoundTrip:
     def test_class_labels_round_trip(self):
         original = build_composite_set(2, 2)
         restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(original, exact=False))))
-        assert [b.class_labels for b in restored.bases] == [
-            b.class_labels for b in original.bases
-        ]
+        assert_same_class_labels(restored, original)
 
     def test_exact_serialization_needs_exact_set(self):
         numeric_set = build_composite_set(2, 2)

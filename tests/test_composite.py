@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from mubkit.composite import (
     CommutingClass,
     ConstructionError,
     WeylLabel,
+    _class_labels,
+    _spread_forms,
     build_composite_set,
     build_w,
     commutation_soundness,
@@ -16,8 +19,13 @@ from mubkit.composite import (
     joint_eigenbasis,
     partition_commuting_classes,
 )
-from mubkit.mub import build_basis, build_complete_set, overlap_matrix, verify_set
+from mubkit.mub import MubSet, build_basis, build_complete_set, overlap_matrix, verify_set
 from mubkit.weyl import OperatorMatrix, build_v, build_z
+
+
+PRIME_POWERS_TO_16 = [
+    (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)
+]
 
 
 def symplectic_oracle(label_a, label_b):
@@ -294,3 +302,44 @@ class TestBuildCompositeSet:
     def test_a_params_validation(self):
         with pytest.raises(ValueError):
             build_composite_set(2, 2, (2, 0))
+
+
+def per_class_set(p, e, a_params):
+    """Reference: the partition, then one joint eigenbasis per class."""
+    classes = partition_commuting_classes(p, e)
+    return classes, MubSet(p**e, tuple(joint_eigenbasis(c, p, e, a_params) for c in classes))
+
+
+class TestOneBroadcastBuild:
+    @pytest.mark.parametrize(
+        "p,e,a_params",
+        [(p, e, a) for p, e in PRIME_POWERS_TO_16 for a in product(range(p), repeat=e)]
+        + [
+            (5, 2, (0, 0)), (5, 2, (3, 1)), (3, 3, (0, 0, 0)), (3, 3, (2, 0, 1)),
+            (2, 5, (0,) * 5), (2, 5, (1, 0, 1, 1, 0)), (7, 2, (0, 0)), (7, 2, (6, 2)),
+        ],
+    )
+    def test_matches_per_class_path(self, p, e, a_params):
+        built = build_composite_set(p, e, a_params)
+        classes, reference = per_class_set(p, e, a_params)
+        assert np.array_equal(built.amps, reference.amps)
+        assert np.array_equal(built.exponents, reference.exponents)
+        assert np.array_equal(built.scales, reference.scales)
+        assert [b.label for b in built.bases] == [b.label for b in reference.bases]
+        for basis, cls in zip(built.bases, classes):
+            assert basis.class_labels.shape == (p**e - 1, 2, e)
+            assert basis.class_labels.tolist() == [[list(l.x), list(l.z)] for l in cls.members]
+        assert verify_set(built) == verify_set(reference)
+
+    def test_labels_and_forms_are_read_only(self):
+        mub_set = build_composite_set(3, 2)
+        _, reference = per_class_set(3, 2, (0, 0))
+        arrays = [_spread_forms(3, 2), _class_labels(3, 2)]
+        arrays += [b.class_labels for b in mub_set.bases + reference.bases]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        # each built basis views its row of the cached labels
+        assert _class_labels(3, 2) is _class_labels(3, 2)
+        assert all(np.shares_memory(b.class_labels, _class_labels(3, 2)) for b in mub_set.bases)

@@ -226,6 +226,16 @@ class TestVerifyUnbiased:
         assert rep.details["exact"] is True and not rep.passed
         assert not verify_set(MubSet(5, (first, shifted))).passed
 
+    @pytest.mark.parametrize("shift", [10, -2])
+    def test_exponents_outside_range_refused(self, shift):
+        # exponent k + 2d is tau**k, but the certificate would read another column
+        b = build_basis(5, 2)
+        moved = MubBasis.from_arrays(5, 2, b.amps, np.where(b.exponents == 0, shift, b.exponents))
+        with pytest.raises(ValueError, match=r"-1\.\.9"):
+            verify_unbiased(build_basis(5, 1), moved)
+        with pytest.raises(ValueError, match=r"-1\.\.9"):
+            verify_set(MubSet(5, (spherical_basis(5), moved)))
+
     def test_max_residual_is_overlap_deviation(self):
         b0, b1 = build_basis(3, 0), build_basis(3, 1)
         rep = verify_unbiased(b0, b1)
@@ -678,6 +688,8 @@ class TestArrayStorage:
         rows = build_basis(3, 1).vectors
         with pytest.raises(ValueError, match="3 vectors of length 3"):
             MubBasis(3, 1, rows[:2])
+        with pytest.raises(ValueError, match=r"shape \(members, 2, e\)"):
+            MubBasis(3, 1, rows, class_labels=[[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="dim 3, expected 5"):
             MubSet(5, (build_basis(3, 1),))
 
