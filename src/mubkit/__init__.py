@@ -12,7 +12,6 @@ sine-algebra commutator closure, and the su(2) ladder polar decomposition.
 
 from .cyclo import (
     DEFAULT_TOL,
-    INTERNAL_TOL,
     CyclotomicSum,
     PhaseExponent,
     is_prime,
@@ -74,7 +73,6 @@ __all__ = [
     "CyclotomicSum",
     "DegeneracyReport",
     "DEFAULT_TOL",
-    "INTERNAL_TOL",
     "MubBasis",
     "MubSet",
     "MubVector",

@@ -14,7 +14,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import composite as composite_mod
@@ -22,25 +21,6 @@ from . import mub, serialize, su2, weyl
 from .cyclo import DEFAULT_TOL, check_tolerance, is_prime
 
 ENV_TOL = "MUBKIT_TOL"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    dim: int | None = None
-    two_j: int | None = None
-    p: int | None = None
-    e: int | None = None
-    a: int | None = None
-    a_params: tuple | None = None
-    max_m: int | None = None
-    tol: float = DEFAULT_TOL
-    exact: bool = False
-    force: bool = False
-    format: str = "json"
-    output: Path | None = None
-    set_path: Path | None = None
-    matrix: str = "v"
 
 
 def _tolerance(text: str) -> float:
@@ -53,7 +33,17 @@ def _tolerance(text: str) -> float:
         ) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
+def _a_params(text: str) -> tuple:
+    """composite --a: a comma-separated list of integers, else a usage error."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a comma-separated list of integers") from None
+
+
+def _add_common(parser: argparse.ArgumentParser, run, formats: bool = False) -> None:
+    """The options every subcommand shares, and run, the handler main calls with the namespace."""
+    parser.set_defaults(run=run)
     # argparse passes a string default through type= as well, so $MUBKIT_TOL
     # is checked like --tol (and only read when --tol is absent)
     parser.add_argument("--tol", type=_tolerance,
@@ -65,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser, formats: bool = False) -> None:
         parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def parse_args(argv=None) -> RunConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="mubkit",
         description="Construct and verify complete sets of mutually unbiased bases.",
@@ -76,7 +66,7 @@ def parse_args(argv=None) -> RunConfig:
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--a", type=int, default=0)
     p_gen.add_argument("--matrix", choices=("v", "z"), default="v")
-    _add_common(p_gen, formats=True)
+    _add_common(p_gen, _run_gen, formats=True)
 
     p_set = sub.add_parser("set", help="build and verify a complete MUB set")
     p_set.add_argument("--dim", type=int, required=True)
@@ -84,95 +74,70 @@ def parse_args(argv=None) -> RunConfig:
                        help="serialize exact amplitudes instead of floats")
     p_set.add_argument("--force", action="store_true",
                        help="build the family even for non-prime dim")
-    _add_common(p_set, formats=True)
+    _add_common(p_set, _run_set, formats=True)
 
     p_verify = sub.add_parser("verify", help="verify a serialized MUB set")
     p_verify.add_argument("--set", dest="set_path", type=Path, required=True)
-    _add_common(p_verify)
+    _add_common(p_verify, _run_verify)
 
     p_sum = sub.add_parser("sumrule", help="Gauss-sum magnitude table")
     p_sum.add_argument("--dim", type=int, required=True)
-    _add_common(p_sum, formats=True)
+    _add_common(p_sum, _run_sumrule, formats=True)
 
     p_su2 = sub.add_parser("su2", help="ladder-operator checks")
     p_su2.add_argument("--two-j", dest="two_j", type=int, required=True)
     p_su2.add_argument("--a", type=int, default=None)
-    _add_common(p_su2)
+    _add_common(p_su2, _run_su2)
 
     p_ffz = sub.add_parser("ffz", help="sine-algebra commutator sweep")
     p_ffz.add_argument("--dim", type=int, required=True)
     p_ffz.add_argument("--a", type=int, default=None)
     p_ffz.add_argument("--max-m", dest="max_m", type=int, default=None)
-    _add_common(p_ffz)
+    _add_common(p_ffz, _run_ffz)
 
     p_comp = sub.add_parser("composite", help="prime-power MUB set")
     p_comp.add_argument("--p", type=int, required=True)
     p_comp.add_argument("--e", type=int, required=True)
-    p_comp.add_argument("--a", type=str, default=None,
+    p_comp.add_argument("--a", dest="a_params", type=_a_params, default=None,
                         help="comma-separated per-slot phase parameters")
-    _add_common(p_comp, formats=True)
+    _add_common(p_comp, _run_composite, formats=True)
 
-    ns = parser.parse_args(argv)
-    config = RunConfig(command=ns.command)
-    config.tol = ns.tol
-    config.output = ns.output
-    if hasattr(ns, "format"):
-        config.format = ns.format
-    if ns.command == "gen":
-        config.dim, config.a, config.matrix = ns.dim, ns.a, ns.matrix
-    elif ns.command == "set":
-        config.dim, config.exact, config.force = ns.dim, ns.exact, ns.force
-    elif ns.command == "verify":
-        config.set_path = ns.set_path
-    elif ns.command == "sumrule":
-        config.dim = ns.dim
-    elif ns.command == "su2":
-        config.two_j, config.a = ns.two_j, ns.a
-    elif ns.command == "ffz":
-        config.dim, config.a, config.max_m = ns.dim, ns.a, ns.max_m
-    elif ns.command == "composite":
-        config.p, config.e = ns.p, ns.e
-        if ns.a is not None:
-            try:
-                config.a_params = tuple(int(v) for v in ns.a.split(","))
-            except ValueError:
-                parser.error("--a must be a comma-separated list of integers")
-    return config
+    return parser.parse_args(argv)
 
 
-def _write(config: RunConfig, text: str) -> None:
-    if config.output is not None:
-        config.output.write_text(text)
+def _write(args: argparse.Namespace, text: str) -> None:
+    if args.output is not None:
+        args.output.write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(config: RunConfig, doc: dict) -> None:
-    _write(config, serialize.dumps(doc) + "\n")
+def _emit_json(args: argparse.Namespace, doc: dict) -> None:
+    _write(args, serialize.dumps(doc) + "\n")
 
 
 # -- command implementations -----------------------------------------------------
 
 
-def _run_gen(config: RunConfig) -> int:
-    if config.matrix == "v":
-        matrix = weyl.build_v(config.dim, config.a)
+def _run_gen(args: argparse.Namespace) -> int:
+    if args.matrix == "v":
+        matrix = weyl.build_v(args.dim, args.a)
     else:
-        matrix = weyl.build_z(config.dim)
-    if config.format == "csv":
-        _write(config, serialize.matrix_to_csv(matrix))
+        matrix = weyl.build_z(args.dim)
+    if args.format == "csv":
+        _write(args, serialize.matrix_to_csv(matrix))
     else:
-        _emit_json(config, serialize.matrix_to_doc(matrix))
+        _emit_json(args, serialize.matrix_to_doc(matrix))
     return 0
 
 
-def _run_set(config: RunConfig) -> int:
-    mub_set = mub.build_complete_set(config.dim, force=config.force)
-    report = mub.verify_set(mub_set, config.tol)
-    if config.format == "csv":
-        _write(config, serialize.mubset_to_csv(mub_set))
+def _run_set(args: argparse.Namespace) -> int:
+    mub_set = mub.build_complete_set(args.dim, force=args.force)
+    report = mub.verify_set(mub_set, args.tol)
+    if args.format == "csv":
+        _write(args, serialize.mubset_to_csv(mub_set))
     else:
-        _emit_json(config, serialize.mubset_to_doc(mub_set, exact=config.exact))
+        _emit_json(args, serialize.mubset_to_doc(mub_set, exact=args.exact))
     if not report.passed:
         for pair in report.details["failing_pairs"]:
             print(
@@ -186,25 +151,25 @@ def _run_set(config: RunConfig) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    doc = json.loads(config.set_path.read_text())
+def _run_verify(args: argparse.Namespace) -> int:
+    doc = json.loads(args.set_path.read_text())
     mub_set = serialize.mubset_from_doc(doc)
-    report = mub.verify_set(mub_set, config.tol)
+    report = mub.verify_set(mub_set, args.tol)
     out = {
         "dim": mub_set.dim,
         "n_bases": len(mub_set.bases),
-        "tolerance": config.tol,
+        "tolerance": args.tol,
         "exact": report.details["exact"],
         "max_residual": report.max_residual,
         "failing_pairs": report.details["failing_pairs"],
         "pass": report.passed,
     }
-    _emit_json(config, out)
+    _emit_json(args, out)
     return 0 if report.passed else 1
 
 
-def _run_sumrule(config: RunConfig) -> int:
-    d = config.dim
+def _run_sumrule(args: argparse.Namespace) -> int:
+    d = args.dim
     if not is_prime(d):
         raise ValueError(f"the sum rule holds for prime dimensions; got {d}")
     entries = []
@@ -231,7 +196,7 @@ def _run_sumrule(config: RunConfig) -> int:
                 "exact_match": ok,
             }
         )
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["a,b,n_alpha,n_beta,magnitude,expected_sq,exact_match"]
         for row in entries:
             lines.append(
@@ -247,21 +212,21 @@ def _run_sumrule(config: RunConfig) -> int:
                     ]
                 )
             )
-        _write(config, "\n".join(lines) + "\n")
+        _write(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(config, {"dim": d, "entries": entries, "pass": all_ok})
+        _emit_json(args, {"dim": d, "entries": entries, "pass": all_ok})
     return 0 if all_ok else 1
 
 
-def _run_su2(config: RunConfig) -> int:
-    su2.AngularParams(config.two_j, 0)
+def _run_su2(args: argparse.Namespace) -> int:
+    su2.AngularParams(args.two_j, 0)
 
     def one(a: int) -> dict:
-        commutators = su2.check_su2(config.two_j, a, config.tol)
-        action = su2.check_ladder_action(config.two_j, a, config.tol)
+        commutators = su2.check_su2(args.two_j, a, args.tol)
+        action = su2.check_ladder_action(args.two_j, a, args.tol)
         res = commutators.details["residuals"]
         return {
-            "two_j": config.two_j,
+            "two_j": args.two_j,
             "a": a,
             "residuals": {
                 "jz_jp": res["jz_jp"],
@@ -273,27 +238,27 @@ def _run_su2(config: RunConfig) -> int:
             "pass": commutators.passed and action.passed,
         }
 
-    if config.a is not None:
-        doc = one(config.a)
-        _emit_json(config, doc)
+    if args.a is not None:
+        doc = one(args.a)
+        _emit_json(args, doc)
         return 0 if doc["pass"] else 1
-    reports = [one(a) for a in range(config.two_j + 1)]
+    reports = [one(a) for a in range(args.two_j + 1)]
     overall = all(r["pass"] for r in reports)
-    _emit_json(config, {"two_j": config.two_j, "reports": reports, "pass": overall})
+    _emit_json(args, {"two_j": args.two_j, "reports": reports, "pass": overall})
     return 0 if overall else 1
 
 
-def _run_ffz(config: RunConfig) -> int:
-    weyl._check_dim_param(config.dim, 0)
-    a_values = [config.a] if config.a is not None else list(range(config.dim))
+def _run_ffz(args: argparse.Namespace) -> int:
+    weyl._check_dim_param(args.dim, 0)
+    a_values = [args.a] if args.a is not None else list(range(args.dim))
     reports = []
     overall = True
     for a in a_values:
-        rep = weyl.ffz_sweep(config.dim, a, config.max_m, tol=config.tol)
+        rep = weyl.ffz_sweep(args.dim, a, args.max_m, tol=args.tol)
         overall &= rep.passed
         reports.append(
             {
-                "d": config.dim,
+                "d": args.dim,
                 "a": a,
                 "sign_convention": rep.details["sign_convention"],
                 "m_range": rep.details["m_range"],
@@ -305,44 +270,31 @@ def _run_ffz(config: RunConfig) -> int:
                 "pass": rep.passed,
             }
         )
-    doc = reports[0] if config.a is not None else {
-        "d": config.dim,
+    doc = reports[0] if args.a is not None else {
+        "d": args.dim,
         "reports": reports,
         "pass": overall,
     }
-    _emit_json(config, doc)
+    _emit_json(args, doc)
     return 0 if overall else 1
 
 
-def _run_composite(config: RunConfig) -> int:
-    a_params = config.a_params
-    if a_params is not None and len(a_params) == 1 and config.e > 1:
-        a_params = a_params * config.e
-    mub_set = composite_mod.build_composite_set(config.p, config.e, a_params, tol=config.tol)
-    if config.format == "csv":
-        _write(config, serialize.mubset_to_csv(mub_set))
+def _run_composite(args: argparse.Namespace) -> int:
+    a_params = args.a_params
+    if a_params is not None and len(a_params) == 1 and args.e > 1:
+        a_params = a_params * args.e
+    mub_set = composite_mod.build_composite_set(args.p, args.e, a_params, tol=args.tol)
+    if args.format == "csv":
+        _write(args, serialize.mubset_to_csv(mub_set))
     else:
-        _emit_json(config, serialize.mubset_to_doc(mub_set, exact=False))
+        _emit_json(args, serialize.mubset_to_doc(mub_set, exact=False))
     return 0
 
 
-def run(config: RunConfig) -> int:
-    handlers = {
-        "gen": _run_gen,
-        "set": _run_set,
-        "verify": _run_verify,
-        "sumrule": _run_sumrule,
-        "su2": _run_su2,
-        "ffz": _run_ffz,
-        "composite": _run_composite,
-    }
-    return handlers[config.command](config)
-
-
 def main(argv=None) -> int:
-    config = parse_args(argv)
+    args = parse_args(argv)
     try:
-        return run(config)
+        return args.run(args)
     except composite_mod.ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,8 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _phase_table, check_tolerance, is_prime
-from .mub import MubBasis, MubSet, _frozen, spherical_basis, verify_set
+from .cyclo import DEFAULT_TOL, _frozen, check_tolerance, is_prime
+from .mub import MubBasis, MubSet, _amplitudes, spherical_basis, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
 
@@ -41,6 +41,9 @@ from .weyl import OperatorMatrix, _monomial_exponents
 #: computational basis carries exponents, so the Galois closure check and the
 #: certificate cover its own pair alone.
 MAX_DIM = 128
+
+#: Distance below which degeneracy_report merges two eigenvalues.
+CLUSTER_TOL = 1e-8
 
 
 class ConstructionError(RuntimeError):
@@ -135,12 +138,12 @@ class DegeneracyReport:
     degenerate: bool
 
 
-def degeneracy_report(matrix: OperatorMatrix, tol: float = 1e-8) -> DegeneracyReport:
-    """Cluster the spectrum of a unitary and flag any multiplicity > 1."""
+def degeneracy_report(matrix: OperatorMatrix) -> DegeneracyReport:
+    """Cluster the spectrum of a unitary within CLUSTER_TOL and flag any multiplicity > 1."""
     if not matrix.is_unitary(DEFAULT_TOL):
         raise ValueError("input matrix is not unitary")
     eigs = np.linalg.eigvals(matrix.entries)
-    clusters = _cluster_phases(eigs, tol)
+    clusters = _cluster_phases(eigs, CLUSTER_TOL)
     values = tuple(complex(eigs[c[0]]) for c in clusters)
     mults = tuple(len(c) for c in clusters)
     return DegeneracyReport(matrix.dim, values, mults, any(m > 1 for m in mults))
@@ -270,16 +273,10 @@ def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) ->
     return (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad[:, None, :]) % (2 * d)
 
 
-def _graph_amps(p: int, e: int, forms: np.ndarray, a_params: tuple) -> np.ndarray:
-    """Amplitudes (G, d, d), tau**exps / sqrt(d), for exps the _stabilizer_exponents of forms."""
-    d = p**e
-    return (_phase_table(2 * d) / np.sqrt(d))[_stabilizer_exponents(p, e, forms, a_params)]
-
-
 def _computational_basis(d: int, label: str, members: np.ndarray) -> MubBasis:
     """The all-clock class's joint eigenbasis, written exactly, holding members as class_labels."""
     s = spherical_basis(d)
-    return MubBasis.from_arrays(d, label, s.amps, s.exponents, s.scales, members)
+    return MubBasis.from_arrays(d, label, exponents=s.exponents, scales=0, class_labels=members)
 
 
 def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
@@ -300,7 +297,7 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     form = _class_form(cls.id, members, p, e)
     if form is None:
         return _computational_basis(d, label, members)
-    amps = _graph_amps(p, e, form[None], a_params)[0]
+    amps = _amplitudes(d, _stabilizer_exponents(p, e, form[None], a_params), 1)[0]
     return MubBasis.from_arrays(d, label, amps, class_labels=members)
 
 
@@ -322,7 +319,7 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
     labels = _class_labels(p, e)
-    amps = _graph_amps(p, e, _spread_forms(p, e), a_params)
+    amps = _amplitudes(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params), 1)
     bases = [_computational_basis(d, "class:0", labels[0])]
     bases += [
         MubBasis.from_arrays(d, f"class:{g + 1}", amps[g], class_labels=labels[g + 1])

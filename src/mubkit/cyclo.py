@@ -26,8 +26,16 @@ import numpy as np
 
 #: Default tolerance for pass/fail numeric verification.
 DEFAULT_TOL = 1e-10
-#: Default tolerance for internal consistency checks (exact vs float shadow).
-INTERNAL_TOL = 1e-12
+
+
+def _frozen(array, dtype) -> np.ndarray:
+    """A read-only view of array as a contiguous dtype array, copied only if it must be.
+
+    The view is frozen, not the array, so a caller's own array stays writable.
+    """
+    view = np.ascontiguousarray(array, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
 
 
 def check_tolerance(tol: float) -> float:

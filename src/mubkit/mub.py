@@ -10,7 +10,9 @@ exactly (the cyclotomic norm certificate) and numerically.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
-a set stacks them once into (n, d, d) and (n, d).
+a set stacks them once into (n, d, d) and (n, d).  An exact basis has one
+stored form, its exponents and scales: its amps are always derived from
+them, so the float and the exact data cannot drift apart.
 """
 
 import math
@@ -21,9 +23,9 @@ import numpy as np
 
 from .cyclo import (
     DEFAULT_TOL,
-    INTERNAL_TOL,
     CyclotomicSum,
     PhaseExponent,
+    _frozen,
     _phase_table,
     check_tolerance,
     conjugate_phases,
@@ -42,18 +44,26 @@ from .weyl import build_v
 GRAM_BLOCK_BYTES = 1 << 20
 
 
-def _frozen(array, dtype) -> np.ndarray:
-    array = np.ascontiguousarray(array, dtype=dtype)
-    array.setflags(write=False)
-    return array
+def _amplitudes(d: int, exps, scales) -> np.ndarray:
+    """tau**exps / d**(scales/2), an exact 0 at exponent -1: the amps of exact rows.
+
+    exps has the slots on its last axis and scales one value per row (or one
+    for all rows).  The phases are row k = 1 of conjugate_phases(d), read as
+    the certificate reads them, so the Gram of two exact bases' amps is their
+    conjugate-1 certificate Gram over d**((sa+sb)/2).
+    """
+    amps = np.take(conjugate_phases(d)[0], exps, mode="wrap")
+    amps /= np.sqrt(float(d) ** np.asarray(scales))[..., None]
+    return amps
 
 
 @dataclass(frozen=True)
 class MubVector:
-    """One basis vector: exact tau exponents per component plus a float shadow.
+    """One basis vector: its amps and, for an exact vector, their tau exponents.
 
     exact_exponents uses -1 for an exactly-zero component; every nonzero
-    component is tau**k / d**(scale_sqrt_dim/2).
+    component is tau**k / d**(scale_sqrt_dim/2).  MubBasis reads an exact
+    vector by its exponents and scale alone.
     """
 
     dim: int
@@ -77,9 +87,12 @@ class MubBasis:
     exponents in -1..2d-1 (-1 for an exact zero), or None when the basis has
     no exact form; scales (d,) each vector's scale_sqrt_dim; class_labels
     (m, 2, e) the Weyl labels of a composite basis's commuting class, rows x
-    and z of each member, or None.  All are read-only.  The verifiers reject
-    exponents outside -1..2d-1.  MubBasis(dim, label, vectors) stacks
-    MubVectors once; the build functions use from_arrays.
+    and z of each member, or None.  All are read-only.  An exact basis is
+    given by its exponents and scales alone, which it copies, and its amps
+    are tau**e / d**(s/2) of them, so no basis holds amps that differ from
+    its exponents.  The verifiers reject exponents outside -1..2d-1.
+    MubBasis(dim, label, vectors) stacks MubVectors once, the exact ones by
+    their exponents and scales; the build functions use from_arrays.
     """
 
     dim: int
@@ -90,37 +103,51 @@ class MubBasis:
     class_labels: np.ndarray | None
 
     def __init__(self, dim: int, label, vectors, class_labels=None):
-        exps = [v.exact_exponents for v in vectors]
+        exact = all(v.exact_exponents is not None for v in vectors)
         self._store(
             dim,
             label,
-            np.stack([v.amps for v in vectors]),
-            None if any(e is None for e in exps) else np.stack(exps),
+            None if exact else np.stack([v.amps for v in vectors]),
+            np.stack([v.exact_exponents for v in vectors]) if exact else None,
             [v.scale_sqrt_dim for v in vectors],
             class_labels,
         )
 
     @classmethod
-    def from_arrays(cls, dim: int, label, amps, exponents=None, scales=1, class_labels=None):
-        """A basis from its arrays; scales may be one value for every vector."""
+    def from_arrays(cls, dim: int, label, amps=None, exponents=None, scales=1, class_labels=None):
+        """An exact basis from its exponents and scales, or a float one from its amps.
+
+        scales may be one value for every vector.  Passing both amps and
+        exponents raises ValueError: an exact basis's amps follow from its
+        exponents.
+        """
         basis = cls.__new__(cls)
         basis._store(dim, label, amps, exponents, scales, class_labels)
         return basis
 
     def _store(self, dim, label, amps, exponents, scales, class_labels):
-        amps = _frozen(amps, np.complex128)
-        exps = None if exponents is None else _frozen(exponents, np.int64)
-        if amps.shape != (dim, dim) or (exps is not None and exps.shape != (dim, dim)):
+        if (amps is None) == (exponents is None):
+            raise ValueError(
+                f"basis {label} takes exactly one of amps and exponents: "
+                "an exact basis's amps follow from its exponents"
+            )
+        # the exact form is copied, so no caller can change it under the amps derived from it
+        exps = None if exponents is None else np.array(exponents, dtype=np.int64)
+        if np.shape(amps if exps is None else exps) != (dim, dim):
             raise ValueError(f"basis {label} must hold {dim} vectors of length {dim}")
+        vector_scales = np.empty(dim, np.int64)
+        vector_scales[...] = scales
+        if exps is not None:
+            amps = _amplitudes(dim, exps, vector_scales)
         if class_labels is not None:
             class_labels = _frozen(class_labels, np.int64)
             if class_labels.ndim != 3 or class_labels.shape[1] != 2:
                 raise ValueError(f"basis {label}: class_labels must have shape (members, 2, e)")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "scales", _frozen(np.broadcast_to(scales, (dim,)), np.int64))
+        object.__setattr__(self, "amps", _frozen(amps, np.complex128))
+        object.__setattr__(self, "exponents", None if exps is None else _frozen(exps, np.int64))
+        object.__setattr__(self, "scales", _frozen(vector_scales, np.int64))
         object.__setattr__(self, "class_labels", class_labels)
 
     @property
@@ -229,7 +256,7 @@ def build_mub_vector(d: int, a: int, n: int) -> MubVector:
     _check_index(d, "a", a)
     _check_index(d, "n", n)
     exps = _eigen_exponents(d, a, n)
-    return MubVector(d, a, n, _phase_table(2 * d)[exps] / np.sqrt(d), exps, scale_sqrt_dim=1)
+    return MubVector(d, a, n, _amplitudes(d, exps, 1), exps, scale_sqrt_dim=1)
 
 
 def build_basis(d: int, a: int) -> MubBasis:
@@ -237,14 +264,12 @@ def build_basis(d: int, a: int) -> MubBasis:
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_index(d, "a", a)
-    exps = _eigen_exponents(d, a, np.arange(d))
-    return MubBasis.from_arrays(d, a, _phase_table(2 * d)[exps] / np.sqrt(d), exps)
+    return MubBasis.from_arrays(d, a, exponents=_eigen_exponents(d, a, np.arange(d)))
 
 
 def spherical_basis(d: int) -> MubBasis:
     """The computational basis (identity rows), labeled 's'."""
-    eye = np.eye(d, dtype=np.int64)
-    return MubBasis.from_arrays(d, "s", eye, eye - 1, scales=0)
+    return MubBasis.from_arrays(d, "s", exponents=np.eye(d, dtype=np.int64) - 1, scales=0)
 
 
 def build_complete_set(d: int, force: bool = False) -> MubSet:
@@ -262,9 +287,11 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
             "unbiased bases only in prime dimension; pass force=True to build "
             "the (incomplete) family anyway"
         )
-    exps = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
-    amps = _phase_table(2 * d)[exps] / np.sqrt(d)
-    eigenbases = [MubBasis.from_arrays(d, a, amps[a], exps[a]) for a in range(d)]
+    # each basis copies its row, so the (d, d, d) grid is freed before MubSet stacks the copies
+    eigenbases = [
+        MubBasis.from_arrays(d, a, exponents=exps)
+        for a, exps in enumerate(_eigen_exponents(d, np.arange(d)[:, None], np.arange(d)))
+    ]
     return MubSet(d, (spherical_basis(d), *eigenbases), forced=not is_prime(d))
 
 
@@ -304,19 +331,23 @@ def _deviations(amps: np.ndarray, same: np.ndarray, pairs: np.ndarray) -> np.nda
     return deviation
 
 
-def _certificate_residuals(exps, scales, same, phases, pairs) -> np.ndarray:
-    """Worst conjugate residual of the (P, 2) pairs of m exact bases, in an (m, m) array.
+def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
+    """Worst conjugate residuals and float deviations of the (P, 2) pairs of m exact bases.
 
     exps (m, d, d) and scales (m, d) stack the bases' exponents and scales;
     same (m, m) marks the pairs of one basis; phases holds the rows of
-    conjugate_phases(d) to evaluate.  For amplitudes tau**e / d**(s/2) the
-    scaled overlaps z are cyclotomic integers, and |z|**2 = d**(sa+sb-1)
-    across bases (z = d**sa * I within one) holds exactly iff the residual is
-    below 1/2 in every conjugate sigma_k (mubkit.cyclo).  A target below 1
-    (sa = sb = 0) has no algebraic-integer solution, so its residual is inf.
-    Each block of _blocks is one batched Gram (K, P, d, d) over the K
-    conjugates and its pairs; its gathered phase grids, Gram and moduli share
-    one work buffer that every block reuses, so memory stays bounded.
+    conjugate_phases(d) to evaluate, row 0 conjugate 1.  For amplitudes
+    tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
+    |z|**2 = d**(sa+sb-1) across bases (z = d**sa * I within one) holds
+    exactly iff the residual is below 1/2 in every conjugate sigma_k
+    (mubkit.cyclo).  A target below 1 (sa = sb = 0) has no algebraic-integer
+    solution, so its residual is inf.  Conjugate 1 over d**((sa+sb)/2) is
+    the Gram of the bases' amps (see _amplitudes), so its moduli also give
+    each pair's float deviation as _deviations defines it.  Returns both as
+    (m, m) arrays.  Each block of _blocks is one batched Gram (K, P, d, d)
+    over the K conjugates and its pairs; its gathered phase grids, Gram,
+    moduli and scaled conjugate-1 moduli share one work buffer that every
+    block reuses, so memory stays bounded.
     """
     m, d = exps.shape[:2]
     n_k = len(phases)
@@ -325,6 +356,7 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> np.ndarray:
     work = np.empty(3 * size, np.complex128)
     weights = float(d) ** scales
     residual = np.zeros((m, m))
+    deviation = np.zeros((m, m))
     for i, j in blocks:
         shape = (n_k, len(i), d, d)
         used = n_k * len(i) * d * d
@@ -339,15 +371,26 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> np.ndarray:
         # diag(d**s) per pair of one basis
         targets = np.eye(d) * weights[i[one]][:, None]
         one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
-        # the grids are spent, so the squared moduli overwrite them
+        # the grids are spent, so the moduli overwrite the row grid, and
+        # conjugate 1's scaled moduli the row grid's second half
         moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
+        products = weights[i][:, :, None] * weights[j][:, None, :]
+        scaled = np.sqrt(products, out=work.view(np.float64)[used : used + products.size]
+                         .reshape(products.shape))
+        one_deviations = np.abs(grams[0, one] / scaled[one] - np.eye(d)).max(axis=(1, 2))
+        np.divide(moduli[0], scaled, out=scaled)
+        scaled -= 1 / np.sqrt(d)
+        block = np.abs(scaled, out=scaled).max(axis=(1, 2))
+        block[one] = one_deviations
+        deviation[i, j] = block
         np.square(moduli, out=moduli)
-        moduli -= weights[i][:, :, None] * weights[j][:, None, :] / d
+        products /= d
+        moduli -= products
         block = np.abs(moduli, out=moduli).max(axis=(0, 2, 3))
         block[scales[i].min(axis=1) + scales[j].min(axis=1) < 1] = np.inf
         block[one] = one_residuals
         residual[i, j] = block
-    return residual
+    return residual, deviation
 
 
 @lru_cache(maxsize=None)
@@ -426,17 +469,18 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
     one basis and checked (n, n) the pairs (i, j >= i) to check: all of
     them for verify_set, one for verify_unbiased (two bases, so the pair is
-    its own orbit).  Returns (n, n) deviations, certificate verdicts and
-    verdicts, each valid on the pairs checked, and the number of conjugates
-    evaluated per exact pair (None when no basis is exact).  The rules are
-    those verify_set states.  Raises ValueError if an exponent lies outside
-    -1..2d-1.
+    its own orbit).  Only pairs with a non-exact basis go to _deviations;
+    an exact pair's deviation comes from its certificate Gram.  Returns
+    (n, n) deviations, certificate verdicts and verdicts, each valid on the
+    pairs checked, and the number of conjugates evaluated per exact pair
+    (None when no basis is exact).  The rules are those verify_set states.
+    Raises ValueError if an exponent lies outside -1..2d-1.
     """
     n, d = amps.shape[:2]
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
         # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
         raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
-    deviation = _deviations(amps, same, np.argwhere(checked))
+    deviation = _deviations(amps, same, np.argwhere(checked & ~np.outer(exact, exact)))
     passed = deviation < tol
     certified = np.zeros((n, n), dtype=bool)
     if not exact.any():
@@ -444,7 +488,7 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     exact_pairs = np.ix_(exact, exact)
     perms = _closure_permutations(exps, scales[exact])
     phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
-    residual = _certificate_residuals(
+    residual, deviation[exact_pairs] = _certificate_residuals(
         exps, scales[exact], same[exact_pairs], phases, np.argwhere(checked[exact_pairs])
     )
     fail = residual >= 0.5
@@ -457,8 +501,7 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
         for perm in perms:
             fail |= fail[np.ix_(perm, perm)]
         grown = np.count_nonzero(fail) > before
-    certified[exact_pairs] = ~fail
-    passed[exact_pairs] = ~fail & (deviation[exact_pairs] < INTERNAL_TOL)
+    certified[exact_pairs] = passed[exact_pairs] = ~fail
     return deviation, certified, passed, len(phases)
 
 
@@ -469,11 +512,12 @@ def verify_unbiased(
 
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
     basis against itself the Gram matrix must be the identity.  With both
-    bases exact the verdict is exact in every dimension: every Galois
-    conjugate of the scaled overlaps must meet its target within 1/2 (see
-    _certificate_residuals); the float error is near d**2 * 2**-50.  This is
-    the two-basis case of the kernel that verify_set runs, with its rules
-    and its details["conjugates"].
+    bases exact the verdict is the exact one alone, in every dimension:
+    every Galois conjugate of the scaled overlaps must meet its target
+    within 1/2 (see _certificate_residuals), and max_residual is the float
+    deviation read from the conjugate-1 Gram.  This is the two-basis case of
+    the kernel that verify_set runs, with its rules and its
+    details["conjugates"].
     """
     check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
@@ -508,18 +552,20 @@ def verify_unbiased(
 def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
-    Each pair of exact bases gets the exact verdict, and its float shadow
-    must also agree within INTERNAL_TOL, so the two evaluation paths cannot
-    drift apart silently; any other pair is decided by its float deviation
-    against tol.  When every Galois conjugation sigma_g maps the exact bases
-    onto themselves (an integer check on their exponents and scales, see
-    _closure_permutations), conjugate g of a pair is conjugate 1 of its
-    image pair, so only conjugate 1 is evaluated and a pair's exact verdict
-    is the AND of the conjugate-1 verdicts over its orbit; otherwise every
-    conjugate is evaluated.  details["conjugates"] records how many, per
-    exact pair (None when no basis is exact).  Pairs are checked in blocks
-    of basis pairs sized by GRAM_BLOCK_BYTES, one batched float Gram and one
-    batched certificate Gram per block.
+    Each pair of exact bases gets the exact verdict alone, and its float
+    deviation (the reported residual) is read from the certificate's
+    conjugate-1 Gram, since an exact basis's amps are its exponents' phases
+    over d**(s/2); any other pair is decided by its float deviation, from
+    _deviations, against tol.  When every Galois conjugation sigma_g maps
+    the exact bases onto themselves (an integer check on their exponents
+    and scales, see _closure_permutations), conjugate g of a pair is
+    conjugate 1 of its image pair, so only conjugate 1 is evaluated and a
+    pair's exact verdict is the AND of the conjugate-1 verdicts over its
+    orbit; otherwise every conjugate is evaluated.  details["conjugates"]
+    records how many, per exact pair (None when no basis is exact).  Pairs
+    are checked in blocks of basis pairs sized by GRAM_BLOCK_BYTES, one
+    batched certificate Gram per block of exact pairs and one batched float
+    Gram per block of the others.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)

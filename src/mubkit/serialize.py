@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .cyclo import _phase_table, is_prime
+from .cyclo import is_prime
 from .mub import MubBasis, MubSet
 from .weyl import OperatorMatrix
 
@@ -80,16 +80,16 @@ def matrix_to_doc(matrix: OperatorMatrix) -> dict:
     return doc
 
 
+def _csv(rows) -> str:
+    """One line per complex row, columns interleaved re/im."""
+    return "".join(
+        ",".join(format_float(x) for v in row for x in (v.real, v.imag)) + "\n" for row in rows
+    )
+
+
 def matrix_to_csv(matrix: OperatorMatrix) -> str:
     """One row per matrix row, columns interleaved re/im."""
-    lines = []
-    for row in matrix.entries:
-        cells = []
-        for v in row:
-            cells.append(format_float(v.real))
-            cells.append(format_float(v.imag))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(matrix.entries)
 
 
 # -- basis sets -----------------------------------------------------------------
@@ -235,10 +235,8 @@ def mubset_from_doc(doc: dict) -> MubSet:
             class_labels = _parse_class_labels(basis_doc["class_labels"], d, f"basis {label}")
         if exact:
             exps, scales = zip(*rows)
-            exps = np.array(exps, dtype=np.int64)
-            norms = np.array([d ** (scale / 2) for scale in scales])
-            amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / norms[:, None]
-            bases.append(MubBasis.from_arrays(d, label, amps, exps, scales, class_labels))
+            bases.append(MubBasis.from_arrays(d, label, exponents=exps, scales=scales,
+                                              class_labels=class_labels))
         else:
             amps = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
             bases.append(MubBasis.from_arrays(d, label, amps, class_labels=class_labels))
@@ -247,12 +245,4 @@ def mubset_from_doc(doc: dict) -> MubSet:
 
 def mubset_to_csv(mub_set: MubSet) -> str:
     """One row per vector across all bases, columns interleaved re/im."""
-    lines = []
-    for basis in mub_set.bases:
-        for row in basis.amps:
-            cells = []
-            for v in row:
-                cells.append(format_float(v.real))
-                cells.append(format_float(v.imag))
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(mub_set.amps.reshape(-1, mub_set.dim))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, check_tolerance
+from .cyclo import DEFAULT_TOL, CyclotomicSum, _frozen, _phase_table, check_tolerance
 from .report import VerificationReport
 
 
@@ -34,16 +34,14 @@ class OperatorMatrix:
     exact: np.ndarray | None = None
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        entries = _frozen(self.entries, np.complex128)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         if self.exact is not None:
-            exact = np.ascontiguousarray(self.exact, dtype=np.int64)
+            exact = _frozen(self.exact, np.int64)
             if exact.shape != entries.shape:
                 raise ValueError("exact annotation shape mismatch")
-            exact.setflags(write=False)
             object.__setattr__(self, "exact", exact)
 
     @property

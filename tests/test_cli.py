@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mubkit
-from mubkit.cli import RunConfig, main, parse_args
+from mubkit.cli import main, parse_args
 from mubkit.composite import build_composite_set, partition_commuting_classes
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
 from mubkit.mub import (
@@ -42,7 +43,7 @@ class TestParseArgs:
 
     def test_set_flags(self):
         config = parse_args(["set", "--dim", "5", "--exact", "--format", "json"])
-        assert isinstance(config, RunConfig)
+        assert isinstance(config, argparse.Namespace)
         assert config.dim == 5 and config.exact and config.format == "json"
 
     def test_missing_subcommand_exits_2(self):
@@ -420,6 +421,13 @@ class TestCompositeCommand:
 
     def test_bad_a_list(self, capsys):
         assert main(["composite", "--p", "2", "--e", "2", "--a", "0,7"]) == 2
+
+    def test_a_list_must_be_integers(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["composite", "--p", "2", "--e", "2", "--a", "x,1"])
+        assert err.value.code == 2
+        assert "--a: must be a comma-separated list of integers" in capsys.readouterr().err
+        assert parse_args(["composite", "--p", "3", "--e", "2", "--a", "0,1"]).a_params == (0, 1)
 
     def test_class_labels_list_the_partition(self, capsys):
         assert main(["composite", "--p", "3", "--e", "2", "--a", "0,1"]) == 0

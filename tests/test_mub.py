@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclo_oracle import canonicalize_coeffs
 from mubkit import mub
 from mubkit.composite import build_composite_set
-from mubkit.cyclo import DEFAULT_TOL, INTERNAL_TOL, CyclotomicSum, _phase_table, conjugate_phases
+from mubkit.cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
     MubBasis,
     MubSet,
@@ -30,7 +30,7 @@ from mubkit.mub import (
     verify_unbiased,
 )
 from mubkit.su2 import check_su2
-from mubkit.weyl import build_v, ffz_sweep
+from mubkit.weyl import OperatorMatrix, build_v, ffz_sweep
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -217,20 +217,20 @@ class TestVerifyUnbiased:
         with pytest.raises(ValueError):
             verify_unbiased(build_basis(2, 0), build_basis(3, 0))
 
-    def test_float_shadow_beyond_internal_tol_fails_as_in_verify_set(self):
-        first, second = build_complete_set(5).bases[:2]
-        amps = second.amps.copy()
-        amps[0, 0] += 1e-11
-        shifted = MubBasis.from_arrays(5, second.label, amps, second.exponents, second.scales)
-        rep = verify_unbiased(first, shifted)
-        assert rep.details["exact"] is True and not rep.passed
-        assert not verify_set(MubSet(5, (first, shifted))).passed
+    def test_amps_with_exponents_refused(self):
+        # an exact basis's amps follow from its exponents, so none can drift from them
+        second = build_complete_set(5).bases[1]
+        with pytest.raises(ValueError, match="exactly one of amps and exponents"):
+            MubBasis.from_arrays(5, second.label, second.amps, second.exponents, second.scales)
+        with pytest.raises(ValueError, match="exactly one of amps and exponents"):
+            MubBasis.from_arrays(5, second.label)
 
     @pytest.mark.parametrize("shift", [10, -2])
     def test_exponents_outside_range_refused(self, shift):
         # exponent k + 2d is tau**k, but the certificate would read another column
         b = build_basis(5, 2)
-        moved = MubBasis.from_arrays(5, 2, b.amps, np.where(b.exponents == 0, shift, b.exponents))
+        exps = np.where(b.exponents == 0, shift, b.exponents)
+        moved = MubBasis.from_arrays(5, 2, exponents=exps)
         with pytest.raises(ValueError, match=r"-1\.\.9"):
             verify_unbiased(build_basis(5, 1), moved)
         with pytest.raises(ValueError, match=r"-1\.\.9"):
@@ -249,12 +249,7 @@ def basis_from_exponents(d, label, exps, scale):
 
     scale is one value for every vector or a list of d values.
     """
-    exps = np.asarray(exps, dtype=np.int64)
-    scale = np.broadcast_to(scale, (d,))
-    amps = np.where(exps < 0, 0, _phase_table(2 * d)[exps]) / d ** (scale[:, None] / 2)
-    return MubBasis(
-        d, label, tuple(MubVector(d, label, n, amps[n], exps[n], int(scale[n])) for n in range(d))
-    )
+    return MubBasis.from_arrays(d, label, exponents=exps, scales=scale)
 
 
 def coefficient_oracle(a_basis, b_basis, same):
@@ -349,12 +344,12 @@ def stripped(basis):
     )
 
 
-def reference_verdict(mub_set, tol=DEFAULT_TOL, internal_tol=INTERNAL_TOL):
+def reference_verdict(mub_set, tol=DEFAULT_TOL):
     """(passed, failing pairs, exact) from the per-pair rule, one pair at a time.
 
     A pair of exact bases passes iff every Galois conjugate sigma_k of its
-    scaled overlaps meets the target within 1/2 and the float deviation is
-    below internal_tol; any other pair iff the float deviation is below tol.
+    scaled overlaps meets the target within 1/2; any other pair iff the
+    float deviation is below tol.
     """
     d = mub_set.dim
     ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
@@ -385,7 +380,7 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL, internal_tol=INTERNAL_TOL):
                             power < 0, np.inf, np.abs(np.abs(gram) ** 2 - float(d) ** power)
                         )
                     worst = max(worst, residual.max())
-                passed = worst < 0.5 and deviation < internal_tol
+                passed = worst < 0.5
             else:
                 passed = deviation < tol
             if not passed:
@@ -394,16 +389,18 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL, internal_tol=INTERNAL_TOL):
 
 
 def replaced(basis, **arrays):
-    """The basis with some of its amps, exponents and scales replaced."""
-    fields = {"amps": basis.amps, "exponents": basis.exponents, "scales": basis.scales, **arrays}
+    """The basis with some of its exponents and scales replaced (its amps, if it is not exact)."""
+    form = {"exponents": basis.exponents} if basis.exact else {"amps": basis.amps}
+    fields = {**form, "scales": basis.scales, **arrays}
     return MubBasis.from_arrays(basis.dim, basis.label, **fields)
 
 
 @st.composite
 def built_sets(draw):
     """A built prime set at d in {3, 5, 7}, its bases maybe reordered, with one
-    change: a basis's rows permuted, its scales changed or its amps shifted by
-    1e-11, or a basis dropped.  Most draws stay closed under every sigma_g."""
+    change: a basis's rows permuted or its scales changed, its exponents
+    stripped and its amps shifted by 1e-11 (below tol), or a basis dropped.
+    Most draws stay closed under every sigma_g."""
     d = draw(st.sampled_from([3, 5, 7]))
     bases = list(build_complete_set(d).bases)
     if draw(st.booleans()):
@@ -413,13 +410,12 @@ def built_sets(draw):
     if change == "rows":
         order = np.array(draw(st.permutations(range(d))))
         b = bases[i]
-        bases[i] = replaced(b, amps=b.amps[order], exponents=b.exponents[order],
-                            scales=b.scales[order])
+        bases[i] = replaced(b, exponents=b.exponents[order], scales=b.scales[order])
     elif change == "scales":
         scales = draw(st.lists(st.integers(0, 2), min_size=d, max_size=d))
         bases[i] = replaced(bases[i], scales=scales)
     elif change == "shift":
-        bases[i] = replaced(bases[i], amps=bases[i].amps + 1e-11)
+        bases[i] = replaced(stripped(bases[i]), amps=bases[i].amps + 1e-11)
     elif change == "drop":
         del bases[i]
     return MubSet(d, tuple(bases))
@@ -428,8 +424,8 @@ def built_sets(draw):
 @st.composite
 def candidate_sets(draw):
     """1-5 bases at d <= 7: random, built or perturbed exponent grids, some with
-    per-vector scales, some with their exponents stripped, and some whose float
-    amplitudes are shifted by 1e-11, between internal_tol and tol."""
+    per-vector scales, some with their exponents stripped, and some stripped
+    with their float amplitudes shifted by 1e-11, below tol."""
     d = draw(st.sampled_from([2, 3, 4, 5, 6, 7]))
     bases = []
     for i in range(draw(st.integers(1, 5))):
@@ -441,7 +437,7 @@ def candidate_sets(draw):
         if change == "strip":
             basis = stripped(basis)
         elif change == "shift":
-            basis = replaced(basis, amps=basis.amps + 1e-11)
+            basis = replaced(stripped(basis), amps=basis.amps + 1e-11)
         bases.append(basis)
     return MubSet(d, tuple(bases))
 
@@ -463,19 +459,17 @@ def planted_orbit_set():
     "c<alpha>" (scale 1) rows tau**(2n) and tau**(2n - alpha) there; sigma_3
     sends c<alpha> to c<3 alpha>.  With target 1, |1 + tau**-alpha|**2 - 1 =
     1 + 2 cos(pi alpha / 5) is 0.38 for alpha = 3, 7 and 2.62 for alpha = 1, 9,
-    so (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3.  The float
-    amps are those of a built set, so every float shadow passes.
+    so (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3.
     """
     d = 5
-    built = build_complete_set(d).bases
     exps = np.full((d, d), -1)
     exps[:, :2] = 0
-    bases = [MubBasis.from_arrays(d, "p", built[0].amps, exps, 0)]
-    for alpha, source in zip((1, 3, 9, 7), built[1:]):
+    bases = [MubBasis.from_arrays(d, "p", exponents=exps, scales=0)]
+    for alpha in (1, 3, 9, 7):
         exps = np.full((d, d), -1)
         exps[:, 0] = 2 * np.arange(d)
         exps[:, 1] = (2 * np.arange(d) - alpha) % (2 * d)
-        bases.append(MubBasis.from_arrays(d, f"c{alpha}", source.amps, exps, 1))
+        bases.append(MubBasis.from_arrays(d, f"c{alpha}", exponents=exps, scales=1))
     return MubSet(d, tuple(bases))
 
 
@@ -552,7 +546,6 @@ class TestGaloisOrbit:
             lambda bases: {
                 i: replaced(
                     bases[i],
-                    amps=np.concatenate([bases[j].amps[:1], bases[i].amps[1:]]),
                     exponents=np.concatenate([bases[j].exponents[:1], bases[i].exponents[1:]]),
                 )
                 for i, j in ((2, 3), (3, 2))
@@ -574,7 +567,7 @@ class TestGaloisOrbit:
         mub_set = planted_orbit_set()
         exps, scales = mub_set.exponents, mub_set.scales
         same = np.eye(5, dtype=bool)
-        one = mub._certificate_residuals(
+        one, _ = mub._certificate_residuals(
             exps, scales, same, conjugate_phases(5)[:1], np.argwhere(np.triu(~same))
         )
         assert one[0, 1:].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
@@ -583,6 +576,43 @@ class TestGaloisOrbit:
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
         assert ("p", "c3") in failing and ("p", "c7") in failing
         assert (rep.passed, failing) == reference_verdict(mub_set)[:2]
+
+    def test_exact_pairs_skip_the_float_gram(self, monkeypatch):
+        sent = []
+        deviations = mub._deviations
+
+        def recording(amps, same, pairs):
+            sent.extend(map(tuple, pairs))
+            return deviations(amps, same, pairs)
+
+        monkeypatch.setattr(mub, "_deviations", recording)
+        for d in (5, 13, 23):
+            assert verify_set(build_complete_set(d)).passed
+        assert verify_unbiased(*build_complete_set(7).bases[:2]).passed
+        assert sent == []
+        bases = list(build_complete_set(5).bases)
+        bases[2] = stripped(bases[2])
+        assert verify_set(MubSet(5, tuple(bases))).passed
+        # the pairs of the stripped basis, and no others
+        assert sorted(sent) == [(0, 2), (1, 2), (2, 2), (2, 3), (2, 4), (2, 5)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_complete_set(13), lambda: build_complete_set(12, force=True),
+         planted_orbit_set],
+        ids=["prime13", "forced12", "planted5"],
+    )
+    def test_exact_deviations_are_the_float_deviations(self, build):
+        # an exact pair's deviation, read from the certificate Gram's
+        # conjugate 1, is the deviation of its amps' float Gram up to rounding
+        mub_set = build()
+        n = len(mub_set.bases)
+        same, pairs = np.eye(n, dtype=bool), np.argwhere(np.triu(np.ones((n, n), dtype=bool)))
+        _, exact = mub._certificate_residuals(
+            mub_set.exponents, mub_set.scales, same, conjugate_phases(mub_set.dim), pairs
+        )
+        floats = mub._deviations(mub_set.amps, same, pairs)
+        assert np.abs(exact - floats).max() < 1e-15
 
     def test_non_exact_pairs_keep_the_float_verdict(self):
         bases = list(build_complete_set(7).bases)
@@ -661,6 +691,31 @@ class TestArrayStorage:
             assert not vec.amps.flags.writeable
         with pytest.raises(ValueError):
             basis.amps[0, 0] = 0
+
+    def test_exact_amps_follow_from_exponents(self):
+        exps = np.array([[0, 3, -1], [5, -1, 1], [2, 2, 4]])
+        basis = MubBasis.from_arrays(3, "x", exponents=exps, scales=[0, 1, 2])
+        expected = np.where(exps < 0, 0, _phase_table(6)[exps]) / np.array([[1], [3**0.5], [3]])
+        assert np.abs(basis.amps - expected).max() < 1e-15
+        assert (basis.amps[exps < 0] == 0).all()
+        vectors = basis.vectors
+        # MubBasis(dim, label, vectors) reads exact vectors by their exponents and scales
+        rebuilt = MubBasis(3, "x", [dataclasses.replace(v, amps=np.zeros(3)) for v in vectors])
+        assert np.array_equal(rebuilt.amps, basis.amps)
+
+    def test_caller_arrays_stay_writable(self):
+        amps = np.eye(3, dtype=complex)
+        exps = np.eye(3, dtype=np.int64) - 1
+        scales = np.zeros(3, dtype=np.int64)
+        labels = np.zeros((2, 2, 1), dtype=np.int64)
+        MubBasis.from_arrays(3, "x", amps, class_labels=labels)
+        basis = MubBasis.from_arrays(3, "s", exponents=exps, scales=scales)
+        MubVector(3, "s", 0, amps[0], exps[0], 0)
+        OperatorMatrix(3, amps, exps)
+        assert all(a.flags.writeable for a in (amps, exps, scales, labels))
+        # the exact form is a copy, so changing the caller's arrays leaves the basis alone
+        exps[0, 0], scales[0] = 1, 1
+        assert basis.exponents[0, 0] == 0 and basis.scales[0] == 0 and basis.amps[0, 0] == 1
 
     def test_set_stacks_its_bases(self):
         mub_set = build_complete_set(5)
