@@ -16,7 +16,7 @@ them, so the float and the exact data cannot drift apart.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +37,10 @@ from .weyl import build_v
 #: Bytes of the buffer that verify_set writes one block's gathered conjugate
 #: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
 #: how many basis pairs one batched Gram covers (at least one), so memory
-#: stays bounded whatever d and the number of bases.  Each pair stays its own
+#: stays bounded whatever d and the number of bases.  Only the pairs that
+#: verify_set evaluates fill blocks: one per orbit under the diagonal shifts
+#: (d + 2 for a built prime set, one block up to d = 27), or every pair of a
+#: set without the symmetry.  Each pair stays its own
 #: d x d x d product: OpenBLAS splits products from about 65536 multiply-adds
 #: (d = 40) over threads, and such split products stalled for about 250 ms
 #: at a time on a 2-CPU machine.
@@ -125,6 +128,19 @@ class MubBasis:
         basis._store(dim, label, amps, exponents, scales, class_labels)
         return basis
 
+    @classmethod
+    def _of_rows(cls, dim: int, label, amps, exponents, scales):
+        """An exact basis made of read-only rows of a set's stacks (see MubSet._of_exponents).
+
+        Nothing is checked, derived or copied.
+        """
+        basis = cls.__new__(cls)
+        fields = {"dim": dim, "label": label, "amps": amps, "exponents": exponents,
+                  "scales": scales, "class_labels": None}
+        for name, value in fields.items():
+            object.__setattr__(basis, name, value)
+        return basis
+
     def _store(self, dim, label, amps, exponents, scales, class_labels):
         if (amps is None) == (exponents is None):
             raise ValueError(
@@ -190,18 +206,20 @@ class MubSet:
     amps (n, d, d) and scales (n, d) stack every basis's arrays; exponents
     (m, d, d) stacks those of the m bases that have them, which exact_bases
     (n,) marks.  Each basis is re-pointed at read-only views of these rows,
-    so the set holds its arrays once.
+    so the set holds its arrays once; a set built by _of_exponents is given
+    its stacks, and its bases are made of their rows.
     """
 
     dim: int
     bases: tuple
     forced: bool = False
+    stacks: InitVar[dict | None] = None
     amps: np.ndarray = field(init=False, repr=False, compare=False)
     exponents: np.ndarray = field(init=False, repr=False, compare=False)
     scales: np.ndarray = field(init=False, repr=False, compare=False)
     exact_bases: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, stacks):
         labels = [b.label for b in self.bases]
         if len(set(labels)) != len(labels):
             raise ValueError(f"basis labels must be unique, got {labels}")
@@ -212,14 +230,36 @@ class MubSet:
                 raise ValueError(f"basis {b.label} has dim {b.dim}, expected {self.dim}")
         d, n = self.dim, len(self.bases)
         exact = [b for b in self.bases if b.exact]
-        stacked = {
-            "amps": _restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
-            "exponents": _restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
-            "scales": _restack(self.bases, "scales", np.empty((n, d), np.int64)),
-            "exact_bases": _frozen([b.exact for b in self.bases], bool),
-        }
-        for key, value in stacked.items():
+        if stacks is None:
+            stacks = {
+                "amps": _restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
+                "exponents": _restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
+                "scales": _restack(self.bases, "scales", np.empty((n, d), np.int64)),
+            }
+        stacks["exact_bases"] = _frozen([b.exact for b in self.bases], bool)
+        for key, value in stacks.items():
             object.__setattr__(self, key, value)
+
+    @classmethod
+    def _of_exponents(cls, dim: int, labels, exponents, scales, forced: bool = False):
+        """The exact set of bases labels from its stacked exponents (n, d, d) and scales (n, d).
+
+        The amps of all bases are derived in one broadcast, and each basis
+        is made of read-only views of its rows of the three stacks, so
+        nothing is computed or copied basis by basis.  The set keeps the
+        given int64 arrays without a copy, so the caller must not write to
+        them afterwards.
+        """
+        exponents, scales = _frozen(exponents, np.int64), _frozen(scales, np.int64)
+        n = len(labels)
+        if exponents.shape != (n, dim, dim) or scales.shape != (n, dim):
+            raise ValueError(f"{n} bases need exponents ({n}, {dim}, {dim}), scales ({n}, {dim})")
+        amps = _frozen(_amplitudes(dim, exponents, scales), np.complex128)
+        bases = tuple(
+            MubBasis._of_rows(dim, label, *rows)
+            for label, *rows in zip(labels, amps, exponents, scales)
+        )
+        return cls(dim, bases, forced, {"amps": amps, "exponents": exponents, "scales": scales})
 
     @property
     def exact(self) -> bool:
@@ -277,7 +317,9 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
 
     Non-prime d is refused (the cyclic recipe cannot reach d+1 pairwise
     unbiased bases there); force=True builds the family anyway so the
-    failure can be exhibited, and the resulting set is marked forced.
+    failure can be exhibited, and the resulting set is marked forced.  The
+    (d+1, d, d) exponents, the scales and the amps are built once for the
+    whole set, and each basis is made of read-only views of its rows.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -287,12 +329,12 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
             "unbiased bases only in prime dimension; pass force=True to build "
             "the (incomplete) family anyway"
         )
-    # each basis copies its row, so the (d, d, d) grid is freed before MubSet stacks the copies
-    eigenbases = [
-        MubBasis.from_arrays(d, a, exponents=exps)
-        for a, exps in enumerate(_eigen_exponents(d, np.arange(d)[:, None], np.arange(d)))
-    ]
-    return MubSet(d, (spherical_basis(d), *eigenbases), forced=not is_prime(d))
+    exps = np.empty((d + 1, d, d), np.int64)
+    exps[0] = np.eye(d, dtype=np.int64) - 1
+    exps[1:] = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
+    scales = np.ones((d + 1, d), np.int64)
+    scales[0] = 0
+    return MubSet._of_exponents(d, ("s", *range(d)), exps, scales, forced=not is_prime(d))
 
 
 # -- verification ------------------------------------------------------------
@@ -416,50 +458,130 @@ def _unit_generators(d: int) -> tuple:
     return tuple(gens)
 
 
-def _closure_permutations(exps: np.ndarray, scales: np.ndarray) -> list | None:
-    """Basis permutations pi_g, one per generator g, if each sigma_g maps the bases to themselves.
+def _closure_permutations(exps: np.ndarray, scales: np.ndarray, maps) -> list:
+    """For each map (g, D) of the exponents, the basis permutation it gives, or None.
 
-    sigma_g multiplies every tau exponent by g (-1, an exact zero, stays).
-    pi_g[i] is the index of a basis equal to sigma_g(basis i) up to the order
-    and global phases of its rows, with the same scale on each row; such a
-    basis gives every pair the same overlap moduli and targets.  The check
-    is on integers: each row is shifted so that its first nonzero exponent
-    is 0, its scale is appended, and a basis is keyed by its sorted rows.  The
-    images' keys, sorted, must equal the keys, sorted; matching the two
-    orders maps bases one to one, so two distinct bases never map onto one
-    (whose pair has the same-basis target).  Returns None if some sigma_g
-    does not map the set onto itself.  Exponents must lie in -1..2d-1, as
-    _pair_verdicts checks.
+    A map sends each exponent e >= 0 to g*e + D mod 2d, with g a unit mod
+    2d and D one shift for every slot or one per slot (d,); an exact zero
+    (-1) stays.  A map that sends the bases onto themselves gives the
+    permutation pi that sends basis i to a basis pi[i] equal to the image
+    of basis i up to the order and global phases of its rows, with the same
+    scale on each row; such a basis gives every pair the same overlap
+    moduli and targets.  Any other map gives None.  The check is on
+    integers, and this routine alone owns the key: each row is shifted so
+    that its first nonzero exponent is 0, its scale is appended, and a
+    basis is keyed by its sorted rows.  The images' keys, sorted, must equal
+    the keys, sorted; matching the two orders maps bases one to one, so two
+    distinct bases never map onto one (whose pair has the same-basis
+    target).  The bases and all images are keyed in one batch, in the
+    narrowest signed type that holds -4d..4d and the scales.  Exponents must
+    lie in -1..2d-1, as _pair_verdicts checks.
+    """
+    m, d = exps.shape[:2]
+    dtype = np.min_scalar_type(-max(4 * d, int(np.abs(scales).max(initial=0)) + 1))
+    rows = exps.astype(dtype)
+    nonzero = rows >= 0
+    images = np.empty((1 + len(maps), m, d, d), dtype)
+    images[0] = rows
+    for image, (g, shift) in zip(images[1:], maps):
+        # exact zeros stay: the table keeps -1, and the shift skips them
+        image[...] = rows if g == 1 else _multiples(d, g)[rows]
+        np.add(image, shift, out=image, where=nonzero)
+    zero = images < 0
+    flat = images.reshape(-1, d)
+    # each row less its first nonzero exponent, mod 2d
+    flat -= flat[np.arange(len(flat)), (~zero).reshape(-1, d).argmax(axis=1)][:, None]
+    images %= 2 * d
+    images[zero] = -1
+    tails = np.repeat(scales[None, ..., None].astype(dtype), len(images), axis=0)
+    row_keys = np.concatenate([images, tails], axis=3)
+    # freed before the sort, which works in place, so one copy of the keys is held
+    del zero, images, flat
+    row_keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * (d + 1))))[..., 0]
+    row_keys.sort(axis=2)
+    keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * d)))[..., 0]
+    order = np.argsort(keys, axis=1, kind="stable")
+    perms = []
+    for image, image_order in zip(keys[1:], order[1:]):
+        perm = None
+        if (image[image_order] == keys[0, order[0]]).all():
+            perm = np.empty(m, dtype=np.intp)
+            perm[image_order] = order[0]
+        perms.append(perm)
+    return perms
+
+
+@lru_cache(maxsize=None)
+def _multiples(d: int, g: int) -> np.ndarray:
+    """g*e mod 2d at index e = 0..2d-1, and -1 at index -1 (an exact zero stays), read-only.
+
+    The table has the narrowest signed type that holds it.
+    """
+    table = np.append(np.arange(2 * d) * g % (2 * d), -1).astype(np.min_scalar_type(-2 * d))
+    table.setflags(write=False)
+    return table
+
+
+def _symmetries(exps: np.ndarray, scales: np.ndarray) -> tuple:
+    """The Galois permutations of the bases, and the orbit of f0 under their diagonal shifts.
+
+    sigma_g multiplies every tau exponent by g; the permutations pi_g, one
+    per generator g of the units (see _unit_generators), are returned if
+    every sigma_g maps the bases onto themselves, else None.  A shift adds
+    D (d,) to every exponent >= 0: it multiplies each vector slot by slot
+    by the phases tau**D, so every overlap of two shifted vectors, and every
+    Galois conjugate of it, is unchanged, and a shift that maps the bases
+    onto themselves gives each pair the residuals and deviation of its
+    image pair.  f0 is the first flat basis (no exact zero).  For each flat
+    basis k not yet in f0's orbit, the one candidate is D = exps[k, 0] -
+    exps[f0, 0] mod 2d, the shift that sends row 0 of f0 to row 0 of k; the
+    search stops at the first candidate that fails.  In a prime set
+    eigenbasis a + c is eigenbasis a shifted by D = t(d-t)c at slot d-1-t,
+    so one candidate reaches every eigenbasis; an exact p**e set needs e.
+    Both kinds of map go through _closure_permutations, the first candidate
+    in one batch with the conjugations.  Returns (perms or None, f0, maps)
+    with maps (m, m): row i is g_i, a basis permutation composed of the
+    shifts found with g_i[i] = f0, for each i in the orbit, and -1 for the
+    other bases; maps is None when the first candidate fails or there is
+    none (fewer than two flat bases), as every pair then stands alone.
     """
     m, d = exps.shape[:2]
     gens = _unit_generators(d)
-    if not gens:
-        return []
-    # the narrowest signed type that holds exponents below 2d and the scales
-    dtype = np.min_scalar_type(-max(2 * d, int(np.abs(scales).max()) + 1))
-    first = np.take_along_axis(exps, (exps >= 0).argmax(axis=2)[..., None], axis=2)
-    rows = np.where(exps >= 0, (exps - first) % (2 * d), -1).astype(dtype)
-    tail = scales[..., None].astype(dtype)
+    flat = np.flatnonzero(exps.reshape(m, -1).min(axis=1) >= 0)
 
-    def keys(rows):
-        keyed = np.concatenate([rows, tail], axis=2)
-        row_keys = keyed.view(np.dtype((np.void, keyed.itemsize * (d + 1))))[..., 0]
-        row_keys = np.sort(row_keys, axis=1)
-        return row_keys.view(np.dtype((np.void, row_keys.itemsize * d)))[:, 0]
+    def shift(k):
+        return 1, (exps[k, 0] - exps[flat[0], 0]) % (2 * d)
 
-    base = keys(rows)
-    order = np.argsort(base, kind="stable")
-    perms = []
-    for g in gens:
-        # index -1 reads the appended -1, so exact zeros stay zeros
-        image = keys(np.append(np.arange(2 * d) * g % (2 * d), -1).astype(dtype)[rows])
-        image_order = np.argsort(image, kind="stable")
-        if (image[image_order] != base[order]).any():
-            return None
-        perm = np.empty(m, dtype=np.intp)
-        perm[image_order] = order
-        perms.append(perm)
-    return perms
+    found = _closure_permutations(
+        exps, scales, [(g, 0) for g in gens] + [shift(k) for k in flat[1:2]]
+    )
+    perms, pending = found[: len(gens)], found[len(gens) :]
+    if any(perm is None for perm in perms):
+        perms = None
+    if not pending or pending[0] is None:
+        return perms, 0, None
+    f0 = int(flat[0])
+    maps = np.full((m, m), -1, dtype=np.intp)
+    maps[f0] = np.arange(m)
+    # the shifts found, each with its inverse, and the orbit reached
+    shifts, reached = [], {f0}
+    for k in flat[1:]:
+        if k in reached:
+            continue
+        perm = pending.pop() if pending else _closure_permutations(exps, scales, [shift(k)])[0]
+        if perm is None:
+            break
+        shifts.append((perm.tolist(), np.argsort(perm)))
+        frontier = list(reached)
+        while frontier:
+            i = frontier.pop()
+            for perm, inverse in shifts:
+                if (j := perm[i]) not in reached:
+                    # g_j is g_i after the inverse shift, which sends j to i
+                    maps[j] = maps[i][inverse]
+                    reached.add(j)
+                    frontier.append(j)
+    return perms, f0, maps
 
 
 def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
@@ -468,29 +590,49 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
     exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
     one basis and checked (n, n) the pairs (i, j >= i) to check: all of
-    them for verify_set, one for verify_unbiased (two bases, so the pair is
-    its own orbit).  Only pairs with a non-exact basis go to _deviations;
-    an exact pair's deviation comes from its certificate Gram.  Returns
-    (n, n) deviations, certificate verdicts and verdicts, each valid on the
-    pairs checked, and the number of conjugates evaluated per exact pair
-    (None when no basis is exact).  The rules are those verify_set states.
-    Raises ValueError if an exponent lies outside -1..2d-1.
+    them for verify_set, one for verify_unbiased.  Only pairs with a
+    non-exact basis go to _deviations; an exact pair's deviation comes from
+    its certificate Gram.  A checked exact pair (i, j) with a basis in the
+    orbit of f0 under the diagonal shifts of _symmetries, i say, takes the
+    residuals and deviation of the pair (f0, g_i(j)), so
+    _certificate_residuals runs only on the pairs (f0, j) and the pairs
+    with neither basis in the orbit that some checked pair maps to; a set
+    without a shift symmetry evaluates every checked pair.  Returns (n, n)
+    deviations, certificate verdicts and verdicts, each valid on the pairs
+    checked, the number of conjugates evaluated per exact pair (None when
+    no basis is exact), and the number of pairs whose Gram was evaluated.
+    The rules are those verify_set states.  Raises ValueError if an
+    exponent lies outside -1..2d-1.
     """
     n, d = amps.shape[:2]
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
         # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
         raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
-    deviation = _deviations(amps, same, np.argwhere(checked & ~np.outer(exact, exact)))
+    floats = np.argwhere(checked & ~np.outer(exact, exact))
+    deviation = _deviations(amps, same, floats)
     passed = deviation < tol
     certified = np.zeros((n, n), dtype=bool)
     if not exact.any():
-        return deviation, certified, passed, None
+        return deviation, certified, passed, None, len(floats)
     exact_pairs = np.ix_(exact, exact)
-    perms = _closure_permutations(exps, scales[exact])
+    perms, f0, maps = _symmetries(exps, scales[exact])
+    evaluated = checked[exact_pairs]
+    if maps is not None:
+        # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
+        # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
+        mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
+        copies = evaluated & (mate >= 0)
+        evaluated = evaluated & ~copies
+        evaluated[f0, mate[copies]] = True
+    evaluated = np.argwhere(evaluated)
     phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
-    residual, deviation[exact_pairs] = _certificate_residuals(
-        exps, scales[exact], same[exact_pairs], phases, np.argwhere(checked[exact_pairs])
+    residual, exact_deviation = _certificate_residuals(
+        exps, scales[exact], same[exact_pairs], phases, evaluated
     )
+    if maps is not None:
+        for values in (residual, exact_deviation):
+            values[copies] = values[f0, mate[copies]]
+    deviation[exact_pairs] = exact_deviation
     fail = residual >= 0.5
     fail |= fail.T
     # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
@@ -502,7 +644,7 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
             fail |= fail[np.ix_(perm, perm)]
         grown = np.count_nonzero(fail) > before
     certified[exact_pairs] = passed[exact_pairs] = ~fail
-    return deviation, certified, passed, len(phases)
+    return deviation, certified, passed, len(phases), len(floats) + len(evaluated)
 
 
 def verify_unbiased(
@@ -528,7 +670,7 @@ def verify_unbiased(
     exact = np.full(len(bases), a_basis.exact and b_basis.exact)
     checked = np.zeros_like(same)
     checked[0, -1] = True
-    deviation, certified, passed, conjugates = _pair_verdicts(
+    deviation, certified, passed, conjugates, gram_pairs = _pair_verdicts(
         np.stack([b.amps for b in bases]),
         np.array([b.exponents for b in bases if exact[0]], dtype=np.int64).reshape(-1, d, d),
         np.stack([b.scales for b in bases]), exact, same, checked, tol,
@@ -545,6 +687,7 @@ def verify_unbiased(
             "same_basis": bool(same[0, -1]),
             "exact": bool(certified[0, -1]) if exact[0] else None,
             "conjugates": conjugates,
+            "gram_pairs": gram_pairs,
         },
     )
 
@@ -562,15 +705,23 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     conjugate 1 of its image pair, so only conjugate 1 is evaluated and a
     pair's exact verdict is the AND of the conjugate-1 verdicts over its
     orbit; otherwise every conjugate is evaluated.  details["conjugates"]
-    records how many, per exact pair (None when no basis is exact).  Pairs
-    are checked in blocks of basis pairs sized by GRAM_BLOCK_BYTES, one
-    batched certificate Gram per block of exact pairs and one batched float
-    Gram per block of the others.
+    records how many, per exact pair (None when no basis is exact).  When
+    diagonal shifts E -> E + D of the exponents map the exact bases onto
+    themselves (the same integer check, see _symmetries), a pair and its
+    image have equal overlaps in every conjugate, so one Gram is evaluated
+    per orbit of exact pairs: for a prime or forced set, d + 2 of them, the
+    pairs (s, s), (f0, s) and (f0, a) with f0 the first eigenbasis.  A set
+    without the symmetry evaluates every pair, as do pairs with no basis in
+    the orbit.  details["gram_pairs"] records how many basis pairs had their
+    Gram evaluated, certificate and float.  Those pairs are checked in
+    blocks of basis pairs sized by GRAM_BLOCK_BYTES, one batched certificate
+    Gram per block of exact pairs and one batched float Gram per block of
+    the others.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)
     upper = np.triu(np.ones((n, n), dtype=bool))
-    deviation, _, passed, conjugates = _pair_verdicts(
+    deviation, _, passed, conjugates, gram_pairs = _pair_verdicts(
         mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases,
         np.eye(n, dtype=bool), upper, tol,
     )
@@ -586,6 +737,7 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
         "failing_pairs": failing,
         "exact": mub_set.exact,
         "conjugates": conjugates,
+        "gram_pairs": gram_pairs,
     }
     if mub_set.forced:
         details["note"] = "not complete by construction"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import canonicalize_coeffs
 from mubkit import mub
-from mubkit.composite import build_composite_set
+from mubkit.composite import _spread_forms, _stabilizer_exponents, build_composite_set
 from mubkit.cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
     MubBasis,
@@ -353,6 +353,12 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL):
     """
     d = mub_set.dim
     ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
+    # sigma_k of every exact basis's scaled amplitudes, 0 at exponent -1
+    grids = {
+        id(b): [np.where(b.exponents < 0, 0, np.exp(1j * np.pi * k * b.exponents / d)) for k in ks]
+        for b in mub_set.bases
+        if b.exact
+    }
     failing = []
     for i, a in enumerate(mub_set.bases):
         for b in mub_set.bases[i:]:
@@ -363,14 +369,9 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL):
             else:
                 deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max()
             if a.exact and b.exact:
-                ea = np.stack([v.exact_exponents for v in a.vectors])
-                eb = np.stack([v.exact_exponents for v in b.vectors])
-                sa = np.array([v.scale_sqrt_dim for v in a.vectors])
-                sb = np.array([v.scale_sqrt_dim for v in b.vectors])
+                sa, sb = a.scales, b.scales
                 worst = 0.0
-                for k in ks:
-                    ga = np.where(ea < 0, 0, np.exp(1j * np.pi * k * ea / d))
-                    gb = np.where(eb < 0, 0, np.exp(1j * np.pi * k * eb / d))
+                for ga, gb in zip(grids[id(a)], grids[id(b)]):
                     gram = ga.conj() @ gb.T
                     if same:
                         residual = np.abs(gram - np.diag(float(d) ** sa))
@@ -386,6 +387,43 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL):
             if not passed:
                 failing.append((a.label, b.label))
     return not failing, failing, all(b.exact for b in mub_set.bases)
+
+
+def reference_conjugates(mub_set):
+    """Conjugates evaluated per exact pair: 1 if every sigma_k maps the exact bases onto
+    themselves, as multisets of bases keyed by their rows up to order and global phase
+    with each row's scale, else all of them; None without an exact basis."""
+    exact = [b for b in mub_set.bases if b.exact]
+    if not exact:
+        return None
+    d = mub_set.dim
+    ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
+
+    def key(exps, scales):
+        first = np.array([row[row >= 0][0] if (row >= 0).any() else 0 for row in exps])
+        rows = np.where(exps >= 0, (exps - first[:, None]) % (2 * d), -1)
+        return tuple(sorted((tuple(row), int(s)) for row, s in zip(rows.tolist(), scales)))
+
+    keys = sorted(key(b.exponents, b.scales) for b in exact)
+    closed = all(
+        sorted(key(np.where(b.exponents < 0, -1, b.exponents * k), b.scales) for b in exact) == keys
+        for k in ks
+    )
+    return 1 if closed else len(ks)
+
+
+def reference_max_residual(mub_set):
+    """The worst float deviation over every pair i <= j of the set's amps."""
+    d, bases = mub_set.dim, mub_set.bases
+    worst = 0.0
+    for i, a in enumerate(bases):
+        for b in bases[i:]:
+            overlaps = a.amps.conj() @ b.amps.T
+            if a is b:
+                worst = max(worst, np.abs(overlaps - np.eye(d)).max())
+            else:
+                worst = max(worst, np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max())
+    return worst
 
 
 def replaced(basis, **arrays):
@@ -654,6 +692,117 @@ class TestGaloisOrbit:
         assert len(gens) <= 3
 
 
+def exact_composite_set(p, e, a_params):
+    """The computational basis and the p**e graph bases, written exactly from their exponents."""
+    d = p**e
+    exps = _stabilizer_exponents(p, e, _spread_forms(p, e), tuple(a_params))
+    graphs = (MubBasis.from_arrays(d, f"class:{g + 1}", exponents=exps[g]) for g in range(d))
+    return MubSet(d, (spherical_basis(d), *graphs))
+
+
+@st.composite
+def shift_symmetric_sets(draw):
+    """A built prime set at d <= 31, a forced set whose failing pairs depend on a - b, or an
+    exact composite set, with one change: its bases shuffled, a basis dropped, one row
+    exponent perturbed, a basis duplicated under a new label, or one scale given to a
+    basis (which keeps the computational basis fixed by every shift)."""
+    source = draw(st.sampled_from(["prime", "forced", "composite"]))
+    if source == "prime":
+        d = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+        mub_set = build_complete_set(d)
+    elif source == "forced":
+        mub_set = build_complete_set(draw(st.sampled_from([4, 6, 8, 9, 12])), force=True)
+    else:
+        p, e = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]))
+        a_params = draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
+        mub_set = exact_composite_set(p, e, a_params)
+    d, bases = mub_set.dim, list(mub_set.bases)
+    i = draw(st.integers(0, len(bases) - 1))
+    change = draw(st.sampled_from(["none", "shuffle", "drop", "perturb", "duplicate", "scale"]))
+    if change == "shuffle":
+        bases = draw(st.permutations(bases))
+    elif change == "drop":
+        del bases[i]
+    elif change == "perturb":
+        exps = bases[i].exponents.copy()
+        n, s = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        exps[n, s] = draw(st.integers(-1, 2 * d - 1))
+        bases[i] = replaced(bases[i], exponents=exps)
+    elif change == "duplicate":
+        copy = MubBasis.from_arrays(d, "copy", exponents=bases[i].exponents, scales=bases[i].scales)
+        bases.append(copy)
+    elif change == "scale":
+        bases[i] = replaced(bases[i], scales=draw(st.integers(0, 2)))
+    return MubSet(d, tuple(bases))
+
+
+class TestShiftOrbit:
+    """verify_set evaluates one Gram per orbit of exact pairs under the diagonal
+    shifts that map the exact bases onto themselves, with the per-pair verdicts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shift_symmetric_sets())
+    def test_matches_per_pair_reference(self, mub_set):
+        rep = verify_set(mub_set)
+        passed, failing, exact = reference_verdict(mub_set)
+        assert rep.passed is passed
+        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+        assert rep.details["exact"] is exact
+        assert rep.details["conjugates"] == reference_conjugates(mub_set)
+        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
+    def test_prime_sets_evaluate_d_plus_2_grams(self, d):
+        # (s, s), then (f0, s), (f0, f0) and (f0, a) for the d - 1 other eigenbases
+        rep = verify_set(build_complete_set(d))
+        assert rep.passed and rep.details["gram_pairs"] == d + 2
+        bases = build_complete_set(d).bases
+        shuffled = MubSet(d, bases[::-1])
+        assert verify_set(shuffled).details["gram_pairs"] == d + 2
+
+    @pytest.mark.parametrize("p, e, a_params", [(2, 3, (1, 0, 1)), (3, 2, (0, 0)), (3, 2, (0, 1)),
+                                                (7, 2, (1, 3))])
+    def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params):
+        mub_set = exact_composite_set(p, e, a_params)
+        rep = verify_set(mub_set)
+        assert rep.passed and rep.details["gram_pairs"] == p**e + 2
+        # (7, 2) with a = (1, 3) is not Galois-closed: every conjugate of the 51 pairs is evaluated
+        assert rep.details["conjugates"] == reference_conjugates(mub_set)
+
+    def test_sets_without_the_symmetry_evaluate_every_pair(self):
+        bases = build_complete_set(7).bases
+        # dropping eigenbasis 1 leaves no shift that maps the set onto itself
+        dropped = MubSet(7, tuple(b for b in bases if b.label != 1))
+        assert verify_set(dropped).details["gram_pairs"] == 7 * 8 // 2
+        # a float-only basis is checked on its own Gram, one per pair
+        floats = MubSet(7, tuple(stripped(b) for b in bases))
+        assert verify_set(floats).details["gram_pairs"] == 8 * 9 // 2
+        one, two = bases[1:3]
+        assert verify_unbiased(one, two).details["gram_pairs"] == 1
+        assert verify_unbiased(one, one).details["gram_pairs"] == 1
+
+    def test_scaled_computational_basis_fails_against_every_eigenbasis(self):
+        # the shifts fix a computational basis of one scale, so its pairs copy (s, f0)
+        bases = list(build_complete_set(5).bases)
+        bases[0] = replaced(bases[0], scales=1)
+        rep = verify_set(MubSet(5, tuple(bases[::-1])))
+        assert rep.details["gram_pairs"] == 7
+        failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
+        assert failing == [(a, "s") for a in (4, 3, 2, 1, 0)] + [("s", "s")]
+        assert failing == reference_verdict(MubSet(5, tuple(bases[::-1])))[1]
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
+    def test_forced_failures_depend_on_the_difference(self, d):
+        # eigenbases a and b are unbiased iff gcd(a - b, d) == 1 (checked against the reference)
+        mub_set = build_complete_set(d, force=True)
+        rep = verify_set(mub_set)
+        assert rep.details["gram_pairs"] == d + 2
+        failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
+        biased = [(a, b) for a in range(d) for b in range(a + 1, d) if math.gcd(b - a, d) > 1]
+        assert failing == biased
+        assert failing == reference_verdict(mub_set)[1]
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize(
     "check",
@@ -726,6 +875,19 @@ class TestArrayStorage:
             assert np.shares_memory(basis.amps, amps)
             assert np.shares_memory(basis.exponents, exps)
             assert np.shares_memory(basis.scales, mub_set.scales)
+
+    @pytest.mark.parametrize("d", [2, 5, 6])
+    def test_one_broadcast_build_matches_each_basis(self, d):
+        mub_set = build_complete_set(d, force=True)
+        bases = [spherical_basis(d), *(build_basis(d, a) for a in range(d))]
+        for basis, alone in zip(mub_set.bases, bases, strict=True):
+            assert basis.label == alone.label and basis.class_labels is None
+            for name in ("amps", "exponents", "scales"):
+                assert np.array_equal(getattr(basis, name), getattr(alone, name))
+                assert not getattr(basis, name).flags.writeable
+                assert np.shares_memory(getattr(basis, name), getattr(mub_set, name))
+        with pytest.raises(ValueError, match=r"exponents \(2, 3, 3\)"):
+            MubSet._of_exponents(3, ("s", 0), np.zeros((3, 3, 3), int), np.ones((3, 3), int))
 
     def test_set_stacks_only_present_exponents(self):
         mub_set = build_composite_set(2, 2)
