@@ -158,6 +158,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     out = {
         "dim": mub_set.dim,
         "n_bases": len(mub_set.bases),
+        "complete": report.details["complete"],
         "tolerance": args.tol,
         "exact": report.details["exact"],
         "max_residual": report.max_residual,

@@ -29,17 +29,15 @@ from itertools import product
 import numpy as np
 
 from .cyclo import DEFAULT_TOL, _frozen, check_tolerance, is_prime
-from .mub import MubBasis, MubSet, _amplitudes, spherical_basis, verify_set
+from .mub import MubBasis, MubSet, _amplitudes, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
 
-#: Largest dimension accepted; build_composite_set writes its d graph bases
-#: as one (d, d, d) array, then verifies all pairs of its d + 1 bases with
-#: verify_set's blocked kernel, one batched float Gram per block of basis
-#: pairs sized by mub.GRAM_BLOCK_BYTES, so time is O(d**5) and memory stays
-#: bounded by two copies of the stacked set plus one block.  Only the
-#: computational basis carries exponents, so the Galois closure check and the
-#: certificate cover its own pair alone.
+#: Largest dimension accepted; build_composite_set writes its d + 1 bases as
+#: one stack, then verifies every pair with verify_set's blocked kernel, one
+#: float Gram per block of pairs sized by mub.GRAM_BLOCK_BYTES, so time is
+#: O(d**5) and memory stays bounded.  Its one exact pair, the computational
+#: basis's own, is decided on integers, with no closure check or certificate.
 MAX_DIM = 128
 
 #: Distance below which degeneracy_report merges two eigenvalues.
@@ -273,12 +271,6 @@ def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) ->
     return (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad[:, None, :]) % (2 * d)
 
 
-def _computational_basis(d: int, label: str, members: np.ndarray) -> MubBasis:
-    """The all-clock class's joint eigenbasis, written exactly, holding members as class_labels."""
-    s = spherical_basis(d)
-    return MubBasis.from_arrays(d, label, exponents=s.exponents, scales=0, class_labels=members)
-
-
 def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     """Orthonormal simultaneous eigenbasis of every operator in the class.
 
@@ -296,7 +288,8 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     members = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
     form = _class_form(cls.id, members, p, e)
     if form is None:
-        return _computational_basis(d, label, members)
+        exps = np.eye(d, dtype=np.int64) - 1
+        return MubBasis.from_arrays(d, label, exponents=exps, scales=0, class_labels=members)
     amps = _amplitudes(d, _stabilizer_exponents(p, e, form[None], a_params), 1)[0]
     return MubBasis.from_arrays(d, label, amps, class_labels=members)
 
@@ -310,22 +303,21 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     Every class of the spread contributes its joint eigenbasis, in the order
     and with the members of partition_commuting_classes; the all-clock
     class, first, contributes the computational basis (written exactly).
-    The p**e graph classes are built in one broadcast from the spread forms,
-    and each basis holds a read-only view of its row of the class labels.
+    The set's stacks are written once, the graph bases in one broadcast from
+    the spread forms, and each basis views its rows and its class labels.
     The whole set is verified pairwise before being returned; failure
     raises ConstructionError with the offending pair.
     """
     check_tolerance(tol)
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
-    labels = _class_labels(p, e)
-    amps = _amplitudes(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params), 1)
-    bases = [_computational_basis(d, "class:0", labels[0])]
-    bases += [
-        MubBasis.from_arrays(d, f"class:{g + 1}", amps[g], class_labels=labels[g + 1])
-        for g in range(d)
-    ]
-    mub_set = MubSet(d, tuple(bases))
+    amps = np.empty((d + 1, d, d), np.complex128)
+    _amplitudes(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params), 1, out=amps[1:])
+    scales = np.ones((d + 1, d), np.int64)
+    scales[0] = 0
+    mub_set = MubSet._of_stacks(d, [f"class:{c}" for c in range(d + 1)],
+                                np.eye(d, dtype=np.int64)[None] - 1, scales, amps,
+                                _class_labels(p, e))
     report = verify_set(mub_set, tol)
     if not report.passed:
         pair = report.details["failing_pairs"][0]

@@ -39,7 +39,7 @@ from .weyl import build_v
 #: how many basis pairs one batched Gram covers (at least one), so memory
 #: stays bounded whatever d and the number of bases.  Only the pairs that
 #: verify_set evaluates fill blocks: one per orbit under the diagonal shifts
-#: (d + 2 for a built prime set, one block up to d = 27), or every pair of a
+#: (d + 1 for a built prime set, one block up to d = 27), or every pair of a
 #: set without the symmetry.  Each pair stays its own
 #: d x d x d product: OpenBLAS splits products from about 65536 multiply-adds
 #: (d = 40) over threads, and such split products stalled for about 250 ms
@@ -47,17 +47,25 @@ from .weyl import build_v
 GRAM_BLOCK_BYTES = 1 << 20
 
 
-def _amplitudes(d: int, exps, scales) -> np.ndarray:
+def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
     """tau**exps / d**(scales/2), an exact 0 at exponent -1: the amps of exact rows.
 
     exps has the slots on its last axis and scales one value per row (or one
-    for all rows).  The phases are row k = 1 of conjugate_phases(d), read as
-    the certificate reads them, so the Gram of two exact bases' amps is their
-    conjugate-1 certificate Gram over d**((sa+sb)/2).
+    for all rows); out is an optional complex128 array to write into.  The
+    phases are row k = 1 of conjugate_phases(d), read as the certificate
+    reads them, so the Gram of two exact bases' amps is their conjugate-1
+    certificate Gram over d**((sa+sb)/2).
     """
-    amps = np.take(conjugate_phases(d)[0], exps, mode="wrap")
+    amps = np.take(conjugate_phases(d)[0], exps, mode="wrap", out=out)
     amps /= np.sqrt(float(d) ** np.asarray(scales))[..., None]
     return amps
+
+
+def _assign(obj, **fields):
+    """obj, an instance of a frozen dataclass, with fields set as given, unchecked."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class MubBasis:
     are tau**e / d**(s/2) of them, so no basis holds amps that differ from
     its exponents.  The verifiers reject exponents outside -1..2d-1.
     MubBasis(dim, label, vectors) stacks MubVectors once, the exact ones by
-    their exponents and scales; the build functions use from_arrays.
+    their exponents and scales; the builders view the rows of one stack.
     """
 
     dim: int
@@ -128,19 +136,6 @@ class MubBasis:
         basis._store(dim, label, amps, exponents, scales, class_labels)
         return basis
 
-    @classmethod
-    def _of_rows(cls, dim: int, label, amps, exponents, scales):
-        """An exact basis made of read-only rows of a set's stacks (see MubSet._of_exponents).
-
-        Nothing is checked, derived or copied.
-        """
-        basis = cls.__new__(cls)
-        fields = {"dim": dim, "label": label, "amps": amps, "exponents": exponents,
-                  "scales": scales, "class_labels": None}
-        for name, value in fields.items():
-            object.__setattr__(basis, name, value)
-        return basis
-
     def _store(self, dim, label, amps, exponents, scales, class_labels):
         if (amps is None) == (exponents is None):
             raise ValueError(
@@ -159,12 +154,9 @@ class MubBasis:
             class_labels = _frozen(class_labels, np.int64)
             if class_labels.ndim != 3 or class_labels.shape[1] != 2:
                 raise ValueError(f"basis {label}: class_labels must have shape (members, 2, e)")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "amps", _frozen(amps, np.complex128))
-        object.__setattr__(self, "exponents", None if exps is None else _frozen(exps, np.int64))
-        object.__setattr__(self, "scales", _frozen(vector_scales, np.int64))
-        object.__setattr__(self, "class_labels", class_labels)
+        _assign(self, dim=dim, label=label, amps=_frozen(amps, np.complex128),
+                exponents=None if exps is None else _frozen(exps, np.int64),
+                scales=_frozen(vector_scales, np.int64), class_labels=class_labels)
 
     @property
     def vectors(self) -> tuple:
@@ -206,7 +198,7 @@ class MubSet:
     amps (n, d, d) and scales (n, d) stack every basis's arrays; exponents
     (m, d, d) stacks those of the m bases that have them, which exact_bases
     (n,) marks.  Each basis is re-pointed at read-only views of these rows,
-    so the set holds its arrays once; a set built by _of_exponents is given
+    so the set holds its arrays once; a set built by _of_stacks is given
     its stacks, and its bases are made of their rows.
     """
 
@@ -236,30 +228,35 @@ class MubSet:
                 "exponents": _restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
                 "scales": _restack(self.bases, "scales", np.empty((n, d), np.int64)),
             }
-        stacks["exact_bases"] = _frozen([b.exact for b in self.bases], bool)
-        for key, value in stacks.items():
-            object.__setattr__(self, key, value)
+        _assign(self, **stacks, exact_bases=_frozen([b.exact for b in self.bases], bool))
 
     @classmethod
-    def _of_exponents(cls, dim: int, labels, exponents, scales, forced: bool = False):
-        """The exact set of bases labels from its stacked exponents (n, d, d) and scales (n, d).
+    def _of_stacks(cls, dim: int, labels, exponents, scales, amps=None, class_labels=None,
+                   forced: bool = False):
+        """The set of bases labels from its stacks, exponents (m, d, d) of the first m.
 
-        The amps of all bases are derived in one broadcast, and each basis
-        is made of read-only views of its rows of the three stacks, so
-        nothing is computed or copied basis by basis.  The set keeps the
-        given int64 arrays without a copy, so the caller must not write to
-        them afterwards.
+        scales (n, d) is int64; amps, if given, an (n, d, d) complex128 whose
+        rows m.. hold the float bases' amps; class_labels one row per basis.
+        The exact bases' amps are derived into rows :m in one broadcast, and
+        each basis is made of read-only views of its rows.  The set keeps the
+        arrays uncopied, so the caller must not write to them afterwards.
         """
-        exponents, scales = _frozen(exponents, np.int64), _frozen(scales, np.int64)
-        n = len(labels)
-        if exponents.shape != (n, dim, dim) or scales.shape != (n, dim):
-            raise ValueError(f"{n} bases need exponents ({n}, {dim}, {dim}), scales ({n}, {dim})")
-        amps = _frozen(_amplitudes(dim, exponents, scales), np.complex128)
+        n, m = len(labels), len(exponents)
+        amps = np.empty((n, dim, dim), np.complex128) if amps is None else amps
+        if m > n or exponents.shape[1:] != (dim, dim) or scales.shape != (n, dim):
+            raise ValueError(f"need exponents (m <= {n}, {dim}, {dim}), scales ({n}, {dim})")
+        _amplitudes(dim, exponents, scales[:m], out=amps[:m])
+        stacks = {"amps": amps, "exponents": exponents, "scales": scales}
+        for array in stacks.values():
+            array.setflags(write=False)
+        members = [None] * n if class_labels is None else class_labels
         bases = tuple(
-            MubBasis._of_rows(dim, label, *rows)
-            for label, *rows in zip(labels, amps, exponents, scales)
+            _assign(MubBasis.__new__(MubBasis), dim=dim, label=label, amps=a, exponents=e,
+                    scales=s, class_labels=c)
+            for label, a, e, s, c in zip(labels, amps, (*exponents, *[None] * (n - m)), scales,
+                                         members)
         )
-        return cls(dim, bases, forced, {"amps": amps, "exponents": exponents, "scales": scales})
+        return cls(dim, bases, forced, stacks)
 
     @property
     def exact(self) -> bool:
@@ -326,15 +323,15 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
     if not is_prime(d) and not force:
         raise ValueError(
             f"d = {d} is not prime: the cyclic recipe yields d+1 pairwise "
-            "unbiased bases only in prime dimension; pass force=True to build "
-            "the (incomplete) family anyway"
+            "unbiased bases only in prime dimension; pass force=True (mubkit set "
+            "--force) to build the (incomplete) family anyway"
         )
     exps = np.empty((d + 1, d, d), np.int64)
     exps[0] = np.eye(d, dtype=np.int64) - 1
     exps[1:] = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    return MubSet._of_exponents(d, ("s", *range(d)), exps, scales, forced=not is_prime(d))
+    return MubSet._of_stacks(d, ("s", *range(d)), exps, scales, forced=not is_prime(d))
 
 
 # -- verification ------------------------------------------------------------
@@ -522,7 +519,7 @@ def _multiples(d: int, g: int) -> np.ndarray:
     return table
 
 
-def _symmetries(exps: np.ndarray, scales: np.ndarray) -> tuple:
+def _symmetries(exps: np.ndarray, scales: np.ndarray, shifts: bool) -> tuple:
     """The Galois permutations of the bases, and the orbit of f0 under their diagonal shifts.
 
     sigma_g multiplies every tau exponent by g; the permutations pi_g, one
@@ -543,7 +540,7 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray) -> tuple:
     with maps (m, m): row i is g_i, a basis permutation composed of the
     shifts found with g_i[i] = f0, for each i in the orbit, and -1 for the
     other bases; maps is None when the first candidate fails or there is
-    none (fewer than two flat bases), as every pair then stands alone.
+    none (fewer than two flat bases, or shifts false): every pair stands alone.
     """
     m, d = exps.shape[:2]
     gens = _unit_generators(d)
@@ -553,7 +550,7 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray) -> tuple:
         return 1, (exps[k, 0] - exps[flat[0], 0]) % (2 * d)
 
     found = _closure_permutations(
-        exps, scales, [(g, 0) for g in gens] + [shift(k) for k in flat[1:2]]
+        exps, scales, [(g, 0) for g in gens] + [shift(k) for k in (flat[1:2] if shifts else ())]
     )
     perms, pending = found[: len(gens)], found[len(gens) :]
     if any(perm is None for perm in perms):
@@ -585,24 +582,23 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray) -> tuple:
 
 
 def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
-    """Deviations, certificate verdicts and verdicts of the pairs that checked marks.
+    """Deviations, certificate verdicts, verdicts and counts of the pairs checked marks.
 
     amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
     exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
     one basis and checked (n, n) the pairs (i, j >= i) to check: all of
-    them for verify_set, one for verify_unbiased.  Only pairs with a
-    non-exact basis go to _deviations; an exact pair's deviation comes from
-    its certificate Gram.  A checked exact pair (i, j) with a basis in the
-    orbit of f0 under the diagonal shifts of _symmetries, i say, takes the
-    residuals and deviation of the pair (f0, g_i(j)), so
-    _certificate_residuals runs only on the pairs (f0, j) and the pairs
-    with neither basis in the orbit that some checked pair maps to; a set
-    without a shift symmetry evaluates every checked pair.  Returns (n, n)
-    deviations, certificate verdicts and verdicts, each valid on the pairs
-    checked, the number of conjugates evaluated per exact pair (None when
-    no basis is exact), and the number of pairs whose Gram was evaluated.
-    The rules are those verify_set states.  Raises ValueError if an
-    exponent lies outside -1..2d-1.
+    them for verify_set, one for verify_unbiased.  Pairs with a non-exact
+    basis go to _deviations.  The own pair of a monomial basis is decided on
+    integers and its deviation read from its d support amps.  Any other
+    checked exact pair (i, j) with a basis in the orbit of f0 under the
+    diagonal shifts of _symmetries, i say, copies the residuals and
+    deviation of (f0, g_i(j)), so _certificate_residuals runs only on the
+    pairs (f0, j) and the pairs with neither basis in the orbit that some
+    checked pair maps to.  Shifts are searched only for two or more such
+    pairs, and for none neither _symmetries nor the certificate runs.
+    Returns (n, n) deviations, certificate verdicts and verdicts, each valid
+    on the pairs checked, and the counts that verify_set reports.  Raises
+    ValueError if an exponent lies outside -1..2d-1.
     """
     n, d = amps.shape[:2]
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
@@ -612,26 +608,45 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     deviation = _deviations(amps, same, floats)
     passed = deviation < tol
     certified = np.zeros((n, n), dtype=bool)
+    counts = {"conjugates": None, "gram_pairs": len(floats), "integer_pairs": 0}
     if not exact.any():
-        return deviation, certified, passed, None, len(floats)
-    exact_pairs = np.ix_(exact, exact)
-    perms, f0, maps = _symmetries(exps, scales[exact])
-    evaluated = checked[exact_pairs]
-    if maps is not None:
-        # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
-        # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
-        mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
-        copies = evaluated & (mate >= 0)
-        evaluated = evaluated & ~copies
-        evaluated[f0, mate[copies]] = True
-    evaluated = np.argwhere(evaluated)
-    phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
-    residual, exact_deviation = _certificate_residuals(
-        exps, scales[exact], same[exact_pairs], phases, evaluated
-    )
-    if maps is not None:
-        for values in (residual, exact_deviation):
-            values[copies] = values[f0, mate[copies]]
+        return deviation, certified, passed, counts
+    # slices cost less than np.ix_ for an all-exact set, as every built prime set is
+    exact_pairs = np.s_[:, :] if exact.all() else np.ix_(exact, exact)
+    exact_scales = scales if exact.all() else scales[exact]
+    evaluated = checked[exact_pairs].copy()
+    # a monomial basis's Gram holds each row's |amp|**2 at its one slot on the
+    # diagonal, and a slot shared by two rows gives an overlap of modulus 1
+    own = {}
+    for k in np.flatnonzero(~exact_scales.any(axis=1)).tolist():
+        rows, slots = np.nonzero(exps[k] >= 0)
+        if evaluated[k, k] and rows.tolist() == list(range(d)):
+            evaluated[k, k] = False
+            support = amps[np.flatnonzero(exact)[k], rows, slots].tolist()
+            worst = max(abs(abs(z) ** 2 - 1) for z in support)
+            own[k] = (math.inf, max(worst, 1.0)) if len(set(slots.tolist())) < d else (0, worst)
+    residual, exact_deviation = np.zeros((2, len(exps), len(exps)))
+    perms, conjugates = None, 0
+    if evaluated.any():
+        perms, f0, maps = _symmetries(exps, exact_scales, np.count_nonzero(evaluated) > 1)
+        if maps is not None:
+            # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
+            # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
+            mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
+            copies = evaluated & (mate >= 0)
+            evaluated = evaluated & ~copies
+            source = f0, mate[copies]
+            evaluated[source] = True
+        phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
+        residual, exact_deviation = _certificate_residuals(
+            exps, exact_scales, same[exact_pairs], phases, np.argwhere(evaluated)
+        )
+        if maps is not None:
+            for values in (residual, exact_deviation):
+                values[copies] = values[source]
+        conjugates = len(phases)
+    for k, verdict in own.items():
+        residual[k, k], exact_deviation[k, k] = verdict
     deviation[exact_pairs] = exact_deviation
     fail = residual >= 0.5
     fail |= fail.T
@@ -644,7 +659,9 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
             fail |= fail[np.ix_(perm, perm)]
         grown = np.count_nonzero(fail) > before
     certified[exact_pairs] = passed[exact_pairs] = ~fail
-    return deviation, certified, passed, len(phases), len(floats) + len(evaluated)
+    gram_pairs = len(floats) + int(np.count_nonzero(evaluated))
+    counts.update(conjugates=conjugates, gram_pairs=gram_pairs, integer_pairs=len(own))
+    return deviation, certified, passed, counts
 
 
 def verify_unbiased(
@@ -653,13 +670,10 @@ def verify_unbiased(
     """Check the unbiasedness condition between two bases.
 
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
-    basis against itself the Gram matrix must be the identity.  With both
-    bases exact the verdict is the exact one alone, in every dimension:
-    every Galois conjugate of the scaled overlaps must meet its target
-    within 1/2 (see _certificate_residuals), and max_residual is the float
-    deviation read from the conjugate-1 Gram.  This is the two-basis case of
-    the kernel that verify_set runs, with its rules and its
-    details["conjugates"].
+    basis against itself the Gram matrix must be the identity.  This is the
+    two-basis case of verify_set's kernel, with its rules and its counts in
+    details; its one pair is never covered by another, so no diagonal shift
+    is searched.  max_residual is the pair's float deviation.
     """
     check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
@@ -670,7 +684,7 @@ def verify_unbiased(
     exact = np.full(len(bases), a_basis.exact and b_basis.exact)
     checked = np.zeros_like(same)
     checked[0, -1] = True
-    deviation, certified, passed, conjugates, gram_pairs = _pair_verdicts(
+    deviation, certified, passed, counts = _pair_verdicts(
         np.stack([b.amps for b in bases]),
         np.array([b.exponents for b in bases if exact[0]], dtype=np.int64).reshape(-1, d, d),
         np.stack([b.scales for b in bases]), exact, same, checked, tol,
@@ -686,8 +700,7 @@ def verify_unbiased(
             "b": b_basis.label,
             "same_basis": bool(same[0, -1]),
             "exact": bool(certified[0, -1]) if exact[0] else None,
-            "conjugates": conjugates,
-            "gram_pairs": gram_pairs,
+            **counts,
         },
     )
 
@@ -695,33 +708,27 @@ def verify_unbiased(
 def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
-    Each pair of exact bases gets the exact verdict alone, and its float
-    deviation (the reported residual) is read from the certificate's
-    conjugate-1 Gram, since an exact basis's amps are its exponents' phases
-    over d**(s/2); any other pair is decided by its float deviation, from
-    _deviations, against tol.  When every Galois conjugation sigma_g maps
-    the exact bases onto themselves (an integer check on their exponents
-    and scales, see _closure_permutations), conjugate g of a pair is
-    conjugate 1 of its image pair, so only conjugate 1 is evaluated and a
-    pair's exact verdict is the AND of the conjugate-1 verdicts over its
-    orbit; otherwise every conjugate is evaluated.  details["conjugates"]
-    records how many, per exact pair (None when no basis is exact).  When
-    diagonal shifts E -> E + D of the exponents map the exact bases onto
-    themselves (the same integer check, see _symmetries), a pair and its
-    image have equal overlaps in every conjugate, so one Gram is evaluated
-    per orbit of exact pairs: for a prime or forced set, d + 2 of them, the
-    pairs (s, s), (f0, s) and (f0, a) with f0 the first eigenbasis.  A set
-    without the symmetry evaluates every pair, as do pairs with no basis in
-    the orbit.  details["gram_pairs"] records how many basis pairs had their
-    Gram evaluated, certificate and float.  Those pairs are checked in
-    blocks of basis pairs sized by GRAM_BLOCK_BYTES, one batched certificate
-    Gram per block of exact pairs and one batched float Gram per block of
-    the others.
+    A pair with a non-exact basis is decided by its float deviation against
+    tol, a pair of exact bases by an exact verdict alone.  The own pair of a
+    monomial basis (every row of scale 0 with one exponent >= 0, like the
+    computational basis) passes iff no two rows share a slot, an integer
+    check.  Any other exact pair passes iff every Galois conjugate of its
+    scaled overlaps meets its target within 1/2 (see _certificate_residuals),
+    and its deviation, the reported residual, is read from the conjugate-1
+    Gram.  With the exact bases closed under every conjugation (see
+    _closure_permutations) conjugate 1 alone is evaluated and a failure
+    spreads along its orbit; diagonal shifts that map them onto themselves
+    (see _symmetries) leave one Gram per orbit of pairs, d + 1 for a built
+    prime or forced set.  details counts the "conjugates" evaluated per
+    certified pair (0 if no pair needs the certificate, as in a composite
+    set; None if no basis is exact), the "gram_pairs" evaluated by a float
+    or certificate Gram, in blocks sized by GRAM_BLOCK_BYTES, and the
+    "integer_pairs"; "complete" is whether the set has dim + 1 bases.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)
     upper = np.triu(np.ones((n, n), dtype=bool))
-    deviation, _, passed, conjugates, gram_pairs = _pair_verdicts(
+    deviation, _, passed, counts = _pair_verdicts(
         mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases,
         np.eye(n, dtype=bool), upper, tol,
     )
@@ -733,11 +740,11 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     details = {
         "dim": mub_set.dim,
         "n_bases": n,
+        "complete": n == mub_set.dim + 1,
         "n_pairs": n * (n - 1) // 2,
         "failing_pairs": failing,
         "exact": mub_set.exact,
-        "conjugates": conjugates,
-        "gram_pairs": gram_pairs,
+        **counts,
     }
     if mub_set.forced:
         details["note"] = "not complete by construction"

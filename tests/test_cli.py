@@ -116,7 +116,8 @@ class TestSetCommand:
     def test_non_prime_exit_2(self, capsys):
         rc = main(["set", "--dim", "6"])
         assert rc == 2
-        assert "not prime" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not prime" in err and "--force" in err
 
     def test_force_downgrades_to_exit_1(self, tmp_path, capsys):
         out = tmp_path / "set6.json"
@@ -145,11 +146,23 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert report["exact"] is True
+        assert list(report)[:3] == ["dim", "n_bases", "complete"]
+        assert report["complete"] is True
 
     def test_numeric_round_trip(self, tmp_path, capsys):
         out = tmp_path / "set7.json"
         assert main(["set", "--dim", "7", "--output", str(out)]) == 0
         assert main(["verify", "--set", str(out)]) == 0
+
+    def test_one_basis_file_is_incomplete(self, tmp_path, capsys):
+        out = tmp_path / "set5.json"
+        assert main(["set", "--dim", "5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["bases"] = doc["bases"][:1]
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--set", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True and report["complete"] is False
 
     def test_forced_set_fails_verification(self, tmp_path, capsys):
         out = tmp_path / "set6.json"

@@ -19,7 +19,8 @@ from mubkit.composite import (
     joint_eigenbasis,
     partition_commuting_classes,
 )
-from mubkit.mub import MubSet, build_basis, build_complete_set, overlap_matrix, verify_set
+from mubkit import mub
+from mubkit.mub import MubBasis, MubSet, build_basis, build_complete_set, overlap_matrix, verify_set
 from mubkit.weyl import OperatorMatrix, build_v, build_z
 
 
@@ -343,3 +344,27 @@ class TestOneBroadcastBuild:
         # each built basis views its row of the cached labels
         assert _class_labels(3, 2) is _class_labels(3, 2)
         assert all(np.shares_memory(b.class_labels, _class_labels(3, 2)) for b in mub_set.bases)
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2), (5, 2)])
+    def test_one_stacked_write_and_no_certificate(self, p, e, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not on the composite path")
+
+        for name in ("_symmetries", "_certificate_residuals", "_restack"):
+            monkeypatch.setattr(mub, name, refuse)
+        monkeypatch.setattr(MubBasis, "_store", refuse)
+        d = p**e
+        mub_set = build_composite_set(p, e)
+        rep = verify_set(mub_set)
+        assert rep.passed and rep.details["conjugates"] == 0
+        # the computational basis's own pair is decided on integers, every other by a Gram
+        assert rep.details["integer_pairs"] == 1
+        assert rep.details["gram_pairs"] == (d + 1) * (d + 2) // 2 - 1
+        assert mub_set.exponents.shape == (1, d, d)
+        for name in ("amps", "scales"):
+            assert not getattr(mub_set, name).flags.writeable
+            assert all(np.shares_memory(getattr(b, name), getattr(mub_set, name))
+                       for b in mub_set.bases)
+        first, *graphs = mub_set.bases
+        assert np.shares_memory(first.exponents, mub_set.exponents)
+        assert all(b.exponents is None for b in graphs)

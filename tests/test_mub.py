@@ -344,48 +344,51 @@ def stripped(basis):
     )
 
 
-def reference_verdict(mub_set, tol=DEFAULT_TOL):
-    """(passed, failing pairs, exact) from the per-pair rule, one pair at a time.
+def conjugate_grids(basis):
+    """sigma_k of an exact basis's scaled amplitudes, (K, d, d) over the conjugating k, 0 at -1."""
+    d = basis.dim
+    ks = np.array([k for k in range(1, d) if math.gcd(k, 2 * d) == 1])
+    exps = basis.exponents
+    return np.where(exps < 0, 0, np.exp(1j * np.pi * ks[:, None, None] * exps / d))
+
+
+def reference_pair(a, b, same, tol=DEFAULT_TOL, grids=None):
+    """Whether bases a and b pass the per-pair rule, with the target of one basis if same.
 
     A pair of exact bases passes iff every Galois conjugate sigma_k of its
     scaled overlaps meets the target within 1/2; any other pair iff the
-    float deviation is below tol.
+    float deviation is below tol.  grids caches each exact basis's
+    conjugate_grids by id.
     """
-    d = mub_set.dim
-    ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
-    # sigma_k of every exact basis's scaled amplitudes, 0 at exponent -1
-    grids = {
-        id(b): [np.where(b.exponents < 0, 0, np.exp(1j * np.pi * k * b.exponents / d)) for k in ks]
-        for b in mub_set.bases
-        if b.exact
-    }
-    failing = []
-    for i, a in enumerate(mub_set.bases):
-        for b in mub_set.bases[i:]:
-            same = a is b
-            overlaps = a.as_array().conj() @ b.as_array().T
-            if same:
-                deviation = np.abs(overlaps - np.eye(d)).max()
-            else:
-                deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max()
-            if a.exact and b.exact:
-                sa, sb = a.scales, b.scales
-                worst = 0.0
-                for ga, gb in zip(grids[id(a)], grids[id(b)]):
-                    gram = ga.conj() @ gb.T
-                    if same:
-                        residual = np.abs(gram - np.diag(float(d) ** sa))
-                    else:
-                        power = sa[:, None] + sb[None, :] - 1
-                        residual = np.where(
-                            power < 0, np.inf, np.abs(np.abs(gram) ** 2 - float(d) ** power)
-                        )
-                    worst = max(worst, residual.max())
-                passed = worst < 0.5
-            else:
-                passed = deviation < tol
-            if not passed:
-                failing.append((a.label, b.label))
+    d = a.dim
+    if not (a.exact and b.exact):
+        overlaps = a.as_array().conj() @ b.as_array().T
+        if same:
+            return bool(np.abs(overlaps - np.eye(d)).max() < tol)
+        return bool(np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max() < tol)
+    grids = {} if grids is None else grids
+    for basis in (a, b):
+        if id(basis) not in grids:
+            grids[id(basis)] = conjugate_grids(basis)
+    grams = grids[id(a)].conj() @ grids[id(b)].transpose(0, 2, 1)
+    sa, sb = a.scales, b.scales
+    if same:
+        residual = np.abs(grams - np.diag(float(d) ** sa))
+    else:
+        power = sa[:, None] + sb[None, :] - 1
+        residual = np.where(power < 0, np.inf, np.abs(np.abs(grams) ** 2 - float(d) ** power))
+    return bool(residual.max() < 0.5)
+
+
+def reference_verdict(mub_set, tol=DEFAULT_TOL):
+    """(passed, failing pairs, exact) from reference_pair, one pair at a time."""
+    grids = {}
+    failing = [
+        (a.label, b.label)
+        for i, a in enumerate(mub_set.bases)
+        for b in mub_set.bases[i:]
+        if not reference_pair(a, b, a is b, tol, grids)
+    ]
     return not failing, failing, all(b.exact for b in mub_set.bases)
 
 
@@ -663,9 +666,10 @@ class TestGaloisOrbit:
         assert none.details["conjugates"] is None
 
     def test_sets_at_d64_are_closed(self):
-        # 2d = 128 is the first modulus whose exponents fill a signed byte
+        # 2d = 128 is the first modulus whose exponents fill a signed byte; a composite
+        # set's one exact pair is decided on integers, so no conjugate is evaluated
         rep = verify_set(build_composite_set(2, 6))
-        assert rep.passed and rep.details["conjugates"] == 1
+        assert rep.passed and rep.details["conjugates"] == 0
         s, fourier, one = build_complete_set(64, force=True).bases[:3]
         assert verify_unbiased(s, fourier).details["conjugates"] == 1
         assert verify_unbiased(fourier, one).details["conjugates"] == 32
@@ -753,33 +757,55 @@ class TestShiftOrbit:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
     def test_prime_sets_evaluate_d_plus_2_grams(self, d):
-        # (s, s), then (f0, s), (f0, f0) and (f0, a) for the d - 1 other eigenbases
+        # d + 2 pairs: (s, s) on integers, then the Grams of (f0, s), (f0, f0) and
+        # (f0, a) for the d - 1 other eigenbases
         rep = verify_set(build_complete_set(d))
-        assert rep.passed and rep.details["gram_pairs"] == d + 2
+        assert rep.passed
+        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
         bases = build_complete_set(d).bases
-        shuffled = MubSet(d, bases[::-1])
-        assert verify_set(shuffled).details["gram_pairs"] == d + 2
+        shuffled = verify_set(MubSet(d, bases[::-1])).details
+        assert (shuffled["gram_pairs"], shuffled["integer_pairs"]) == (d + 1, 1)
 
     @pytest.mark.parametrize("p, e, a_params", [(2, 3, (1, 0, 1)), (3, 2, (0, 0)), (3, 2, (0, 1)),
                                                 (7, 2, (1, 3))])
     def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params):
+        # the computational basis's own pair is decided on integers, d + 1 pairs by Grams
         mub_set = exact_composite_set(p, e, a_params)
         rep = verify_set(mub_set)
-        assert rep.passed and rep.details["gram_pairs"] == p**e + 2
-        # (7, 2) with a = (1, 3) is not Galois-closed: every conjugate of the 51 pairs is evaluated
+        assert rep.passed
+        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (p**e + 1, 1)
+        # (7, 2) with a = (1, 3) is not Galois-closed: every conjugate of the 50 pairs is evaluated
         assert rep.details["conjugates"] == reference_conjugates(mub_set)
 
     def test_sets_without_the_symmetry_evaluate_every_pair(self):
         bases = build_complete_set(7).bases
-        # dropping eigenbasis 1 leaves no shift that maps the set onto itself
+        # dropping eigenbasis 1 leaves no shift that maps the set onto itself; (s, s)
+        # is decided on integers
         dropped = MubSet(7, tuple(b for b in bases if b.label != 1))
-        assert verify_set(dropped).details["gram_pairs"] == 7 * 8 // 2
+        assert verify_set(dropped).details["gram_pairs"] == 7 * 8 // 2 - 1
         # a float-only basis is checked on its own Gram, one per pair
         floats = MubSet(7, tuple(stripped(b) for b in bases))
         assert verify_set(floats).details["gram_pairs"] == 8 * 9 // 2
         one, two = bases[1:3]
         assert verify_unbiased(one, two).details["gram_pairs"] == 1
         assert verify_unbiased(one, one).details["gram_pairs"] == 1
+
+    def test_one_pair_searches_no_shift(self, monkeypatch):
+        # a lone checked pair is never covered by another, so only the Galois maps are keyed
+        sent = []
+        closure = mub._closure_permutations
+
+        def recording(exps, scales, maps):
+            sent.append(len(maps))
+            return closure(exps, scales, maps)
+
+        monkeypatch.setattr(mub, "_closure_permutations", recording)
+        gens = len(mub._unit_generators(13))
+        one, two = build_complete_set(13).bases[1:3]
+        assert verify_unbiased(one, two).passed and verify_unbiased(one, one).passed
+        assert sent == [gens, gens]
+        assert verify_set(build_complete_set(13)).passed
+        assert sent[2:] == [gens + 1]
 
     def test_scaled_computational_basis_fails_against_every_eigenbasis(self):
         # the shifts fix a computational basis of one scale, so its pairs copy (s, f0)
@@ -796,11 +822,95 @@ class TestShiftOrbit:
         # eigenbases a and b are unbiased iff gcd(a - b, d) == 1 (checked against the reference)
         mub_set = build_complete_set(d, force=True)
         rep = verify_set(mub_set)
-        assert rep.details["gram_pairs"] == d + 2
+        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
         biased = [(a, b) for a in range(d) for b in range(a + 1, d) if math.gcd(b - a, d) > 1]
         assert failing == biased
         assert failing == reference_verdict(mub_set)[1]
+
+
+def is_monomial(basis):
+    """Every row of scale 0 with exactly one exponent >= 0: a phased permutation matrix."""
+    return not basis.scales.any() and ((basis.exponents >= 0).sum(axis=1) == 1).all()
+
+
+@st.composite
+def monomial_cases(draw):
+    """A set of 1-4 exact bases at d in 2..8, and a copy of its first basis under the
+    same label, its rows maybe permuted.  Each basis is monomial with permuted slots and
+    random phases, monomial with a repeated slot, one slot per row at scale 1 or at
+    per-row scales 0 and 1 (not monomial), or a built basis relabelled."""
+    d = draw(st.integers(2, 8))
+    bases = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["monomial", "repeated", "scaled", "mixed", "built"]))
+        if kind == "built":
+            a = draw(st.sampled_from(["s", *range(d)]))
+            base = spherical_basis(d) if a == "s" else build_basis(d, a)
+            exps, scales = base.exponents, base.scales
+        else:
+            slots = np.array(draw(st.permutations(range(d))))
+            if kind == "repeated":
+                n = draw(st.integers(0, d - 1))
+                slots[(n + draw(st.integers(1, d - 1))) % d] = slots[n]
+            exps = np.full((d, d), -1)
+            exps[np.arange(d), slots] = draw(
+                st.lists(st.integers(0, 2 * d - 1), min_size=d, max_size=d)
+            )
+            scales = {"scaled": 1, "mixed": draw(st.lists(st.integers(0, 1), min_size=d,
+                                                           max_size=d))}.get(kind, 0)
+        bases.append(MubBasis.from_arrays(d, f"b{i}", exponents=exps, scales=scales))
+    first = bases[0]
+    order = np.array(draw(st.permutations(range(d)))) if draw(st.booleans()) else np.arange(d)
+    copy = replaced(first, exponents=first.exponents[order], scales=first.scales[order])
+    return MubSet(d, tuple(bases)), copy
+
+
+class TestMonomialPairs:
+    """The own pair of a monomial basis is decided on integers, with the per-pair
+    reference's verdict; every other exact pair, and a same-label pair of two
+    objects, still takes the certificate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_cases())
+    def test_matches_per_pair_reference(self, case):
+        mub_set, copy = case
+        rep = verify_set(mub_set)
+        passed, failing, exact = reference_verdict(mub_set)
+        assert rep.passed is passed
+        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+        assert rep.details["exact"] is exact
+        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-15
+        monomial = [is_monomial(b) for b in mub_set.bases]
+        assert rep.details["integer_pairs"] == sum(monomial)
+        for basis, own_integer in zip(mub_set.bases, monomial):
+            own = verify_unbiased(basis, basis).details
+            assert own["exact"] is reference_pair(basis, basis, True)
+            assert (own["integer_pairs"], own["gram_pairs"]) == (own_integer, not own_integer)
+        first = mub_set.bases[0]
+        pair = verify_unbiased(first, copy)
+        assert pair.details["same_basis"] and pair.details["integer_pairs"] == 0
+        assert pair.passed is pair.details["exact"] is reference_pair(first, copy, True)
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_repeated_slot_fails_on_integers(self, d, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a monomial basis's own pair needs no certificate")
+
+        monkeypatch.setattr(mub, "_certificate_residuals", refuse)
+        monkeypatch.setattr(mub, "_symmetries", refuse)
+        exps = np.full((d, d), -1)
+        exps[:, 0] = 2 * np.arange(d) % (2 * d)
+        rep = verify_set(MubSet(d, (basis_from_exponents(d, "x", exps, 0),)))
+        assert not rep.passed and rep.details["integer_pairs"] == 1
+        assert rep.details["conjugates"] == rep.details["gram_pairs"] == 0
+        # two rows share slot 0: an off-diagonal overlap of modulus 1
+        assert abs(rep.max_residual - 1) < 1e-15
+
+    def test_completeness_is_reported(self):
+        rep = verify_set(MubSet(5, (spherical_basis(5),)))
+        assert rep.passed and rep.details["complete"] is False
+        assert verify_set(build_complete_set(5)).details["complete"] is True
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -886,8 +996,8 @@ class TestArrayStorage:
                 assert np.array_equal(getattr(basis, name), getattr(alone, name))
                 assert not getattr(basis, name).flags.writeable
                 assert np.shares_memory(getattr(basis, name), getattr(mub_set, name))
-        with pytest.raises(ValueError, match=r"exponents \(2, 3, 3\)"):
-            MubSet._of_exponents(3, ("s", 0), np.zeros((3, 3, 3), int), np.ones((3, 3), int))
+        with pytest.raises(ValueError, match=r"exponents \(m <= 2, 3, 3\), scales \(2, 3\)"):
+            MubSet._of_stacks(3, ("s", 0), np.zeros((3, 3, 3), int), np.ones((2, 3), int))
 
     def test_set_stacks_only_present_exponents(self):
         mub_set = build_composite_set(2, 2)
