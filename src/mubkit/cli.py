@@ -7,6 +7,10 @@ decomposition checks), ffz (commutator sweep), composite (prime-power set).
 Exit codes: 0 all verifications pass, 1 a verification failed, 2 usage
 error.  Reports go to stdout unless --output is given; diagnostics go to
 stderr.  Output is byte-identical for identical configurations.
+
+Each handler imports the modules its subcommand uses, so a process loads
+only those: gen and ffz load weyl, su2 loads su2 and weyl, set, verify and
+sumrule load mub, and composite loads composite.
 """
 
 import argparse
@@ -16,8 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import composite as composite_mod
-from . import mub, serialize, su2, weyl
+from . import serialize
 from .cyclo import DEFAULT_TOL, check_tolerance, is_prime
 
 ENV_TOL = "MUBKIT_TOL"
@@ -120,6 +123,8 @@ def _emit_json(args: argparse.Namespace, doc: dict) -> None:
 
 
 def _run_gen(args: argparse.Namespace) -> int:
+    from . import weyl
+
     if args.matrix == "v":
         matrix = weyl.build_v(args.dim, args.a)
     else:
@@ -132,6 +137,8 @@ def _run_gen(args: argparse.Namespace) -> int:
 
 
 def _run_set(args: argparse.Namespace) -> int:
+    from . import mub
+
     mub_set = mub.build_complete_set(args.dim, force=args.force)
     report = mub.verify_set(mub_set, args.tol)
     if args.format == "csv":
@@ -152,6 +159,8 @@ def _run_set(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from . import mub
+
     doc = json.loads(args.set_path.read_text())
     mub_set = serialize.mubset_from_doc(doc)
     report = mub.verify_set(mub_set, args.tol)
@@ -170,6 +179,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_sumrule(args: argparse.Namespace) -> int:
+    from . import mub
+
     d = args.dim
     if not is_prime(d):
         raise ValueError(f"the sum rule holds for prime dimensions; got {d}")
@@ -220,6 +231,8 @@ def _run_sumrule(args: argparse.Namespace) -> int:
 
 
 def _run_su2(args: argparse.Namespace) -> int:
+    from . import su2
+
     su2.AngularParams(args.two_j, 0)
 
     def one(a: int) -> dict:
@@ -250,6 +263,8 @@ def _run_su2(args: argparse.Namespace) -> int:
 
 
 def _run_ffz(args: argparse.Namespace) -> int:
+    from . import weyl
+
     weyl._check_dim_param(args.dim, 0)
     a_values = [args.a] if args.a is not None else list(range(args.dim))
     reports = []
@@ -281,10 +296,16 @@ def _run_ffz(args: argparse.Namespace) -> int:
 
 
 def _run_composite(args: argparse.Namespace) -> int:
+    from .composite import ConstructionError, build_composite_set
+
     a_params = args.a_params
     if a_params is not None and len(a_params) == 1 and args.e > 1:
         a_params = a_params * args.e
-    mub_set = composite_mod.build_composite_set(args.p, args.e, a_params, tol=args.tol)
+    try:
+        mub_set = build_composite_set(args.p, args.e, a_params, tol=args.tol)
+    except ConstructionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.format == "csv":
         _write(args, serialize.mubset_to_csv(mub_set))
     else:
@@ -296,9 +317,6 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return args.run(args)
-    except composite_mod.ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -723,7 +723,9 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     certified pair (0 if no pair needs the certificate, as in a composite
     set; None if no basis is exact), the "gram_pairs" evaluated by a float
     or certificate Gram, in blocks sized by GRAM_BLOCK_BYTES, and the
-    "integer_pairs"; "complete" is whether the set has dim + 1 bases.
+    "integer_pairs"; "complete" is whether the set has dim + 1 bases.  A
+    forced set's "note" says its bases need not be mutually unbiased: they
+    come from the prime recipe applied where it does not hold.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)
@@ -747,7 +749,7 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
         **counts,
     }
     if mub_set.forced:
-        details["note"] = "not complete by construction"
+        details["note"] = "forced non-prime family: its bases need not be mutually unbiased"
     return VerificationReport(
         kind="mub_set",
         passed=not failing,

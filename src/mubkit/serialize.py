@@ -4,22 +4,39 @@ Output must be byte-identical across runs for identical inputs, so floats
 are always rendered with 17 significant digits and keys keep construction
 order; the stock json encoder's shortest-repr floats are deliberately not
 used.  Parsing uses the stdlib.
+
+dumps dispatches on each value's exact type: floats, ints, strings, bools
+and None through the _SCALARS table, dicts and lists by identity.  Only
+another type (a numpy scalar, a tuple, a subclass) takes the isinstance
+path in _native.  A dict key's encoded form is memoized for the length of
+one dumps call, so a key repeated across thousands of rows is encoded once.
+
+mubset_from_doc validates each basis in whole-basis passes over its
+amplitudes (_checked_vectors) and falls back to checking one amplitude at a
+time only to name the first malformed one.  mub is imported there, so a
+process that only writes matrices or reports never loads it.
 """
 
 import json
 import math
 import sys
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
+from operator import is_not, itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cyclo import is_prime
-from .mub import MubBasis, MubSet
 from .weyl import OperatorMatrix
+
+if TYPE_CHECKING:
+    from .mub import MubSet
 
 
 def format_float(x: float) -> str:
     x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in serialized output")
     return f"{x:.17g}"
 
@@ -27,39 +44,75 @@ def format_float(x: float) -> str:
 def dumps(obj) -> str:
     """Render a document of dicts/lists/scalars as deterministic JSON."""
     pieces: list[str] = []
-    _emit(obj, pieces)
+    _emit(obj, pieces, {})
     return "".join(pieces)
 
 
-def _emit(obj, pieces: list[str]) -> None:
-    if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(format_float(obj))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        pieces.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                pieces.append(",")
-            _emit(item, pieces)
-        pieces.append("]")
-    elif isinstance(obj, dict):
+def _native(obj):
+    """(value, type) to write for a numpy scalar, a tuple or a subclass of a JSON type."""
+    if isinstance(obj, (int, np.integer)):
+        return int(obj), int
+    if isinstance(obj, (float, np.floating)):
+        return float(obj), float
+    if isinstance(obj, str):
+        return obj, str
+    if isinstance(obj, (list, tuple)):
+        return obj, list
+    if isinstance(obj, dict):
+        return obj, dict
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+#: The encoder of each scalar type, looked up by exact type.
+_SCALARS = {
+    float: format_float,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _emit(obj, pieces: list[str], keys: dict) -> None:
+    """Append obj's JSON to pieces; keys memoizes each str key's encoded form."""
+    kind = type(obj)
+    if kind not in _SCALARS and kind is not dict and kind is not list:
+        obj, kind = _native(obj)
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        pieces.append(encode(obj))
+        return
+    # each member is followed by ","; the last one is overwritten by the closing bracket
+    if kind is dict:
         pieces.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append(",")
-            pieces.append(json.dumps(str(key)))
-            pieces.append(":")
-            _emit(value, pieces)
-        pieces.append("}")
+        for key, value in obj.items():
+            encoded = keys.get(key) if type(key) is str else None
+            if encoded is None:
+                encoded = encode_basestring_ascii(str(key)) + ":"
+                if type(key) is str:
+                    keys[key] = encoded
+            pieces.append(encoded)
+            encode = _SCALARS.get(type(value))
+            if encode is None:
+                _emit(value, pieces, keys)
+            else:
+                pieces.append(encode(value))
+            pieces.append(",")
+        close = "}"
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        pieces.append("[")
+        for item in obj:
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                _emit(item, pieces, keys)
+            else:
+                pieces.append(encode(item))
+            pieces.append(",")
+        close = "]"
+    if obj:
+        pieces[-1] = close
+    else:
+        pieces.append(close)
 
 
 # -- matrices -----------------------------------------------------------------
@@ -101,7 +154,7 @@ def _amplitude_exact_doc(exponent: int, modulus: int, scale: int):
     return {"num": int(exponent), "mod": modulus, "scale_sqrt_dim": scale}
 
 
-def mubset_to_doc(mub_set: MubSet, exact: bool) -> dict:
+def mubset_to_doc(mub_set: "MubSet", exact: bool) -> dict:
     """{dim, exact, bases: [{label, vectors: [[amplitude...]]}]}.
 
     Amplitudes are {num, mod, scale_sqrt_dim} objects (meaning
@@ -204,8 +257,77 @@ def _numeric_row(amp_list: list, where: str) -> list:
     return amp_list
 
 
-def mubset_from_doc(doc: dict) -> MubSet:
+#: The JSON number types an [re, im] amplitude may hold (bool excluded).
+_REAL_TYPES = frozenset((int, float))
+_EXACT_FIELDS = itemgetter("num", "mod", "scale_sqrt_dim")
+
+
+def _checked_vectors(vector_docs: list, d: int, exact: bool):
+    """A basis's vectors, validated in whole-basis C-level passes; None if any check fails.
+
+    Returns the (d, d) exponents (-1 for null) and the d scales of an exact
+    basis, or the (d, d) complex amps of a numeric one.  None sends the
+    basis through _vectors_one_by_one, which names the first bad field.
+    """
+    if set(map(type, vector_docs)) != {list} or set(map(len, vector_docs)) != {d}:
+        return None
+    amps = list(chain.from_iterable(vector_docs))
+    if not exact:
+        if set(map(type, amps)) != {list} or set(map(len, amps)) != {2}:
+            return None
+        values = list(chain.from_iterable(amps))
+        # max >= abs(v) is False for nan, infinities and ints past the float range
+        if not (_REAL_TYPES.issuperset(map(type, values))
+                and all(map(sys.float_info.max.__ge__, map(abs, values)))):
+            return None
+        return np.array(values, dtype=np.float64).view(np.complex128).reshape(d, d)
+    present = list(map(is_not, amps, repeat(None)))
+    objs = list(compress(amps, present))
+    if set(map(type, objs)) != {dict}:
+        return None
+    try:
+        fields = list(map(_EXACT_FIELDS, objs))
+    except KeyError:
+        return None
+    if set(map(type, chain.from_iterable(fields))) != {int}:
+        return None
+    try:
+        nums, mods, scales = np.array(fields, dtype=np.int64).T
+    except OverflowError:  # an exponent past int64, which the slow path reduces
+        return None
+    if not ((mods == 2 * d).all() and (scales <= 1).all() and (scales >= 0).all()):
+        return None
+    present = np.array(present)
+    exps = np.full(d * d, -1, dtype=np.int64)
+    exps[present] = nums % (2 * d)
+    grid = np.full(d * d, -1, dtype=np.int64)
+    grid[present] = scales
+    grid = grid.reshape(d, d)
+    # each vector needs one scale: its present entries' least equals their greatest
+    row_scales = grid.max(axis=1)
+    if not (row_scales == np.where(grid < 0, 2, grid).min(axis=1)).all():
+        return None
+    return exps.reshape(d, d), row_scales
+
+
+def _vectors_one_by_one(vector_docs: list, d: int, exact: bool, label):
+    """_checked_vectors's result, one amplitude at a time; ValueError names the first bad one."""
+    rows = []
+    for n, amp_list in enumerate(vector_docs):
+        where = f"basis {label} vector {n}"
+        if len(_list(amp_list, where)) != d:
+            raise ValueError(f"{where} has {len(amp_list)} amplitudes, expected {d}")
+        rows.append(_exact_row(amp_list, d, where) if exact else _numeric_row(amp_list, where))
+    if exact:
+        exps, scales = zip(*rows)
+        return exps, scales
+    return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def mubset_from_doc(doc: dict) -> "MubSet":
     """The set a mubset_to_doc document describes; ValueError names any malformed field."""
+    from .mub import MubBasis, MubSet
+
     if not isinstance(doc, dict):
         raise ValueError("set document must be an object")
     d = doc.get("dim")
@@ -224,25 +346,21 @@ def mubset_from_doc(doc: dict) -> MubSet:
         vector_docs = _list(basis_doc.get("vectors"), f"basis {label}: vectors")
         if len(vector_docs) != d:
             raise ValueError(f"basis {label} has {len(vector_docs)} vectors, expected {d}")
-        rows = []
-        for n, amp_list in enumerate(vector_docs):
-            where = f"basis {label} vector {n}"
-            if len(_list(amp_list, where)) != d:
-                raise ValueError(f"{where} has {len(amp_list)} amplitudes, expected {d}")
-            rows.append(_exact_row(amp_list, d, where) if exact else _numeric_row(amp_list, where))
+        vectors = _checked_vectors(vector_docs, d, exact)
+        if vectors is None:
+            vectors = _vectors_one_by_one(vector_docs, d, exact, label)
         class_labels = None
         if "class_labels" in basis_doc:
             class_labels = _parse_class_labels(basis_doc["class_labels"], d, f"basis {label}")
         if exact:
-            exps, scales = zip(*rows)
+            exps, scales = vectors
             bases.append(MubBasis.from_arrays(d, label, exponents=exps, scales=scales,
                                               class_labels=class_labels))
         else:
-            amps = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
-            bases.append(MubBasis.from_arrays(d, label, amps, class_labels=class_labels))
+            bases.append(MubBasis.from_arrays(d, label, vectors, class_labels=class_labels))
     return MubSet(d, tuple(bases))
 
 
-def mubset_to_csv(mub_set: MubSet) -> str:
+def mubset_to_csv(mub_set: "MubSet") -> str:
     """One row per vector across all bases, columns interleaved re/im."""
     return _csv(mub_set.amps.reshape(-1, mub_set.dim))

@@ -271,6 +271,10 @@ def _unit_sums_equal(u1, u2, v1, v2, two_d: int) -> np.ndarray:
     return ((u1 == v1) & (u2 == v2)) | ((u1 == v2) & (u2 == v1)) | antipodal
 
 
+#: Elements (m rows x n rows x d) that one block of _commutator_residuals holds.
+_FFZ_BLOCK = 1 << 13
+
+
 def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> tuple[np.ndarray, np.ndarray]:
     """Float residuals and exact verdicts of [T_m, T_n] = 2i sin(pi m^n/d) T_{m+n}, each (M, N).
 
@@ -280,8 +284,10 @@ def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> tuple[np.ndarra
     With w = m^n and 2i sin(pi w/d) = tau**w - tau**(-w), the identity holds
     exactly iff tau**x + tau**(e-w) = tau**x' + tau**(e+w) in every row
     (_unit_sums_equal).  The residual max_r |tau**x - tau**x' - 2i sin(pi w/d)
-    tau**e| is the float shadow.  One m at a time meets the whole stack of n,
-    so memory is O(N d).
+    tau**e| is the float shadow.  A block of m rows meets the whole stack of
+    n in one broadcast, as many rows as keep the block within _FFZ_BLOCK
+    elements, so memory is bounded by the block (or by one m row of N d
+    elements when that is larger), not by the whole M N d grid.
     """
     _check_dim_param(d, a)
     if sigma not in (+1, -1):
@@ -295,16 +301,22 @@ def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> tuple[np.ndarra
         return _monomial_rows(d, a, m1, m2, sigma * m1 * m2)
 
     e_n = rows(n1, n2)
+    n_index = np.arange(len(n1))[:, None]
+    shifted = (r + n1[:, None]) % d
     residual = np.empty((len(ms), len(n1)))
     exact = np.empty((len(ms), len(n1)), dtype=bool)
-    for i, (m1, m2) in enumerate(ms):
-        e_m, e = rows(m1, m2), rows(m1 + n1, m2 + n2)
-        x = (e_m + e_n[:, (r + m1) % d]) % two_d
-        x_rev = (e_n + e_m[(r + n1[:, None]) % d]) % two_d
-        w = (m1 * n2 - m2 * n1)[:, None]
-        exact[i] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=1)
+    step = max(1, _FFZ_BLOCK // max(1, len(n1) * d))
+    for start in range(0, len(ms), step):
+        # (B, 1) m rows against the (N,) n stack; row exponents are (B, N, d)
+        m1, m2 = ms[start:start + step, :, None].transpose(1, 0, 2)
+        e_m, e = rows(m1[:, 0], m2[:, 0]), rows(m1 + n1, m2 + n2)
+        x = (e_m[:, None] + e_n[n_index, (r + m1[..., None]) % d]) % two_d
+        x_rev = (e_n + e_m[:, shifted]) % two_d
+        w = (m1 * n2 - m2 * n1)[..., None]
+        block = slice(start, start + step)
+        exact[block] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=-1)
         sine = 2j * np.sin(np.pi * w / d)
-        residual[i] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=1)
+        residual[block] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=-1)
     return residual, exact
 
 

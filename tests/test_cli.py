@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mubkit
+from mubkit import serialize
 from mubkit.cli import main, parse_args
 from mubkit.composite import build_composite_set, partition_commuting_classes
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
@@ -104,6 +105,96 @@ class TestFloatFormatting:
         assert json.loads(dumps(doc)) == doc
 
 
+def reference_emit(obj, pieces):
+    """Reference serializer, one isinstance chain per value: dumps must give the same bytes."""
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(format_float(obj))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        pieces.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                pieces.append(",")
+            reference_emit(item, pieces)
+        pieces.append("]")
+    elif isinstance(obj, dict):
+        pieces.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                pieces.append(",")
+            pieces.append(json.dumps(str(key)))
+            pieces.append(":")
+            reference_emit(value, pieces)
+        pieces.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_dumps(obj) -> str:
+    pieces = []
+    reference_emit(obj, pieces)
+    return "".join(pieces)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    finite_floats,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    finite_floats.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "caf\u00e9", "\u2603\U0001f600"]),
+)
+documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_same_bytes_as_reference(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.dictionaries(st.sampled_from(["a", "1", 1, True, 1.0]), json_scalars),
+                    max_size=8))
+    def test_repeated_keys_across_rows(self, rows):
+        # the key memo must not take True or 1.0 for the equal key 1
+        assert dumps(rows) == reference_dumps(rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan"), np.float32("-inf")])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1, v], lambda v: {"k": (v,)}])
+    def test_non_finite_raises_value_error(self, bad, wrap):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps(wrap(bad))
+
+    @pytest.mark.parametrize("bad", [{1, 2}, 1j, np.bool_(True), np.complex128(1), object()])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [v], lambda v: {"k": [0.5, v]}])
+    def test_other_types_raise_type_error(self, bad, wrap):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps(wrap(bad))
+
+
 class TestSetCommand:
     def test_prime_dim_exit_0(self, tmp_path, capsys):
         out = tmp_path / "set5.json"
@@ -125,7 +216,7 @@ class TestSetCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "unbiasedness failed" in err
-        assert "not complete by construction" in err
+        assert "forced non-prime family: its bases need not be mutually unbiased" in err
         assert json.loads(out.read_text())["dim"] == 6
 
     def test_csv_format(self, tmp_path):
@@ -456,11 +547,129 @@ class TestCompositeCommand:
         assert "failed unbiasedness" in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy():
+def _python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """A fresh interpreter running code, with this checkout's mubkit importable."""
     src = str(Path(mubkit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+
+
+def test_cli_import_skips_scipy():
     code = "import mubkit.cli, sys; assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    _python(code)
+
+
+#: `python -m mubkit.cli ARGV...` as runpy runs it, then the loaded modules on stderr.
+RUN_CLI_AND_LIST_MODULES = """
+import json, runpy, sys
+sys.argv[0] = "mubkit"
+try:
+    runpy.run_module("mubkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("mubkit", "scipy"))]),
+      file=sys.stderr)
+"""
+
+#: The modules every subcommand loads: the package, cli's own imports and weyl (via serialize).
+CLI_BASE_MODULES = ["mubkit", "mubkit.cyclo", "mubkit.report", "mubkit.serialize", "mubkit.weyl"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, exit_code",
+    [
+        (["gen", "--dim", "2"], [], 0),
+        (["ffz", "--dim", "3"], [], 0),
+        (["su2", "--two-j", "2"], ["mubkit.su2"], 0),
+        (["set", "--dim", "3", "--output", "s3.json"], ["mubkit.mub"], 0),
+        (["verify", "--set", "s3.json"], ["mubkit.mub"], 0),
+        (["sumrule", "--dim", "3"], ["mubkit.mub"], 0),
+        (["composite", "--p", "2", "--e", "2"], ["mubkit.composite", "mubkit.mub"], 0),
+        # a construction that fails its own verification exits 1 from _run_composite
+        (["composite", "--p", "2", "--e", "3", "--tol", "1e-30"],
+         ["mubkit.composite", "mubkit.mub"], 1),
+    ],
+    ids=["gen", "ffz", "su2", "set", "verify", "sumrule", "composite", "composite-fails"],
+)
+def test_each_subcommand_loads_only_its_modules(argv, extra, exit_code, tmp_path):
+    if argv[0] == "verify":
+        assert main(["set", "--dim", "3", "--output", str(tmp_path / "s3.json")]) == 0
+    proc = _python(RUN_CLI_AND_LIST_MODULES, *argv, cwd=tmp_path)
+    code, modules = json.loads(proc.stderr.splitlines()[-1])
+    assert code == exit_code
+    assert modules == sorted(CLI_BASE_MODULES + extra)
+
+
+#: The package's public names, each resolved on first access.
+PUBLIC_NAMES = [
+    "AngularParams",
+    "CommutingClass",
+    "ConstructionError",
+    "CyclotomicSum",
+    "DEFAULT_TOL",
+    "DegeneracyReport",
+    "MubBasis",
+    "MubSet",
+    "MubVector",
+    "OperatorMatrix",
+    "PhaseExponent",
+    "VerificationReport",
+    "WedgeIndex",
+    "WeylLabel",
+    "build_basis",
+    "build_complete_set",
+    "build_composite_set",
+    "build_h",
+    "build_ladder",
+    "build_mub_vector",
+    "build_t",
+    "build_v",
+    "build_va_operator",
+    "build_w",
+    "build_z",
+    "character_vector",
+    "check_ladder_action",
+    "check_su2",
+    "degeneracy_report",
+    "eigenvalue_exponent",
+    "ffz_commutator_residual",
+    "ffz_sweep",
+    "gauss_sum_magnitude",
+    "is_prime",
+    "joint_eigenbasis",
+    "overlap_matrix",
+    "partition_commuting_classes",
+    "q_commutation_residual",
+    "select_ffz_sign_convention",
+    "spherical_basis",
+    "trace_inner_exact",
+    "verify_set",
+    "verify_unbiased",
+]
+
+
+def test_package_import_is_lazy_and_star_import_binds_all():
+    assert mubkit.__all__ == PUBLIC_NAMES
+    code = """
+import sys
+import mubkit
+assert [m for m in sys.modules if m.startswith("mubkit")] == ["mubkit"]
+ns = {}
+exec("from mubkit import *", ns)
+assert sorted(k for k in ns if k != "__builtins__") == sorted(mubkit.__all__)
+for name in mubkit.__all__:
+    # bound into the package, so later lookups skip __getattr__
+    assert vars(mubkit)[name] is ns[name] is getattr(sys.modules["mubkit." + mubkit._MODULE_OF[name]], name)
+assert set(mubkit.__all__) <= set(dir(mubkit))
+try:
+    mubkit.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown names must raise AttributeError")
+"""
+    _python(code)
 
 
 @st.composite
@@ -528,3 +737,77 @@ class TestSerializeRoundTrip:
         numeric_set = build_composite_set(2, 2)
         with pytest.raises(ValueError, match="exact"):
             mubset_to_doc(numeric_set, exact=True)
+
+
+BIG = int(sys.float_info.max)
+#: Replacements for one amplitude of a numeric document, valid ones included.
+NUMERIC_AMPS = [True, "1", None, 5, {"re": 1}, [1], [1, 2, 3], [1.0, True], [0.5, "x"], [0, [1]],
+                [float("nan"), 0], [float("inf"), 0], [0, -float("inf")], [2**1024, 0],
+                [BIG + 1, 0], [BIG, 0.5], [10**300, 0], [-0.0, 5e-324], [1, 0]]
+#: Replacements for one amplitude of an exact document, valid ones included.
+EXACT_AMPS = [True, 5, [1, 2], None, {"num": 1}, {"num": 1, "mod": 6},
+              {"num": True, "mod": 6, "scale_sqrt_dim": 1}, {"num": 1.0, "mod": 6, "scale_sqrt_dim": 1},
+              {"num": 1, "mod": 6.0, "scale_sqrt_dim": 1}, {"num": 1, "mod": 12, "scale_sqrt_dim": 1},
+              {"num": 1, "mod": 6, "scale_sqrt_dim": 2}, {"num": 1, "mod": 6, "scale_sqrt_dim": -1},
+              {"num": 1, "mod": 6, "scale_sqrt_dim": 0}, {"num": 1, "mod": 6, "scale_sqrt_dim": 2**70},
+              {"num": 10**30, "mod": 6, "scale_sqrt_dim": 1}, {"num": 2**70, "mod": 6, "scale_sqrt_dim": 1},
+              {"num": -7, "mod": 6, "scale_sqrt_dim": 1, "extra": "ignored"}]
+
+
+def read_outcome(doc):
+    """mubset_from_doc's error message, or the arrays of every basis it reads."""
+    try:
+        mub_set = mubset_from_doc(doc)
+    except ValueError as exc:
+        return str(exc)
+    return [(b.label, b.amps.tobytes(), None if b.exponents is None else b.exponents.tolist(),
+             b.scales.tolist()) for b in mub_set.bases]
+
+
+@st.composite
+def edited_set_docs(draw):
+    """A d = 3 set document (exact, numeric or composite d = 4) with a few fields replaced."""
+    kind = draw(st.sampled_from(["exact", "numeric", "composite"]))
+    if kind == "composite":
+        doc = mubset_to_doc(build_composite_set(2, 2), exact=False)
+    else:
+        doc = mubset_to_doc(build_complete_set(3), exact=kind == "exact")
+    doc = json.loads(dumps(doc))
+    d, amps = doc["dim"], EXACT_AMPS if kind == "exact" else NUMERIC_AMPS
+    for _ in range(draw(st.integers(0, 3))):
+        basis = draw(st.sampled_from(doc["bases"]))
+        n = draw(st.integers(0, d - 1))
+        vector = basis["vectors"][n]
+        if not (isinstance(vector, list) and vector):
+            continue
+        edit = draw(st.sampled_from(["amplitude", "amplitude", "amplitude", "row", "shorten"]))
+        if edit == "amplitude":
+            amp = json.loads(json.dumps(draw(st.sampled_from(amps))))
+            vector[draw(st.integers(0, len(vector) - 1))] = amp
+        elif edit == "row":
+            basis["vectors"][n] = [None] * d if kind == "exact" else "row"
+        else:
+            vector.pop()
+    return doc
+
+
+class TestReadValidation:
+    """The whole-basis checks of mubset_from_doc agree with one amplitude at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_set_docs())
+    def test_same_outcome_as_per_amplitude_checks(self, doc):
+        fast = read_outcome(doc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_checked_vectors", lambda *args: None)
+            assert read_outcome(doc) == fast
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_valid_documents_skip_the_per_amplitude_loop(self, exact, monkeypatch):
+        doc = json.loads(dumps(mubset_to_doc(build_complete_set(7), exact=exact)))
+
+        def fail(*args):
+            raise AssertionError("a valid basis took the per-amplitude path")
+
+        monkeypatch.setattr(serialize, "_vectors_one_by_one", fail)
+        assert verify_set(mubset_from_doc(doc)).passed

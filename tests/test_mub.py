@@ -207,7 +207,9 @@ class TestVerifyUnbiased:
         mub_set = build_complete_set(6, force=True)
         rep = verify_set(mub_set)
         assert not rep.passed
-        assert rep.details["note"] == "not complete by construction"
+        assert rep.details["note"] == (
+            "forced non-prime family: its bases need not be mutually unbiased"
+        )
         bad = rep.details["failing_pairs"]
         assert any(p["max_residual"] > 0.01 for p in bad)
         # but the computational basis stays unbiased to every eigenbasis

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mubkit.cyclo import CyclotomicSum
+from mubkit import weyl
+from mubkit.cyclo import CyclotomicSum, _phase_table
 from mubkit.weyl import (
     OperatorMatrix,
     WedgeIndex,
     _commutator_residuals,
+    _monomial_rows,
     _unit_sums_equal,
     build_t,
     build_v,
@@ -274,6 +276,73 @@ class TestFfz:
         rep = ffz_sweep(3, 1, max_m=3)
         assert rep.details["sign_convention"] == -1
         assert rep.details["includes_zero_indices"]
+
+
+def per_m_residuals(d, a, sigma, ms, ns):
+    """_commutator_residuals with one m row against the n stack at a time, the same formulas."""
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2)
+    n1, n2 = np.asarray(ns, dtype=np.int64).reshape(-1, 2).T
+    two_d, r = 2 * d, np.arange(d)
+    table = _phase_table(two_d)
+
+    def rows(m1, m2):
+        return _monomial_rows(d, a, m1, m2, sigma * m1 * m2)
+
+    e_n = rows(n1, n2)
+    residual = np.empty((len(ms), len(n1)))
+    exact = np.empty((len(ms), len(n1)), dtype=bool)
+    for i, (m1, m2) in enumerate(ms):
+        e_m, e = rows(m1, m2), rows(m1 + n1, m2 + n2)
+        x = (e_m + e_n[:, (r + m1) % d]) % two_d
+        x_rev = (e_n + e_m[(r + n1[:, None]) % d]) % two_d
+        w = (m1 * n2 - m2 * n1)[:, None]
+        exact[i] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=1)
+        sine = 2j * np.sin(np.pi * w / d)
+        residual[i] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=1)
+    return residual, exact
+
+
+def assert_bitwise_equal(got, expected):
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert np.array_equal(got[1], expected[1])
+
+
+class TestBlockedSweep:
+    """The blocked kernel against one m row at a time: residuals equal to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_params(11), st.data())
+    def test_matches_per_m_loop(self, params, data):
+        d, a, sigma = params
+        pairs = st.lists(
+            st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)), min_size=1, max_size=30
+        )
+        ms, ns = data.draw(pairs), data.draw(pairs)
+        # from one m row per block (block < N d) to every m row in one block
+        block = data.draw(st.integers(1, 2 * len(ms) * len(ns) * d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weyl, "_FFZ_BLOCK", block)
+            got = _commutator_residuals(d, a, sigma, ms, ns)
+        assert_bitwise_equal(got, per_m_residuals(d, a, sigma, ms, ns))
+
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 64, 99, 100])
+    def test_full_sweep_grid(self, monkeypatch, rows_per_block):
+        # the d = 5 sweep grid has 100 m rows, and 100 is no multiple of 7, 64 or 99
+        d, grid = 5, [(m1, m2) for m1 in range(10) for m2 in range(10)]
+        monkeypatch.setattr(weyl, "_FFZ_BLOCK", rows_per_block * len(grid) * d)
+        for a in range(d):
+            sigma = select_ffz_sign_convention()
+            got = _commutator_residuals(d, a, sigma, grid, grid)
+            assert_bitwise_equal(got, per_m_residuals(d, a, sigma, grid, grid))
+            assert got[1].all()
+
+    def test_default_block_at_d11(self):
+        # one m row of the d = 11 sweep (484 x 11 elements) fills a default block
+        d, grid = 11, [(m1, m2) for m1 in range(22) for m2 in range(22)]
+        assert len(grid) * d <= weyl._FFZ_BLOCK < 2 * len(grid) * d
+        ms = grid[::37]
+        got = _commutator_residuals(d, 4, -1, ms, grid)
+        assert_bitwise_equal(got, per_m_residuals(d, 4, -1, ms, grid))
 
 
 class TestOperatorMatrix:
