@@ -139,6 +139,8 @@ def _run_gen(args: argparse.Namespace) -> int:
 def _run_set(args: argparse.Namespace) -> int:
     from . import mub
 
+    if args.exact and args.format == "csv":
+        raise ValueError("--exact needs --format json: csv holds float amplitudes only")
     mub_set = mub.build_complete_set(args.dim, force=args.force)
     report = mub.verify_set(mub_set, args.tol)
     if args.format == "csv":

@@ -37,10 +37,12 @@ from .weyl import build_v
 #: Bytes of the buffer that verify_set writes one block's gathered conjugate
 #: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
 #: how many basis pairs one batched Gram covers (at least one), so memory
-#: stays bounded whatever d and the number of bases.  Only the pairs that
-#: verify_set evaluates fill blocks: one per orbit under the diagonal shifts
-#: (d + 1 for a built prime set, one block up to d = 27), or every pair of a
-#: set without the symmetry.  Each pair stays its own
+#: stays bounded whatever d and the number of bases.  It also picks the
+#: route: exact pairs whose Grams at all K conjugates fit one block are all
+#: evaluated there (a built prime set up to d = 7).  Past that, only the
+#: pairs that verify_set evaluates fill blocks: one per orbit under the
+#: diagonal shifts (d + 1 for a built prime set from d = 11, one block up to
+#: d = 27), or every pair of a set without the symmetry.  Each pair stays its own
 #: d x d x d product: OpenBLAS splits products from about 65536 multiply-adds
 #: (d = 40) over threads, and such split products stalled for about 250 ms
 #: at a time on a 2-CPU machine.
@@ -342,14 +344,19 @@ def overlap_matrix(a_basis: MubBasis, b_basis: MubBasis) -> np.ndarray:
     return a_basis.amps.conj() @ b_basis.amps.T
 
 
-def _blocks(pairs: np.ndarray, n_conj: int, d: int) -> list:
-    """The (P, 2) basis pairs in blocks, each as its row and column indices.
+def _block_pairs(n_conj: int, d: int) -> int:
+    """Basis pairs whose Grams at n_conj conjugates fit GRAM_BLOCK_BYTES, maybe 0.
 
-    A block holds at most GRAM_BLOCK_BYTES // (48 * n_conj * d * d) pairs, at
-    least one: 48 bytes per Gram entry hold the entry and its share of the
-    two gathered grids.
+    48 bytes per Gram entry hold the entry and its share of the two
+    gathered grids.
     """
-    size = max(1, GRAM_BLOCK_BYTES // (48 * n_conj * d * d))
+    return GRAM_BLOCK_BYTES // (48 * n_conj * d * d)
+
+
+def _blocks(pairs: np.ndarray, n_conj: int, d: int) -> list:
+    """The (P, 2) basis pairs in blocks of _block_pairs pairs (at least one), each as
+    its row and column indices."""
+    size = max(1, _block_pairs(n_conj, d))
     return [tuple(pairs[k : k + size].T) for k in range(0, len(pairs), size)]
 
 
@@ -386,37 +393,50 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
     (m, m) arrays.  Each block of _blocks is one batched Gram (K, P, d, d)
     over the K conjugates and its pairs; its gathered phase grids, Gram,
     moduli and scaled conjugate-1 moduli share one work buffer that every
-    block reuses, so memory stays bounded.
+    block reuses, so memory stays bounded.  When every pair has the same row
+    basis, as every pair (f0, j) of the orbit path has, its conjugated grid,
+    weights and same-basis target are made once for all blocks.
     """
     m, d = exps.shape[:2]
     n_k = len(phases)
     blocks = _blocks(pairs, n_k, d)
     size = n_k * len(blocks[0][0]) * d * d
-    work = np.empty(3 * size, np.complex128)
+    eye = np.eye(d)
     weights = float(d) ** scales
+    # the least scale of each basis: a pair whose least scales sum below 1 has a target below 1
+    least = scales.min(axis=1)
+    shared = (pairs[:, 0] == pairs[0, 0]).all()
+    work = np.empty((2 if shared else 3) * size, np.complex128)
+    if shared:
+        row = pairs[:1, 0]
+        # exponent -1 wraps to the zero column of conjugate_phases
+        row_grid = np.conjugate(np.take(phases, exps[row], axis=1, mode="wrap"))
+        row_weights = weights[row][:, :, None]
+        targets = eye * weights[row]
     residual = np.zeros((m, m))
     deviation = np.zeros((m, m))
     for i, j in blocks:
         shape = (n_k, len(i), d, d)
         used = n_k * len(i) * d * d
-        # exponent -1 wraps to the zero column of conjugate_phases
-        row_grid = np.take(phases, exps[i], axis=1, mode="wrap", out=work[:used].reshape(shape))
-        np.conjugate(row_grid, out=row_grid)
-        col_grid = np.take(phases, exps[j], axis=1, mode="wrap",
-                           out=work[size : size + used].reshape(shape))
-        grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
-                          out=work[2 * size : 2 * size + used].reshape(shape))
         one = same[i, j]
-        # diag(d**s) per pair of one basis
-        targets = np.eye(d) * weights[i[one]][:, None]
+        if not shared:
+            row_grid = np.take(phases, exps[i], axis=1, mode="wrap",
+                               out=work[2 * size : 2 * size + used].reshape(shape))
+            np.conjugate(row_grid, out=row_grid)
+            row_weights = weights[i][:, :, None]
+            # diag(d**s) per pair of one basis
+            targets = eye * weights[i[one]][:, None]
+        col_grid = np.take(phases, exps[j], axis=1, mode="wrap", out=work[:used].reshape(shape))
+        grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
+                          out=work[size : size + used].reshape(shape))
         one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
-        # the grids are spent, so the moduli overwrite the row grid, and
-        # conjugate 1's scaled moduli the row grid's second half
+        # the column grid is spent, so the moduli overwrite it, and conjugate
+        # 1's scaled moduli its second half
         moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
-        products = weights[i][:, :, None] * weights[j][:, None, :]
+        products = row_weights * weights[j][:, None, :]
         scaled = np.sqrt(products, out=work.view(np.float64)[used : used + products.size]
                          .reshape(products.shape))
-        one_deviations = np.abs(grams[0, one] / scaled[one] - np.eye(d)).max(axis=(1, 2))
+        one_deviations = np.abs(grams[0, one] / scaled[one] - eye).max(axis=(1, 2))
         np.divide(moduli[0], scaled, out=scaled)
         scaled -= 1 / np.sqrt(d)
         block = np.abs(scaled, out=scaled).max(axis=(1, 2))
@@ -426,7 +446,7 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
         products /= d
         moduli -= products
         block = np.abs(moduli, out=moduli).max(axis=(0, 2, 3))
-        block[scales[i].min(axis=1) + scales[j].min(axis=1) < 1] = np.inf
+        block[least[i] + least[j] < 1] = np.inf
         block[one] = one_residuals
         residual[i, j] = block
     return residual, deviation
@@ -541,6 +561,8 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray, shifts: bool) -> tuple:
     shifts found with g_i[i] = f0, for each i in the orbit, and -1 for the
     other bases; maps is None when the first candidate fails or there is
     none (fewer than two flat bases, or shifts false): every pair stands alone.
+    _pair_verdicts calls it only for pairs whose Grams at every conjugate
+    need more than one block, where the maps can save blocks.
     """
     m, d = exps.shape[:2]
     gens = _unit_generators(d)
@@ -588,32 +610,41 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
     one basis and checked (n, n) the pairs (i, j >= i) to check: all of
     them for verify_set, one for verify_unbiased.  Pairs with a non-exact
-    basis go to _deviations.  The own pair of a monomial basis is decided on
-    integers and its deviation read from its d support amps.  Any other
-    checked exact pair (i, j) with a basis in the orbit of f0 under the
-    diagonal shifts of _symmetries, i say, copies the residuals and
-    deviation of (f0, g_i(j)), so _certificate_residuals runs only on the
-    pairs (f0, j) and the pairs with neither basis in the orbit that some
-    checked pair maps to.  Shifts are searched only for two or more such
-    pairs, and for none neither _symmetries nor the certificate runs.
-    Returns (n, n) deviations, certificate verdicts and verdicts, each valid
-    on the pairs checked, and the counts that verify_set reports.  Raises
-    ValueError if an exponent lies outside -1..2d-1.
+    basis go to _deviations, which an all-exact set never calls.  The own
+    pair of a monomial basis is decided on integers and its deviation read
+    from its d support amps.  The other checked exact pairs go to
+    _certificate_residuals.  If their Grams at all K conjugates fit one
+    block of _blocks, they are evaluated there, every pair at every
+    conjugate, and _symmetries is not called: the search could save no
+    block.  Otherwise any such pair (i, j) with a basis in the orbit of f0
+    under the diagonal shifts of _symmetries, i say, copies the residuals
+    and deviation of (f0, g_i(j)), so the certificate runs only on the pairs
+    (f0, j) and the pairs with neither basis in the orbit that some checked
+    pair maps to, at conjugate 1 alone if the bases are Galois-closed.
+    Shifts are searched only for two or more such pairs, and for none
+    neither _symmetries nor the certificate runs.  Returns (n, n)
+    deviations, certificate verdicts and verdicts, each valid on the pairs
+    checked, and the counts that verify_set reports.  Raises ValueError if
+    an exponent lies outside -1..2d-1.
     """
     n, d = amps.shape[:2]
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
         # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
         raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
-    floats = np.argwhere(checked & ~np.outer(exact, exact))
-    deviation = _deviations(amps, same, floats)
-    passed = deviation < tol
+    counts = {"conjugates": None, "gram_pairs": 0, "integer_pairs": 0}
+    if exact.all():
+        # slices cost less than np.ix_, and every entry is written below
+        exact_pairs, exact_scales = np.s_[:, :], scales
+        deviation, passed = np.empty((n, n)), np.empty((n, n), dtype=bool)
+    else:
+        floats = np.argwhere(checked & ~np.outer(exact, exact))
+        deviation = _deviations(amps, same, floats)
+        passed = deviation < tol
+        counts["gram_pairs"] = len(floats)
+        if not exact.any():
+            return deviation, np.zeros((n, n), dtype=bool), passed, counts
+        exact_pairs, exact_scales = np.ix_(exact, exact), scales[exact]
     certified = np.zeros((n, n), dtype=bool)
-    counts = {"conjugates": None, "gram_pairs": len(floats), "integer_pairs": 0}
-    if not exact.any():
-        return deviation, certified, passed, counts
-    # slices cost less than np.ix_ for an all-exact set, as every built prime set is
-    exact_pairs = np.s_[:, :] if exact.all() else np.ix_(exact, exact)
-    exact_scales = scales if exact.all() else scales[exact]
     evaluated = checked[exact_pairs].copy()
     # a monomial basis's Gram holds each row's |amp|**2 at its one slot on the
     # diagonal, and a slot shared by two rows gives an overlap of modulus 1
@@ -626,18 +657,22 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
             worst = max(abs(abs(z) ** 2 - 1) for z in support)
             own[k] = (math.inf, max(worst, 1.0)) if len(set(slots.tolist())) < d else (0, worst)
     residual, exact_deviation = np.zeros((2, len(exps), len(exps)))
-    perms, conjugates = None, 0
+    perms, maps, conjugates = None, None, 0
     if evaluated.any():
-        perms, f0, maps = _symmetries(exps, exact_scales, np.count_nonzero(evaluated) > 1)
-        if maps is not None:
-            # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
-            # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
-            mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
-            copies = evaluated & (mate >= 0)
-            evaluated = evaluated & ~copies
-            source = f0, mate[copies]
-            evaluated[source] = True
-        phases = conjugate_phases(d) if perms is None else conjugate_phases(d)[:1]
+        phases = conjugate_phases(d)
+        pending = np.count_nonzero(evaluated)
+        if pending > _block_pairs(len(phases), d):
+            perms, f0, maps = _symmetries(exps, exact_scales, pending > 1)
+            if maps is not None:
+                # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
+                # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
+                mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
+                copies = evaluated & (mate >= 0)
+                evaluated = evaluated & ~copies
+                source = f0, mate[copies]
+                evaluated[source] = True
+            if perms is not None:
+                phases = phases[:1]
         residual, exact_deviation = _certificate_residuals(
             exps, exact_scales, same[exact_pairs], phases, np.argwhere(evaluated)
         )
@@ -659,8 +694,8 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
             fail |= fail[np.ix_(perm, perm)]
         grown = np.count_nonzero(fail) > before
     certified[exact_pairs] = passed[exact_pairs] = ~fail
-    gram_pairs = len(floats) + int(np.count_nonzero(evaluated))
-    counts.update(conjugates=conjugates, gram_pairs=gram_pairs, integer_pairs=len(own))
+    counts["gram_pairs"] += int(np.count_nonzero(evaluated))
+    counts.update(conjugates=conjugates, integer_pairs=len(own))
     return deviation, certified, passed, counts
 
 
@@ -672,8 +707,10 @@ def verify_unbiased(
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
     basis against itself the Gram matrix must be the identity.  This is the
     two-basis case of verify_set's kernel, with its rules and its counts in
-    details; its one pair is never covered by another, so no diagonal shift
-    is searched.  max_residual is the pair's float deviation.
+    details.  Up to d = 31 its one pair fits one block at every conjugate
+    and is evaluated there; past that only the Galois closure is checked,
+    and no diagonal shift is searched, since one pair is never covered by
+    another.  max_residual is the pair's float deviation.
     """
     check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
@@ -715,11 +752,15 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     check.  Any other exact pair passes iff every Galois conjugate of its
     scaled overlaps meets its target within 1/2 (see _certificate_residuals),
     and its deviation, the reported residual, is read from the conjugate-1
-    Gram.  With the exact bases closed under every conjugation (see
-    _closure_permutations) conjugate 1 alone is evaluated and a failure
-    spreads along its orbit; diagonal shifts that map them onto themselves
-    (see _symmetries) leave one Gram per orbit of pairs, d + 1 for a built
-    prime or forced set.  details counts the "conjugates" evaluated per
+    Gram.  If these pairs' Grams at all K conjugates fit one block (a built
+    prime set up to d = 7, a forced or exact p**e set up to d = 9), each is
+    evaluated at every conjugate, and max_residual is the worst deviation
+    over every pair.  Otherwise, with the exact bases closed under every
+    conjugation (see _closure_permutations) conjugate 1 alone is evaluated
+    and a failure spreads along its orbit; diagonal shifts that map them
+    onto themselves (see _symmetries) leave one Gram per orbit of pairs,
+    d + 1 for a built prime set from d = 11 or a forced set from d = 10.
+    details counts the "conjugates" evaluated per
     certified pair (0 if no pair needs the certificate, as in a composite
     set; None if no basis is exact), the "gram_pairs" evaluated by a float
     or certificate Gram, in blocks sized by GRAM_BLOCK_BYTES, and the

@@ -13,8 +13,10 @@ one dumps call, so a key repeated across thousands of rows is encoded once.
 
 mubset_from_doc validates each basis in whole-basis passes over its
 amplitudes (_checked_vectors) and falls back to checking one amplitude at a
-time only to name the first malformed one.  mub is imported there, so a
-process that only writes matrices or reports never loads it.
+time only to name the first malformed one.  A numeric vector must also have
+a finite squared norm: by Cauchy-Schwarz its overlaps are then finite too.
+mub is imported there, so a process that only writes matrices or reports
+never loads it.
 """
 
 import json
@@ -324,6 +326,20 @@ def _vectors_one_by_one(vector_docs: list, d: int, exact: bool, label):
     return np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
 
 
+def _refuse_overflowing_vectors(mub_set: "MubSet") -> None:
+    """ValueError naming the first vector whose squared norm is not finite, and the
+    amplitude at which its running sum of |amplitude|**2 overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.cumsum(mub_set.amps.real ** 2 + mub_set.amps.imag ** 2, axis=2)
+    if np.isfinite(norms[..., -1]).all():
+        return
+    basis, n, k = np.argwhere(np.isinf(norms))[0]
+    raise ValueError(
+        f"basis {mub_set.bases[basis].label} vector {n} amplitude {k}: the vector's "
+        "squared norm overflows a float"
+    )
+
+
 def mubset_from_doc(doc: dict) -> "MubSet":
     """The set a mubset_to_doc document describes; ValueError names any malformed field."""
     from .mub import MubBasis, MubSet
@@ -358,7 +374,10 @@ def mubset_from_doc(doc: dict) -> "MubSet":
                                               class_labels=class_labels))
         else:
             bases.append(MubBasis.from_arrays(d, label, vectors, class_labels=class_labels))
-    return MubSet(d, tuple(bases))
+    mub_set = MubSet(d, tuple(bases))
+    if not exact:
+        _refuse_overflowing_vectors(mub_set)
+    return mub_set
 
 
 def mubset_to_csv(mub_set: "MubSet") -> str:

@@ -226,6 +226,18 @@ class TestSetCommand:
         assert len(rows) == 12  # 4 bases x 3 vectors
         assert all(len(r.split(",")) == 6 for r in rows)  # interleaved re/im
 
+    def test_exact_csv_refused_before_building(self, tmp_path, capsys, monkeypatch):
+        # csv holds float amplitudes only, so --exact cannot be honoured there
+        def refuse(*args, **kwargs):
+            raise AssertionError("the set is built only for an output that can hold it")
+
+        monkeypatch.setattr(mubkit.mub, "build_complete_set", refuse)
+        out = tmp_path / "set3.csv"
+        argv = ["set", "--dim", "3", "--exact", "--format", "csv", "--output", str(out)]
+        assert main(argv) == 2
+        assert "--exact needs --format json" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("dim", [3, 5, 7])
@@ -383,6 +395,27 @@ class TestVerifyCommand:
     def test_malformed_field_exit_2(self, argv, edit, message, tmp_path, capsys):
         assert self._verify_edited(tmp_path, edit, argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("amplitude", [1e10, 1e154, 1e160, 1e200, 1e308])
+    def test_huge_finite_amplitude(self, amplitude, tmp_path):
+        # from about 1e154 an amplitude's square overflows: such a vector is refused
+        # at read, so no overlap overflows and no numpy warning reaches stderr
+        path = tmp_path / "set.json"
+        assert main(["set", "--dim", "3", "--output", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["bases"][1]["vectors"][0][0] = [amplitude, 0.0]
+        path.write_text(json.dumps(doc))
+        code = "import sys; from mubkit.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = _python(code, "verify", "--set", str(path), check=False)
+        assert "Warning" not in proc.stderr
+        if amplitude < 1e155:
+            assert (proc.returncode, proc.stderr) == (1, "")
+            assert json.loads(proc.stdout)["failing_pairs"]
+        else:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == (
+                "error: basis 0 vector 0 amplitude 0: the vector's squared norm overflows a float\n"
+            )
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_vector_count_exit_2(self, extra, tmp_path, capsys):
@@ -547,12 +580,12 @@ class TestCompositeCommand:
         assert "failed unbiasedness" in capsys.readouterr().err
 
 
-def _python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, cwd=None, check=True) -> subprocess.CompletedProcess:
     """A fresh interpreter running code, with this checkout's mubkit importable."""
     src = str(Path(mubkit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=check)
 
 
 def test_cli_import_skips_scipy():

@@ -494,6 +494,16 @@ def block_bytes(d, width):
     return width * 48 * d * d
 
 
+def search_symmetries(patch, d):
+    """Patch GRAM_BLOCK_BYTES to one basis pair per conjugate-1 block at d.
+
+    The Grams of the exact pairs at all K conjugates then fit one block only
+    for a lone pair with K = 1, so verify_set searches the Galois and shift
+    symmetries wherever they could save a block.
+    """
+    patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(d, 1))
+
+
 def planted_orbit_set():
     """A d = 5 set that sigma_3 maps onto itself, with pairs of one orbit on both
     sides of the certificate's bound at conjugate 1.
@@ -565,11 +575,13 @@ class TestBlockedKernel:
 
 
 class TestGaloisOrbit:
-    """verify_set evaluates conjugate 1 alone exactly when every sigma_g maps
-    the exact bases onto themselves, and decides each pair over its orbit."""
+    """On the orbit path (see search_symmetries), verify_set evaluates conjugate 1
+    alone exactly when every sigma_g maps the exact bases onto themselves, and
+    decides each pair over its orbit."""
 
     @pytest.mark.parametrize("d", [5, 7, 11, 13, 4, 6, 8, 9, 10, 12])
-    def test_built_sets_are_closed_until_an_eigenbasis_is_dropped(self, d):
+    def test_built_sets_are_closed_until_an_eigenbasis_is_dropped(self, d, monkeypatch):
+        search_symmetries(monkeypatch, d)
         mub_set = build_complete_set(d, force=True)
         rep = verify_set(mub_set)
         assert rep.details["conjugates"] == 1
@@ -606,7 +618,8 @@ class TestGaloisOrbit:
         assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
             reference_verdict(mub_set)[:2]
 
-    def test_failures_propagate_along_orbits(self):
+    def test_failures_propagate_along_orbits(self, monkeypatch):
+        search_symmetries(monkeypatch, 5)
         mub_set = planted_orbit_set()
         exps, scales = mub_set.exponents, mub_set.scales
         same = np.eye(5, dtype=bool)
@@ -676,7 +689,8 @@ class TestGaloisOrbit:
         assert verify_unbiased(s, fourier).details["conjugates"] == 1
         assert verify_unbiased(fourier, one).details["conjugates"] == 32
 
-    def test_verify_unbiased_reports_conjugates(self):
+    def test_verify_unbiased_reports_conjugates(self, monkeypatch):
+        search_symmetries(monkeypatch, 5)
         s, fourier, one, two = build_complete_set(5).bases[:4]
         assert verify_unbiased(s, fourier).details["conjugates"] == 1
         assert verify_unbiased(one, two).details["conjugates"] == 2
@@ -707,19 +721,21 @@ def exact_composite_set(p, e, a_params):
 
 
 @st.composite
-def shift_symmetric_sets(draw):
-    """A built prime set at d <= 31, a forced set whose failing pairs depend on a - b, or an
-    exact composite set, with one change: its bases shuffled, a basis dropped, one row
-    exponent perturbed, a basis duplicated under a new label, or one scale given to a
-    basis (which keeps the computational basis fixed by every shift)."""
+def shift_symmetric_sets(draw, max_dim=31):
+    """A built prime set, a forced set whose failing pairs depend on a - b, or an exact
+    composite set, at d <= max_dim, with one change: its bases shuffled, a basis dropped,
+    one row exponent perturbed, a basis duplicated under a new label, or one scale given
+    to a basis (which keeps the computational basis fixed by every shift)."""
     source = draw(st.sampled_from(["prime", "forced", "composite"]))
     if source == "prime":
-        d = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
-        mub_set = build_complete_set(d)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+        mub_set = build_complete_set(draw(st.sampled_from([d for d in primes if d <= max_dim])))
     elif source == "forced":
-        mub_set = build_complete_set(draw(st.sampled_from([4, 6, 8, 9, 12])), force=True)
+        dims = [d for d in (4, 6, 8, 9, 12) if d <= max_dim]
+        mub_set = build_complete_set(draw(st.sampled_from(dims)), force=True)
     else:
-        p, e = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]))
+        powers = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]
+        p, e = draw(st.sampled_from([(p, e) for p, e in powers if p**e <= max_dim]))
         a_params = draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
         mub_set = exact_composite_set(p, e, a_params)
     d, bases = mub_set.dim, list(mub_set.bases)
@@ -743,13 +759,16 @@ def shift_symmetric_sets(draw):
 
 
 class TestShiftOrbit:
-    """verify_set evaluates one Gram per orbit of exact pairs under the diagonal
-    shifts that map the exact bases onto themselves, with the per-pair verdicts."""
+    """On the orbit path (see search_symmetries), verify_set evaluates one Gram per
+    orbit of exact pairs under the diagonal shifts that map the exact bases onto
+    themselves, with the per-pair verdicts."""
 
     @settings(max_examples=100, deadline=None)
     @given(shift_symmetric_sets())
     def test_matches_per_pair_reference(self, mub_set):
-        rep = verify_set(mub_set)
+        with pytest.MonkeyPatch.context() as patch:
+            search_symmetries(patch, mub_set.dim)
+            rep = verify_set(mub_set)
         passed, failing, exact = reference_verdict(mub_set)
         assert rep.passed is passed
         assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
@@ -758,7 +777,8 @@ class TestShiftOrbit:
         assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
-    def test_prime_sets_evaluate_d_plus_2_grams(self, d):
+    def test_prime_sets_evaluate_d_plus_2_grams(self, d, monkeypatch):
+        search_symmetries(monkeypatch, d)
         # d + 2 pairs: (s, s) on integers, then the Grams of (f0, s), (f0, f0) and
         # (f0, a) for the d - 1 other eigenbases
         rep = verify_set(build_complete_set(d))
@@ -770,7 +790,8 @@ class TestShiftOrbit:
 
     @pytest.mark.parametrize("p, e, a_params", [(2, 3, (1, 0, 1)), (3, 2, (0, 0)), (3, 2, (0, 1)),
                                                 (7, 2, (1, 3))])
-    def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params):
+    def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params, monkeypatch):
+        search_symmetries(monkeypatch, p**e)
         # the computational basis's own pair is decided on integers, d + 1 pairs by Grams
         mub_set = exact_composite_set(p, e, a_params)
         rep = verify_set(mub_set)
@@ -802,6 +823,7 @@ class TestShiftOrbit:
             return closure(exps, scales, maps)
 
         monkeypatch.setattr(mub, "_closure_permutations", recording)
+        search_symmetries(monkeypatch, 13)
         gens = len(mub._unit_generators(13))
         one, two = build_complete_set(13).bases[1:3]
         assert verify_unbiased(one, two).passed and verify_unbiased(one, one).passed
@@ -809,8 +831,9 @@ class TestShiftOrbit:
         assert verify_set(build_complete_set(13)).passed
         assert sent[2:] == [gens + 1]
 
-    def test_scaled_computational_basis_fails_against_every_eigenbasis(self):
+    def test_scaled_computational_basis_fails_against_every_eigenbasis(self, monkeypatch):
         # the shifts fix a computational basis of one scale, so its pairs copy (s, f0)
+        search_symmetries(monkeypatch, 5)
         bases = list(build_complete_set(5).bases)
         bases[0] = replaced(bases[0], scales=1)
         rep = verify_set(MubSet(5, tuple(bases[::-1])))
@@ -820,7 +843,8 @@ class TestShiftOrbit:
         assert failing == reference_verdict(MubSet(5, tuple(bases[::-1])))[1]
 
     @pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
-    def test_forced_failures_depend_on_the_difference(self, d):
+    def test_forced_failures_depend_on_the_difference(self, d, monkeypatch):
+        search_symmetries(monkeypatch, d)
         # eigenbases a and b are unbiased iff gcd(a - b, d) == 1 (checked against the reference)
         mub_set = build_complete_set(d, force=True)
         rep = verify_set(mub_set)
@@ -829,6 +853,78 @@ class TestShiftOrbit:
         biased = [(a, b) for a in range(d) for b in range(a + 1, d) if math.gcd(b - a, d) > 1]
         assert failing == biased
         assert failing == reference_verdict(mub_set)[1]
+
+
+def one_block_bytes(mub_set):
+    """The GRAM_BLOCK_BYTES whose one block holds every pair of the set at every conjugate."""
+    n, d = len(mub_set.bases), mub_set.dim
+    return block_bytes(d, len(conjugate_phases(d)) * n * (n + 1) // 2)
+
+
+def verdict(rep):
+    """(passed, failing pairs, exact) of a verify_set report."""
+    failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
+    return rep.passed, failing, rep.details["exact"]
+
+
+class TestRouting:
+    """verify_set certifies every exact pair at every conjugate in one block when
+    their Grams fit it, and searches the symmetries only when they need more."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shift_symmetric_sets(max_dim=13))
+    def test_direct_and_search_routes_agree(self, mub_set):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mub, "GRAM_BLOCK_BYTES", one_block_bytes(mub_set))
+            direct = verify_set(mub_set)
+            search_symmetries(patch, mub_set.dim)
+            searched = verify_set(mub_set)
+        assert verdict(direct) == verdict(searched) == reference_verdict(mub_set)
+        assert direct.details["conjugates"] == len(conjugate_phases(mub_set.dim))
+        assert abs(direct.max_residual - reference_max_residual(mub_set)) < 1e-15
+
+    @pytest.mark.parametrize("d, conjugates, gram_pairs", [(5, 2, 20), (7, 3, 35), (11, 1, 12)])
+    def test_default_route_counts(self, d, conjugates, gram_pairs):
+        # up to d = 7 every pair but (s, s) at every conjugate fits one block:
+        # (d + 1)(d + 2)/2 - 1 Grams; at d = 11 they need three blocks, so the
+        # orbit path evaluates d + 1 Grams at conjugate 1
+        rep = verify_set(build_complete_set(d))
+        assert rep.passed
+        counts = rep.details["conjugates"], rep.details["gram_pairs"], rep.details["integer_pairs"]
+        assert counts == (conjugates, gram_pairs, 1)
+
+    def test_the_search_starts_past_one_full_block(self, monkeypatch):
+        # at d = 5 the 20 certified pairs at K = 2 conjugates fill block_bytes(5, 40) exactly
+        mub_set = build_complete_set(5)
+        monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(5, 40))
+        assert verify_set(mub_set).details["conjugates"] == 2
+        monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(5, 40) - 1)
+        assert verify_set(mub_set).details["conjugates"] == 1
+
+    def test_a_lone_pair_fits_one_block_up_to_d31(self):
+        # K = 15 conjugates of a d = 31 Gram fill 0.66 MiB; K = 18 at d = 37 fill 1.13 MiB
+        for d, conjugates in ((31, 15), (37, 1)):
+            s, fourier = build_complete_set(d).bases[:2]
+            rep = verify_unbiased(s, fourier)
+            assert rep.passed and rep.details["conjugates"] == conjugates
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_complete_set(5), lambda: build_complete_set(7),
+         lambda: build_complete_set(9, force=True), lambda: exact_composite_set(3, 2, (0, 1)),
+         planted_orbit_set],
+        ids=["prime5", "prime7", "forced9", "composite9", "planted5"],
+    )
+    def test_direct_route_searches_nothing(self, build, monkeypatch):
+        # the planted set's (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3
+        def refuse(*args):
+            raise AssertionError("a set whose pairs fit one block needs no symmetry search")
+
+        monkeypatch.setattr(mub, "_symmetries", refuse)
+        mub_set = build()
+        rep = verify_set(mub_set)
+        assert verdict(rep) == reference_verdict(mub_set)
+        assert rep.details["conjugates"] == len(conjugate_phases(mub_set.dim))
 
 
 def is_monomial(basis):
