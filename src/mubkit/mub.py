@@ -38,14 +38,14 @@ from .weyl import build_v
 #: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
 #: how many basis pairs one batched Gram covers (at least one), so memory
 #: stays bounded whatever d and the number of bases.  It also picks the
-#: route: exact pairs whose Grams at all K conjugates fit one block are all
-#: evaluated there (a built prime set up to d = 7).  Past that, only the
-#: pairs that verify_set evaluates fill blocks: one per orbit under the
-#: diagonal shifts (d + 1 for a built prime set from d = 11, one block up to
-#: d = 27), or every pair of a set without the symmetry.  Each pair stays its own
-#: d x d x d product: OpenBLAS splits products from about 65536 multiply-adds
-#: (d = 40) over threads, and such split products stalled for about 250 ms
-#: at a time on a 2-CPU machine.
+#: route: two or more exact pairs whose Grams at all K conjugates fit one
+#: block are all evaluated there (a built prime set up to d = 7).  Past
+#: that, and for a lone pair, only the pairs that verify_set evaluates fill
+#: blocks: one per orbit under the diagonal shifts (d + 1 for a built prime
+#: set from d = 11, one block up to d = 27), or every pair of a set without
+#: the symmetry.  Each pair stays its own d x d x d product: OpenBLAS splits
+#: products from about 65536 multiply-adds (d = 40) over threads, and such
+#: split products stalled for about 250 ms at a time on a 2-CPU machine.
 GRAM_BLOCK_BYTES = 1 << 20
 
 
@@ -393,47 +393,37 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
     (m, m) arrays.  Each block of _blocks is one batched Gram (K, P, d, d)
     over the K conjugates and its pairs; its gathered phase grids, Gram,
     moduli and scaled conjugate-1 moduli share one work buffer that every
-    block reuses, so memory stays bounded.  When every pair has the same row
-    basis, as every pair (f0, j) of the orbit path has, its conjugated grid,
-    weights and same-basis target are made once for all blocks.
+    block reuses, so memory stays bounded.
     """
     m, d = exps.shape[:2]
     n_k = len(phases)
     blocks = _blocks(pairs, n_k, d)
     size = n_k * len(blocks[0][0]) * d * d
+    work = np.empty(3 * size, np.complex128)
     eye = np.eye(d)
     weights = float(d) ** scales
     # the least scale of each basis: a pair whose least scales sum below 1 has a target below 1
     least = scales.min(axis=1)
-    shared = (pairs[:, 0] == pairs[0, 0]).all()
-    work = np.empty((2 if shared else 3) * size, np.complex128)
-    if shared:
-        row = pairs[:1, 0]
-        # exponent -1 wraps to the zero column of conjugate_phases
-        row_grid = np.conjugate(np.take(phases, exps[row], axis=1, mode="wrap"))
-        row_weights = weights[row][:, :, None]
-        targets = eye * weights[row]
     residual = np.zeros((m, m))
     deviation = np.zeros((m, m))
     for i, j in blocks:
         shape = (n_k, len(i), d, d)
         used = n_k * len(i) * d * d
-        one = same[i, j]
-        if not shared:
-            row_grid = np.take(phases, exps[i], axis=1, mode="wrap",
-                               out=work[2 * size : 2 * size + used].reshape(shape))
-            np.conjugate(row_grid, out=row_grid)
-            row_weights = weights[i][:, :, None]
-            # diag(d**s) per pair of one basis
-            targets = eye * weights[i[one]][:, None]
-        col_grid = np.take(phases, exps[j], axis=1, mode="wrap", out=work[:used].reshape(shape))
+        # exponent -1 wraps to the zero column of conjugate_phases
+        row_grid = np.take(phases, exps[i], axis=1, mode="wrap", out=work[:used].reshape(shape))
+        np.conjugate(row_grid, out=row_grid)
+        col_grid = np.take(phases, exps[j], axis=1, mode="wrap",
+                           out=work[size : size + used].reshape(shape))
         grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
-                          out=work[size : size + used].reshape(shape))
+                          out=work[2 * size : 2 * size + used].reshape(shape))
+        one = same[i, j]
+        # diag(d**s) per pair of one basis
+        targets = eye * weights[i[one]][:, None]
         one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
-        # the column grid is spent, so the moduli overwrite it, and conjugate
-        # 1's scaled moduli its second half
+        # the grids are spent, so the moduli overwrite the row grid, and
+        # conjugate 1's scaled moduli the row grid's second half
         moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
-        products = row_weights * weights[j][:, None, :]
+        products = weights[i][:, :, None] * weights[j][:, None, :]
         scaled = np.sqrt(products, out=work.view(np.float64)[used : used + products.size]
                          .reshape(products.shape))
         one_deviations = np.abs(grams[0, one] / scaled[one] - eye).max(axis=(1, 2))
@@ -561,8 +551,9 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray, shifts: bool) -> tuple:
     shifts found with g_i[i] = f0, for each i in the orbit, and -1 for the
     other bases; maps is None when the first candidate fails or there is
     none (fewer than two flat bases, or shifts false): every pair stands alone.
-    _pair_verdicts calls it only for pairs whose Grams at every conjugate
-    need more than one block, where the maps can save blocks.
+    _pair_verdicts calls it for a lone pair, whose Galois closure, when it
+    holds, saves K - 1 of its K Grams, and for two or more pairs whose
+    Grams at every conjugate need more than one block.
     """
     m, d = exps.shape[:2]
     gens = _unit_generators(d)
@@ -613,10 +604,10 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     basis go to _deviations, which an all-exact set never calls.  The own
     pair of a monomial basis is decided on integers and its deviation read
     from its d support amps.  The other checked exact pairs go to
-    _certificate_residuals.  If their Grams at all K conjugates fit one
-    block of _blocks, they are evaluated there, every pair at every
-    conjugate, and _symmetries is not called: the search could save no
-    block.  Otherwise any such pair (i, j) with a basis in the orbit of f0
+    _certificate_residuals.  If two or more of them have Grams at all K
+    conjugates that fit one block of _blocks, they are evaluated there,
+    every pair at every conjugate, and _symmetries is not called.
+    Otherwise any such pair (i, j) with a basis in the orbit of f0
     under the diagonal shifts of _symmetries, i say, copies the residuals
     and deviation of (f0, g_i(j)), so the certificate runs only on the pairs
     (f0, j) and the pairs with neither basis in the orbit that some checked
@@ -661,7 +652,7 @@ def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
     if evaluated.any():
         phases = conjugate_phases(d)
         pending = np.count_nonzero(evaluated)
-        if pending > _block_pairs(len(phases), d):
+        if pending == 1 or pending > _block_pairs(len(phases), d):
             perms, f0, maps = _symmetries(exps, exact_scales, pending > 1)
             if maps is not None:
                 # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
@@ -707,10 +698,8 @@ def verify_unbiased(
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
     basis against itself the Gram matrix must be the identity.  This is the
     two-basis case of verify_set's kernel, with its rules and its counts in
-    details.  Up to d = 31 its one pair fits one block at every conjugate
-    and is evaluated there; past that only the Galois closure is checked,
-    and no diagonal shift is searched, since one pair is never covered by
-    another.  max_residual is the pair's float deviation.
+    details; its one pair is never covered by another, so no diagonal shift
+    is searched.  max_residual is the pair's float deviation.
     """
     check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
@@ -752,10 +741,11 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     check.  Any other exact pair passes iff every Galois conjugate of its
     scaled overlaps meets its target within 1/2 (see _certificate_residuals),
     and its deviation, the reported residual, is read from the conjugate-1
-    Gram.  If these pairs' Grams at all K conjugates fit one block (a built
-    prime set up to d = 7, a forced or exact p**e set up to d = 9), each is
-    evaluated at every conjugate, and max_residual is the worst deviation
-    over every pair.  Otherwise, with the exact bases closed under every
+    Gram.  If two or more of these pairs have Grams at all K conjugates
+    that fit one block (a built prime set up to d = 7, a forced or exact
+    p**e set up to d = 9), each is evaluated at every conjugate, and
+    max_residual is the worst deviation over every pair.  Otherwise, with
+    the exact bases closed under every
     conjugation (see _closure_permutations) conjugate 1 alone is evaluated
     and a failure spreads along its orbit; diagonal shifts that map them
     onto themselves (see _symmetries) leave one Gram per orbit of pairs,

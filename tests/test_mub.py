@@ -494,14 +494,19 @@ def block_bytes(d, width):
     return width * 48 * d * d
 
 
-def search_symmetries(patch, d):
-    """Patch GRAM_BLOCK_BYTES to one basis pair per conjugate-1 block at d.
+def search_symmetries(patch, mub_set):
+    """Patch GRAM_BLOCK_BYTES one byte below the block that holds mub_set's
+    certified pairs at all K conjugates, so verify_set searches its symmetries.
 
-    The Grams of the exact pairs at all K conjugates then fit one block only
-    for a lone pair with K = 1, so verify_set searches the Galois and shift
-    symmetries wherever they could save a block.
+    Those pairs are all pairs i <= j but a monomial basis's own, which is
+    decided on integers.  A set that already needs more than one block keeps
+    the default, and a set on the search route keeps blocks that hold its
+    pairs at conjugate 1, as the default gives at d >= 11.
     """
-    patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(d, 1))
+    d, n = mub_set.dim, len(mub_set.bases)
+    pairs = n * (n + 1) // 2 - sum(map(is_monomial, mub_set.bases))
+    below = block_bytes(d, len(conjugate_phases(d)) * pairs) - 1
+    patch.setattr(mub, "GRAM_BLOCK_BYTES", min(mub.GRAM_BLOCK_BYTES, below))
 
 
 def planted_orbit_set():
@@ -581,12 +586,13 @@ class TestGaloisOrbit:
 
     @pytest.mark.parametrize("d", [5, 7, 11, 13, 4, 6, 8, 9, 10, 12])
     def test_built_sets_are_closed_until_an_eigenbasis_is_dropped(self, d, monkeypatch):
-        search_symmetries(monkeypatch, d)
         mub_set = build_complete_set(d, force=True)
+        search_symmetries(monkeypatch, mub_set)
         rep = verify_set(mub_set)
         assert rep.details["conjugates"] == 1
         # sigma_g sends eigenbasis a to eigenbasis g*a, so dropping a = 1 opens the set
         dropped = MubSet(d, tuple(b for b in mub_set.bases if b.label != 1))
+        search_symmetries(monkeypatch, dropped)
         rep = verify_set(dropped)
         assert rep.details["conjugates"] == len(conjugate_phases(d)) > 1
         assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
@@ -619,8 +625,8 @@ class TestGaloisOrbit:
             reference_verdict(mub_set)[:2]
 
     def test_failures_propagate_along_orbits(self, monkeypatch):
-        search_symmetries(monkeypatch, 5)
         mub_set = planted_orbit_set()
+        search_symmetries(monkeypatch, mub_set)
         exps, scales = mub_set.exponents, mub_set.scales
         same = np.eye(5, dtype=bool)
         one, _ = mub._certificate_residuals(
@@ -689,8 +695,7 @@ class TestGaloisOrbit:
         assert verify_unbiased(s, fourier).details["conjugates"] == 1
         assert verify_unbiased(fourier, one).details["conjugates"] == 32
 
-    def test_verify_unbiased_reports_conjugates(self, monkeypatch):
-        search_symmetries(monkeypatch, 5)
+    def test_verify_unbiased_reports_conjugates(self):
         s, fourier, one, two = build_complete_set(5).bases[:4]
         assert verify_unbiased(s, fourier).details["conjugates"] == 1
         assert verify_unbiased(one, two).details["conjugates"] == 2
@@ -767,7 +772,7 @@ class TestShiftOrbit:
     @given(shift_symmetric_sets())
     def test_matches_per_pair_reference(self, mub_set):
         with pytest.MonkeyPatch.context() as patch:
-            search_symmetries(patch, mub_set.dim)
+            search_symmetries(patch, mub_set)
             rep = verify_set(mub_set)
         passed, failing, exact = reference_verdict(mub_set)
         assert rep.passed is passed
@@ -778,10 +783,11 @@ class TestShiftOrbit:
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
     def test_prime_sets_evaluate_d_plus_2_grams(self, d, monkeypatch):
-        search_symmetries(monkeypatch, d)
         # d + 2 pairs: (s, s) on integers, then the Grams of (f0, s), (f0, f0) and
         # (f0, a) for the d - 1 other eigenbases
-        rep = verify_set(build_complete_set(d))
+        mub_set = build_complete_set(d)
+        search_symmetries(monkeypatch, mub_set)
+        rep = verify_set(mub_set)
         assert rep.passed
         assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
         bases = build_complete_set(d).bases
@@ -791,9 +797,9 @@ class TestShiftOrbit:
     @pytest.mark.parametrize("p, e, a_params", [(2, 3, (1, 0, 1)), (3, 2, (0, 0)), (3, 2, (0, 1)),
                                                 (7, 2, (1, 3))])
     def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params, monkeypatch):
-        search_symmetries(monkeypatch, p**e)
         # the computational basis's own pair is decided on integers, d + 1 pairs by Grams
         mub_set = exact_composite_set(p, e, a_params)
+        search_symmetries(monkeypatch, mub_set)
         rep = verify_set(mub_set)
         assert rep.passed
         assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (p**e + 1, 1)
@@ -823,7 +829,6 @@ class TestShiftOrbit:
             return closure(exps, scales, maps)
 
         monkeypatch.setattr(mub, "_closure_permutations", recording)
-        search_symmetries(monkeypatch, 13)
         gens = len(mub._unit_generators(13))
         one, two = build_complete_set(13).bases[1:3]
         assert verify_unbiased(one, two).passed and verify_unbiased(one, one).passed
@@ -833,9 +838,9 @@ class TestShiftOrbit:
 
     def test_scaled_computational_basis_fails_against_every_eigenbasis(self, monkeypatch):
         # the shifts fix a computational basis of one scale, so its pairs copy (s, f0)
-        search_symmetries(monkeypatch, 5)
         bases = list(build_complete_set(5).bases)
         bases[0] = replaced(bases[0], scales=1)
+        search_symmetries(monkeypatch, MubSet(5, tuple(bases)))
         rep = verify_set(MubSet(5, tuple(bases[::-1])))
         assert rep.details["gram_pairs"] == 7
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
@@ -844,9 +849,9 @@ class TestShiftOrbit:
 
     @pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
     def test_forced_failures_depend_on_the_difference(self, d, monkeypatch):
-        search_symmetries(monkeypatch, d)
         # eigenbases a and b are unbiased iff gcd(a - b, d) == 1 (checked against the reference)
         mub_set = build_complete_set(d, force=True)
+        search_symmetries(monkeypatch, mub_set)
         rep = verify_set(mub_set)
         assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
@@ -868,8 +873,9 @@ def verdict(rep):
 
 
 class TestRouting:
-    """verify_set certifies every exact pair at every conjugate in one block when
-    their Grams fit it, and searches the symmetries only when they need more."""
+    """verify_set certifies two or more exact pairs at every conjugate in one block
+    when their Grams fit it, and searches the symmetries for a lone pair or for
+    pairs that need more."""
 
     @settings(max_examples=100, deadline=None)
     @given(shift_symmetric_sets(max_dim=13))
@@ -877,7 +883,7 @@ class TestRouting:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mub, "GRAM_BLOCK_BYTES", one_block_bytes(mub_set))
             direct = verify_set(mub_set)
-            search_symmetries(patch, mub_set.dim)
+            search_symmetries(patch, mub_set)
             searched = verify_set(mub_set)
         assert verdict(direct) == verdict(searched) == reference_verdict(mub_set)
         assert direct.details["conjugates"] == len(conjugate_phases(mub_set.dim))
@@ -901,19 +907,23 @@ class TestRouting:
         monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(5, 40) - 1)
         assert verify_set(mub_set).details["conjugates"] == 1
 
-    def test_a_lone_pair_fits_one_block_up_to_d31(self):
-        # K = 15 conjugates of a d = 31 Gram fill 0.66 MiB; K = 18 at d = 37 fill 1.13 MiB
-        for d, conjugates in ((31, 15), (37, 1)):
-            s, fourier = build_complete_set(d).bases[:2]
-            rep = verify_unbiased(s, fourier)
-            assert rep.passed and rep.details["conjugates"] == conjugates
+    @pytest.mark.parametrize("d", [5, 31])
+    def test_a_lone_pair_keeps_the_closure_check(self, d):
+        # the closure of one pair saves K - 1 of its K Grams when it holds, as it
+        # does for (s, F), which is certified on conjugate 1 although its K Grams
+        # fit one block; (F, 1) is not closed and evaluates all K
+        s, fourier, one = build_complete_set(d).bases[:3]
+        rep = verify_unbiased(s, fourier)
+        assert rep.passed and rep.details["conjugates"] == 1
+        rep = verify_unbiased(fourier, one)
+        assert rep.passed and rep.details["conjugates"] == len(conjugate_phases(d))
 
     @pytest.mark.parametrize(
         "build",
         [lambda: build_complete_set(5), lambda: build_complete_set(7),
          lambda: build_complete_set(9, force=True), lambda: exact_composite_set(3, 2, (0, 1)),
-         planted_orbit_set],
-        ids=["prime5", "prime7", "forced9", "composite9", "planted5"],
+         planted_orbit_set, lambda: MubSet(5, build_complete_set(5).bases[1:3])],
+        ids=["prime5", "prime7", "forced9", "composite9", "planted5", "two5"],
     )
     def test_direct_route_searches_nothing(self, build, monkeypatch):
         # the planted set's (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3
