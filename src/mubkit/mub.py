@@ -353,35 +353,40 @@ def _block_pairs(n_conj: int, d: int) -> int:
     return GRAM_BLOCK_BYTES // (48 * n_conj * d * d)
 
 
-def _blocks(pairs: np.ndarray, n_conj: int, d: int) -> list:
-    """The (P, 2) basis pairs in blocks of _block_pairs pairs (at least one), each as
-    its row and column indices."""
-    size = max(1, _block_pairs(n_conj, d))
-    return [tuple(pairs[k : k + size].T) for k in range(0, len(pairs), size)]
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple:
+    """The pairs i <= j of n bases, row by row, as read-only index arrays i and j (P,)."""
+    table = np.triu_indices(n)
+    for index in table:
+        index.setflags(write=False)
+    return table
 
 
-def _deviations(amps: np.ndarray, same: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Worst float deviation of the (P, 2) pairs of n bases, in an (n, n) array.
+def _deviations(amps: np.ndarray, same: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Worst float deviation of each pair (i, j) (P,) of n bases, a (P,) array.
 
-    amps is (n, d, d); same (n, n) marks the pairs of one basis, whose
-    overlaps must form the identity; all others need moduli 1/sqrt(d).
+    amps is (n, d, d); same (P,) marks the pairs of one basis, whose
+    overlaps must form the identity; all others need moduli 1/sqrt(d).  The
+    pairs go in blocks of _block_pairs, each written straight into the result.
     """
-    n, d = amps.shape[:2]
-    deviation = np.zeros((n, n))
-    for i, j in _blocks(pairs, 1, d):
-        overlaps = np.matmul(amps[i].conj(), amps[j].transpose(0, 2, 1))
-        block = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(1, 2))
-        one = same[i, j]
+    d = amps.shape[1]
+    deviation = np.empty(len(i))
+    size = max(1, _block_pairs(1, d))
+    for k in range(0, len(i), size):
+        pairs = slice(k, k + size)
+        overlaps = np.matmul(amps[i[pairs]].conj(), amps[j[pairs]].transpose(0, 2, 1))
+        block = deviation[pairs]
+        np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max(axis=(1, 2), out=block)
+        one = same[pairs]
         block[one] = np.abs(overlaps[one] - np.eye(d)).max(axis=(1, 2))
-        deviation[i, j] = block
     return deviation
 
 
-def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
-    """Worst conjugate residuals and float deviations of the (P, 2) pairs of m exact bases.
+def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
+    """Worst conjugate residuals and float deviations of the pairs (i, j) (P,) of m exact bases.
 
     exps (m, d, d) and scales (m, d) stack the bases' exponents and scales;
-    same (m, m) marks the pairs of one basis; phases holds the rows of
+    same (P,) marks the pairs of one basis; phases holds the rows of
     conjugate_phases(d) to evaluate, row 0 conjugate 1.  For amplitudes
     tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
     |z|**2 = d**(sa+sb-1) across bases (z = d**sa * I within one) holds
@@ -390,55 +395,56 @@ def _certificate_residuals(exps, scales, same, phases, pairs) -> tuple:
     solution, so its residual is inf.  Conjugate 1 over d**((sa+sb)/2) is
     the Gram of the bases' amps (see _amplitudes), so its moduli also give
     each pair's float deviation as _deviations defines it.  Returns both as
-    (m, m) arrays.  Each block of _blocks is one batched Gram (K, P, d, d)
-    over the K conjugates and its pairs; its gathered phase grids, Gram,
-    moduli and scaled conjugate-1 moduli share one work buffer that every
-    block reuses, so memory stays bounded.
+    (P,) arrays.  Each block of _block_pairs pairs is one batched Gram
+    (K, B, d, d) over the K conjugates and its pairs, written straight into
+    them; its gathered phase grids, Gram, moduli and scaled conjugate-1
+    moduli share one work buffer that every block reuses, so memory stays
+    bounded.
     """
-    m, d = exps.shape[:2]
-    n_k = len(phases)
-    blocks = _blocks(pairs, n_k, d)
-    size = n_k * len(blocks[0][0]) * d * d
+    d, n_k, n_pairs = exps.shape[1], len(phases), len(i)
+    step = max(1, min(n_pairs, _block_pairs(n_k, d)))
+    size = n_k * step * d * d
     work = np.empty(3 * size, np.complex128)
     eye = np.eye(d)
     weights = float(d) ** scales
     # the least scale of each basis: a pair whose least scales sum below 1 has a target below 1
     least = scales.min(axis=1)
-    residual = np.zeros((m, m))
-    deviation = np.zeros((m, m))
-    for i, j in blocks:
-        shape = (n_k, len(i), d, d)
-        used = n_k * len(i) * d * d
+    residual, deviation = np.empty((2, n_pairs))
+    for k in range(0, n_pairs, step):
+        pairs = slice(k, k + step)
+        bi, bj = i[pairs], j[pairs]
+        shape = (n_k, len(bi), d, d)
+        used = n_k * len(bi) * d * d
         # exponent -1 wraps to the zero column of conjugate_phases
-        row_grid = np.take(phases, exps[i], axis=1, mode="wrap", out=work[:used].reshape(shape))
+        row_grid = np.take(phases, exps[bi], axis=1, mode="wrap", out=work[:used].reshape(shape))
         np.conjugate(row_grid, out=row_grid)
-        col_grid = np.take(phases, exps[j], axis=1, mode="wrap",
+        col_grid = np.take(phases, exps[bj], axis=1, mode="wrap",
                            out=work[size : size + used].reshape(shape))
         grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
                           out=work[2 * size : 2 * size + used].reshape(shape))
-        one = same[i, j]
+        one = same[pairs]
         # diag(d**s) per pair of one basis
-        targets = eye * weights[i[one]][:, None]
+        targets = eye * weights[bi[one]][:, None]
         one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
         # the grids are spent, so the moduli overwrite the row grid, and
         # conjugate 1's scaled moduli the row grid's second half
         moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
-        products = weights[i][:, :, None] * weights[j][:, None, :]
+        products = weights[bi][:, :, None] * weights[bj][:, None, :]
         scaled = np.sqrt(products, out=work.view(np.float64)[used : used + products.size]
                          .reshape(products.shape))
         one_deviations = np.abs(grams[0, one] / scaled[one] - eye).max(axis=(1, 2))
         np.divide(moduli[0], scaled, out=scaled)
         scaled -= 1 / np.sqrt(d)
-        block = np.abs(scaled, out=scaled).max(axis=(1, 2))
+        block = deviation[pairs]
+        np.abs(scaled, out=scaled).max(axis=(1, 2), out=block)
         block[one] = one_deviations
-        deviation[i, j] = block
         np.square(moduli, out=moduli)
         products /= d
         moduli -= products
-        block = np.abs(moduli, out=moduli).max(axis=(0, 2, 3))
-        block[least[i] + least[j] < 1] = np.inf
+        block = residual[pairs]
+        np.abs(moduli, out=moduli).max(axis=(0, 2, 3), out=block)
+        block[least[bi] + least[bj] < 1] = np.inf
         block[one] = one_residuals
-        residual[i, j] = block
     return residual, deviation
 
 
@@ -481,37 +487,45 @@ def _closure_permutations(exps: np.ndarray, scales: np.ndarray, maps) -> list:
     the keys, sorted; matching the two orders maps bases one to one, so two
     distinct bases never map onto one (whose pair has the same-basis
     target).  The bases and all images are keyed in one batch, in the
-    narrowest signed type that holds -4d..4d and the scales.  Exponents must
-    lie in -1..2d-1, as _pair_verdicts checks.
+    narrowest signed type that holds -2d-1..2d and the scales (bytes up to
+    d = 63): each image is reduced mod 2d before its rows' first exponents
+    are subtracted.  Exponents must lie in -1..2d-1, as _pair_verdicts
+    checks.
     """
     m, d = exps.shape[:2]
-    dtype = np.min_scalar_type(-max(4 * d, int(np.abs(scales).max(initial=0)) + 1))
-    rows = exps.astype(dtype)
-    nonzero = rows >= 0
+    dtype = np.min_scalar_type(-max(2 * d + 1, int(np.abs(scales).max(initial=0)) + 1))
+    rows, two_d = exps.astype(dtype), np.asarray(2 * d, dtype)
+    zero = rows < 0
     images = np.empty((1 + len(maps), m, d, d), dtype)
     images[0] = rows
     for image, (g, shift) in zip(images[1:], maps):
-        # exact zeros stay: the table keeps -1, and the shift skips them
+        # the table keeps an exact zero at -1; the shift moves it, and it is reset below
         image[...] = rows if g == 1 else _multiples(d, g)[rows]
-        np.add(image, shift, out=image, where=nonzero)
-    zero = images < 0
+        if np.any(shift):
+            # e + D - 2d lies in -2d..2d-2, and 2d added where it is negative reduces it
+            image += np.asarray(shift - 2 * d, dtype)
+            image += (image < 0) * two_d
     flat = images.reshape(-1, d)
-    # each row less its first nonzero exponent, mod 2d
-    flat -= flat[np.arange(len(flat)), (~zero).reshape(-1, d).argmax(axis=1)][:, None]
-    images %= 2 * d
-    images[zero] = -1
+    first = np.tile((~zero).reshape(-1, d).argmax(axis=1), len(images))
+    # each row less its first nonzero exponent, mod 2d as above (a masked add
+    # or a remainder costs several times as much)
+    flat -= flat[np.arange(len(flat)), first][:, None]
+    images += (images < 0) * two_d
+    images[:, zero] = -1
     tails = np.repeat(scales[None, ..., None].astype(dtype), len(images), axis=0)
     row_keys = np.concatenate([images, tails], axis=3)
     # freed before the sort, which works in place, so one copy of the keys is held
-    del zero, images, flat
+    del zero, images, flat, first
     row_keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * (d + 1))))[..., 0]
     row_keys.sort(axis=2)
     keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * d)))[..., 0]
     order = np.argsort(keys, axis=1, kind="stable")
+    # equal keys are equal bytes, which compare faster than void elements
+    sorted_keys = keys[0, order[0]].tobytes()
     perms = []
     for image, image_order in zip(keys[1:], order[1:]):
         perm = None
-        if (image[image_order] == keys[0, order[0]]).all():
+        if image[image_order].tobytes() == sorted_keys:
             perm = np.empty(m, dtype=np.intp)
             perm[image_order] = order[0]
         perms.append(perm)
@@ -594,100 +608,111 @@ def _symmetries(exps: np.ndarray, scales: np.ndarray, shifts: bool) -> tuple:
     return perms, f0, maps
 
 
-def _pair_verdicts(amps, exps, scales, exact, same, checked, tol):
-    """Deviations, certificate verdicts, verdicts and counts of the pairs checked marks.
+def _pair_verdicts(amps, exps, scales, exact, same, i, j, tol):
+    """Deviations, verdicts and counts of the pairs (i, j) (P,) of n bases.
 
     amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
-    exponents of the bases exact (n,) marks; same (n, n) marks the pairs of
-    one basis and checked (n, n) the pairs (i, j >= i) to check: all of
-    them for verify_set, one for verify_unbiased.  Pairs with a non-exact
-    basis go to _deviations, which an all-exact set never calls.  The own
-    pair of a monomial basis is decided on integers and its deviation read
-    from its d support amps.  The other checked exact pairs go to
+    exponents of the bases exact (n,) marks; same (P,) marks the pairs of
+    one basis.  verify_set passes every pair i <= j (_pair_table),
+    verify_unbiased its one pair.  Pairs with a non-exact basis go to
+    _deviations, which an all-exact set never calls.  The own pair (i = j)
+    of a monomial basis is decided on integers and its deviation read from
+    its d support amps.  The other exact pairs go to
     _certificate_residuals.  If two or more of them have Grams at all K
-    conjugates that fit one block of _blocks, they are evaluated there,
-    every pair at every conjugate, and _symmetries is not called.
-    Otherwise any such pair (i, j) with a basis in the orbit of f0
-    under the diagonal shifts of _symmetries, i say, copies the residuals
-    and deviation of (f0, g_i(j)), so the certificate runs only on the pairs
-    (f0, j) and the pairs with neither basis in the orbit that some checked
-    pair maps to, at conjugate 1 alone if the bases are Galois-closed.
-    Shifts are searched only for two or more such pairs, and for none
-    neither _symmetries nor the certificate runs.  Returns (n, n)
-    deviations, certificate verdicts and verdicts, each valid on the pairs
-    checked, and the counts that verify_set reports.  Raises ValueError if
-    an exponent lies outside -1..2d-1.
+    conjugates that fit one block of _block_pairs, they are evaluated
+    there, every pair at every conjugate, and _symmetries is not called.
+    Otherwise any such pair (i, j) with a basis in the orbit of f0 under the
+    diagonal shifts of _symmetries, i say, copies the residuals and
+    deviation of (f0, g_i(j)), so the certificate runs only on the pairs
+    (f0, j) and the pairs with neither basis in the orbit that some pair
+    maps to, at conjugate 1 alone if the bases are Galois-closed.  Shifts
+    are searched only for two or more such pairs, and for none neither
+    _symmetries nor the certificate runs.  Only the orbit copies and the
+    Galois failure spread read (m, m) maps of the exact bases.  Returns (P,)
+    deviations and verdicts, an exact pair's verdict being its exact one,
+    and the counts that verify_set reports.  Raises ValueError if an
+    exponent lies outside -1..2d-1.
     """
-    n, d = amps.shape[:2]
+    d, m = amps.shape[1], len(exps)
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
         # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
         raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
     counts = {"conjugates": None, "gram_pairs": 0, "integer_pairs": 0}
+    deviation, passed = np.empty(len(i)), np.empty(len(i), dtype=bool)
     if exact.all():
-        # slices cost less than np.ix_, and every entry is written below
-        exact_pairs, exact_scales = np.s_[:, :], scales
-        deviation, passed = np.empty((n, n)), np.empty((n, n), dtype=bool)
+        # a slice costs less than a mask, and every pair is written below
+        pairs, exact_scales, rank = slice(None), scales, None
     else:
-        floats = np.argwhere(checked & ~np.outer(exact, exact))
-        deviation = _deviations(amps, same, floats)
-        passed = deviation < tol
-        counts["gram_pairs"] = len(floats)
-        if not exact.any():
-            return deviation, np.zeros((n, n), dtype=bool), passed, counts
-        exact_pairs, exact_scales = np.ix_(exact, exact), scales[exact]
-    certified = np.zeros((n, n), dtype=bool)
-    evaluated = checked[exact_pairs].copy()
+        pairs = exact[i] & exact[j]
+        floats = ~pairs
+        deviation[floats] = _deviations(amps, same[floats], i[floats], j[floats])
+        np.less(deviation, tol, out=passed)
+        counts["gram_pairs"] = int(np.count_nonzero(floats))
+        if not m:
+            return deviation, passed, counts
+        exact_scales, rank = scales[exact], np.cumsum(exact) - 1
+    # the exact pairs, by basis (ni, nj) and by exact basis (ei, ej)
+    ni, nj, esame = i[pairs], j[pairs], same[pairs]
+    ei, ej = (ni, nj) if rank is None else (rank[ni], rank[nj])
+    residual, exact_deviation = np.zeros((2, len(ni)))
     # a monomial basis's Gram holds each row's |amp|**2 at its one slot on the
-    # diagonal, and a slot shared by two rows gives an overlap of modulus 1
-    own = {}
-    for k in np.flatnonzero(~exact_scales.any(axis=1)).tolist():
-        rows, slots = np.nonzero(exps[k] >= 0)
-        if evaluated[k, k] and rows.tolist() == list(range(d)):
-            evaluated[k, k] = False
-            support = amps[np.flatnonzero(exact)[k], rows, slots].tolist()
-            worst = max(abs(abs(z) ** 2 - 1) for z in support)
-            own[k] = (math.inf, max(worst, 1.0)) if len(set(slots.tolist())) < d else (0, worst)
-    residual, exact_deviation = np.zeros((2, len(exps), len(exps)))
-    perms, maps, conjugates = None, None, 0
-    if evaluated.any():
+    # diagonal, and a slot shared by two rows gives an overlap of modulus 1.
+    # The own pairs of bases of scale 0 are few (one in a built set), and a
+    # loop over them costs less than a vectorized pass of some 35 numpy calls.
+    own = []
+    for q in np.flatnonzero((ni == nj) & ~exact_scales.any(axis=1)[ei]).tolist():
+        rows, slots = np.nonzero(exps[ei[q]] >= 0)
+        if rows.tolist() == list(range(d)):
+            own.append(q)
+            worst = max(abs(abs(z) ** 2 - 1) for z in amps[ni[q], rows, slots].tolist())
+            shared = len(set(slots.tolist())) < d
+            residual[q], exact_deviation[q] = (math.inf, max(worst, 1.0)) if shared else (0, worst)
+    todo = np.ones(len(ni), dtype=bool)
+    todo[own] = False
+    todo = np.flatnonzero(todo)
+    perms, conjugates = None, 0
+    if todo.size:
         phases = conjugate_phases(d)
-        pending = np.count_nonzero(evaluated)
-        if pending == 1 or pending > _block_pairs(len(phases), d):
-            perms, f0, maps = _symmetries(exps, exact_scales, pending > 1)
+        ci, cj, csame, source = ei[todo], ej[todo], esame[todo], slice(None)
+        if len(todo) == 1 or len(todo) > _block_pairs(len(phases), d):
+            perms, f0, maps = _symmetries(exps, exact_scales, len(todo) > 1)
             if maps is not None:
-                # pair (i, j) copies the pair (f0, mate[i, j]): mate is g_i(j) if i is in
-                # f0's orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
-                mate = np.where((maps[:, 0] >= 0)[:, None], maps, maps.T)
-                copies = evaluated & (mate >= 0)
-                evaluated = evaluated & ~copies
-                source = f0, mate[copies]
-                evaluated[source] = True
+                # pair (i, j) copies the pair (f0, mate): mate is g_i(j) if i is in f0's
+                # orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
+                mate = np.where(maps[ci, 0] >= 0, maps[ci, cj], maps[cj, ci])
+                keys = np.where(mate >= 0, f0 * m + mate, ci * m + cj)
+                # an (m, m) map marks the pairs evaluated, each once in row-major
+                # order, and gives each pair the index of its source among them
+                evaluated = np.zeros(m * m, dtype=bool)
+                evaluated[keys] = True
+                source = np.cumsum(evaluated)[keys] - 1
+                ci, cj = np.divmod(np.flatnonzero(evaluated), m)
+                # two or more pairs are verify_set's, whose same is i == j
+                csame = ci == cj
             if perms is not None:
                 phases = phases[:1]
-        residual, exact_deviation = _certificate_residuals(
-            exps, exact_scales, same[exact_pairs], phases, np.argwhere(evaluated)
-        )
-        if maps is not None:
-            for values in (residual, exact_deviation):
-                values[copies] = values[source]
+        found = _certificate_residuals(exps, exact_scales, csame, phases, ci, cj)
+        residual[todo], exact_deviation[todo] = (values[source] for values in found)
+        counts["gram_pairs"] += len(ci)
         conjugates = len(phases)
-    for k, verdict in own.items():
-        residual[k, k], exact_deviation[k, k] = verdict
-    deviation[exact_pairs] = exact_deviation
     fail = residual >= 0.5
-    fail |= fail.T
-    # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
-    # (pi_g[i], pi_g[j]): a pair fails if any pair of its orbit fails
-    grown = perms is not None and fail.any()
-    while grown:
-        before = np.count_nonzero(fail)
-        for perm in perms:
-            fail |= fail[np.ix_(perm, perm)]
-        grown = np.count_nonzero(fail) > before
-    certified[exact_pairs] = passed[exact_pairs] = ~fail
-    counts["gram_pairs"] += int(np.count_nonzero(evaluated))
+    if perms is not None and fail.any():
+        # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
+        # (pi_g[i], pi_g[j]): a pair fails if any pair of its orbit fails
+        spread = np.zeros((m, m), dtype=bool)
+        spread[ei, ej] = fail
+        spread |= spread.T
+        grown = True
+        while grown:
+            before = np.count_nonzero(spread)
+            for perm in perms:
+                spread |= spread[np.ix_(perm, perm)]
+            grown = np.count_nonzero(spread) > before
+        fail = spread[ei, ej]
+    deviation[pairs] = exact_deviation
+    passed[pairs] = ~fail
     counts.update(conjugates=conjugates, integer_pairs=len(own))
-    return deviation, certified, passed, counts
+    return deviation, passed, counts
 
 
 def verify_unbiased(
@@ -706,26 +731,25 @@ def verify_unbiased(
         raise ValueError("dimension mismatch between bases")
     d = a_basis.dim
     bases = (a_basis,) if a_basis is b_basis else (a_basis, b_basis)
-    same = np.eye(len(bases), dtype=bool) | (a_basis.label == b_basis.label)
-    exact = np.full(len(bases), a_basis.exact and b_basis.exact)
-    checked = np.zeros_like(same)
-    checked[0, -1] = True
-    deviation, certified, passed, counts = _pair_verdicts(
+    same = bool(a_basis.label == b_basis.label)
+    exact = a_basis.exact and b_basis.exact
+    deviation, passed, counts = _pair_verdicts(
         np.stack([b.amps for b in bases]),
-        np.array([b.exponents for b in bases if exact[0]], dtype=np.int64).reshape(-1, d, d),
-        np.stack([b.scales for b in bases]), exact, same, checked, tol,
+        np.array([b.exponents for b in bases if exact], dtype=np.int64).reshape(-1, d, d),
+        np.stack([b.scales for b in bases]), np.full(len(bases), exact), np.array([same]),
+        np.zeros(1, dtype=np.intp), np.full(1, len(bases) - 1), tol,
     )
     return VerificationReport(
         kind="unbiasedness",
-        passed=bool(passed[0, -1]),
+        passed=bool(passed[0]),
         tolerance=tol,
-        max_residual=float(deviation[0, -1]),
+        max_residual=float(deviation[0]),
         details={
             "dim": d,
             "a": a_basis.label,
             "b": b_basis.label,
-            "same_basis": bool(same[0, -1]),
-            "exact": bool(certified[0, -1]) if exact[0] else None,
+            "same_basis": same,
+            "exact": bool(passed[0]) if exact else None,
             **counts,
         },
     )
@@ -760,15 +784,14 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """
     check_tolerance(tol)
     n = len(mub_set.bases)
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    deviation, _, passed, counts = _pair_verdicts(
-        mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases,
-        np.eye(n, dtype=bool), upper, tol,
+    i, j = _pair_table(n)
+    deviation, passed, counts = _pair_verdicts(
+        mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases, i == j, i, j, tol
     )
     labels = [b.label for b in mub_set.bases]
     failing = [
-        {"a": labels[i], "b": labels[j], "max_residual": float(deviation[i, j])}
-        for i, j in np.argwhere(upper & ~passed)
+        {"a": labels[i[q]], "b": labels[j[q]], "max_residual": float(deviation[q])}
+        for q in np.flatnonzero(~passed).tolist()
     ]
     details = {
         "dim": mub_set.dim,
@@ -785,7 +808,7 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
         kind="mub_set",
         passed=not failing,
         tolerance=tol,
-        max_residual=float(deviation[upper].max()),
+        max_residual=float(deviation.max()),
         details=details,
     )
 

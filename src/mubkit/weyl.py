@@ -263,11 +263,12 @@ def q_commutation_residual(d: int, a: int, tol: float = DEFAULT_TOL) -> Verifica
 def _unit_sums_equal(u1, u2, v1, v2, two_d: int) -> np.ndarray:
     """tau**u1 + tau**u2 == tau**v1 + tau**v2, elementwise, for exponents mod two_d.
 
+    u1 and v1 must be reduced to 0..two_d-1; u2 and v2 may be any integers.
     Two roots of unity with a given nonzero sum are fixed up to order; sums
-    that vanish are antipodal pairs.
+    that vanish are antipodal pairs, whose reduced exponents differ by two_d / 2.
     """
-    u1, u2, v1, v2 = (np.asarray(t) % two_d for t in (u1, u2, v1, v2))
-    antipodal = ((u1 - u2) % two_d == two_d // 2) & ((v1 - v2) % two_d == two_d // 2)
+    u2, v2 = np.asarray(u2) % two_d, np.asarray(v2) % two_d
+    antipodal = (np.abs(u1 - u2) == two_d // 2) & (np.abs(v1 - v2) == two_d // 2)
     return ((u1 == v1) & (u2 == v2)) | ((u1 == v2) & (u2 == v1)) | antipodal
 
 

@@ -417,18 +417,24 @@ def reference_conjugates(mub_set):
     return 1 if closed else len(ks)
 
 
-def reference_max_residual(mub_set):
-    """The worst float deviation over every pair i <= j of the set's amps."""
+def reference_deviations(mub_set):
+    """The float deviation of each pair i <= j of the set's amps, by their labels."""
     d, bases = mub_set.dim, mub_set.bases
-    worst = 0.0
+    deviations = {}
     for i, a in enumerate(bases):
         for b in bases[i:]:
             overlaps = a.amps.conj() @ b.amps.T
             if a is b:
-                worst = max(worst, np.abs(overlaps - np.eye(d)).max())
+                deviation = np.abs(overlaps - np.eye(d)).max()
             else:
-                worst = max(worst, np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max())
-    return worst
+                deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max()
+            deviations[a.label, b.label] = float(deviation)
+    return deviations
+
+
+def reference_max_residual(mub_set):
+    """The worst float deviation over every pair i <= j of the set's amps."""
+    return max(reference_deviations(mub_set).values())
 
 
 def replaced(basis, **arrays):
@@ -531,20 +537,41 @@ def planted_orbit_set():
     return MubSet(d, tuple(bases))
 
 
+def record_gram_pairs(patch, sent):
+    """Patch the float and certificate kernels to append each pair they evaluate to sent."""
+    for name in ("_deviations", "_certificate_residuals"):
+        def recording(*args, kernel=getattr(mub, name)):
+            sent.extend(zip(args[-2].tolist(), args[-1].tolist()))
+            return kernel(*args)
+
+        patch.setattr(mub, name, recording)
+
+
 class TestBlockedKernel:
     """verify_set against the per-pair reference, at the default block size and
     with one or two basis pairs per block, so that block boundaries are crossed."""
 
     @staticmethod
     def check_against_reference(width, mub_set):
+        sent = []
         with pytest.MonkeyPatch.context() as patch:
             if width is not None:
                 patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
+            record_gram_pairs(patch, sent)
             rep = verify_set(mub_set)
         passed, failing, exact = reference_verdict(mub_set)
         assert rep.passed is passed
         assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
         assert rep.details["exact"] is exact
+        # each failing pair reports its own deviation, and the set the worst of all
+        deviations = reference_deviations(mub_set)
+        for p in rep.details["failing_pairs"]:
+            assert abs(p["max_residual"] - deviations[p["a"], p["b"]]) < 1e-12
+        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-12
+        # every pair a kernel evaluated is counted, and every monomial own pair
+        assert rep.details["gram_pairs"] == len(sent)
+        monomial = [b.exact and is_monomial(b) for b in mub_set.bases]
+        assert rep.details["integer_pairs"] == sum(monomial)
 
     @settings(max_examples=150, deadline=None)
     @given(candidate_sets())
@@ -569,14 +596,36 @@ class TestBlockedKernel:
         ids=["forced4", "forced6", "forced8", "forced9", "forced10", "forced12",
              "composite4", "composite8", "composite9", "planted5"],
     )
-    def test_forced_and_composite_sets(self, build, width, monkeypatch):
-        mub_set = build()
-        if width is not None:
-            monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
-        rep = verify_set(mub_set)
-        passed, failing, exact = reference_verdict(mub_set)
-        assert (rep.passed, rep.details["exact"]) == (passed, exact)
-        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
+    def test_forced_and_composite_sets(self, build, width):
+        self.check_against_reference(width, build())
+
+
+class TestPairTable:
+    """verify_set reads its pairs i <= j from one cached, read-only table per basis count."""
+
+    def test_cached_and_read_only(self):
+        i, j = mub._pair_table(4)
+        assert mub._pair_table(4)[0] is i
+        assert [i.tolist(), j.tolist()] == [index.tolist() for index in np.triu_indices(4)]
+        for index in (i, j):
+            assert not index.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 1
+
+    def test_reports_do_not_depend_on_earlier_calls(self):
+        bases = build_complete_set(5).bases
+        sets = [build_complete_set(5), MubSet(5, bases[:4]), build_complete_set(6, force=True),
+                build_composite_set(2, 2), MubSet(5, (*bases[1:3], stripped(bases[3]))),
+                build_complete_set(7)]
+        mub._pair_table.cache_clear()
+        first = [verify_set(s) for s in sets]
+        for s in sets[::-1]:
+            assert verify_unbiased(bases[1], bases[2]).passed
+            assert verify_unbiased(bases[0], bases[0]).passed
+            assert not verify_unbiased(bases[1], bases[1]).details["integer_pairs"]
+            verify_set(s)
+        assert [verify_set(s) for s in sets] == first
+        assert [verdict(rep) for rep in first] == [reference_verdict(s) for s in sets]
 
 
 class TestGaloisOrbit:
@@ -627,12 +676,12 @@ class TestGaloisOrbit:
     def test_failures_propagate_along_orbits(self, monkeypatch):
         mub_set = planted_orbit_set()
         search_symmetries(monkeypatch, mub_set)
-        exps, scales = mub_set.exponents, mub_set.scales
-        same = np.eye(5, dtype=bool)
+        i, j = np.triu_indices(5, 1)
         one, _ = mub._certificate_residuals(
-            exps, scales, same, conjugate_phases(5)[:1], np.argwhere(np.triu(~same))
+            mub_set.exponents, mub_set.scales, i == j, conjugate_phases(5)[:1], i, j
         )
-        assert one[0, 1:].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
+        # the pairs (p, c1), (p, c3), (p, c9), (p, c7)
+        assert one[:4].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
         rep = verify_set(mub_set)
         assert rep.details["conjugates"] == 1
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
@@ -643,9 +692,9 @@ class TestGaloisOrbit:
         sent = []
         deviations = mub._deviations
 
-        def recording(amps, same, pairs):
-            sent.extend(map(tuple, pairs))
-            return deviations(amps, same, pairs)
+        def recording(amps, same, i, j):
+            sent.extend(zip(i.tolist(), j.tolist()))
+            return deviations(amps, same, i, j)
 
         monkeypatch.setattr(mub, "_deviations", recording)
         for d in (5, 13, 23):
@@ -668,12 +717,11 @@ class TestGaloisOrbit:
         # an exact pair's deviation, read from the certificate Gram's
         # conjugate 1, is the deviation of its amps' float Gram up to rounding
         mub_set = build()
-        n = len(mub_set.bases)
-        same, pairs = np.eye(n, dtype=bool), np.argwhere(np.triu(np.ones((n, n), dtype=bool)))
+        i, j = np.triu_indices(len(mub_set.bases))
         _, exact = mub._certificate_residuals(
-            mub_set.exponents, mub_set.scales, same, conjugate_phases(mub_set.dim), pairs
+            mub_set.exponents, mub_set.scales, i == j, conjugate_phases(mub_set.dim), i, j
         )
-        floats = mub._deviations(mub_set.amps, same, pairs)
+        floats = mub._deviations(mub_set.amps, i == j, i, j)
         assert np.abs(exact - floats).max() < 1e-15
 
     def test_non_exact_pairs_keep_the_float_verdict(self):
@@ -1014,6 +1062,22 @@ class TestMonomialPairs:
         assert rep.details["conjugates"] == rep.details["gram_pairs"] == 0
         # two rows share slot 0: an off-diagonal overlap of modulus 1
         assert abs(rep.max_residual - 1) < 1e-15
+
+    def test_monomial_own_pairs_past_the_first_basis(self):
+        # the own pairs of a mixed set's monomial bases, at indices 2 and 3, are
+        # decided on integers: "x" repeats slot 0 and fails, "s" passes
+        d = 5
+        exps = np.full((d, d), -1)
+        exps[np.arange(d), [0, 1, 2, 3, 0]] = 2 * np.arange(d)
+        repeated = MubBasis.from_arrays(d, "x", exponents=exps, scales=0)
+        mub_set = MubSet(d, (build_basis(d, 1), stripped(build_basis(d, 2)), repeated,
+                             spherical_basis(d)))
+        rep = verify_set(mub_set)
+        assert verdict(rep) == reference_verdict(mub_set)
+        assert rep.details["integer_pairs"] == 2
+        failing = {(p["a"], p["b"]): p["max_residual"] for p in rep.details["failing_pairs"]}
+        assert abs(failing["x", "x"] - 1) < 1e-15 and ("s", "s") not in failing
+        assert not verify_unbiased(repeated, repeated).passed
 
     def test_completeness_is_reported(self):
         rep = verify_set(MubSet(5, (spherical_basis(5),)))
