@@ -32,5 +32,5 @@ print(np.round(moduli, 6))
 report = mk.verify_set(mub_set)
 print(f"\nall {report.details['n_pairs']} pairs verified:",
       "exactly" if report.details["exact"] else "numerically")
-print(f"max numeric residual: {report.max_residual:.2e}")
+print(f"max residual: {report.max_residual:.2e}")
 print("pass:", report.passed)

@@ -24,21 +24,13 @@ verifier, not on the construction.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 import numpy as np
 
 from .cyclo import DEFAULT_TOL, _frozen, check_tolerance, is_prime
-from .mub import MubBasis, MubSet, _amplitudes, verify_set
+from .mub import MAX_DIM, MubBasis, MubSet, _points, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _monomial_exponents
-
-#: Largest dimension accepted; build_composite_set writes its d + 1 bases as
-#: one stack, then verifies every pair with verify_set's blocked kernel, one
-#: float Gram per block of pairs sized by mub.GRAM_BLOCK_BYTES, so time is
-#: O(d**5) and memory stays bounded.  Its one exact pair, the computational
-#: basis's own, is decided on integers, with no closure check or certificate.
-MAX_DIM = 128
 
 #: Distance below which degeneracy_report merges two eigenvalues.
 CLUSTER_TOL = 1e-8
@@ -104,11 +96,6 @@ def _check_params(p: int, e: int, a_params) -> tuple:
     if len(a_params) != e or any(not 0 <= v < p for v in a_params):
         raise ValueError(f"a_params must be length {e} with entries in 0..{p - 1}")
     return a_params
-
-
-def _points(p: int, e: int) -> np.ndarray:
-    """All of F_p^e in lexicographic order (slot 0 most significant), (p**e, e)."""
-    return np.array(list(product(range(p), repeat=e)), dtype=np.int64).reshape(p**e, e)
 
 
 # -- operators ----------------------------------------------------------------
@@ -274,8 +261,8 @@ def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) ->
 def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     """Orthonormal simultaneous eigenbasis of every operator in the class.
 
-    The all-clock class gives the computational basis (exact amplitudes).
-    A graph class {(x, Sx)} gives the stabilizer states with R = S +
+    Both kinds are exact.  The all-clock class gives the computational
+    basis.  A graph class {(x, Sx)} gives the stabilizer states with R = S +
     diag(a_params) mod p: vector n, for b the n-th point of F_p^e, has
     component omega**(-1/2 j.Rj + b.j) / sqrt(d) at index j (slot 0 most
     significant).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2
@@ -290,8 +277,8 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     if form is None:
         exps = np.eye(d, dtype=np.int64) - 1
         return MubBasis.from_arrays(d, label, exponents=exps, scales=0, class_labels=members)
-    amps = _amplitudes(d, _stabilizer_exponents(p, e, form[None], a_params), 1)[0]
-    return MubBasis.from_arrays(d, label, amps, class_labels=members)
+    exps = _stabilizer_exponents(p, e, form[None], a_params)[0]
+    return MubBasis.from_arrays(d, label, exponents=exps, class_labels=members)
 
 
 # -- complete sets ---------------------------------------------------------------
@@ -302,22 +289,22 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
 
     Every class of the spread contributes its joint eigenbasis, in the order
     and with the members of partition_commuting_classes; the all-clock
-    class, first, contributes the computational basis (written exactly).
-    The set's stacks are written once, the graph bases in one broadcast from
-    the spread forms, and each basis views its rows and its class labels.
-    The whole set is verified pairwise before being returned; failure
-    raises ConstructionError with the offending pair.
+    class, first, contributes the computational basis.  Every basis is
+    exact: the set's exponent stack is written once, the graph bases in one
+    broadcast from the spread forms, and each basis views its rows and its
+    class labels.  The whole set is verified pairwise, on integers, before
+    being returned; failure raises ConstructionError with the offending pair.
     """
     check_tolerance(tol)
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
-    amps = np.empty((d + 1, d, d), np.complex128)
-    _amplitudes(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params), 1, out=amps[1:])
+    exps = np.empty((d + 1, d, d), np.int64)
+    exps[0] = np.eye(d, dtype=np.int64) - 1
+    exps[1:] = _stabilizer_exponents(p, e, _spread_forms(p, e), a_params)
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    mub_set = MubSet._of_stacks(d, [f"class:{c}" for c in range(d + 1)],
-                                np.eye(d, dtype=np.int64)[None] - 1, scales, amps,
-                                _class_labels(p, e))
+    mub_set = MubSet._of_stacks(d, [f"class:{c}" for c in range(d + 1)], exps, scales,
+                                class_labels=_class_labels(p, e))
     report = verify_set(mub_set, tol)
     if not report.passed:
         pair = report.details["failing_pairs"][0]

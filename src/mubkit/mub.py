@@ -5,8 +5,10 @@ eigenvectors form a flat orthonormal basis whose component at storage slot s
 carries the tau exponent t(d-t)a + 2tn with t = d-1-s (storage keeps the
 highest-weight component first).  The computational basis plus the d
 eigenbases form a complete set of d+1 mutually unbiased bases exactly when
-d is prime; the verifier checks the defining overlap condition both
-exactly (the cyclotomic norm certificate) and numerically.
+d is prime.  The verifier decides the defining overlap condition of exact
+bases on integers where the paper's Gauss-sum rule applies (monomial and
+quadratic-phase bases), by the cyclotomic norm certificate for other exact
+bases, and numerically for float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
@@ -36,17 +38,18 @@ from .weyl import build_v
 
 #: Bytes of the buffer that verify_set writes one block's gathered conjugate
 #: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
-#: how many basis pairs one batched Gram covers (at least one), so memory
-#: stays bounded whatever d and the number of bases.  It also picks the
-#: route: two or more exact pairs whose Grams at all K conjugates fit one
-#: block are all evaluated there (a built prime set up to d = 7).  Past
-#: that, and for a lone pair, only the pairs that verify_set evaluates fill
-#: blocks: one per orbit under the diagonal shifts (d + 1 for a built prime
-#: set from d = 11, one block up to d = 27), or every pair of a set without
-#: the symmetry.  Each pair stays its own d x d x d product: OpenBLAS splits
-#: products from about 65536 multiply-adds (d = 40) over threads, and such
-#: split products stalled for about 250 ms at a time on a 2-CPU machine.
+#: how many basis pairs one batched Gram covers (at least one), and how many
+#: pairs of quadratic bases have their radicals counted at once (3d bytes
+#: each), so memory stays bounded whatever d and the number of bases.  Each
+#: pair stays its own d x d x d product: OpenBLAS splits products from about
+#: 65536 multiply-adds (d = 40) over threads, and such split products stalled
+#: for about 250 ms at a time on a 2-CPU machine.
 GRAM_BLOCK_BYTES = 1 << 20
+
+#: Largest dimension that build_complete_set and build_composite_set accept:
+#: a set of d + 1 bases holds (d + 1) d**2 int64 exponents and complex128
+#: amps, 17 MB and 34 MB at d = 128, and d = 1000 would need about 24 GB.
+MAX_DIM = 128
 
 
 def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
@@ -65,8 +68,7 @@ def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
 
 def _assign(obj, **fields):
     """obj, an instance of a frozen dataclass, with fields set as given, unchecked."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -322,6 +324,8 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the supported bound {MAX_DIM}")
     if not is_prime(d) and not force:
         raise ValueError(
             f"d = {d} is not prime: the cyclic recipe yields d+1 pairwise "
@@ -448,190 +452,206 @@ def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
     return residual, deviation
 
 
-@lru_cache(maxsize=None)
-def _unit_generators(d: int) -> tuple:
-    """Units g < d of Z/2d that generate its unit group together with -1.
-
-    Each is picked greedily to generate the most, so an odd prime power d or
-    a power of 2, whose group is cyclic modulo -1, gets one; no d <= 128
-    needs more than three, and d = 2, 3 (where -1 alone does) none.
-    """
-    modulus = 2 * d
-
-    def span(group, g):
-        while not group >= (grown := {x * g % modulus for x in group}):
-            group = group | grown
-        return group
-
-    units = [g for g in range(3, d, 2) if math.gcd(g, modulus) == 1]
-    group, gens = {1, modulus - 1}, []
-    while len(group) < 2 * (len(units) + 1):
-        gens.append(max(units, key=lambda g: len(span(group, g))))
-        group = span(group, gens[-1])
-    return tuple(gens)
-
-
-def _closure_permutations(exps: np.ndarray, scales: np.ndarray, maps) -> list:
-    """For each map (g, D) of the exponents, the basis permutation it gives, or None.
-
-    A map sends each exponent e >= 0 to g*e + D mod 2d, with g a unit mod
-    2d and D one shift for every slot or one per slot (d,); an exact zero
-    (-1) stays.  A map that sends the bases onto themselves gives the
-    permutation pi that sends basis i to a basis pi[i] equal to the image
-    of basis i up to the order and global phases of its rows, with the same
-    scale on each row; such a basis gives every pair the same overlap
-    moduli and targets.  Any other map gives None.  The check is on
-    integers, and this routine alone owns the key: each row is shifted so
-    that its first nonzero exponent is 0, its scale is appended, and a
-    basis is keyed by its sorted rows.  The images' keys, sorted, must equal
-    the keys, sorted; matching the two orders maps bases one to one, so two
-    distinct bases never map onto one (whose pair has the same-basis
-    target).  The bases and all images are keyed in one batch, in the
-    narrowest signed type that holds -2d-1..2d and the scales (bytes up to
-    d = 63): each image is reduced mod 2d before its rows' first exponents
-    are subtracted.  Exponents must lie in -1..2d-1, as _pair_verdicts
-    checks.
-    """
-    m, d = exps.shape[:2]
-    dtype = np.min_scalar_type(-max(2 * d + 1, int(np.abs(scales).max(initial=0)) + 1))
-    rows, two_d = exps.astype(dtype), np.asarray(2 * d, dtype)
-    zero = rows < 0
-    images = np.empty((1 + len(maps), m, d, d), dtype)
-    images[0] = rows
-    for image, (g, shift) in zip(images[1:], maps):
-        # the table keeps an exact zero at -1; the shift moves it, and it is reset below
-        image[...] = rows if g == 1 else _multiples(d, g)[rows]
-        if np.any(shift):
-            # e + D - 2d lies in -2d..2d-2, and 2d added where it is negative reduces it
-            image += np.asarray(shift - 2 * d, dtype)
-            image += (image < 0) * two_d
-    flat = images.reshape(-1, d)
-    first = np.tile((~zero).reshape(-1, d).argmax(axis=1), len(images))
-    # each row less its first nonzero exponent, mod 2d as above (a masked add
-    # or a remainder costs several times as much)
-    flat -= flat[np.arange(len(flat)), first][:, None]
-    images += (images < 0) * two_d
-    images[:, zero] = -1
-    tails = np.repeat(scales[None, ..., None].astype(dtype), len(images), axis=0)
-    row_keys = np.concatenate([images, tails], axis=3)
-    # freed before the sort, which works in place, so one copy of the keys is held
-    del zero, images, flat, first
-    row_keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * (d + 1))))[..., 0]
-    row_keys.sort(axis=2)
-    keys = row_keys.view(np.dtype((np.void, row_keys.itemsize * d)))[..., 0]
-    order = np.argsort(keys, axis=1, kind="stable")
-    # equal keys are equal bytes, which compare faster than void elements
-    sorted_keys = keys[0, order[0]].tobytes()
-    perms = []
-    for image, image_order in zip(keys[1:], order[1:]):
-        perm = None
-        if image[image_order].tobytes() == sorted_keys:
-            perm = np.empty(m, dtype=np.intp)
-            perm[image_order] = order[0]
-        perms.append(perm)
-    return perms
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Whether the entries of each row of rows (k, d) are pairwise distinct, (k,)."""
+    ordered = np.sort(rows, axis=1)
+    return (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
 
 
 @lru_cache(maxsize=None)
-def _multiples(d: int, g: int) -> np.ndarray:
-    """g*e mod 2d at index e = 0..2d-1, and -1 at index -1 (an exact zero stays), read-only.
+def _points(p: int, e: int) -> np.ndarray:
+    """All of F_p^e in lexicographic order (slot 0 most significant), (p**e, e), read-only."""
+    return _frozen(np.indices((p,) * e).reshape(e, -1).T, np.int64)
 
-    The table has the narrowest signed type that holds it.
+
+@lru_cache(maxsize=None)
+def _field_layout(d: int) -> tuple | None:
+    """What _field_keys needs at d = p**e with e >= 2, else None.
+
+    That is p; mod, the modulus of the row values v (p, or 4 for p = 2);
+    lin, the factor of their linear term (1, or 2 for p = 2); half, the
+    inverse of 2 mod p (1 for p = 2); u = 2d/mod, the exponent of one unit
+    of v; the points (d, e); steps (e, d), the exponent u lin j_k of a unit
+    of the linear term's coordinate k at point j; the slots of the unit
+    vectors e_k (e,) and of e_i + e_k (e, e); and the weights mod**k (e,)
+    that key a row's values at the unit slots.  Slot s holds the point of
+    F_p^e whose base-p digits, slot 0 most significant, spell s.
     """
-    table = np.append(np.arange(2 * d) * g % (2 * d), -1).astype(np.min_scalar_type(-2 * d))
-    table.setflags(write=False)
-    return table
+    p = next(q for q in range(2, d + 1) if d % q == 0)
+    e = round(math.log(d, p))
+    if e < 2 or p**e != d:
+        return None
+    mod = 4 if p == 2 else p
+    points = _points(p, e)
+    units = p ** np.arange(e - 1, -1, -1)
+    eye = np.eye(e, dtype=np.int64)
+    pairs = (eye[:, None] + eye[None]) % p @ units
+    lin, u = mod // p, 2 * d // mod
+    return p, mod, lin, (p + 1) // 2, u, points, u * lin * points.T, units, pairs, mod ** np.arange(e)
 
 
-def _symmetries(exps: np.ndarray, scales: np.ndarray, shifts: bool) -> tuple:
-    """The Galois permutations of the bases, and the orbit of f0 under their diagonal shifts.
+def _cyclic_keys(f: np.ndarray) -> tuple:
+    """Which of k flat bases are cyclic quadratic, and their radical keys (k, d).
 
-    sigma_g multiplies every tau exponent by g; the permutations pi_g, one
-    per generator g of the units (see _unit_generators), are returned if
-    every sigma_g maps the bases onto themselves, else None.  A shift adds
-    D (d,) to every exponent >= 0: it multiplies each vector slot by slot
-    by the phases tau**D, so every overlap of two shifted vectors, and every
-    Galois conjugate of it, is unchanged, and a shift that maps the bases
-    onto themselves gives each pair the residuals and deviation of its
-    image pair.  f0 is the first flat basis (no exact zero).  For each flat
-    basis k not yet in f0's orbit, the one candidate is D = exps[k, 0] -
-    exps[f0, 0] mod 2d, the shift that sends row 0 of f0 to row 0 of k; the
-    search stops at the first candidate that fails.  In a prime set
-    eigenbasis a + c is eigenbasis a shifted by D = t(d-t)c at slot d-1-t,
-    so one candidate reaches every eigenbasis; an exact p**e set needs e.
-    Both kinds of map go through _closure_permutations, the first candidate
-    in one batch with the conjugations.  Returns (perms or None, f0, maps)
-    with maps (m, m): row i is g_i, a basis permutation composed of the
-    shifts found with g_i[i] = f0, for each i in the orbit, and -1 for the
-    other bases; maps is None when the first candidate fails or there is
-    none (fewer than two flat bases, or shifts false): every pair stands alone.
-    _pair_verdicts calls it for a lone pair, whose Galois closure, when it
-    holds, saves K - 1 of its K Grams, and for two or more pairs whose
-    Grams at every conjugate need more than one block.
+    f (k, d, d) holds each basis's exponents less its rows' slot-0 exponents,
+    mod 2d.  A basis is cyclic if row n is c s**2 + l_n s mod 2d at every
+    slot s, with c d + l_n even, so that the row is a function on Z_d, and
+    the l_n pairwise distinct, which is the basis's orthonormality.  c is
+    read off slots 1 and 2 of row 0 (2c = f(2) - 2f(1) mod 2d, so c mod d,
+    which is all that matters), at d = 2 off the parity alone, and l_n off
+    slot 1; they must reproduce every entry.  Key h is c h mod d: two cyclic
+    bases agree at key h iff h lies in the radical of (c_a - c_b) h mod d.
+    """
+    d = f.shape[1]
+    s = np.arange(d)
+    c = (f[:, 0, 2] - 2 * f[:, 0, 1]) % (2 * d) // 2 if d > 2 else f[:, 0, 1] % 2
+    lin = (f[:, :, 1] - c[:, None]) % (2 * d)
+    ok = ((c[:, None] * d + lin) % 2 == 0).all(axis=1) & _distinct(lin)
+    ok &= ((c[:, None, None] * s * s + lin[:, :, None] * s) % (2 * d) == f).all(axis=(1, 2))
+    return ok, c[:, None] * s % d
+
+
+def _field_keys(f: np.ndarray, p, mod, lin, half, u, points, steps, units, pairs, weights):
+    """Which of k flat bases at d = p**e are field quadratic, and their radical keys (k, d).
+
+    f is as in _cyclic_keys and the rest is _field_layout(d).  A basis is of
+    the field kind if every entry of f is u times v, u = 2d/p for odd p and
+    d/2 for p = 2, and row n is v(j) = Q(j) + (l_n . j) mod p at point j,
+    with Q(j) = j.Aj / 2 for a symmetric A over F_p, or, for p = 2,
+    v(j) = j.Aj + 2 (l_n . j) mod 4 with the diagonal of A in Z_4 (j_k**2 =
+    j_k).  A is read off row 0 at the pair slots e_i + e_k (and 2e_k, the
+    diagonal, for odd p) less the unit slots, the diagonal at the unit slots
+    for p = 2; l_n off the unit slots; they must reproduce every entry, and
+    the l_n must be pairwise distinct.  Key h is the slot of A h mod p: two
+    field bases agree at key h iff h lies in the radical of A_a - A_b.
+    """
+    at_units = f[:, :, units] // u
+    first = at_units[:, 0]
+    form = (f[:, 0, pairs] // u - first[:, :, None] - first[:, None, :]) % mod // lin
+    if p == 2:
+        # the diagonal, as a strided view of each form
+        form.reshape(len(f), -1)[:, :: len(units) + 1] = first
+    images = points @ form
+    quad = half * (images * points).sum(axis=2)
+    # a row that is not row 0 plus lin times a linear term fails below: // drops its remainder
+    linear = (at_units - quad[:, None, units]) // lin
+    # every prediction is a multiple of u, so an entry of f that is not fails too
+    ok = ((u * quad[:, None] + linear @ steps) % (u * mod) == f).all(axis=(1, 2))
+    return ok & _distinct(at_units @ weights), images % p @ units
+
+
+#: Integer rules by basis code (see _basis_codes): 0 takes the certificate,
+#: 1 passes, 2 fails with deviation 1.0, 3 counts the radical.  _OWN_RULE
+#: decides a basis's own pair, _CROSS_RULE a pair of two bases not compared
+#: against the identity: a monomial basis against a flat one, and two
+#: quadratic bases of one kind.
+_OWN_RULE = np.array([0, 1, 2, 0, 1, 1])
+_CROSS_RULE = np.array([[0, 0, 0, 0, 0, 0],
+                        [0, 0, 0, 1, 1, 1],
+                        [0, 0, 0, 1, 1, 1],
+                        [0, 1, 1, 0, 0, 0],
+                        [0, 1, 1, 0, 3, 0],
+                        [0, 1, 1, 0, 0, 3]])
+
+
+@lru_cache(maxsize=None)
+def _recognizers(d: int) -> tuple:
+    """(code, recognizer) of each quadratic kind tried at d, in order.
+
+    The field kind (code 5) is tried at d = p**e with e >= 2, first, since
+    the composite sets there are of that kind; the cyclic kind (code 4) at
+    every d >= 2.
+    """
+    if d < 2:
+        return ()
+    layout = _field_layout(d)
+    field = () if layout is None else ((5, lambda f: _field_keys(f, *layout)),)
+    return (*field, (4, _cyclic_keys))
+
+
+def _basis_codes(exps: np.ndarray, scales: np.ndarray) -> tuple:
+    """The code (m,) of each of m exact bases and the radical keys (m, d) of the quadratic ones.
+
+    Codes: 1 a monomial basis (every row of scale 0 with one exponent >= 0)
+    whose rows use distinct slots, 2 one whose rows share a slot, 3 a flat
+    basis (every exponent >= 0, every scale 1), 4 a cyclic and 5 a field
+    quadratic basis (flat, see _cyclic_keys and _field_keys), 0 any other.
     """
     m, d = exps.shape[:2]
-    gens = _unit_generators(d)
-    flat = np.flatnonzero(exps.reshape(m, -1).min(axis=1) >= 0)
-
-    def shift(k):
-        return 1, (exps[k, 0] - exps[flat[0], 0]) % (2 * d)
-
-    found = _closure_permutations(
-        exps, scales, [(g, 0) for g in gens] + [shift(k) for k in (flat[1:2] if shifts else ())]
-    )
-    perms, pending = found[: len(gens)], found[len(gens) :]
-    if any(perm is None for perm in perms):
-        perms = None
-    if not pending or pending[0] is None:
-        return perms, 0, None
-    f0 = int(flat[0])
-    maps = np.full((m, m), -1, dtype=np.intp)
-    maps[f0] = np.arange(m)
-    # the shifts found, each with its inverse, and the orbit reached
-    shifts, reached = [], {f0}
-    for k in flat[1:]:
-        if k in reached:
-            continue
-        perm = pending.pop() if pending else _closure_permutations(exps, scales, [shift(k)])[0]
-        if perm is None:
+    support = exps >= 0
+    # each row's support size and scale in one number: 1 for a monomial row, 2d + 1 a flat one
+    row_codes = support.sum(axis=2) + (d + 1) * scales
+    low, high = row_codes.min(axis=1), row_codes.max(axis=1)
+    code = np.zeros(m, np.intp)
+    keys = np.zeros((m, d), np.min_scalar_type(d))
+    monomial = ((low == 1) & (high == 1)).nonzero()[0]
+    if monomial.size:
+        code[monomial] = 2 - (support[monomial].sum(axis=1) == 1).all(axis=1)
+    rows = ((low == 2 * d + 1) & (high == 2 * d + 1)).nonzero()[0]
+    code[rows] = 3
+    f = exps[rows]
+    f = (f - f[:, :, :1]) % (2 * d)
+    for kind, recognize in _recognizers(d):
+        if not rows.size:
             break
-        shifts.append((perm.tolist(), np.argsort(perm)))
-        frontier = list(reached)
-        while frontier:
-            i = frontier.pop()
-            for perm, inverse in shifts:
-                if (j := perm[i]) not in reached:
-                    # g_j is g_i after the inverse shift, which sends j to i
-                    maps[j] = maps[i][inverse]
-                    reached.add(j)
-                    frontier.append(j)
-    return perms, f0, maps
+        ok, found = recognize(f)
+        if ok.all():
+            code[rows], keys[rows] = kind, found
+            break
+        code[rows[ok]], keys[rows[ok]] = kind, found[ok]
+        rows, f = rows[~ok], f[~ok]
+    return code, keys
+
+
+def _integer_verdicts(exps, scales, i, j, same) -> tuple:
+    """Which exact pairs (i, j) (P,) the integer rules decide, their verdicts and deviations.
+
+    exps (m, d, d) and scales (m, d) stack m exact bases; same (P,) marks the
+    pairs whose target is the identity.  Decided, as three (P,) arrays (see
+    _basis_codes for the kinds of basis):
+    - a monomial basis's own pair: it passes iff no two rows share a slot,
+      with deviation 1.0 if they do;
+    - a monomial basis against a flat one: every overlap has modulus
+      1/sqrt(d), so it passes;
+    - a quadratic basis's own pair: it passes;
+    - two quadratic bases of one kind, not same: every overlap's squared
+      modulus is 0 or r/d, r = |rad| the size of the radical of the
+      difference of their forms (the Gauss-sum rule), counted as the keys
+      at which they agree; it passes iff r = 1.
+    A passing pair's deviation is 0.0, a biased quadratic pair's max(1,
+    sqrt(r) - 1)/sqrt(d): the deviations of the exact overlaps.  Radicals
+    are counted in blocks, so memory stays bounded.
+    """
+    d = exps.shape[1]
+    code, keys = _basis_codes(exps, scales)
+    rule = np.where(i == j, _OWN_RULE[code[i]], _CROSS_RULE[code[i], code[j]] * ~same)
+    biased = rule == 2
+    deviation = biased.astype(float)
+    q = (rule == 3).nonzero()[0]
+    step = max(1, GRAM_BLOCK_BYTES // (3 * d))
+    for k in range(0, len(q), step):
+        block = q[k : k + step]
+        radical = np.count_nonzero(keys[i[block]] == keys[j[block]], axis=1)
+        if (radical > 1).any():
+            biased[block] = radical > 1
+            deviation[block] = (radical > 1) * np.maximum(1, np.sqrt(radical) - 1) / math.sqrt(d)
+    return rule > 0, ~biased, deviation
 
 
 def _pair_verdicts(amps, exps, scales, exact, same, i, j, tol):
     """Deviations, verdicts and counts of the pairs (i, j) (P,) of n bases.
 
     amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
-    exponents of the bases exact (n,) marks; same (P,) marks the pairs of
-    one basis.  verify_set passes every pair i <= j (_pair_table),
-    verify_unbiased its one pair.  Pairs with a non-exact basis go to
-    _deviations, which an all-exact set never calls.  The own pair (i = j)
-    of a monomial basis is decided on integers and its deviation read from
-    its d support amps.  The other exact pairs go to
-    _certificate_residuals.  If two or more of them have Grams at all K
-    conjugates that fit one block of _block_pairs, they are evaluated
-    there, every pair at every conjugate, and _symmetries is not called.
-    Otherwise any such pair (i, j) with a basis in the orbit of f0 under the
-    diagonal shifts of _symmetries, i say, copies the residuals and
-    deviation of (f0, g_i(j)), so the certificate runs only on the pairs
-    (f0, j) and the pairs with neither basis in the orbit that some pair
-    maps to, at conjugate 1 alone if the bases are Galois-closed.  Shifts
-    are searched only for two or more such pairs, and for none neither
-    _symmetries nor the certificate runs.  Only the orbit copies and the
-    Galois failure spread read (m, m) maps of the exact bases.  Returns (P,)
-    deviations and verdicts, an exact pair's verdict being its exact one,
-    and the counts that verify_set reports.  Raises ValueError if an
-    exponent lies outside -1..2d-1.
+    exponents of the bases exact (n,) marks; same (P,) marks the pairs whose
+    target is the identity.  verify_set passes every pair i <= j
+    (_pair_table), verify_unbiased its one pair.  There are three routes:
+    pairs with a non-exact basis go to _deviations, which an all-exact set
+    never calls; exact pairs that _integer_verdicts decides are settled
+    there, on integers; every other exact pair goes to
+    _certificate_residuals at all K conjugates.  Returns (P,) deviations and
+    verdicts, an exact pair's verdict being its exact one, and the counts
+    that verify_set reports.  Raises ValueError if an exponent lies outside
+    -1..2d-1.
     """
     d, m = amps.shape[1], len(exps)
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
@@ -651,67 +671,24 @@ def _pair_verdicts(amps, exps, scales, exact, same, i, j, tol):
         if not m:
             return deviation, passed, counts
         exact_scales, rank = scales[exact], np.cumsum(exact) - 1
-    # the exact pairs, by basis (ni, nj) and by exact basis (ei, ej)
-    ni, nj, esame = i[pairs], j[pairs], same[pairs]
-    ei, ej = (ni, nj) if rank is None else (rank[ni], rank[nj])
-    residual, exact_deviation = np.zeros((2, len(ni)))
-    # a monomial basis's Gram holds each row's |amp|**2 at its one slot on the
-    # diagonal, and a slot shared by two rows gives an overlap of modulus 1.
-    # The own pairs of bases of scale 0 are few (one in a built set), and a
-    # loop over them costs less than a vectorized pass of some 35 numpy calls.
-    own = []
-    for q in np.flatnonzero((ni == nj) & ~exact_scales.any(axis=1)[ei]).tolist():
-        rows, slots = np.nonzero(exps[ei[q]] >= 0)
-        if rows.tolist() == list(range(d)):
-            own.append(q)
-            worst = max(abs(abs(z) ** 2 - 1) for z in amps[ni[q], rows, slots].tolist())
-            shared = len(set(slots.tolist())) < d
-            residual[q], exact_deviation[q] = (math.inf, max(worst, 1.0)) if shared else (0, worst)
-    todo = np.ones(len(ni), dtype=bool)
-    todo[own] = False
-    todo = np.flatnonzero(todo)
-    perms, conjugates = None, 0
+    # the exact pairs, by exact basis
+    ei, ej, esame = i[pairs], j[pairs], same[pairs]
+    if rank is not None:
+        ei, ej = rank[ei], rank[ej]
+    decided, exact_passed, exact_deviation = _integer_verdicts(exps, exact_scales, ei, ej, esame)
+    todo = (~decided).nonzero()[0]
+    conjugates = 0
     if todo.size:
         phases = conjugate_phases(d)
-        ci, cj, csame, source = ei[todo], ej[todo], esame[todo], slice(None)
-        if len(todo) == 1 or len(todo) > _block_pairs(len(phases), d):
-            perms, f0, maps = _symmetries(exps, exact_scales, len(todo) > 1)
-            if maps is not None:
-                # pair (i, j) copies the pair (f0, mate): mate is g_i(j) if i is in f0's
-                # orbit, else g_j(i) if j is; a pair with neither (mate -1) stands alone
-                mate = np.where(maps[ci, 0] >= 0, maps[ci, cj], maps[cj, ci])
-                keys = np.where(mate >= 0, f0 * m + mate, ci * m + cj)
-                # an (m, m) map marks the pairs evaluated, each once in row-major
-                # order, and gives each pair the index of its source among them
-                evaluated = np.zeros(m * m, dtype=bool)
-                evaluated[keys] = True
-                source = np.cumsum(evaluated)[keys] - 1
-                ci, cj = np.divmod(np.flatnonzero(evaluated), m)
-                # two or more pairs are verify_set's, whose same is i == j
-                csame = ci == cj
-            if perms is not None:
-                phases = phases[:1]
-        found = _certificate_residuals(exps, exact_scales, csame, phases, ci, cj)
-        residual[todo], exact_deviation[todo] = (values[source] for values in found)
-        counts["gram_pairs"] += len(ci)
+        residual, exact_deviation[todo] = _certificate_residuals(
+            exps, exact_scales, esame[todo], phases, ei[todo], ej[todo]
+        )
+        exact_passed[todo] = residual < 0.5
+        counts["gram_pairs"] += len(todo)
         conjugates = len(phases)
-    fail = residual >= 0.5
-    if perms is not None and fail.any():
-        # with the set closed, conjugate g of pair (i, j) is conjugate 1 of
-        # (pi_g[i], pi_g[j]): a pair fails if any pair of its orbit fails
-        spread = np.zeros((m, m), dtype=bool)
-        spread[ei, ej] = fail
-        spread |= spread.T
-        grown = True
-        while grown:
-            before = np.count_nonzero(spread)
-            for perm in perms:
-                spread |= spread[np.ix_(perm, perm)]
-            grown = np.count_nonzero(spread) > before
-        fail = spread[ei, ej]
     deviation[pairs] = exact_deviation
-    passed[pairs] = ~fail
-    counts.update(conjugates=conjugates, integer_pairs=len(own))
+    passed[pairs] = exact_passed
+    counts.update(conjugates=conjugates, integer_pairs=len(ei) - len(todo))
     return deviation, passed, counts
 
 
@@ -722,9 +699,13 @@ def verify_unbiased(
 
     For distinct bases every overlap modulus must equal 1/sqrt(d); for a
     basis against itself the Gram matrix must be the identity.  This is the
-    two-basis case of verify_set's kernel, with its rules and its counts in
-    details; its one pair is never covered by another, so no diagonal shift
-    is searched.  max_residual is the pair's float deviation.
+    two-basis case of verify_set's kernel, with its rules, its deviation
+    rule and its counts in details.  max_residual is the pair's deviation:
+    0.0 for a pair decided unbiased on integers, max(1, sqrt(r) - 1)/sqrt(d)
+    for a biased pair of quadratic bases with radical of size r, 1.0 for a
+    monomial basis whose rows share a slot, and the float deviation of the
+    overlaps otherwise.  Two distinct objects with one label are compared
+    against the identity, by the certificate if both are exact.
     """
     check_tolerance(tol)
     if a_basis.dim != b_basis.dim:
@@ -759,28 +740,34 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     """All-pairs (and per-basis Gram) verification of a candidate MUB set.
 
     A pair with a non-exact basis is decided by its float deviation against
-    tol, a pair of exact bases by an exact verdict alone.  The own pair of a
-    monomial basis (every row of scale 0 with one exponent >= 0, like the
-    computational basis) passes iff no two rows share a slot, an integer
-    check.  Any other exact pair passes iff every Galois conjugate of its
-    scaled overlaps meets its target within 1/2 (see _certificate_residuals),
-    and its deviation, the reported residual, is read from the conjugate-1
-    Gram.  If two or more of these pairs have Grams at all K conjugates
-    that fit one block (a built prime set up to d = 7, a forced or exact
-    p**e set up to d = 9), each is evaluated at every conjugate, and
-    max_residual is the worst deviation over every pair.  Otherwise, with
-    the exact bases closed under every
-    conjugation (see _closure_permutations) conjugate 1 alone is evaluated
-    and a failure spreads along its orbit; diagonal shifts that map them
-    onto themselves (see _symmetries) leave one Gram per orbit of pairs,
-    d + 1 for a built prime set from d = 11 or a forced set from d = 10.
-    details counts the "conjugates" evaluated per
-    certified pair (0 if no pair needs the certificate, as in a composite
-    set; None if no basis is exact), the "gram_pairs" evaluated by a float
-    or certificate Gram, in blocks sized by GRAM_BLOCK_BYTES, and the
-    "integer_pairs"; "complete" is whether the set has dim + 1 bases.  A
-    forced set's "note" says its bases need not be mutually unbiased: they
-    come from the prime recipe applied where it does not hold.
+    tol, a pair of exact bases by an exact verdict alone, on one of two
+    routes.  The integer route (see _integer_verdicts) takes the own pair
+    of a monomial basis (every row of scale 0 with one exponent >= 0, like
+    the computational basis), which passes iff no two rows share a slot; a
+    monomial basis of scale 0 against a flat basis of scale 1, which is
+    unbiased by inspection; and the pairs of quadratic-phase bases of one
+    kind (cyclic, or over F_p^e at d = p**e), recognized on integers, which
+    pass iff the radical of the difference of their forms is 0, the paper's
+    Gauss-sum rule: gcd(c_a - c_b, d) = 1 for the cyclic kind, det(A_a -
+    A_b) != 0 mod p for the field kind.  Every set mubkit builds is decided
+    there.  Every other exact pair passes iff every Galois conjugate of its
+    scaled overlaps meets its target within 1/2 (see
+    _certificate_residuals), all K conjugates evaluated.
+
+    Each pair's deviation is that of its exact overlaps on the integer
+    route: 0.0 when it passes, max(1, sqrt(r) - 1)/sqrt(d) for a biased
+    quadratic pair with radical of size r, and 1.0 for a monomial basis
+    whose rows share a slot.  Any other pair's deviation is the float
+    deviation of its overlaps, read from the certificate's conjugate-1 Gram
+    for an exact pair.  max_residual is the worst deviation over every pair,
+    so it is 0.0 for a set decided unbiased on integers alone.  details
+    counts the "conjugates" evaluated per certified pair (0 if no pair
+    needs the certificate, None if no basis is exact), the "gram_pairs"
+    evaluated by a float or certificate Gram, in blocks sized by
+    GRAM_BLOCK_BYTES, and the "integer_pairs"; "complete" is whether the
+    set has dim + 1 bases.  A forced set's "note" says its bases need not
+    be mutually unbiased: they come from the prime recipe applied where it
+    does not hold.
     """
     check_tolerance(tol)
     n = len(mub_set.bases)

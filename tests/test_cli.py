@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -22,6 +23,7 @@ from mubkit.mub import (
     gauss_sum_magnitude,
     verify_set,
 )
+from mubkit.report import VerificationReport
 
 
 class TestParseArgs:
@@ -238,6 +240,18 @@ class TestSetCommand:
         assert "--exact needs --format json" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dim_past_max_dim_refused_before_building(self, capsys, monkeypatch):
+        # --dim 1000 would ask for about 24 GB of exponents and amps
+        def refuse(*args, **kwargs):
+            raise AssertionError("no set is built past MAX_DIM")
+
+        monkeypatch.setattr(mubkit.mub, "_eigen_exponents", refuse)
+        monkeypatch.setattr(mubkit.mub.MubSet, "_of_stacks", refuse)
+        for argv in (["set", "--dim", "129"], ["set", "--dim", "1000", "--force"]):
+            assert main(argv) == 2
+            assert "exceeds the supported bound 128" in capsys.readouterr().err
+        assert mubkit.composite.MAX_DIM is mubkit.mub.MAX_DIM == 128
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("dim", [3, 5, 7])
@@ -249,6 +263,8 @@ class TestVerifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert report["exact"] is True
+        # every pair is decided on integers, with the exact deviation 0.0
+        assert report["max_residual"] == 0.0
         assert list(report)[:3] == ["dim", "n_bases", "complete"]
         assert report["complete"] is True
 
@@ -287,6 +303,9 @@ class TestVerifyCommand:
         assert [(p["a"], p["b"]) for p in report["failing_pairs"]] == [
             (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)
         ]
+        # radicals of size 2 or 3 give overlaps of moduli 0 and sqrt(r/6): deviation 1/sqrt(6)
+        assert {p["max_residual"] for p in report["failing_pairs"]} == {1 / 6**0.5}
+        assert report["max_residual"] == 1 / 6**0.5
 
     @pytest.mark.parametrize(
         "argv, edit, message",
@@ -449,6 +468,27 @@ class TestDeterminism:
         assert main(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["composite", "--p", "2", "--e", "2"],
+             "e2610f90e914929cb58405966aa54824c4e8d88e8d5ba13acdbfe8c0e1bfb134"),
+            (["composite", "--p", "3", "--e", "2", "--a", "0,1"],
+             "3e8d46eac03fe62aedd1fc99d543f08b3ecd2916e73aace05f0e44a8843d95a5"),
+            (["composite", "--p", "2", "--e", "3", "--a", "1,0,1"],
+             "d52991d55c98565da80298704a25a2460e9ffdcbc18f2da85e4286397a5fab24"),
+            (["composite", "--p", "5", "--e", "2", "--a", "3,1", "--format", "csv"],
+             "f7d24accfc675ef1e1efd6243247226945c2be1834bf91e9c4f0ebc5461e4c45"),
+            (["set", "--dim", "5", "--exact"],
+             "37b999e5facbdc9ab9b8dbe16938e7d1173747713fba6d1bcf9b4b78dd7312ae"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, argv, digest, capsys):
+        # composite sets are exact now, but composite still writes their float amplitudes
+        # (the document says "exact": false), byte for byte as when the set held floats
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestSumruleCommand:
     def test_d7_magnitudes(self, capsys):
@@ -574,10 +614,24 @@ class TestCompositeCommand:
             for cls in partition_commuting_classes(3, 2)
         ]
 
-    def test_stricter_tol_is_honoured(self, capsys):
-        # the d = 8 set deviates from unbiasedness by about 1e-16 in floats
-        assert main(["composite", "--p", "2", "--e", "3", "--tol", "1e-30"]) == 1
-        assert "failed unbiasedness" in capsys.readouterr().err
+    def test_stricter_tol_is_honoured(self, tmp_path, capsys):
+        # the d = 8 set is exact, so it is decided on integers whatever the tolerance;
+        # its document holds floats, which deviate from unbiasedness by about 1e-16
+        out = tmp_path / "set8.json"
+        argv = ["composite", "--p", "2", "--e", "3", "--tol", "1e-30", "--output", str(out)]
+        assert main(argv) == 0
+        assert main(["verify", "--set", str(out), "--tol", "1e-30"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False and report["exact"] is False
+        assert 0 < report["max_residual"] < 1e-15
+
+    def test_failed_construction_exits_1(self, capsys, monkeypatch):
+        # build_composite_set verifies the set it built and names a failing pair
+        failing = {"a": "class:0", "b": "class:1", "max_residual": 1.0}
+        report = VerificationReport("mub_set", False, 1e-10, 1.0, {"failing_pairs": [failing]})
+        monkeypatch.setattr(mubkit.composite, "verify_set", lambda *args: report)
+        assert main(["composite", "--p", "2", "--e", "2"]) == 1
+        assert "failed unbiasedness for pair (class:0, class:1)" in capsys.readouterr().err
 
 
 def _python(code: str, *args: str, cwd=None, check=True) -> subprocess.CompletedProcess:
@@ -619,9 +673,8 @@ CLI_BASE_MODULES = ["mubkit", "mubkit.cyclo", "mubkit.report", "mubkit.serialize
         (["verify", "--set", "s3.json"], ["mubkit.mub"], 0),
         (["sumrule", "--dim", "3"], ["mubkit.mub"], 0),
         (["composite", "--p", "2", "--e", "2"], ["mubkit.composite", "mubkit.mub"], 0),
-        # a construction that fails its own verification exits 1 from _run_composite
-        (["composite", "--p", "2", "--e", "3", "--tol", "1e-30"],
-         ["mubkit.composite", "mubkit.mub"], 1),
+        # a composite run that fails (p = 4 is not prime) exits from _run_composite
+        (["composite", "--p", "4", "--e", "2"], ["mubkit.composite", "mubkit.mub"], 2),
     ],
     ids=["gen", "ffz", "su2", "set", "verify", "sumrule", "composite", "composite-fails"],
 )
@@ -767,7 +820,13 @@ class TestSerializeRoundTrip:
         assert_same_class_labels(restored, original)
 
     def test_exact_serialization_needs_exact_set(self):
-        numeric_set = build_composite_set(2, 2)
+        # a composite set is exact, so it may be written either way; the set read back
+        # from its float document is not
+        exact_set = build_composite_set(2, 2)
+        restored = mubset_from_doc(json.loads(dumps(mubset_to_doc(exact_set, exact=True))))
+        assert restored.exact and verify_set(restored).details["exact"] is True
+        numeric_set = mubset_from_doc(json.loads(dumps(mubset_to_doc(exact_set, exact=False))))
+        assert not numeric_set.exact
         with pytest.raises(ValueError, match="exact"):
             mubset_to_doc(numeric_set, exact=True)
 

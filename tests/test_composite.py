@@ -350,21 +350,18 @@ class TestOneBroadcastBuild:
         def refuse(*args, **kwargs):
             raise AssertionError("not on the composite path")
 
-        for name in ("_symmetries", "_certificate_residuals", "_restack"):
+        for name in ("_certificate_residuals", "_deviations", "_restack"):
             monkeypatch.setattr(mub, name, refuse)
         monkeypatch.setattr(MubBasis, "_store", refuse)
         d = p**e
         mub_set = build_composite_set(p, e)
         rep = verify_set(mub_set)
-        assert rep.passed and rep.details["conjugates"] == 0
-        # the computational basis's own pair is decided on integers, every other by a Gram
-        assert rep.details["integer_pairs"] == 1
-        assert rep.details["gram_pairs"] == (d + 1) * (d + 2) // 2 - 1
-        assert mub_set.exponents.shape == (1, d, d)
-        for name in ("amps", "scales"):
+        # every pair is decided on integers: no Gram, float or certificate
+        assert rep.passed and rep.details["exact"] is True and rep.max_residual == 0.0
+        assert rep.details["conjugates"] == rep.details["gram_pairs"] == 0
+        assert rep.details["integer_pairs"] == (d + 1) * (d + 2) // 2
+        assert mub_set.exponents.shape == (d + 1, d, d)
+        for name in ("amps", "exponents", "scales"):
             assert not getattr(mub_set, name).flags.writeable
             assert all(np.shares_memory(getattr(b, name), getattr(mub_set, name))
                        for b in mub_set.bases)
-        first, *graphs = mub_set.bases
-        assert np.shares_memory(first.exponents, mub_set.exponents)
-        assert all(b.exponents is None for b in graphs)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import canonicalize_coeffs
 from mubkit import mub
-from mubkit.composite import _spread_forms, _stabilizer_exponents, build_composite_set
+from mubkit.composite import build_composite_set
 from mubkit.cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
     MubBasis,
@@ -239,10 +240,14 @@ class TestVerifyUnbiased:
             verify_set(MubSet(5, (spherical_basis(5), moved)))
 
     def test_max_residual_is_overlap_deviation(self):
+        # a pair decided on integers reports the deviation of its exact overlaps, 0.0
+        # here, of which its amps' float deviation is the rounding
         b0, b1 = build_basis(3, 0), build_basis(3, 1)
         rep = verify_unbiased(b0, b1)
-        moduli = np.abs(overlap_matrix(b0, b1))
-        assert rep.max_residual == np.abs(moduli - 1 / np.sqrt(3)).max()
+        deviation = np.abs(np.abs(overlap_matrix(b0, b1)) - 1 / np.sqrt(3)).max()
+        assert rep.max_residual == 0.0 and deviation < 1e-15
+        # a pair with a float basis reports its float deviation
+        assert verify_unbiased(stripped(b0), b1).max_residual == deviation
         assert "overlap_moduli" not in rep.details
 
 
@@ -394,29 +399,6 @@ def reference_verdict(mub_set, tol=DEFAULT_TOL):
     return not failing, failing, all(b.exact for b in mub_set.bases)
 
 
-def reference_conjugates(mub_set):
-    """Conjugates evaluated per exact pair: 1 if every sigma_k maps the exact bases onto
-    themselves, as multisets of bases keyed by their rows up to order and global phase
-    with each row's scale, else all of them; None without an exact basis."""
-    exact = [b for b in mub_set.bases if b.exact]
-    if not exact:
-        return None
-    d = mub_set.dim
-    ks = [k for k in range(1, d) if math.gcd(k, 2 * d) == 1]
-
-    def key(exps, scales):
-        first = np.array([row[row >= 0][0] if (row >= 0).any() else 0 for row in exps])
-        rows = np.where(exps >= 0, (exps - first[:, None]) % (2 * d), -1)
-        return tuple(sorted((tuple(row), int(s)) for row, s in zip(rows.tolist(), scales)))
-
-    keys = sorted(key(b.exponents, b.scales) for b in exact)
-    closed = all(
-        sorted(key(np.where(b.exponents < 0, -1, b.exponents * k), b.scales) for b in exact) == keys
-        for k in ks
-    )
-    return 1 if closed else len(ks)
-
-
 def reference_deviations(mub_set):
     """The float deviation of each pair i <= j of the set's amps, by their labels."""
     d, bases = mub_set.dim, mub_set.bases
@@ -430,11 +412,6 @@ def reference_deviations(mub_set):
                 deviation = np.abs(np.abs(overlaps) - 1 / np.sqrt(d)).max()
             deviations[a.label, b.label] = float(deviation)
     return deviations
-
-
-def reference_max_residual(mub_set):
-    """The worst float deviation over every pair i <= j of the set's amps."""
-    return max(reference_deviations(mub_set).values())
 
 
 def replaced(basis, **arrays):
@@ -494,25 +471,10 @@ def candidate_sets(draw):
 def block_bytes(d, width):
     """The GRAM_BLOCK_BYTES that gives verify_set blocks of width basis pairs.
 
-    That holds for the float Gram and for a certificate on conjugate 1 alone;
-    one on all K conjugates gets blocks of width // K pairs (at least one).
+    That holds for the float Gram; a certificate on all K conjugates gets
+    blocks of width // K pairs (at least one).
     """
     return width * 48 * d * d
-
-
-def search_symmetries(patch, mub_set):
-    """Patch GRAM_BLOCK_BYTES one byte below the block that holds mub_set's
-    certified pairs at all K conjugates, so verify_set searches its symmetries.
-
-    Those pairs are all pairs i <= j but a monomial basis's own, which is
-    decided on integers.  A set that already needs more than one block keeps
-    the default, and a set on the search route keeps blocks that hold its
-    pairs at conjugate 1, as the default gives at d >= 11.
-    """
-    d, n = mub_set.dim, len(mub_set.bases)
-    pairs = n * (n + 1) // 2 - sum(map(is_monomial, mub_set.bases))
-    below = block_bytes(d, len(conjugate_phases(d)) * pairs) - 1
-    patch.setattr(mub, "GRAM_BLOCK_BYTES", min(mub.GRAM_BLOCK_BYTES, below))
 
 
 def planted_orbit_set():
@@ -523,7 +485,8 @@ def planted_orbit_set():
     "c<alpha>" (scale 1) rows tau**(2n) and tau**(2n - alpha) there; sigma_3
     sends c<alpha> to c<3 alpha>.  With target 1, |1 + tau**-alpha|**2 - 1 =
     1 + 2 cos(pi alpha / 5) is 0.38 for alpha = 3, 7 and 2.62 for alpha = 1, 9,
-    so (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3.
+    so (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3.  No basis
+    is monomial, flat or quadratic, so every pair takes the certificate.
     """
     d = 5
     exps = np.full((d, d), -1)
@@ -547,6 +510,41 @@ def record_gram_pairs(patch, sent):
         patch.setattr(mub, name, recording)
 
 
+def check_residuals(rep, mub_set):
+    """A verify_set report's residuals against the float deviations of the set's amps.
+
+    A pair decided on integers reports the deviation of its exact overlaps,
+    which the float deviation of its amps equals up to rounding; any other
+    pair reports its float deviation.  So every failing pair and the worst
+    pair match the float reference within 1e-12, and a set that passes with
+    every pair decided on integers reports exactly 0.0.
+    """
+    deviations = reference_deviations(mub_set)
+    for p in rep.details["failing_pairs"]:
+        assert abs(p["max_residual"] - deviations[p["a"], p["b"]]) < 1e-12
+    assert abs(rep.max_residual - max(deviations.values())) < 1e-12
+    if rep.passed and rep.details["gram_pairs"] == 0:
+        assert rep.max_residual == 0.0
+
+
+def verdict(rep):
+    """(passed, failing pairs, exact) of a verify_set report."""
+    failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
+    return rep.passed, failing, rep.details["exact"]
+
+
+def counts(rep):
+    """(conjugates, gram_pairs, integer_pairs) of a report."""
+    return tuple(rep.details[k] for k in ("conjugates", "gram_pairs", "integer_pairs"))
+
+
+def perturbed(basis, n=0, s=1):
+    """The exact basis with the exponent of row n at slot s moved by one."""
+    exps = basis.exponents.copy()
+    exps[n, s] = (exps[n, s] + 1) % (2 * basis.dim)
+    return replaced(basis, exponents=exps)
+
+
 class TestBlockedKernel:
     """verify_set against the per-pair reference, at the default block size and
     with one or two basis pairs per block, so that block boundaries are crossed."""
@@ -559,19 +557,12 @@ class TestBlockedKernel:
                 patch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(mub_set.dim, width))
             record_gram_pairs(patch, sent)
             rep = verify_set(mub_set)
-        passed, failing, exact = reference_verdict(mub_set)
-        assert rep.passed is passed
-        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
-        assert rep.details["exact"] is exact
-        # each failing pair reports its own deviation, and the set the worst of all
-        deviations = reference_deviations(mub_set)
-        for p in rep.details["failing_pairs"]:
-            assert abs(p["max_residual"] - deviations[p["a"], p["b"]]) < 1e-12
-        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-12
-        # every pair a kernel evaluated is counted, and every monomial own pair
+        assert verdict(rep) == reference_verdict(mub_set)
+        check_residuals(rep, mub_set)
+        # every pair a kernel evaluated is counted, and every other pair was decided on integers
+        n = len(mub_set.bases)
         assert rep.details["gram_pairs"] == len(sent)
-        monomial = [b.exact and is_monomial(b) for b in mub_set.bases]
-        assert rep.details["integer_pairs"] == sum(monomial)
+        assert rep.details["integer_pairs"] + len(sent) == n * (n + 1) // 2
 
     @settings(max_examples=150, deadline=None)
     @given(candidate_sets())
@@ -622,60 +613,46 @@ class TestPairTable:
         for s in sets[::-1]:
             assert verify_unbiased(bases[1], bases[2]).passed
             assert verify_unbiased(bases[0], bases[0]).passed
-            assert not verify_unbiased(bases[1], bases[1]).details["integer_pairs"]
+            assert verify_unbiased(bases[1], bases[1]).details["integer_pairs"] == 1
             verify_set(s)
         assert [verify_set(s) for s in sets] == first
         assert [verdict(rep) for rep in first] == [reference_verdict(s) for s in sets]
 
 
 class TestGaloisOrbit:
-    """On the orbit path (see search_symmetries), verify_set evaluates conjugate 1
-    alone exactly when every sigma_g maps the exact bases onto themselves, and
-    decides each pair over its orbit."""
-
-    @pytest.mark.parametrize("d", [5, 7, 11, 13, 4, 6, 8, 9, 10, 12])
-    def test_built_sets_are_closed_until_an_eigenbasis_is_dropped(self, d, monkeypatch):
-        mub_set = build_complete_set(d, force=True)
-        search_symmetries(monkeypatch, mub_set)
-        rep = verify_set(mub_set)
-        assert rep.details["conjugates"] == 1
-        # sigma_g sends eigenbasis a to eigenbasis g*a, so dropping a = 1 opens the set
-        dropped = MubSet(d, tuple(b for b in mub_set.bases if b.label != 1))
-        search_symmetries(monkeypatch, dropped)
-        rep = verify_set(dropped)
-        assert rep.details["conjugates"] == len(conjugate_phases(d)) > 1
-        assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
-            reference_verdict(dropped)[:2]
+    """A pair that takes the certificate passes iff every Galois conjugate of its scaled
+    overlaps meets its target, so all K conjugates are evaluated; a pair decided on
+    integers evaluates none."""
 
     @pytest.mark.parametrize(
-        "change",
+        "change, gram_pairs",
         [
-            # a scale belongs to the key: the image of eigenbasis 1 must have scale 2
-            lambda bases: {2: replaced(bases[2], scales=2)},
-            # rows are keyed by basis: the set's rows are unchanged, its bases not
-            lambda bases: {
+            # a basis of scale 2 is neither monomial nor flat: its 6 pairs take the certificate
+            (lambda bases: {2: replaced(bases[2], scales=2)}, 6),
+            # eigenbases 1 and 2 swap their first rows: neither is quadratic any more, and
+            # only their pairs with the computational basis stay on integers
+            (lambda bases: {
                 i: replaced(
                     bases[i],
                     exponents=np.concatenate([bases[j].exponents[:1], bases[i].exponents[1:]]),
                 )
                 for i, j in ((2, 3), (3, 2))
-            },
+            }, 9),
         ],
         ids=["scales", "row_swap"],
     )
-    def test_changed_bases_open_the_set(self, change):
+    def test_changed_bases_open_the_set(self, change, gram_pairs):
         bases = list(build_complete_set(5).bases)
         for i, basis in change(bases).items():
             bases[i] = basis
         mub_set = MubSet(5, tuple(bases))
         rep = verify_set(mub_set)
-        assert rep.details["conjugates"] == 2
-        assert (rep.passed, [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]) == \
-            reference_verdict(mub_set)[:2]
+        assert counts(rep) == (2, gram_pairs, 21 - gram_pairs)
+        assert verdict(rep) == reference_verdict(mub_set)
 
-    def test_failures_propagate_along_orbits(self, monkeypatch):
+    def test_failures_propagate_along_orbits(self):
+        # (p, c3) and (p, c7) meet their target at conjugate 1 and miss it at conjugate 3
         mub_set = planted_orbit_set()
-        search_symmetries(monkeypatch, mub_set)
         i, j = np.triu_indices(5, 1)
         one, _ = mub._certificate_residuals(
             mub_set.exponents, mub_set.scales, i == j, conjugate_phases(5)[:1], i, j
@@ -683,7 +660,7 @@ class TestGaloisOrbit:
         # the pairs (p, c1), (p, c3), (p, c9), (p, c7)
         assert one[:4].round(3).tolist() == [2.618, 0.382, 2.618, 0.382]
         rep = verify_set(mub_set)
-        assert rep.details["conjugates"] == 1
+        assert counts(rep) == (2, 15, 0)
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
         assert ("p", "c3") in failing and ("p", "c7") in failing
         assert (rep.passed, failing) == reference_verdict(mub_set)[:2]
@@ -729,56 +706,25 @@ class TestGaloisOrbit:
         bases[3] = stripped(bases[3])
         rep = verify_set(MubSet(7, tuple(bases)))
         assert rep.passed and rep.details["exact"] is False
-        # the exact bases lost eigenbasis 2, so they are no longer closed
-        assert rep.details["conjugates"] == 3
+        # the 8 pairs of the stripped basis are float Grams, the others integer verdicts
+        assert counts(rep) == (0, 8, 28)
         none = verify_set(MubSet(7, tuple(stripped(b) for b in bases)))
         assert none.details["conjugates"] is None
 
-    def test_sets_at_d64_are_closed(self):
-        # 2d = 128 is the first modulus whose exponents fill a signed byte; a composite
-        # set's one exact pair is decided on integers, so no conjugate is evaluated
-        rep = verify_set(build_composite_set(2, 6))
-        assert rep.passed and rep.details["conjugates"] == 0
-        s, fourier, one = build_complete_set(64, force=True).bases[:3]
-        assert verify_unbiased(s, fourier).details["conjugates"] == 1
-        assert verify_unbiased(fourier, one).details["conjugates"] == 32
-
     def test_verify_unbiased_reports_conjugates(self):
         s, fourier, one, two = build_complete_set(5).bases[:4]
-        assert verify_unbiased(s, fourier).details["conjugates"] == 1
-        assert verify_unbiased(one, two).details["conjugates"] == 2
+        assert verify_unbiased(s, fourier).details["conjugates"] == 0
+        assert verify_unbiased(one, two).details["conjugates"] == 0
+        assert verify_unbiased(one, perturbed(two)).details["conjugates"] == 2
         assert verify_unbiased(one, stripped(two)).details["conjugates"] is None
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 9, 23, 27, 61, 64, 127, 128, 12, 60, 105, 120])
-    def test_generators_reach_every_conjugate(self, d):
-        gens = mub._unit_generators(d)
-        # the units mod 2d are cyclic modulo -1 for odd prime powers and powers of 2
-        if d in (4, 5, 9, 23, 27, 61, 64, 127, 128):
-            assert len(gens) == 1
-        reached = {1}
-        while True:
-            grown = reached | {x * g % (2 * d) for x in reached for g in (*gens, 2 * d - 1)}
-            if grown == reached:
-                break
-            reached = grown
-        assert reached == {k for k in range(2 * d) if math.gcd(k, 2 * d) == 1}
-        assert len(gens) <= 3
-
-
-def exact_composite_set(p, e, a_params):
-    """The computational basis and the p**e graph bases, written exactly from their exponents."""
-    d = p**e
-    exps = _stabilizer_exponents(p, e, _spread_forms(p, e), tuple(a_params))
-    graphs = (MubBasis.from_arrays(d, f"class:{g + 1}", exponents=exps[g]) for g in range(d))
-    return MubSet(d, (spherical_basis(d), *graphs))
 
 
 @st.composite
 def shift_symmetric_sets(draw, max_dim=31):
-    """A built prime set, a forced set whose failing pairs depend on a - b, or an exact
-    composite set, at d <= max_dim, with one change: its bases shuffled, a basis dropped,
-    one row exponent perturbed, a basis duplicated under a new label, or one scale given
-    to a basis (which keeps the computational basis fixed by every shift)."""
+    """(set, change): a built prime set, a forced set whose failing pairs depend on a - b,
+    or a composite set, at d <= max_dim, with one change: its bases shuffled, a basis
+    dropped, one row exponent perturbed, a basis duplicated under a new label, or one
+    scale given to a basis."""
     source = draw(st.sampled_from(["prime", "forced", "composite"]))
     if source == "prime":
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -790,7 +736,7 @@ def shift_symmetric_sets(draw, max_dim=31):
         powers = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]
         p, e = draw(st.sampled_from([(p, e) for p, e in powers if p**e <= max_dim]))
         a_params = draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
-        mub_set = exact_composite_set(p, e, a_params)
+        mub_set = build_composite_set(p, e, a_params)
     d, bases = mub_set.dim, list(mub_set.bases)
     i = draw(st.integers(0, len(bases) - 1))
     change = draw(st.sampled_from(["none", "shuffle", "drop", "perturb", "duplicate", "scale"]))
@@ -808,181 +754,233 @@ def shift_symmetric_sets(draw, max_dim=31):
         bases.append(copy)
     elif change == "scale":
         bases[i] = replaced(bases[i], scales=draw(st.integers(0, 2)))
-    return MubSet(d, tuple(bases))
+    return MubSet(d, tuple(bases)), change
 
 
 class TestShiftOrbit:
-    """On the orbit path (see search_symmetries), verify_set evaluates one Gram per
-    orbit of exact pairs under the diagonal shifts that map the exact bases onto
-    themselves, with the per-pair verdicts."""
+    """Built prime, forced and composite sets, whose flat bases form one orbit under
+    diagonal shifts, as built and altered: verify_set gives the per-pair reference
+    verdicts and decides every pair of their quadratic bases on integers."""
 
     @settings(max_examples=100, deadline=None)
     @given(shift_symmetric_sets())
-    def test_matches_per_pair_reference(self, mub_set):
-        with pytest.MonkeyPatch.context() as patch:
-            search_symmetries(patch, mub_set)
-            rep = verify_set(mub_set)
-        passed, failing, exact = reference_verdict(mub_set)
-        assert rep.passed is passed
-        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
-        assert rep.details["exact"] is exact
-        assert rep.details["conjugates"] == reference_conjugates(mub_set)
-        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-15
+    def test_matches_per_pair_reference(self, case):
+        mub_set, change = case
+        rep = verify_set(mub_set)
+        assert verdict(rep) == reference_verdict(mub_set)
+        check_residuals(rep, mub_set)
+        # every basis is still monomial or quadratic; only a copy of the computational
+        # basis makes a pair of two monomial bases, which takes the certificate
+        copied_monomial = change == "duplicate" and not mub_set.bases[-1].scales.any()
+        if change in ("none", "shuffle", "drop", "duplicate"):
+            assert rep.details["gram_pairs"] == copied_monomial
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 61])
-    def test_prime_sets_evaluate_d_plus_2_grams(self, d, monkeypatch):
-        # d + 2 pairs: (s, s) on integers, then the Grams of (f0, s), (f0, f0) and
-        # (f0, a) for the d - 1 other eigenbases
-        mub_set = build_complete_set(d)
-        search_symmetries(monkeypatch, mub_set)
-        rep = verify_set(mub_set)
-        assert rep.passed
-        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
+    def test_prime_sets_evaluate_no_gram(self, d):
+        # every pair is decided on integers, in any basis order
         bases = build_complete_set(d).bases
-        shuffled = verify_set(MubSet(d, bases[::-1])).details
-        assert (shuffled["gram_pairs"], shuffled["integer_pairs"]) == (d + 1, 1)
+        for mub_set in (build_complete_set(d), MubSet(d, bases[::-1])):
+            rep = verify_set(mub_set)
+            assert rep.passed and rep.max_residual == 0.0
+            assert counts(rep) == (0, 0, (d + 1) * (d + 2) // 2)
 
     @pytest.mark.parametrize("p, e, a_params", [(2, 3, (1, 0, 1)), (3, 2, (0, 0)), (3, 2, (0, 1)),
                                                 (7, 2, (1, 3))])
-    def test_exact_composite_sets_evaluate_d_plus_2_grams(self, p, e, a_params, monkeypatch):
-        # the computational basis's own pair is decided on integers, d + 1 pairs by Grams
-        mub_set = exact_composite_set(p, e, a_params)
-        search_symmetries(monkeypatch, mub_set)
-        rep = verify_set(mub_set)
-        assert rep.passed
-        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (p**e + 1, 1)
-        # (7, 2) with a = (1, 3) is not Galois-closed: every conjugate of the 50 pairs is evaluated
-        assert rep.details["conjugates"] == reference_conjugates(mub_set)
+    def test_exact_composite_sets_evaluate_no_gram(self, p, e, a_params):
+        # (7, 2) with a = (1, 3) is not Galois-closed, which the integer rule does not need
+        d = p**e
+        rep = verify_set(build_composite_set(p, e, a_params))
+        assert rep.passed and rep.details["exact"] is True and rep.max_residual == 0.0
+        assert counts(rep) == (0, 0, (d + 1) * (d + 2) // 2)
 
-    def test_sets_without_the_symmetry_evaluate_every_pair(self):
+    def test_float_bases_evaluate_every_pair(self):
         bases = build_complete_set(7).bases
-        # dropping eigenbasis 1 leaves no shift that maps the set onto itself; (s, s)
-        # is decided on integers
+        # dropping eigenbasis 1 leaves no shift that maps the set onto itself, and the
+        # set is still decided on integers
         dropped = MubSet(7, tuple(b for b in bases if b.label != 1))
-        assert verify_set(dropped).details["gram_pairs"] == 7 * 8 // 2 - 1
+        assert counts(verify_set(dropped)) == (0, 0, 7 * 8 // 2)
         # a float-only basis is checked on its own Gram, one per pair
         floats = MubSet(7, tuple(stripped(b) for b in bases))
         assert verify_set(floats).details["gram_pairs"] == 8 * 9 // 2
         one, two = bases[1:3]
-        assert verify_unbiased(one, two).details["gram_pairs"] == 1
-        assert verify_unbiased(one, one).details["gram_pairs"] == 1
+        assert verify_unbiased(one, stripped(two)).details["gram_pairs"] == 1
+        assert verify_unbiased(one, one).details["gram_pairs"] == 0
 
-    def test_one_pair_searches_no_shift(self, monkeypatch):
-        # a lone checked pair is never covered by another, so only the Galois maps are keyed
-        sent = []
-        closure = mub._closure_permutations
-
-        def recording(exps, scales, maps):
-            sent.append(len(maps))
-            return closure(exps, scales, maps)
-
-        monkeypatch.setattr(mub, "_closure_permutations", recording)
-        gens = len(mub._unit_generators(13))
-        one, two = build_complete_set(13).bases[1:3]
-        assert verify_unbiased(one, two).passed and verify_unbiased(one, one).passed
-        assert sent == [gens, gens]
-        assert verify_set(build_complete_set(13)).passed
-        assert sent[2:] == [gens + 1]
-
-    def test_scaled_computational_basis_fails_against_every_eigenbasis(self, monkeypatch):
-        # the shifts fix a computational basis of one scale, so its pairs copy (s, f0)
+    def test_scaled_computational_basis_fails_against_every_eigenbasis(self):
+        # a computational basis of scale 1 is neither monomial nor flat, so its 6
+        # pairs take the certificate
         bases = list(build_complete_set(5).bases)
         bases[0] = replaced(bases[0], scales=1)
-        search_symmetries(monkeypatch, MubSet(5, tuple(bases)))
         rep = verify_set(MubSet(5, tuple(bases[::-1])))
-        assert rep.details["gram_pairs"] == 7
+        assert counts(rep) == (2, 6, 15)
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
         assert failing == [(a, "s") for a in (4, 3, 2, 1, 0)] + [("s", "s")]
         assert failing == reference_verdict(MubSet(5, tuple(bases[::-1])))[1]
 
     @pytest.mark.parametrize("d", [4, 6, 8, 9, 12])
-    def test_forced_failures_depend_on_the_difference(self, d, monkeypatch):
+    def test_forced_failures_depend_on_the_difference(self, d):
         # eigenbases a and b are unbiased iff gcd(a - b, d) == 1 (checked against the reference)
         mub_set = build_complete_set(d, force=True)
-        search_symmetries(monkeypatch, mub_set)
         rep = verify_set(mub_set)
-        assert (rep.details["gram_pairs"], rep.details["integer_pairs"]) == (d + 1, 1)
+        assert counts(rep) == (0, 0, (d + 1) * (d + 2) // 2)
         failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
         biased = [(a, b) for a in range(d) for b in range(a + 1, d) if math.gcd(b - a, d) > 1]
         assert failing == biased
         assert failing == reference_verdict(mub_set)[1]
-
-
-def one_block_bytes(mub_set):
-    """The GRAM_BLOCK_BYTES whose one block holds every pair of the set at every conjugate."""
-    n, d = len(mub_set.bases), mub_set.dim
-    return block_bytes(d, len(conjugate_phases(d)) * n * (n + 1) // 2)
-
-
-def verdict(rep):
-    """(passed, failing pairs, exact) of a verify_set report."""
-    failing = [(p["a"], p["b"]) for p in rep.details["failing_pairs"]]
-    return rep.passed, failing, rep.details["exact"]
+        # each reports the deviation of its exact overlaps, r = gcd(b - a, d) being its radical
+        for p in rep.details["failing_pairs"]:
+            r = math.gcd(p["b"] - p["a"], d)
+            assert p["max_residual"] == max(1, math.sqrt(r) - 1) / math.sqrt(d)
+        check_residuals(rep, mub_set)
 
 
 class TestRouting:
-    """verify_set certifies two or more exact pairs at every conjugate in one block
-    when their Grams fit it, and searches the symmetries for a lone pair or for
-    pairs that need more."""
+    """verify_set's three routes: integer rules for monomial and quadratic bases, the
+    certificate at every conjugate for any other exact pair, and float Grams for the
+    pairs with a float-only basis."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(shift_symmetric_sets(max_dim=13))
-    def test_direct_and_search_routes_agree(self, mub_set):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mub, "GRAM_BLOCK_BYTES", one_block_bytes(mub_set))
-            direct = verify_set(mub_set)
-            search_symmetries(patch, mub_set)
-            searched = verify_set(mub_set)
-        assert verdict(direct) == verdict(searched) == reference_verdict(mub_set)
-        assert direct.details["conjugates"] == len(conjugate_phases(mub_set.dim))
-        assert abs(direct.max_residual - reference_max_residual(mub_set)) < 1e-15
-
-    @pytest.mark.parametrize("d, conjugates, gram_pairs", [(5, 2, 20), (7, 3, 35), (11, 1, 12)])
-    def test_default_route_counts(self, d, conjugates, gram_pairs):
-        # up to d = 7 every pair but (s, s) at every conjugate fits one block:
-        # (d + 1)(d + 2)/2 - 1 Grams; at d = 11 they need three blocks, so the
-        # orbit path evaluates d + 1 Grams at conjugate 1
-        rep = verify_set(build_complete_set(d))
-        assert rep.passed
-        counts = rep.details["conjugates"], rep.details["gram_pairs"], rep.details["integer_pairs"]
-        assert counts == (conjugates, gram_pairs, 1)
-
-    def test_the_search_starts_past_one_full_block(self, monkeypatch):
-        # at d = 5 the 20 certified pairs at K = 2 conjugates fill block_bytes(5, 40) exactly
-        mub_set = build_complete_set(5)
-        monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(5, 40))
-        assert verify_set(mub_set).details["conjugates"] == 2
-        monkeypatch.setattr(mub, "GRAM_BLOCK_BYTES", block_bytes(5, 40) - 1)
-        assert verify_set(mub_set).details["conjugates"] == 1
-
-    @pytest.mark.parametrize("d", [5, 31])
-    def test_a_lone_pair_keeps_the_closure_check(self, d):
-        # the closure of one pair saves K - 1 of its K Grams when it holds, as it
-        # does for (s, F), which is certified on conjugate 1 although its K Grams
-        # fit one block; (F, 1) is not closed and evaluates all K
-        s, fourier, one = build_complete_set(d).bases[:3]
-        rep = verify_unbiased(s, fourier)
-        assert rep.passed and rep.details["conjugates"] == 1
-        rep = verify_unbiased(fourier, one)
-        assert rep.passed and rep.details["conjugates"] == len(conjugate_phases(d))
+    @pytest.mark.parametrize("d", [5, 7, 11])
+    def test_default_route_counts(self, d):
+        # every pair of a built set is decided on integers; a perturbed eigenbasis sends
+        # its d pairs with flat bases to the certificate (its pair with the computational
+        # basis stays on integers), and a stripped one its d + 1 pairs to float Grams
+        bases = list(build_complete_set(d).bases)
+        total, k = (d + 1) * (d + 2) // 2, len(conjugate_phases(d))
+        assert counts(verify_set(MubSet(d, tuple(bases)))) == (0, 0, total)
+        bases[2] = perturbed(bases[2])
+        rep = verify_set(MubSet(d, tuple(bases)))
+        assert counts(rep) == (k, d, total - d)
+        bases[3] = stripped(bases[3])
+        mixed = MubSet(d, tuple(bases))
+        rep = verify_set(mixed)
+        assert counts(rep) == (k, 2 * d, total - 2 * d)
+        assert verdict(rep) == reference_verdict(mixed)
 
     @pytest.mark.parametrize(
         "build",
         [lambda: build_complete_set(5), lambda: build_complete_set(7),
-         lambda: build_complete_set(9, force=True), lambda: exact_composite_set(3, 2, (0, 1)),
+         lambda: build_complete_set(9, force=True), lambda: build_composite_set(3, 2, (0, 1)),
          planted_orbit_set, lambda: MubSet(5, build_complete_set(5).bases[1:3])],
         ids=["prime5", "prime7", "forced9", "composite9", "planted5", "two5"],
     )
-    def test_direct_route_searches_nothing(self, build, monkeypatch):
-        # the planted set's (p, c3) and (p, c7) pass conjugate 1 and fail conjugate 3
-        def refuse(*args):
-            raise AssertionError("a set whose pairs fit one block needs no symmetry search")
-
-        monkeypatch.setattr(mub, "_symmetries", refuse)
+    def test_direct_route_searches_nothing(self, build):
+        # each pair is decided on its own, with no symmetry of the set: built sets on
+        # integers, the planted set by the certificate at every conjugate
         mub_set = build()
         rep = verify_set(mub_set)
         assert verdict(rep) == reference_verdict(mub_set)
-        assert rep.details["conjugates"] == len(conjugate_phases(mub_set.dim))
+        planted = mub_set.bases[0].label == "p"
+        assert rep.details["conjugates"] == (len(conjugate_phases(mub_set.dim)) if planted else 0)
+
+
+def quadratic_rows(draw, d, values, distinct):
+    """exps (d, d) of the rows values(l_n) + k_n mod 2d for d drawn l_n and phases k_n.
+
+    values maps an index l in 0..d-1 to a row of exponents; the l_n are a
+    permutation of 0..d-1, or, if not distinct, one of them repeated.
+    """
+    order = draw(st.permutations(range(d)))
+    if not distinct:
+        order[1] = order[0]
+    phases = draw(st.lists(st.integers(0, 2 * d - 1), min_size=d, max_size=d))
+    return np.array([values(l) for l in order]) + np.array(phases)[:, None]
+
+
+@st.composite
+def cyclic_bases(draw, d, label):
+    """(basis, valid): rows c s**2 + l_n s + k_n mod 2d in random order with random phases.
+
+    Valid bases have c d + l_n even and distinct l_n; the others have c d + l_n odd, a
+    repeated l_n, or one exponent moved.
+    """
+    c = draw(st.integers(0, 2 * d - 1))
+    flaw = draw(st.sampled_from(["none", "none", "none", "parity", "repeat", "moved"]))
+    parity = (c * d + (flaw == "parity")) % 2
+    s = np.arange(d)
+    exps = quadratic_rows(draw, d, lambda l: c * s * s + (parity + 2 * l) * s, flaw != "repeat")
+    if flaw == "moved":
+        exps[draw(st.integers(0, d - 1)), draw(st.integers(1, d - 1))] += draw(st.integers(1, 2 * d - 1))
+    return MubBasis.from_arrays(d, label, exponents=exps % (2 * d)), flaw == "none"
+
+
+@st.composite
+def field_bases(draw, p, e, label):
+    """(basis, valid): rows u (Q(j) + lin l_n.j) + k_n mod 2d over the points j of F_p^e.
+
+    Q(j) = j.Aj / 2 mod p for a random symmetric A over F_p (singular ones
+    included), or j.Aj mod 4 with a diagonal in Z_4 for p = 2, where u =
+    d/2 and lin = 2; u = 2d/p and lin = 1 for odd p.  The l_n run over
+    F_p^e in random order with random phases; an invalid basis repeats one
+    or has one exponent moved.
+    """
+    d = p**e
+    mod = 4 if p == 2 else p
+    u, lin = 2 * d // mod, mod // p
+    upper = np.triu(np.reshape(draw(st.lists(st.integers(0, p - 1), min_size=e * e,
+                                              max_size=e * e)), (e, e)), 1)
+    diagonal = draw(st.lists(st.integers(0, mod - 1), min_size=e, max_size=e))
+    form = upper + upper.T + np.diag(diagonal)
+    points = np.array(list(itertools.product(range(p), repeat=e)))
+    quad = (points @ form * points).sum(axis=1)
+    if p != 2:
+        quad = quad * (p + 1) // 2
+    flaw = draw(st.sampled_from(["none", "none", "repeat", "moved"]))
+    exps = quadratic_rows(draw, d, lambda l: u * (quad + lin * points @ points[l]), flaw != "repeat")
+    if flaw == "moved":
+        exps[draw(st.integers(0, d - 1)), draw(st.integers(1, d - 1))] += draw(st.integers(1, 2 * d - 1))
+    return MubBasis.from_arrays(d, label, exponents=exps % (2 * d)), flaw == "none"
+
+
+@st.composite
+def quadratic_pairs(draw):
+    """Two bases of one quadratic kind, or one of each kind at a prime power d."""
+    powers = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
+    kind, d, p, e = draw(st.sampled_from([("cyclic", d, d, 1) for d in range(2, 13)]
+                                         + [("field", p**e, p, e) for p, e in powers]))
+
+    def basis(label, kind):
+        return draw(cyclic_bases(d, label) if kind == "cyclic" else field_bases(p, e, label))
+
+    other = draw(st.sampled_from([kind, "cyclic"]))
+    return basis("a", kind), basis("b", other), kind == other
+
+
+class TestQuadraticPairs:
+    """The integer rule for pairs of quadratic bases agrees with the certificate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(quadratic_pairs())
+    def test_matches_the_certificate(self, case):
+        (a, a_valid), (b, b_valid), same_kind = case
+        d = a.dim
+        for x, y, same, valid in ((a, b, False, a_valid and b_valid and same_kind),
+                                  (a, a, True, a_valid), (b, b, True, b_valid)):
+            rep = verify_unbiased(x, y)
+            assert rep.passed is reference_pair(x, y, same)
+            overlaps = x.amps.conj() @ y.amps.T
+            deviation = np.abs(overlaps - np.eye(d)) if same else abs(abs(overlaps) - d**-0.5)
+            assert abs(rep.max_residual - deviation.max()) < 1e-12
+            if valid:
+                assert counts(rep) == (0, 0, 1)
+                if rep.passed:
+                    assert rep.max_residual == 0.0
+
+    @pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27])
+    def test_dropped_duplicated_and_perturbed_bases(self, d):
+        # a duplicated eigenbasis is biased against its original on integers; a
+        # perturbed one takes the certificate for its d pairs with flat bases
+        p = min(q for q in (2, 3, 5) if d % q == 0)
+        e = round(math.log(d, p))
+        for mub_set in (build_complete_set(d, force=True), build_composite_set(p, e)):
+            bases = mub_set.bases
+            copy = MubBasis.from_arrays(d, "copy", exponents=bases[3].exponents)
+            for changed, grams in ((bases[:2] + bases[3:], 0), ((*bases, copy), 0),
+                                   ((*bases[:3], perturbed(bases[3]), *bases[4:]), d)):
+                changed = MubSet(d, tuple(changed))
+                rep = verify_set(changed)
+                assert verdict(rep) == reference_verdict(changed)
+                assert rep.details["gram_pairs"] == grams
+                check_residuals(rep, changed)
 
 
 def is_monomial(basis):
@@ -992,12 +990,13 @@ def is_monomial(basis):
 
 @st.composite
 def monomial_cases(draw):
-    """A set of 1-4 exact bases at d in 2..8, and a copy of its first basis under the
-    same label, its rows maybe permuted.  Each basis is monomial with permuted slots and
-    random phases, monomial with a repeated slot, one slot per row at scale 1 or at
-    per-row scales 0 and 1 (not monomial), or a built basis relabelled."""
+    """A set of 1-4 exact bases at d in 2..8, a copy of its first basis under the same
+    label, its rows maybe permuted, and whether each basis's own pair is decided on
+    integers.  Each basis is monomial with permuted slots and random phases, monomial
+    with a repeated slot, one slot per row at scale 1 or at per-row scales 0 and 1 (not
+    monomial unless every scale is 0), or a built basis relabelled (monomial or cyclic)."""
     d = draw(st.integers(2, 8))
-    bases = []
+    bases, own_integers = [], []
     for i in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["monomial", "repeated", "scaled", "mixed", "built"]))
         if kind == "built":
@@ -1016,10 +1015,11 @@ def monomial_cases(draw):
             scales = {"scaled": 1, "mixed": draw(st.lists(st.integers(0, 1), min_size=d,
                                                            max_size=d))}.get(kind, 0)
         bases.append(MubBasis.from_arrays(d, f"b{i}", exponents=exps, scales=scales))
+        own_integers.append(kind == "built" or is_monomial(bases[-1]))
     first = bases[0]
     order = np.array(draw(st.permutations(range(d)))) if draw(st.booleans()) else np.arange(d)
     copy = replaced(first, exponents=first.exponents[order], scales=first.scales[order])
-    return MubSet(d, tuple(bases)), copy
+    return MubSet(d, tuple(bases)), copy, own_integers
 
 
 class TestMonomialPairs:
@@ -1030,16 +1030,11 @@ class TestMonomialPairs:
     @settings(max_examples=200, deadline=None)
     @given(monomial_cases())
     def test_matches_per_pair_reference(self, case):
-        mub_set, copy = case
+        mub_set, copy, own_integers = case
         rep = verify_set(mub_set)
-        passed, failing, exact = reference_verdict(mub_set)
-        assert rep.passed is passed
-        assert [(p["a"], p["b"]) for p in rep.details["failing_pairs"]] == failing
-        assert rep.details["exact"] is exact
-        assert abs(rep.max_residual - reference_max_residual(mub_set)) < 1e-15
-        monomial = [is_monomial(b) for b in mub_set.bases]
-        assert rep.details["integer_pairs"] == sum(monomial)
-        for basis, own_integer in zip(mub_set.bases, monomial):
+        assert verdict(rep) == reference_verdict(mub_set)
+        check_residuals(rep, mub_set)
+        for basis, own_integer in zip(mub_set.bases, own_integers):
             own = verify_unbiased(basis, basis).details
             assert own["exact"] is reference_pair(basis, basis, True)
             assert (own["integer_pairs"], own["gram_pairs"]) == (own_integer, not own_integer)
@@ -1054,18 +1049,18 @@ class TestMonomialPairs:
             raise AssertionError("a monomial basis's own pair needs no certificate")
 
         monkeypatch.setattr(mub, "_certificate_residuals", refuse)
-        monkeypatch.setattr(mub, "_symmetries", refuse)
         exps = np.full((d, d), -1)
         exps[:, 0] = 2 * np.arange(d) % (2 * d)
         rep = verify_set(MubSet(d, (basis_from_exponents(d, "x", exps, 0),)))
         assert not rep.passed and rep.details["integer_pairs"] == 1
         assert rep.details["conjugates"] == rep.details["gram_pairs"] == 0
         # two rows share slot 0: an off-diagonal overlap of modulus 1
-        assert abs(rep.max_residual - 1) < 1e-15
+        assert rep.max_residual == 1.0
 
     def test_monomial_own_pairs_past_the_first_basis(self):
         # the own pairs of a mixed set's monomial bases, at indices 2 and 3, are
-        # decided on integers: "x" repeats slot 0 and fails, "s" passes
+        # decided on integers: "x" repeats slot 0 and fails, "s" passes.  So are the own
+        # pair of eigenbasis 1 and its pairs with "x" and "s"; (x, s) takes the certificate
         d = 5
         exps = np.full((d, d), -1)
         exps[np.arange(d), [0, 1, 2, 3, 0]] = 2 * np.arange(d)
@@ -1074,9 +1069,9 @@ class TestMonomialPairs:
                              spherical_basis(d)))
         rep = verify_set(mub_set)
         assert verdict(rep) == reference_verdict(mub_set)
-        assert rep.details["integer_pairs"] == 2
+        assert rep.details["integer_pairs"] == 5
         failing = {(p["a"], p["b"]): p["max_residual"] for p in rep.details["failing_pairs"]}
-        assert abs(failing["x", "x"] - 1) < 1e-15 and ("s", "s") not in failing
+        assert failing["x", "x"] == 1.0 and ("s", "s") not in failing
         assert not verify_unbiased(repeated, repeated).passed
 
     def test_completeness_is_reported(self):
@@ -1172,12 +1167,19 @@ class TestArrayStorage:
             MubSet._of_stacks(3, ("s", 0), np.zeros((3, 3, 3), int), np.ones((2, 3), int))
 
     def test_set_stacks_only_present_exponents(self):
-        mub_set = build_composite_set(2, 2)
+        bases = list(build_complete_set(5).bases)
+        bases[2] = stripped(bases[2])
+        mub_set = MubSet(5, tuple(bases))
         assert mub_set.exact_bases.tolist() == [b.exact for b in mub_set.bases]
-        assert 0 < mub_set.exact_bases.sum() < len(mub_set.bases)
-        assert mub_set.exponents.shape == (mub_set.exact_bases.sum(), 4, 4)
+        assert mub_set.exact_bases.tolist() == [True, True, False, True, True, True]
+        assert mub_set.exponents.shape == (5, 5, 5)
         exact = [b for b in mub_set.bases if b.exact]
         for basis, exps in zip(exact, mub_set.exponents):
+            assert np.shares_memory(basis.exponents, exps)
+        # a composite set is exact: every basis views its row of one stack
+        composite = build_composite_set(2, 2)
+        assert composite.exact and composite.exponents.shape == (5, 4, 4)
+        for basis, exps in zip(composite.bases, composite.exponents):
             assert np.shares_memory(basis.exponents, exps)
         assert MubSet(7, tuple(stripped(b) for b in build_complete_set(7).bases)).exponents.shape == (
             0, 7, 7
