@@ -4,7 +4,9 @@ The raising operator factors as j_plus = h v_a: h is the nonnegative
 diagonal sqrt((j+m)(j-m+1)) and v_a is the same phased cyclic shift that
 generates the unbiased bases.  The commutation relations of su(2) come out
 independent of the phase parameter a; a = 0 is the textbook phase choice
-of atomic spectroscopy.
+of atomic spectroscopy.  Every relation is decided exactly, on the integers
+that describe each row of the operators, so a relation that holds reports
+residual 0.
 """
 
 import numpy as np
@@ -18,15 +20,19 @@ h = mk.build_h(two_j)
 print("h = diag(sqrt((j+m)(j-m+1))), m = j..-j:")
 print(np.round(np.diag(h.entries).real, 6), "\n")
 
+
+def verdict(residual):
+    return "exact" if residual == 0 else f"fails by {residual:.2e}"
+
+
 for a in (0, 1, 3):
-    j_plus, j_minus, j_z = mk.build_ladder(two_j, a)
     rep = mk.check_su2(two_j, a)
     res = rep.details["residuals"]
     print(f"a = {a}:")
-    print(f"  [j_z, j+] - j+   residual {res['jz_jp']:.2e}")
-    print(f"  [j+, j-] - 2 j_z residual {res['jp_jm']:.2e}")
-    print(f"  j_z action on |j,m>: exactly m (residual {res['jz_action']:.1f})")
-    print(f"  Casimir j(j+1):  residual {res['casimir']:.2e}")
+    print(f"  [j_z, j+] = j+            {verdict(res['jz_jp'])}")
+    print(f"  [j+, j-] = 2 j_z          {verdict(res['jp_jm'])}")
+    print(f"  j_z |j,m> = m |j,m>       {verdict(res['jz_action'])}")
+    print(f"  Casimir = j(j+1)          {verdict(res['casimir'])}")
 
 # The phases of j_plus depend on a, but the magnitudes never do.
 mag0 = np.abs(mk.build_ladder(two_j, 0)[0].entries)
@@ -37,4 +43,4 @@ print(f"\n| j_plus | entries differ between a = 0 and a = 3 by "
 action = mk.check_ladder_action(two_j, 3)
 print("ladder action checks:", action.details["raising_checked_against"],
       "/", action.details["lowering_checked_against"], "->",
-      "pass" if action.passed else "fail")
+      "exact" if action.passed else "fail")

@@ -8,16 +8,21 @@ parameter a; a = 0 recovers the Condon-Shortley convention.
 
 Storage order is highest weight first: column s holds |j, m> with m = j - s,
 so j + m = two_j - s and j - m = s, and all structural quantities below are
-plain integers.
+plain integers.  Every operator here has at most one entry per row, a tau
+power times the square root of an integer, so the relations are composed
+and decided on those integers (weyl._Rows), exactly for every two_j and a.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _phase_table, check_tolerance
+from .cyclo import DEFAULT_TOL, check_tolerance
 from .report import VerificationReport
-from .weyl import OperatorMatrix, build_v
+from .weyl import OperatorMatrix, _equality, _relation, _Rows, build_v
+
+#: Largest 2j: norms of the row products reach about two_j**4 / 4 and must stay exact in int64.
+MAX_TWO_J = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,8 @@ class AngularParams:
     def __post_init__(self):
         if self.two_j < 1:
             raise ValueError(f"two_j must be >= 1, got {self.two_j}")
+        if self.two_j > MAX_TWO_J:
+            raise ValueError(f"two_j must be <= {MAX_TWO_J}, got {self.two_j}")
         if not 0 <= self.a <= self.two_j:
             raise ValueError(f"a must be in 0..{self.two_j}, got {self.a}")
 
@@ -60,120 +67,101 @@ def build_va_operator(two_j: int, a: int) -> OperatorMatrix:
     return build_v(two_j + 1, a)
 
 
-def _shift_permutation(va: OperatorMatrix) -> np.ndarray:
-    """Row index of the single nonzero entry in each column of v_a."""
-    return np.argmax(va.exact >= 0, axis=0)
+def _ladder_rows(two_j: int, a: int) -> tuple[_Rows, _Rows, np.ndarray]:
+    """(j_plus, j_minus, 2 j_z) = (h v_a, v_a^dagger h, h^2 - v_a^dagger h^2 v_a), composed by rows.
+
+    h^2 and v_a^dagger h^2 v_a are integer diagonals, so 2 j_z comes out as integers.
+    """
+    AngularParams(two_j, a)
+    d = two_j + 1
+    h = _Rows(np.arange(d), np.zeros(d, dtype=np.int64), _h_squared(two_j))
+    va = _Rows.monomial(d, a, 1, 0)
+    va_dagger, h2 = va.dagger(), h @ h
+    two_jz = h2.integers()[0] - (va_dagger @ h2 @ va).integers()[0]
+    return h @ va, va_dagger @ h, two_jz
 
 
 def build_ladder(two_j: int, a: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """(j_plus, j_minus, j_z) = (h v_a, v_a^dagger h, (h^2 - v_a^dagger h^2 v_a)/2).
+    """(j_plus, j_minus, j_z) = (h v_a, v_a^dagger h, (h^2 - v_a^dagger h^2 v_a)/2), as matrices.
 
-    j_z is evaluated with symbolic phase cancellation: v_a is a generalized
-    permutation, so conjugating the integer diagonal h^2 by it permutes the
-    diagonal exactly and the halves (two_j - 2s)/2 = m come out exact.  The
-    wrap column of v_a is annihilated in j_plus by h's zero at m = -j; this
-    is asserted rather than assumed.
+    They are filled from _ladder_rows; the halves (two_j - 2s)/2 = m of j_z
+    are exact binary fractions.
     """
-    params = AngularParams(two_j, a)
-    d = params.dim
-    h = build_h(two_j)
-    va = build_va_operator(two_j, a)
-    j_plus = OperatorMatrix(d, h.entries @ va.entries)
-    j_minus = OperatorMatrix(d, va.dagger().entries @ h.entries)
-    assert np.all(j_plus.entries[:, 0] == 0), "wrap column must be annihilated by h"
-    h2 = _h_squared(two_j)
-    perm = _shift_permutation(va)
-    j_z = OperatorMatrix(d, np.diag((h2 - h2[perm]) / 2.0))
-    return j_plus, j_minus, j_z
-
-
-def _m_values(two_j: int) -> np.ndarray:
-    """m = j - s in storage order, as exact binary fractions."""
-    return (two_j - 2 * np.arange(two_j + 1)) / 2.0
-
-
-def su2_residuals(
-    j_plus: np.ndarray, j_minus: np.ndarray, j_z: np.ndarray, two_j: int
-) -> dict:
-    """Commutator, action, adjointness and Casimir residuals for given matrices."""
+    j_plus, j_minus, two_jz = _ladder_rows(two_j, a)
     d = two_j + 1
-    m = _m_values(two_j)
-    casimir = two_j * (two_j + 2) / 4.0
+    return (OperatorMatrix(d, j_plus.dense()), OperatorMatrix(d, j_minus.dense()),
+            OperatorMatrix(d, np.diag(two_jz / 2.0)))
+
+
+def _commutation_relations(j_plus: _Rows, j_minus: _Rows, two_jz: np.ndarray) -> dict:
+    """(holds, residual) of each su(2) relation, decided on integers.
+
+    - jz_jp, jz_jm: [j_z, j+-] = +-j+- as (2 j_z) j+- = j+- (2 j_z +- 2);
+    - jp_jm: [j+, j-] = 2 j_z as j+ j- = j- j+ + 2 j_z, j- j+ an integer diagonal;
+    - casimir: 4 (j+ j- + j_z^2 - j_z) = two_j (two_j + 2), on integer diagonals;
+    - adjoint: j+ is the adjoint of j-; jz_action: 2 j_z = 2m = two_j - 2s.
+    """
+    d = len(two_jz)
+    z = _Rows.diagonal(two_jz)
+    plus_minus, minus_plus = j_plus @ j_minus, j_minus @ j_plus
+    lowered, lowered_ok = minus_plus.integers()
+    casimir = (d - 1) * (d + 1) - two_jz * two_jz + 2 * two_jz
     return {
-        "jz_jp": float(np.abs(j_z @ j_plus - j_plus @ j_z - j_plus).max()),
-        "jz_jm": float(np.abs(j_z @ j_minus - j_minus @ j_z + j_minus).max()),
-        "jp_jm": float(np.abs(j_plus @ j_minus - j_minus @ j_plus - 2 * j_z).max()),
-        "jz_action": float(np.abs(j_z - np.diag(m)).max()),
-        "adjoint": float(np.abs(j_minus - j_plus.conj().T).max()),
-        "casimir": float(
-            np.abs(j_plus @ j_minus + j_z @ j_z - j_z - casimir * np.eye(d)).max()
-        ),
+        "jz_jp": _equality(z @ j_plus, j_plus @ _Rows.diagonal(two_jz + 2), scale=2),
+        "jz_jm": _equality(z @ j_minus, j_minus @ _Rows.diagonal(two_jz - 2), scale=2),
+        "jp_jm": _relation(lowered_ok & plus_minus.same(_Rows.diagonal(lowered + two_jz)),
+                           (1, plus_minus), (-1, minus_plus), (-1, z)),
+        "jz_action": _equality(z, _Rows.diagonal(d - 1 - 2 * np.arange(d)), scale=2),
+        "adjoint": _equality(j_plus, j_minus.dagger()),
+        "casimir": _relation((casimir % 4 == 0) & plus_minus.same(_Rows.diagonal(casimir // 4)),
+                             (4, plus_minus), (-1, _Rows.diagonal(casimir)), scale=4),
     }
 
 
-def check_su2(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Verify the commutation relations and the j_z action at (two_j, a)."""
-    check_tolerance(tol)
-    j_plus, j_minus, j_z = build_ladder(two_j, a)
-    residuals = su2_residuals(j_plus.entries, j_minus.entries, j_z.entries, two_j)
-    worst = max(residuals.values())
+def _action_relations(j_plus: _Rows, j_minus: _Rows, a: int) -> dict:
+    """(holds, residual) of j_plus and j_minus against their explicit actions.
+
+    Raising: q**((j-m)a) sqrt((j-m)(j+m+1)) |j, m+1>, the stated upper-sign
+    branch.  Lowering: the action of the composition v_a^dagger h,
+    q**(-(j-m+1)a) sqrt((j+m)(j-m+1)) |j, m-1>, whose phase and magnitude
+    differ from a naive sign flip of the raising branch.
+    """
+    d = j_plus.dim
+    r = np.arange(d)
+    raising = _Rows((r + 1) % d, 2 * (r + 1) * a % (2 * d), (r + 1) * (d - 1 - r))
+    lowering = _Rows((r - 1) % d, -2 * r * a % (2 * d), r * (d - r))
+    return {"raising": _equality(j_plus, raising), "lowering": _equality(j_minus, lowering)}
+
+
+def _report(kind: str, relations: dict, tol: float, **details) -> VerificationReport:
+    """Passes when every relation holds; tol is recorded, not read."""
+    residuals = {name: residual for name, (_, residual) in relations.items()}
     return VerificationReport(
-        kind="su2_commutators",
-        passed=worst < tol,
+        kind=kind,
+        passed=all(holds for holds, _ in relations.values()),
         tolerance=tol,
-        max_residual=worst,
-        details={"two_j": two_j, "a": a, "residuals": residuals},
+        max_residual=max(residuals.values()),
+        details={**details, "residuals": residuals},
     )
 
 
-def _raising_target(two_j: int, a: int) -> np.ndarray:
-    """Closed-form raising action q**((j-m)a) sqrt((j-m)(j+m+1)) |j, m+1>."""
-    d = two_j + 1
-    table = _phase_table(2 * d)
-    target = np.zeros((d, d), dtype=np.complex128)
-    for s in range(1, d):  # j - m = s, j + m + 1 = two_j - s + 1
-        target[s - 1, s] = table[(2 * s * a) % (2 * d)] * np.sqrt(s * (two_j - s + 1))
-    return target
-
-
-def _lowering_target(two_j: int, a: int) -> np.ndarray:
-    """Lowering action from the composition: q**(-(j-m+1)a) sqrt((j+m)(j-m+1))."""
-    d = two_j + 1
-    table = _phase_table(2 * d)
-    target = np.zeros((d, d), dtype=np.complex128)
-    for s in range(d - 1):  # j + m = two_j - s, j - m + 1 = s + 1
-        target[s + 1, s] = table[(-2 * (s + 1) * a) % (2 * d)] * np.sqrt(
-            (two_j - s) * (s + 1)
-        )
-    return target
+def check_su2(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
+    """Decide the commutators, the Casimir, adjointness and the j_z action at (two_j, a)."""
+    check_tolerance(tol)
+    relations = _commutation_relations(*_ladder_rows(two_j, a))
+    return _report("su2_commutators", relations, tol, two_j=two_j, a=a)
 
 
 def check_ladder_action(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Verify the explicit ladder actions entry by entry.
+    """Decide the explicit ladder actions row by row.
 
     The raising operator is checked against the closed-form action (its
-    stated upper-sign branch); the lowering operator is checked against the
-    composition v_a^dagger h directly, whose phase exponent -(j-m+1)a and
-    magnitude sqrt((j+m)(j-m+1)) differ from a naive sign flip of the
-    raising branch.  The report records which source each side was checked
-    against.
+    stated upper-sign branch), the lowering operator against the action of
+    the composition v_a^dagger h.  The report records which source each
+    side was checked against.
     """
-    AngularParams(two_j, a)
-    j_plus, j_minus, _ = build_ladder(two_j, a)
-    res_plus = float(np.abs(j_plus.entries - _raising_target(two_j, a)).max())
-    res_minus = float(np.abs(j_minus.entries - _lowering_target(two_j, a)).max())
-    worst = max(res_plus, res_minus)
-    return VerificationReport(
-        kind="ladder_action",
-        passed=worst < tol,
-        tolerance=tol,
-        max_residual=worst,
-        details={
-            "two_j": two_j,
-            "a": a,
-            "raising_residual": res_plus,
-            "lowering_residual": res_minus,
-            "raising_checked_against": "closed-form action (upper branch)",
-            "lowering_checked_against": "operator composition",
-        },
-    )
+    check_tolerance(tol)
+    j_plus, j_minus, _ = _ladder_rows(two_j, a)
+    return _report("ladder_action", _action_relations(j_plus, j_minus, a), tol, two_j=two_j, a=a,
+                   raising_checked_against="closed-form action (upper branch)",
+                   lowering_checked_against="operator composition")

@@ -1,5 +1,5 @@
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -175,8 +175,25 @@ class TestPartition:
         classes = partition_commuting_classes(2, 2)
         rep = commutation_soundness(classes, 2, 2, (0, 0))
         assert rep.passed
-        assert rep.max_residual < 1e-10
+        assert rep.max_residual == 0.0
         assert rep.details["symplectic_forms_vanish"]
+
+    @pytest.mark.parametrize("p,e", PRIME_POWERS_TO_16)
+    def test_commutation_with_phases_and_a_non_commuting_class(self, p, e):
+        classes = partition_commuting_classes(p, e)
+        a_params = tuple((i + 1) % p for i in range(e))
+        assert commutation_soundness(classes, p, e, a_params).max_residual == 0.0
+        # V Z in the first slot against Z there: W_a W_b = q W_b W_a
+        shift = WeylLabel(p, e, (1,) + (0,) * (e - 1), (1,) + (0,) * (e - 1))
+        clock = WeylLabel(p, e, (0,) * e, (1,) + (0,) * (e - 1))
+        bad = CommutingClass(len(classes), (classes[1].members[0], shift, clock))
+        rep = commutation_soundness(classes + [bad], p, e, a_params)
+        assert not rep.passed and not rep.details["symplectic_forms_vanish"]
+        # the dense commutators of the bad class are the reference
+        ws = [build_w(p, e, lbl, a_params).entries for lbl in bad.members]
+        dense = max(np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2))
+        assert rep.max_residual == pytest.approx(dense, abs=1e-12)
+        assert rep.max_residual > 0.1  # |1 - q| = 2 sin(pi/p)
 
     def test_non_prime_p_rejected(self):
         with pytest.raises(ValueError):

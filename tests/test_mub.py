@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cyclo_oracle import canonicalize_coeffs
 from mubkit import mub
-from mubkit.composite import build_composite_set
+from mubkit.composite import build_composite_set, commutation_soundness, partition_commuting_classes
 from mubkit.cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
     MubBasis,
@@ -30,8 +30,8 @@ from mubkit.mub import (
     verify_set,
     verify_unbiased,
 )
-from mubkit.su2 import check_su2
-from mubkit.weyl import OperatorMatrix, build_v, ffz_sweep
+from mubkit.su2 import check_ladder_action, check_su2
+from mubkit.weyl import OperatorMatrix, build_v, ffz_sweep, q_commutation_residual
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -1089,8 +1089,14 @@ class TestMonomialPairs:
         lambda tol: build_composite_set(2, 2, tol=tol),
         lambda tol: ffz_sweep(3, 1, 2, tol=tol),
         lambda tol: check_su2(2, 0, tol),
+        lambda tol: check_ladder_action(2, 0, tol),
+        lambda tol: q_commutation_residual(3, 1, tol),
+        lambda tol: commutation_soundness(partition_commuting_classes(2, 1), 2, 1, (0,), tol),
     ],
-    ids=["verify_set", "verify_unbiased", "build_composite_set", "ffz_sweep", "check_su2"],
+    ids=[
+        "verify_set", "verify_unbiased", "build_composite_set", "ffz_sweep", "check_su2",
+        "check_ladder_action", "q_commutation_residual", "commutation_soundness",
+    ],
 )
 def test_library_refuses_bad_tolerance(check, tol):
     with pytest.raises(ValueError, match="tolerance must be a finite positive number"):

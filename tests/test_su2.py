@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from mubkit.su2 import (
+    MAX_TWO_J,
     AngularParams,
+    _action_relations,
+    _commutation_relations,
+    _ladder_rows,
     build_h,
     build_ladder,
     build_va_operator,
     check_ladder_action,
     check_su2,
-    su2_residuals,
 )
-from mubkit.weyl import build_v, exact_equal
+from mubkit.weyl import _Rows, build_v, exact_equal
 
 
 class TestAngularParams:
@@ -20,6 +23,9 @@ class TestAngularParams:
             AngularParams(0, 0)
         with pytest.raises(ValueError):
             AngularParams(3, 4)
+        AngularParams(MAX_TWO_J, 0)
+        with pytest.raises(ValueError, match=f"two_j must be <= {MAX_TWO_J}"):
+            AngularParams(MAX_TWO_J + 1, 0)
 
     def test_dim(self):
         assert AngularParams(5, 0).dim == 6
@@ -97,7 +103,7 @@ class TestCheckSu2:
     def test_condon_shortley_case(self, two_j):
         rep = check_su2(two_j, 0)
         assert rep.passed
-        assert rep.max_residual < 1e-10
+        assert rep.max_residual == 0.0
 
     def test_every_a_at_two_j_4(self):
         for a in range(5):
@@ -112,16 +118,43 @@ class TestCheckSu2:
     def test_casimir(self):
         for two_j, a in [(1, 1), (6, 3), (12, 5)]:
             rep = check_su2(two_j, a)
-            assert rep.details["residuals"]["casimir"] < 1e-10
+            assert rep.details["residuals"]["casimir"] == 0.0
+
+    @pytest.mark.parametrize("two_j", [600, 2000])
+    def test_large_two_j_is_exact(self, two_j):
+        # a fixed float tolerance failed here: [j+, j-] missed by about j**2 eps
+        for a in (0, 1, two_j):
+            rep, action = check_su2(two_j, a), check_ladder_action(two_j, a)
+            assert rep.passed and action.passed
+            assert set(rep.details["residuals"].values()) == {0.0}
+            assert set(action.details["residuals"].values()) == {0.0}
 
     def test_corrupted_raising_operator_is_localized(self):
-        j_plus, j_minus, j_z = (m.entries.copy() for m in build_ladder(3, 1))
-        j_plus[2, 1] += 0.25
-        residuals = su2_residuals(j_plus, j_minus, j_z, 3)
-        assert residuals["jz_jp"] > 0.01
-        assert residuals["jp_jm"] > 0.01
-        assert residuals["adjoint"] > 0.01
-        assert residuals["jz_action"] == 0.0  # j_z untouched
+        j_plus, j_minus, two_jz = _ladder_rows(3, 1)
+        cases = [
+            # row 1 of j+ moved from column 2 to column 0
+            ("col", 0, {"jz_jp", "jp_jm", "casimir", "adjoint", "raising"}),
+            # row 1 of j+ scaled from sqrt(4) to sqrt(5): [j_z, j+] = j+ still holds
+            ("norm", 5, {"jp_jm", "casimir", "adjoint", "raising"}),
+        ]
+        for field, value, broken in cases:
+            fields = {name: getattr(j_plus, name).copy() for name in ("col", "exp", "norm")}
+            fields[field][1] = value
+            corrupted = _Rows(**fields)
+            relations = {**_commutation_relations(corrupted, j_minus, two_jz),
+                         **_action_relations(corrupted, j_minus, 1)}
+            assert {name for name, (holds, _) in relations.items() if not holds} == broken
+            for name, (_, residual) in relations.items():
+                assert (residual > 0.1) if name in broken else (residual == 0.0)
+            assert relations["jz_action"] == (True, 0.0)  # j_z untouched
+
+    def test_commutator_needs_an_integer_diagonal_lowered_product(self):
+        # j+ = [[1, 0], [1, 0]] and j- = [[0, 0], [0, 1]]: j+ j- = 0 is an integer diagonal,
+        # but j- j+ has its entry at (1, 0), so [j+, j-] = diag(0, -1) fails there
+        j_plus = _Rows(np.array([0, 0]), np.array([0, 0]), np.array([1, 1]))
+        j_minus = _Rows(np.array([0, 1]), np.array([0, 0]), np.array([0, 1]))
+        holds, residual = _commutation_relations(j_plus, j_minus, np.array([0, -1]))["jp_jm"]
+        assert not holds and residual == 1.0
 
 
 class TestLadderAction:
@@ -150,6 +183,6 @@ class TestLadderAction:
     def test_reports_pass_for_all_a(self, two_j):
         for a in range(two_j + 1):
             rep = check_ladder_action(two_j, a)
-            assert rep.passed
+            assert rep.passed and rep.max_residual == 0.0
             assert rep.details["raising_checked_against"].startswith("closed-form")
             assert rep.details["lowering_checked_against"] == "operator composition"
