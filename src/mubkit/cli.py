@@ -18,12 +18,15 @@ import itertools
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import serialize
 from .cyclo import DEFAULT_TOL, check_tolerance, is_prime
 
 ENV_TOL = "MUBKIT_TOL"
+#: Characters of a document that _write gathers before each write.
+WRITE_BLOCK = 1 << 21
 
 
 def _tolerance(text: str) -> float:
@@ -108,15 +111,34 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    if args.output is not None:
-        args.output.write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write(args: argparse.Namespace, chunks) -> None:
+    """Write the chunks of one document to --output, opened only now, or to stdout.
+
+    The chunks are joined into blocks of about WRITE_BLOCK characters, so a
+    document up to that size is written at once: a pipe's reader then gets
+    it in full reads, as from one string, and not in the many small pieces
+    that writing each chunk as it is made can leave.
+    """
+    with nullcontext(sys.stdout) if args.output is None else args.output.open("w") as out:
+        block, size = [], 0
+        for chunk in chunks:
+            block.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_BLOCK:
+                out.write("".join(block))
+                block, size = [], 0
+        out.write("".join(block))
 
 
 def _emit_json(args: argparse.Namespace, doc: dict) -> None:
-    _write(args, serialize.dumps(doc) + "\n")
+    _write(args, [serialize.dumps(doc) + "\n"])
+
+
+def _write_set(args: argparse.Namespace, mub_set, exact: bool) -> None:
+    if args.format == "csv":
+        _write(args, serialize.mubset_csv_chunks(mub_set))
+    else:
+        _write(args, serialize.mubset_json_chunks(mub_set, exact))
 
 
 # -- command implementations -----------------------------------------------------
@@ -130,7 +152,7 @@ def _run_gen(args: argparse.Namespace) -> int:
     else:
         matrix = weyl.build_z(args.dim)
     if args.format == "csv":
-        _write(args, serialize.matrix_to_csv(matrix))
+        _write(args, [serialize.matrix_to_csv(matrix)])
     else:
         _emit_json(args, serialize.matrix_to_doc(matrix))
     return 0
@@ -143,10 +165,7 @@ def _run_set(args: argparse.Namespace) -> int:
         raise ValueError("--exact needs --format json: csv holds float amplitudes only")
     mub_set = mub.build_complete_set(args.dim, force=args.force)
     report = mub.verify_set(mub_set, args.tol)
-    if args.format == "csv":
-        _write(args, serialize.mubset_to_csv(mub_set))
-    else:
-        _emit_json(args, serialize.mubset_to_doc(mub_set, exact=args.exact))
+    _write_set(args, mub_set, args.exact)
     if not report.passed:
         for pair in report.details["failing_pairs"]:
             print(
@@ -186,50 +205,17 @@ def _run_sumrule(args: argparse.Namespace) -> int:
     d = args.dim
     if not is_prime(d):
         raise ValueError(f"the sum rule holds for prime dimensions; got {d}")
-    entries = []
-    all_ok = True
-    # The sum, and so every field below, depends on the indices only through
-    # (a - b, n_alpha - n_beta): each such key is decided once.
+    # The sum, and so every field of a row, depends on the indices only through
+    # (x, y) = (a - b, n_alpha - n_beta): each key is decided once, at its first
+    # row, (a, b, n_alpha, n_beta) = (max(x, 0), max(-x, 0), max(y, 0), max(-y, 0)).
     decided = {}
-    for a, b, n_alpha, n_beta in itertools.product(range(d), repeat=4):
-        key = (a - b, n_alpha - n_beta)
-        if key not in decided:
-            abs2, numeric = mub.gauss_sum_magnitude(d, a, b, n_alpha, n_beta)
-            expected = mub.gauss_sum_expected_sq(d, a, b, n_alpha, n_beta)
-            decided[key] = numeric, expected, abs2 == expected
-        numeric, expected, ok = decided[key]
-        all_ok &= ok
-        entries.append(
-            {
-                "a": a,
-                "b": b,
-                "n_alpha": n_alpha,
-                "n_beta": n_beta,
-                "magnitude": numeric,
-                "expected_sq": expected,
-                "exact_match": ok,
-            }
-        )
-    if args.format == "csv":
-        lines = ["a,b,n_alpha,n_beta,magnitude,expected_sq,exact_match"]
-        for row in entries:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["a"]),
-                        str(row["b"]),
-                        str(row["n_alpha"]),
-                        str(row["n_beta"]),
-                        serialize.format_float(row["magnitude"]),
-                        str(row["expected_sq"]),
-                        "1" if row["exact_match"] else "0",
-                    ]
-                )
-            )
-        _write(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, {"dim": d, "entries": entries, "pass": all_ok})
-    return 0 if all_ok else 1
+    for x, y in itertools.product(range(1 - d, d), repeat=2):
+        indices = (max(x, 0), max(-x, 0), max(y, 0), max(-y, 0))
+        abs2, numeric = mub.gauss_sum_magnitude(d, *indices)
+        expected = mub.gauss_sum_expected_sq(d, *indices)
+        decided[x, y] = numeric, expected, abs2 == expected
+    _write(args, serialize.sumrule_chunks(d, decided, csv=args.format == "csv"))
+    return 0 if all(ok for _, _, ok in decided.values()) else 1
 
 
 def _run_su2(args: argparse.Namespace) -> int:
@@ -238,8 +224,7 @@ def _run_su2(args: argparse.Namespace) -> int:
     su2.AngularParams(args.two_j, 0)
 
     def one(a: int) -> dict:
-        commutators = su2.check_su2(args.two_j, a, args.tol)
-        action = su2.check_ladder_action(args.two_j, a, args.tol)
+        commutators, action = su2._check_su2_and_action(args.two_j, a, args.tol)
         res = commutators.details["residuals"]
         return {
             "two_j": args.two_j,
@@ -308,10 +293,7 @@ def _run_composite(args: argparse.Namespace) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "csv":
-        _write(args, serialize.mubset_to_csv(mub_set))
-    else:
-        _emit_json(args, serialize.mubset_to_doc(mub_set, exact=False))
+    _write_set(args, mub_set, exact=False)
     return 0
 
 

@@ -34,7 +34,6 @@ from .cyclo import (
     is_prime,
 )
 from .report import VerificationReport
-from .weyl import build_v
 
 #: Bytes of the buffer that verify_set writes one block's gathered conjugate
 #: phase grids, Grams and moduli into, at 48 bytes per Gram entry; it sets
@@ -64,6 +63,16 @@ def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
     amps = np.take(conjugate_phases(d)[0], exps, mode="wrap", out=out)
     amps /= np.sqrt(float(d) ** np.asarray(scales))[..., None]
     return amps
+
+
+def _check_exponents(d: int, exps: np.ndarray) -> None:
+    """ValueError unless every tau exponent lies in -1..2d-1.
+
+    _amplitudes wraps any integer into a phase or zero, so an exponent
+    outside this range would be stored as a wrong amplitude.
+    """
+    if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
+        raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
 
 
 def _assign(obj, **fields):
@@ -105,7 +114,7 @@ class MubBasis:
     and z of each member, or None.  All are read-only.  An exact basis is
     given by its exponents and scales alone, which it copies, and its amps
     are tau**e / d**(s/2) of them, so no basis holds amps that differ from
-    its exponents.  The verifiers reject exponents outside -1..2d-1.
+    its exponents, and exponents outside -1..2d-1 raise ValueError.
     MubBasis(dim, label, vectors) stacks MubVectors once, the exact ones by
     their exponents and scales; the builders view the rows of one stack.
     """
@@ -153,6 +162,7 @@ class MubBasis:
         vector_scales = np.empty(dim, np.int64)
         vector_scales[...] = scales
         if exps is not None:
+            _check_exponents(dim, exps)
             amps = _amplitudes(dim, exps, vector_scales)
         if class_labels is not None:
             class_labels = _frozen(class_labels, np.int64)
@@ -249,6 +259,7 @@ class MubSet:
         amps = np.empty((n, dim, dim), np.complex128) if amps is None else amps
         if m > n or exponents.shape[1:] != (dim, dim) or scales.shape != (n, dim):
             raise ValueError(f"need exponents (m <= {n}, {dim}, {dim}), scales ({n}, {dim})")
+        _check_exponents(dim, exponents)
         _amplitudes(dim, exponents, scales[:m], out=amps[:m])
         stacks = {"amps": amps, "exponents": exponents, "scales": scales}
         for array in stacks.values():
@@ -650,13 +661,11 @@ def _pair_verdicts(amps, exps, scales, exact, same, i, j, tol):
     there, on integers; every other exact pair goes to
     _certificate_residuals at all K conjugates.  Returns (P,) deviations and
     verdicts, an exact pair's verdict being its exact one, and the counts
-    that verify_set reports.  Raises ValueError if an exponent lies outside
-    -1..2d-1.
+    that verify_set reports.  Exponents lie in -1..2d-1, which MubBasis and
+    MubSet._of_stacks enforce: conjugate_phases has columns for 0..2d-1 and
+    a zero column that -1 wraps to.
     """
     d, m = amps.shape[1], len(exps)
-    if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
-        # conjugate_phases has columns for 0..2d-1 and a zero column that -1 wraps to
-        raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
     counts = {"conjugates": None, "gram_pairs": 0, "integer_pairs": 0}
     deviation, passed = np.empty(len(i)), np.empty(len(i), dtype=bool)
     if exact.all():
@@ -853,6 +862,8 @@ def eigen_relation_residual(d: int, a: int, n: int) -> int:
 
 
 def eigen_relation_numeric_residual(d: int, a: int, n: int) -> float:
+    from .weyl import build_v
+
     vec = build_mub_vector(d, a, n)
     lam = eigenvalue_exponent(d, a, n).evaluate()
     return float(np.abs(build_v(d, a).entries @ vec.amps - lam * vec.amps).max())

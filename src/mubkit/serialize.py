@@ -10,6 +10,8 @@ and None through the _SCALARS table, dicts and lists by identity.  Only
 another type (a numpy scalar, a tuple, a subclass) takes the isinstance
 path in _native.  A dict key's encoded form is memoized for the length of
 one dumps call, so a key repeated across thousands of rows is encoded once.
+The CLI writes set documents and the sumrule table through the *_chunks
+functions instead, which give the same bytes without building the dicts.
 
 mubset_from_doc validates each basis in whole-basis passes over its
 amplitudes (_checked_vectors) and falls back to checking one amplitude at a
@@ -22,18 +24,18 @@ never loads it.
 import json
 import math
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not, itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .cyclo import is_prime
-from .weyl import OperatorMatrix
 
 if TYPE_CHECKING:
     from .mub import MubSet
+    from .weyl import OperatorMatrix
 
 
 def format_float(x: float) -> str:
@@ -120,7 +122,7 @@ def _emit(obj, pieces: list[str], keys: dict) -> None:
 # -- matrices -----------------------------------------------------------------
 
 
-def matrix_to_doc(matrix: OperatorMatrix) -> dict:
+def matrix_to_doc(matrix: "OperatorMatrix") -> dict:
     """{dim, entries: row-major [re, im] pairs, exact?: row-major exponents}."""
     doc = {
         "dim": matrix.dim,
@@ -142,7 +144,7 @@ def _csv(rows) -> str:
     )
 
 
-def matrix_to_csv(matrix: OperatorMatrix) -> str:
+def matrix_to_csv(matrix: "OperatorMatrix") -> str:
     """One row per matrix row, columns interleaved re/im."""
     return _csv(matrix.entries)
 
@@ -156,12 +158,18 @@ def _amplitude_exact_doc(exponent: int, modulus: int, scale: int):
     return {"num": int(exponent), "mod": modulus, "scale_sqrt_dim": scale}
 
 
+def _class_labels_doc(class_labels: np.ndarray) -> list:
+    return [{"x": x, "z": z} for x, z in class_labels.tolist()]
+
+
 def mubset_to_doc(mub_set: "MubSet", exact: bool) -> dict:
     """{dim, exact, bases: [{label, vectors: [[amplitude...]]}]}.
 
     Amplitudes are {num, mod, scale_sqrt_dim} objects (meaning
     tau**num / d**(scale/2), null for zero) in exact mode and [re, im]
-    pairs otherwise.  Composite class labels are embedded per basis.
+    pairs otherwise.  Composite class labels are embedded per basis.  This
+    is the document as dicts; the CLI writes the same bytes through
+    mubset_json_chunks, which never holds the whole tree.
     """
     if exact and not mub_set.exact:
         raise ValueError("exact serialization requested for a set without exact amplitudes")
@@ -177,7 +185,7 @@ def mubset_to_doc(mub_set: "MubSet", exact: bool) -> dict:
             vectors = basis.amps.view(np.float64).reshape(mub_set.dim, mub_set.dim, 2).tolist()
         basis_doc = {"label": str(basis.label), "vectors": vectors}
         if basis.class_labels is not None:
-            basis_doc["class_labels"] = [{"x": x, "z": z} for x, z in basis.class_labels.tolist()]
+            basis_doc["class_labels"] = _class_labels_doc(basis.class_labels)
         bases.append(basis_doc)
     return {"dim": mub_set.dim, "exact": exact, "bases": bases}
 
@@ -383,3 +391,110 @@ def mubset_from_doc(doc: dict) -> "MubSet":
 def mubset_to_csv(mub_set: "MubSet") -> str:
     """One row per vector across all bases, columns interleaved re/im."""
     return _csv(mub_set.amps.reshape(-1, mub_set.dim))
+
+
+# -- streamed documents ---------------------------------------------------------
+#
+# The CLI writes set documents and the sumrule table in chunks, byte for byte
+# as dumps of their dict forms plus a newline, or as mubset_to_csv.  Each
+# function below checks every value and builds its string tables when
+# called, and returns an iterator of the chunks: a value that cannot be
+# written raises before the first chunk exists, so no partial document is
+# written.  The chunks are filled in by %-formatting one template per basis
+# (or per value of a) with the gathered strings.
+
+
+def _float_strings(mub_set: "MubSet"):
+    """b -> the tuple of format_float strings of basis b's amps, rows first, re and im
+    interleaved; ValueError, raised here, for a float that is not finite.
+
+    Each distinct float64 bit pattern is formatted once.  Floats are told apart
+    on their int64 view, so -0.0 keeps its sign.
+    """
+    values = mub_set.amps.reshape(-1).view(np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite float in serialized output")
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    strings = np.array(list(map(format_float, bits.view(np.float64).tolist())), dtype=object)
+    index = index.reshape(len(mub_set.bases), -1)
+    return lambda b: tuple(strings[index[b]].tolist())
+
+
+def _set_chunks(mub_set: "MubSet", exact: bool, amplitude: str, strings) -> Iterator[str]:
+    """The chunks of a set document, one per basis; strings(b) fills basis b's d * d
+    copies of the amplitude template, rows first."""
+    d = mub_set.dim
+    row = "[" + ",".join([amplitude] * d) + "]"
+    vectors = "[" + ",".join([row] * d) + "]"
+    yield '{"dim":%d,"exact":%s,"bases":[' % (d, "true" if exact else "false")
+    for b, basis in enumerate(mub_set.bases):
+        chunk = '{"label":%s,"vectors":%s' % (
+            encode_basestring_ascii(str(basis.label)), vectors % strings(b))
+        if basis.class_labels is not None:
+            chunk += ',"class_labels":' + dumps(_class_labels_doc(basis.class_labels))
+        yield ("," if b else "") + chunk + "}"
+    yield "]}\n"
+
+
+def mubset_json_chunks(mub_set: "MubSet", exact: bool) -> Iterator[str]:
+    """The chunks of dumps(mubset_to_doc(mub_set, exact)) + "\\n", one per basis.
+
+    An exact amplitude is picked from a table of the strings of null and of
+    tau**k / d**(s/2) for k in 0..2d-1, one table per scale s, by its
+    exponent, which every MubSet holds in -1..2d-1.  A float amplitude is
+    gathered from the strings of the set's distinct floats.  Raises
+    ValueError for a float that is not finite.
+    """
+    if not exact:
+        return _set_chunks(mub_set, exact, "[%s,%s]", _float_strings(mub_set))
+    if not mub_set.exact:
+        raise ValueError("exact serialization requested for a set without exact amplitudes")
+    d, exps = mub_set.dim, mub_set.exponents
+    scales, scale_rows = np.unique(mub_set.scales, return_inverse=True)
+    # table[i, k + 1] is the amplitude of exponent k at the i-th scale, table[i, 0] null
+    table = np.array(
+        [["null", *(f'{{"num":{k},"mod":{2 * d},"scale_sqrt_dim":{s}}}' for k in range(2 * d))]
+         for s in scales.tolist()],
+        dtype=object,
+    )
+    scale_rows = scale_rows.reshape(-1, d, 1)
+    return _set_chunks(mub_set, exact, "%s",
+                       lambda b: tuple(table[scale_rows[b], exps[b] + 1].ravel().tolist()))
+
+
+def mubset_csv_chunks(mub_set: "MubSet") -> Iterator[str]:
+    """The chunks of mubset_to_csv(mub_set), one per basis; ValueError for a float
+    that is not finite."""
+    strings = _float_strings(mub_set)
+    lines = (",".join(["%s"] * 2 * mub_set.dim) + "\n") * mub_set.dim
+    return (lines % strings(b) for b in range(len(mub_set.bases)))
+
+
+def sumrule_chunks(d: int, decided: dict, csv: bool) -> Iterator[str]:
+    """The chunks of the Gauss-sum table at dimension d, one per value of a.
+
+    Rows run over (a, b, n_alpha, n_beta) in 0..d-1, in lexicographic order,
+    and decided maps each (a - b, n_alpha - n_beta) to the (magnitude,
+    expected_sq, exact_match) of its rows.  The json form is dumps of
+    {dim, entries: [{a, b, n_alpha, n_beta, magnitude, expected_sq,
+    exact_match}...], pass} plus a newline, the csv form a header and one
+    line per row.  Each key's fields are formatted once, here, so a
+    non-finite magnitude raises ValueError before the first chunk.
+    """
+    if csv:
+        head = "a,b,n_alpha,n_beta,magnitude,expected_sq,exact_match\n"
+        prefix, sep, foot = "%d,%d,%d,%d,", "\n", "\n"
+        tails = {key: f"{format_float(magnitude)},{expected},{'1' if ok else '0'}"
+                 for key, (magnitude, expected, ok) in decided.items()}
+    else:
+        head = '{"dim":%d,"entries":[' % d
+        prefix, sep = '{"a":%d,"b":%d,"n_alpha":%d,"n_beta":%d,', ","
+        # dumps of the row's last three fields, less the opening brace
+        tails = {key: dumps({"magnitude": magnitude, "expected_sq": expected,
+                             "exact_match": ok})[1:]
+                 for key, (magnitude, expected, ok) in decided.items()}
+        foot = '],"pass":%s}\n' % dumps(all(ok for _, _, ok in decided.values()))
+    rows = ((sep if a else "") + sep.join(
+        prefix % (a, b, n_alpha, n_beta) + tails[a - b, n_alpha - n_beta]
+        for b, n_alpha, n_beta in product(range(d), repeat=3)) for a in range(d))
+    return chain([head], rows, [foot])

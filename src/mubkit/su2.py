@@ -145,11 +145,21 @@ def _report(kind: str, relations: dict, tol: float, **details) -> VerificationRe
     )
 
 
+def _su2_report(rows: tuple, two_j: int, a: int, tol: float) -> VerificationReport:
+    return _report("su2_commutators", _commutation_relations(*rows), tol, two_j=two_j, a=a)
+
+
+def _action_report(rows: tuple, two_j: int, a: int, tol: float) -> VerificationReport:
+    j_plus, j_minus, _ = rows
+    return _report("ladder_action", _action_relations(j_plus, j_minus, a), tol, two_j=two_j, a=a,
+                   raising_checked_against="closed-form action (upper branch)",
+                   lowering_checked_against="operator composition")
+
+
 def check_su2(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Decide the commutators, the Casimir, adjointness and the j_z action at (two_j, a)."""
     check_tolerance(tol)
-    relations = _commutation_relations(*_ladder_rows(two_j, a))
-    return _report("su2_commutators", relations, tol, two_j=two_j, a=a)
+    return _su2_report(_ladder_rows(two_j, a), two_j, a, tol)
 
 
 def check_ladder_action(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -161,7 +171,12 @@ def check_ladder_action(two_j: int, a: int, tol: float = DEFAULT_TOL) -> Verific
     side was checked against.
     """
     check_tolerance(tol)
-    j_plus, j_minus, _ = _ladder_rows(two_j, a)
-    return _report("ladder_action", _action_relations(j_plus, j_minus, a), tol, two_j=two_j, a=a,
-                   raising_checked_against="closed-form action (upper branch)",
-                   lowering_checked_against="operator composition")
+    return _action_report(_ladder_rows(two_j, a), two_j, a, tol)
+
+
+def _check_su2_and_action(two_j: int, a: int,
+                          tol: float) -> tuple[VerificationReport, VerificationReport]:
+    """(check_su2, check_ladder_action) at (two_j, a), composing the ladder rows once."""
+    check_tolerance(tol)
+    rows = _ladder_rows(two_j, a)
+    return _su2_report(rows, two_j, a, tol), _action_report(rows, two_j, a, tol)

@@ -18,6 +18,8 @@ from mubkit.cli import main, parse_args
 from mubkit.composite import build_composite_set, partition_commuting_classes
 from mubkit.serialize import dumps, format_float, mubset_from_doc, mubset_to_doc
 from mubkit.mub import (
+    MubBasis,
+    MubSet,
     build_complete_set,
     gauss_sum_expected_sq,
     gauss_sum_magnitude,
@@ -536,6 +538,29 @@ class TestSu2Command:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 5 and doc["pass"]
 
+    def test_ladder_rows_composed_once_per_a(self, monkeypatch, capsys):
+        # the sweep reports what check_su2 and check_ladder_action report at each a
+        two_j = 6
+        reference = [(mubkit.su2.check_su2(two_j, a), mubkit.su2.check_ladder_action(two_j, a))
+                     for a in range(two_j + 1)]
+        composed = []
+        ladder_rows = mubkit.su2._ladder_rows
+        monkeypatch.setattr(mubkit.su2, "_ladder_rows",
+                            lambda *args: composed.append(args) or ladder_rows(*args))
+        assert [mubkit.su2._check_su2_and_action(two_j, a, 1e-10)
+                for a in range(two_j + 1)] == reference
+        assert composed == [(two_j, a) for a in range(two_j + 1)]
+        composed.clear()
+        assert main(["su2", "--two-j", str(two_j)]) == 0
+        assert composed == [(two_j, a) for a in range(two_j + 1)]
+        for report, (commutators, action) in zip(json.loads(capsys.readouterr().out)["reports"],
+                                                 reference):
+            residuals = commutators.details["residuals"]
+            assert report["residuals"] == {
+                **{k: residuals[k] for k in ("jz_jp", "jz_jm", "jp_jm", "casimir")},
+                "action": max(residuals["jz_action"], action.max_residual)}
+            assert report["pass"] is (commutators.passed and action.passed)
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -659,22 +684,24 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("mu
       file=sys.stderr)
 """
 
-#: The modules every subcommand loads: the package, cli's own imports and weyl (via serialize).
-CLI_BASE_MODULES = ["mubkit", "mubkit.cyclo", "mubkit.report", "mubkit.serialize", "mubkit.weyl"]
+#: The modules every subcommand loads: the package and cli's own imports.
+CLI_BASE_MODULES = ["mubkit", "mubkit.cyclo", "mubkit.report", "mubkit.serialize"]
 
 
 @pytest.mark.parametrize(
     "argv, extra, exit_code",
     [
-        (["gen", "--dim", "2"], [], 0),
-        (["ffz", "--dim", "3"], [], 0),
-        (["su2", "--two-j", "2"], ["mubkit.su2"], 0),
+        (["gen", "--dim", "2"], ["mubkit.weyl"], 0),
+        (["ffz", "--dim", "3"], ["mubkit.weyl"], 0),
+        (["su2", "--two-j", "2"], ["mubkit.su2", "mubkit.weyl"], 0),
+        # set, verify and sumrule never load weyl
         (["set", "--dim", "3", "--output", "s3.json"], ["mubkit.mub"], 0),
         (["verify", "--set", "s3.json"], ["mubkit.mub"], 0),
         (["sumrule", "--dim", "3"], ["mubkit.mub"], 0),
-        (["composite", "--p", "2", "--e", "2"], ["mubkit.composite", "mubkit.mub"], 0),
+        (["composite", "--p", "2", "--e", "2"], ["mubkit.composite", "mubkit.mub", "mubkit.weyl"], 0),
         # a composite run that fails (p = 4 is not prime) exits from _run_composite
-        (["composite", "--p", "4", "--e", "2"], ["mubkit.composite", "mubkit.mub"], 2),
+        (["composite", "--p", "4", "--e", "2"],
+         ["mubkit.composite", "mubkit.mub", "mubkit.weyl"], 2),
     ],
     ids=["gen", "ffz", "su2", "set", "verify", "sumrule", "composite", "composite-fails"],
 )
@@ -829,6 +856,108 @@ class TestSerializeRoundTrip:
         assert not numeric_set.exact
         with pytest.raises(ValueError, match="exact"):
             mubset_to_doc(numeric_set, exact=True)
+
+
+def reference_sumrule(d: int, csv: bool) -> str:
+    """The sumrule document built as one dict per row and rendered whole."""
+    entries, all_ok = [], True
+    for a, b, n_alpha, n_beta in itertools.product(range(d), repeat=4):
+        abs2, numeric = gauss_sum_magnitude(d, a, b, n_alpha, n_beta)
+        expected = gauss_sum_expected_sq(d, a, b, n_alpha, n_beta)
+        ok = abs2 == expected
+        all_ok &= ok
+        entries.append({"a": a, "b": b, "n_alpha": n_alpha, "n_beta": n_beta,
+                        "magnitude": numeric, "expected_sq": expected, "exact_match": ok})
+    if not csv:
+        return dumps({"dim": d, "entries": entries, "pass": all_ok}) + "\n"
+    lines = ["a,b,n_alpha,n_beta,magnitude,expected_sq,exact_match"]
+    lines += [",".join([*(str(row[k]) for k in ("a", "b", "n_alpha", "n_beta")),
+                        format_float(row["magnitude"]), str(row["expected_sq"]),
+                        "1" if row["exact_match"] else "0"]) for row in entries]
+    return "\n".join(lines) + "\n"
+
+
+def hand_made_set() -> MubSet:
+    """Float bases with -0.0, subnormal and extreme components, escaped and non-ASCII
+    labels, and class labels on one basis."""
+    tiny, sub = sys.float_info.min, 5e-324
+    amps = np.array([[complex(-0.0, 0.0), complex(sub, -sub)], [complex(tiny, -0.0), 1e308 - 2e307j]])
+    labels = np.array([[[0], [1]], [[1], [1]]])
+    return MubSet(2, (
+        MubBasis.from_arrays(2, 'quote" back\\ tab\t nl\n', amps),
+        MubBasis.from_arrays(2, "caf\u00e9 \u2603 \U0001d11e", -amps, class_labels=labels),
+        MubBasis.from_arrays(2, 7, np.array([[0.1 + 0.2j, -0.0 - 0.0j], [1 / 3, 2.5e-310j]])),
+    ))
+
+
+class TestStreamedWriter:
+    """The chunked writers give the bytes of the dict path, dumps(mubset_to_doc(...)) + "\\n",
+    mubset_to_csv and the one-dict-per-row sumrule table."""
+
+    @staticmethod
+    def assert_same_bytes(mub_set, exact):
+        assert "".join(serialize.mubset_json_chunks(mub_set, exact)) == \
+            dumps(mubset_to_doc(mub_set, exact=exact)) + "\n"
+        assert "".join(serialize.mubset_csv_chunks(mub_set)) == serialize.mubset_to_csv(mub_set)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 19])
+    def test_prime_and_forced_sets(self, d, exact):
+        self.assert_same_bytes(build_complete_set(d, force=True), exact)
+
+    @pytest.mark.parametrize("p, e, a_params", [(2, 1, None), (2, 2, (1, 0)), (3, 2, (0, 1)),
+                                                (2, 3, (1, 0, 1)), (5, 2, (3, 1)), (2, 4, None)])
+    def test_composite_sets(self, p, e, a_params):
+        mub_set = build_composite_set(p, e, a_params)
+        self.assert_same_bytes(mub_set, exact=False)
+        self.assert_same_bytes(mub_set, exact=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(serializable_sets())
+    def test_drawn_sets(self, case):
+        self.assert_same_bytes(*case)
+
+    def test_hand_made_floats_and_labels(self):
+        mub_set = hand_made_set()
+        text = "".join(serialize.mubset_json_chunks(mub_set, exact=False))
+        assert text == dumps(mubset_to_doc(mub_set, exact=False)) + "\n"
+        assert "[-0,0]" in text and "4.9406564584124654e-324" in text and text.isascii()
+        assert "".join(serialize.mubset_csv_chunks(mub_set)) == serialize.mubset_to_csv(mub_set)
+
+    def test_exact_chunks_need_an_exact_set(self):
+        with pytest.raises(ValueError, match="without exact amplitudes"):
+            serialize.mubset_json_chunks(hand_made_set(), exact=True)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    def test_sumrule(self, d, fmt, tmp_path):
+        out = tmp_path / "table"
+        assert main(["sumrule", "--dim", str(d), "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_text() == reference_sumrule(d, csv=fmt == "csv")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cli_writes_the_same_bytes_to_stdout_and_file(self, fmt, tmp_path, capsys):
+        out = tmp_path / "set"
+        assert main(["composite", "--p", "3", "--e", "2", "--format", fmt, "--output", str(out)]) == 0
+        assert main(["composite", "--p", "3", "--e", "2", "--format", fmt]) == 0
+        mub_set = build_composite_set(3, 2)
+        reference = serialize.mubset_to_csv(mub_set) if fmt == "csv" else \
+            dumps(mubset_to_doc(mub_set, exact=False)) + "\n"
+        assert out.read_text() == capsys.readouterr().out == reference
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_amplitude_writes_nothing(self, bad, fmt, tmp_path, monkeypatch, capsys):
+        amps = build_complete_set(3).amps.copy()
+        amps[2, 1, 2] = complex(0.5, bad)
+        broken = MubSet(3, tuple(MubBasis.from_arrays(3, k, a) for k, a in enumerate(amps)))
+        monkeypatch.setattr(mubkit.composite, "build_composite_set", lambda *args, **kw: broken)
+        out = tmp_path / "set"
+        assert main(["composite", "--p", "3", "--e", "1", "--format", fmt,
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "non-finite float" in captured.err and not captured.out
 
 
 BIG = int(sys.float_info.max)

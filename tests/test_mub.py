@@ -230,14 +230,18 @@ class TestVerifyUnbiased:
 
     @pytest.mark.parametrize("shift", [10, -2])
     def test_exponents_outside_range_refused(self, shift):
-        # exponent k + 2d is tau**k, but the certificate would read another column
+        # exponent k + 2d is tau**k, but the stored amps would read another phase (10 wraps
+        # to the zero column, -2 to tau**9), so every constructor refuses it
         b = build_basis(5, 2)
         exps = np.where(b.exponents == 0, shift, b.exponents)
-        moved = MubBasis.from_arrays(5, 2, exponents=exps)
         with pytest.raises(ValueError, match=r"-1\.\.9"):
-            verify_unbiased(build_basis(5, 1), moved)
+            MubBasis.from_arrays(5, 2, exponents=exps)
+        vectors = [MubVector(5, 2, n, amps, row) for n, (amps, row) in enumerate(zip(b.amps, exps))]
         with pytest.raises(ValueError, match=r"-1\.\.9"):
-            verify_set(MubSet(5, (spherical_basis(5), moved)))
+            MubBasis(5, 2, vectors)
+        with pytest.raises(ValueError, match=r"-1\.\.9"):
+            MubSet._of_stacks(5, ("s", 2), np.stack([spherical_basis(5).exponents, exps]),
+                              np.array([[0] * 5, [1] * 5]))
 
     def test_max_residual_is_overlap_deviation(self):
         # a pair decided on integers reports the deviation of its exact overlaps, 0.0
