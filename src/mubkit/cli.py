@@ -253,32 +253,25 @@ def _run_ffz(args: argparse.Namespace) -> int:
     from . import weyl
 
     weyl._check_dim_param(args.dim, 0)
-    a_values = [args.a] if args.a is not None else list(range(args.dim))
-    reports = []
-    overall = True
-    for a in a_values:
+
+    def one(a: int) -> dict:
         rep = weyl.ffz_sweep(args.dim, a, args.max_m, tol=args.tol)
-        overall &= rep.passed
-        reports.append(
-            {
-                "d": args.dim,
-                "a": a,
-                "sign_convention": rep.details["sign_convention"],
-                "m_range": rep.details["m_range"],
-                "includes_zero_indices": rep.details["includes_zero_indices"],
-                "max_residual": rep.max_residual,
-                "opposite_sign_residual_at_basic_pair": rep.details[
-                    "opposite_sign_residual_at_basic_pair"
-                ],
-                "pass": rep.passed,
-            }
-        )
-    doc = reports[0] if args.a is not None else {
-        "d": args.dim,
-        "reports": reports,
-        "pass": overall,
-    }
-    _emit_json(args, doc)
+        details = rep.details
+        return {
+            "d": args.dim,
+            "a": a,
+            "sign_convention": details["sign_convention"],
+            "m_range": details["m_range"],
+            "includes_zero_indices": details["includes_zero_indices"],
+            "max_residual": rep.max_residual,
+            "opposite_sign_residual_at_basic_pair": details["opposite_sign_residual_at_basic_pair"],
+            "pass": rep.passed,
+        }
+
+    reports = [one(a) for a in ([args.a] if args.a is not None else range(args.dim))]
+    overall = all(r["pass"] for r in reports)
+    _emit_json(args, reports[0] if args.a is not None else
+               {"d": args.dim, "reports": reports, "pass": overall})
     return 0 if overall else 1
 
 

@@ -27,10 +27,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _frozen, check_tolerance, is_prime
+from .cyclo import DEFAULT_TOL, _frozen, _phase_table, check_tolerance, is_prime
 from .mub import MAX_DIM, MubBasis, MubSet, _points, verify_set
 from .report import VerificationReport
-from .weyl import OperatorMatrix, _equality, _monomial_rows, _Rows
+from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
 
 #: Distance below which degeneracy_report merges two eigenvalues.
 CLUSTER_TOL = 1e-8
@@ -335,26 +335,26 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
 def commutation_soundness(
     classes: list[CommutingClass], p: int, e: int, a_params, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """Every two operators of each class commute, decided on their rows, and so do their labels.
+    """Every two operators of each class commute, decided by the group law, and so do their labels.
 
-    W_a W_b and W_b W_a are compared row by row, column and tau exponent.
-    The residual is 0.0 when every pair commutes, else the largest entry
-    modulus of a failing commutator; tol is validated and recorded, not read.
+    Each member's rows give its shift x and slope beta (_affine_rows, b = p),
+    and W_A W_B = tau**(beta_B.x_A - beta_A.x_B) W_B W_A; a member of another
+    form fails.  The residual is 0.0 when every pair commutes, else the
+    largest |1 - tau**k| of a failing pair; tol is validated and recorded, not read.
     """
     check_tolerance(tol)
     a_params = _check_params(p, e, a_params)
+    table = _phase_table(2 * p**e)
     commute, form_ok, worst = True, True, 0.0
     for cls in classes:
         labels = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
         xs, zs = labels[:, 0], labels[:, 1]
         form_ok &= not ((xs @ zs.T - zs @ xs.T) % p).any()
-        ops = _label_rows(p, a_params, xs, zs)
-        for i in range(len(labels) - 1):
-            one, rest = ops[i], ops[i + 1:]
-            ab, ba = one @ rest, rest @ one
-            for j in np.flatnonzero(~ab.same(ba).all(axis=-1)):
-                commute = False
-                worst = max(worst, _equality(ab[j], ba[j])[1])
+        shift, _, beta, ok = _affine_rows(_label_rows(p, a_params, xs, zs), p)
+        cross = beta @ shift.T
+        phases = (cross.T - cross) % len(table)
+        commute &= bool(ok.all()) and not phases.any()
+        worst = max(worst, float(np.abs(1 - table[phases]).max(initial=0.0)))
     return VerificationReport(
         kind="commutation_soundness",
         passed=commute and form_ok,

@@ -4,14 +4,11 @@ build_v produces the phased cyclic shift (superdiagonal of progressive
 q-powers, wrap entry 1), build_z the clock matrix diag(1, q, ..., q**(d-1)),
 and build_t their phase-corrected monomials T_m, all from one closed form.
 The two q-commute, V_a = V_0 Z**a, and the T_m close under the sine-algebra
-commutator.  A product of monomials is a monomial, so the commutator is
-decided exactly from the composed tau exponents, for a whole grid of index
-pairs at once, with a float residual from the same exponents as its shadow.
-The q-commutation, the tensor labels of composite and the su(2) ladder
-relations are decided on _Rows, which holds an operator with at most one
-entry per row as integers (column, tau exponent, the integer under the
-entry's square root) and composes two of them in O(d).  OperatorMatrix
-keeps the dense matrices, with exact phase annotations where they exist.
+commutator.  _Rows holds an operator with one entry per row as integers
+and composes two in O(d), for the q-commutation and su(2) relations;
+_affine_rows reads the shift, phase and slope of monomials (T_m, the labels
+of composite), and the group law on them decides the commutators.
+OperatorMatrix keeps the dense matrices, with exact phase annotations.
 """
 
 from dataclasses import dataclass
@@ -64,18 +61,12 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorMatrix":
-        exact = np.full((dim, dim), -1, dtype=np.int64)
-        np.fill_diagonal(exact, 0)
-        return cls.from_exact(exact)
+        return cls.from_exact(np.eye(dim, dtype=np.int64) - 1)
 
     def dagger(self) -> "OperatorMatrix":
-        exact = None
-        if self.exact is not None:
-            e = self.exact.T
-            exact = np.where(e < 0, -1, (-e) % self.phase_modulus)
-        if exact is not None:
-            return OperatorMatrix.from_exact(exact)
-        return OperatorMatrix(self.dim, self.entries.conj().T)
+        if self.exact is None:
+            return OperatorMatrix(self.dim, self.entries.conj().T)
+        return OperatorMatrix.from_exact(np.where(self.exact.T < 0, -1, -self.exact.T % (2 * self.dim)))
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if not isinstance(other, OperatorMatrix):
@@ -115,18 +106,13 @@ class OperatorMatrix:
 
     def tensor(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Kronecker product; exact phases re-encoded into the joint modulus."""
-        if self.exact is not None and other.exact is not None:
-            ea, eb = self.exact, other.exact
-            # tau_d1**k = tau_{d1*d2}**(k*d2), likewise for the right factor.
-            scaled_a = np.where(ea < 0, -1, ea * other.dim)
-            scaled_b = np.where(eb < 0, -1, eb * self.dim)
-            both = (scaled_a[:, None, :, None] >= 0) & (scaled_b[None, :, None, :] >= 0)
-            summed = (np.where(scaled_a < 0, 0, scaled_a)[:, None, :, None]
-                      + np.where(scaled_b < 0, 0, scaled_b)[None, :, None, :])
-            dim = self.dim * other.dim
-            exact = np.where(both, summed % (2 * dim), -1).reshape(dim, dim)
-            return OperatorMatrix.from_exact(exact)
         dim = self.dim * other.dim
+        if self.exact is not None and other.exact is not None:
+            # tau_d1**k = tau_{d1*d2}**(k*d2), likewise for the right factor.
+            ea, eb = self.exact[:, None, :, None], other.exact[None, :, None, :]
+            summed = (ea * other.dim + eb * self.dim) % (2 * dim)
+            exact = np.where((ea >= 0) & (eb >= 0), summed, -1).reshape(dim, dim)
+            return OperatorMatrix.from_exact(exact)
         return OperatorMatrix(dim, np.kron(self.entries, other.entries))
 
     def unitarity_residual(self) -> float:
@@ -180,9 +166,10 @@ def _monomial_rows(d: int, a, m1, m2, phase) -> np.ndarray:
     holds its entry at column c = (r + m1) mod d.  The shifts on the way
     there pick up q**(a (r+j)) for j = 1..m1 (q**d = 1, so the wrap of the
     row index needs no reduction), and the clock adds q**(m2 c): in tau
-    exponents a m1 (2r + m1 + 1) + 2 m2 c + phase, mod 2d.
+    exponents a m1 (2r + m1 + 1) + 2 m2 c + phase, mod 2d.  The arguments
+    are reduced mod 2d first (V_a**(2d) = Z**(2d) = 1), so no product overflows.
     """
-    a, m1, m2, phase = (np.asarray(v, dtype=np.int64)[..., None] for v in (a, m1, m2, phase))
+    a, m1, m2, phase = (np.asarray(v, dtype=np.int64)[..., None] % (2 * d) for v in (a, m1, m2, phase))
     r = np.arange(d)
     return (a * m1 * (2 * r + m1 + 1) + 2 * m2 * ((r + m1) % d) + phase) % (2 * d)
 
@@ -194,7 +181,7 @@ class _Rows:
     exp is reduced mod 2d and norm 0 marks a zero row.  V_a, Z, T_m, the
     tensor labels, h and the ladder operators have this form, and so does
     every product of them: row r of X Y is row r of X times row col[r] of Y,
-    in O(d).  Leading axes stack operators and broadcast in products.
+    in O(d).  Leading axes stack operators (products take one of each).
     """
 
     col: np.ndarray
@@ -218,20 +205,9 @@ class _Rows:
     def dim(self) -> int:
         return self.col.shape[-1]
 
-    def __getitem__(self, index) -> "_Rows":
-        return _Rows(self.col[index], self.exp[index], self.norm[index])
-
     def __matmul__(self, other: "_Rows") -> "_Rows":
-        def pick(values):
-            # stacks on both sides need take_along_axis; one side alone gathers directly
-            if values.ndim == 1:
-                return values[self.col]
-            if self.col.ndim == 1:
-                return values[..., self.col]
-            return np.take_along_axis(values, self.col, axis=-1)
-
-        exp = (self.exp + pick(other.exp)) % (2 * self.dim)
-        return _Rows(pick(other.col), exp, self.norm * pick(other.norm))
+        exp = (self.exp + other.exp[self.col]) % (2 * self.dim)
+        return _Rows(other.col[self.col], exp, self.norm * other.norm[self.col])
 
     def dagger(self) -> "_Rows":
         """The adjoint of one operator whose columns are a permutation."""
@@ -286,6 +262,25 @@ def _equality(lhs: _Rows, rhs: _Rows, scale: int = 1) -> tuple[bool, float]:
     return _relation(lhs.same(rhs), (1, lhs), (-1, rhs), scale=scale)
 
 
+def _affine_rows(rows: _Rows, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(shift, alpha, beta, ok) of stacked operators with rows r in Z_b**e (d = b**e, slot 0 first).
+
+    ok holds where every row r is tau**(alpha + beta.r) at column r + shift
+    (digitwise mod b) and every beta_i is a multiple of 2d/b, as for T_m
+    (b = d) and the labels of composite (b = p).  Then X Y has shift s_X +
+    s_Y, slope beta_X + beta_Y and phase alpha_X + alpha_Y + beta_Y.s_X (mod
+    2d): b beta_Y = 0 mod 2d drops the digit wrap of r + s_X.
+    """
+    d, two_d = rows.dim, 2 * rows.dim
+    weights = b ** np.arange(round(np.log(d) / np.log(b)) - 1, -1, -1)
+    digits = np.arange(d)[:, None] // weights % b
+    shift, alpha = digits[rows.col[..., 0]], rows.exp[..., 0]
+    beta = (rows.exp[..., weights] - alpha[..., None]) % two_d
+    ok = ((rows.col == (digits + shift[..., None, :]) % b @ weights)
+          & (rows.exp == (alpha[..., None] + beta @ digits.T) % two_d) & (rows.norm == 1))
+    return shift, alpha, beta, ok.all(axis=-1) & (beta % (two_d // b) == 0).all(axis=-1)
+
+
 def build_v(d: int, a: int) -> OperatorMatrix:
     """The phased cyclic shift: (k, k+1) entry q**((k+1)a), wrap entry 1.
 
@@ -312,14 +307,14 @@ def character_vector(d: int, a: int) -> tuple:
 def build_t(d: int, a: int, m, sign_convention: int = +1) -> OperatorMatrix:
     """The monomial q**(sign * m1*m2/2) V_a**m1 Z**m2, phase carried exactly."""
     m = as_wedge(m)
-    if sign_convention not in (+1, -1):
-        raise ValueError("sign_convention must be +1 or -1")
-    _check_dim_param(d, a)
-    phase = sign_convention * m.m1 * m.m2
+    _check_dim_param(d, a, sign_convention)
+    phase = sign_convention * m.m1 * m.m2 % (2 * d)
     return OperatorMatrix.from_exact(_Rows.monomial(d, a, m.m1, m.m2, phase).exact())
 
 
-def _check_dim_param(d: int, a: int) -> None:
+def _check_dim_param(d: int, a: int, sign_convention: int = +1) -> None:
+    if sign_convention not in (+1, -1):
+        raise ValueError("sign_convention must be +1 or -1")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if not 0 <= a <= d - 1:
@@ -365,53 +360,63 @@ def _unit_sums_equal(u1, u2, v1, v2, two_d: int) -> np.ndarray:
     return ((u1 == v1) & (u2 == v2)) | ((u1 == v2) & (u2 == v1)) | antipodal
 
 
-#: Elements (m rows x n rows x d) that one block of _commutator_residuals holds.
+#: Index pairs (m rows x n rows) that one block of _commutator_blocks holds.
 _FFZ_BLOCK = 1 << 13
 
+#: Most index pairs one ffz_sweep decides; a larger sweep is refused before anything is built.
+FFZ_MAX_PAIRS = 1 << 25
 
-def _commutator_residuals(d: int, a: int, sigma: int, ms, ns) -> tuple[np.ndarray, np.ndarray]:
-    """Float residuals and exact verdicts of [T_m, T_n] = 2i sin(pi m^n/d) T_{m+n}, each (M, N).
 
-    ms (M, 2) and ns (N, 2) hold nonnegative index pairs.  T_m T_n is the
-    monomial with row exponents x_r = e_m(r) + e_n((r + m1) mod d) on the
-    support of T_{m+n} (row exponents e_r), and T_n T_m gives x'_r likewise.
-    With w = m^n and 2i sin(pi w/d) = tau**w - tau**(-w), the identity holds
-    exactly iff tau**x + tau**(e-w) = tau**x' + tau**(e+w) in every row
-    (_unit_sums_equal).  The residual max_r |tau**x - tau**x' - 2i sin(pi w/d)
-    tau**e| is the float shadow.  A block of m rows meets the whole stack of
-    n in one broadcast, as many rows as keep the block within _FFZ_BLOCK
-    elements, so memory is bounded by the block (or by one m row of N d
-    elements when that is larger), not by the whole M N d grid.
+def _commutator_blocks(d: int, a: int, sigma: int, ms, ns):
+    """Yield (rows, holds, residual) of [T_m, T_n] = 2i sin(pi m^n/d) T_{m+n}, m in ms, n in ns.
+
+    T_m, T_n and T_{m+n} (indices mod 2d) are recognized once (_affine_rows);
+    by the group law T_m T_n and T_n T_m are tau**c T_{m+n} and tau**c' T_{m+n}
+    if T_{m+n} has their shift and slope, and then, with w = m^n, the identity
+    holds iff tau**c + tau**(-w) = tau**c' + tau**w; otherwise iff both sides
+    vanish (w = 0 mod d, c = c').  An unrecognized operator fails.  A failing
+    pair's residual is the largest entry modulus of the difference, else 0.0.
+    A block (rows, a slice of ms) holds (B, N) pairs: _FFZ_BLOCK, or one m row.
     """
-    _check_dim_param(d, a)
-    if sigma not in (+1, -1):
-        raise ValueError("sign_convention must be +1 or -1")
-    ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2)
-    n1, n2 = np.asarray(ns, dtype=np.int64).reshape(-1, 2).T
-    two_d, r = 2 * d, np.arange(d)
-    table = _phase_table(two_d)
+    _check_dim_param(d, a, sigma)
+    two_d, table = 2 * d, _phase_table(2 * d)
 
-    def rows(m1, m2):
-        return _monomial_rows(d, a, m1, m2, sigma * m1 * m2)
+    def distinct(values):  # increasing, mod 2d; np.unique would import numpy.ma
+        return np.flatnonzero(np.bincount(values.ravel() % two_d, minlength=two_d))
 
-    e_n = rows(n1, n2)
-    n_index = np.arange(len(n1))[:, None]
-    shifted = (r + n1[:, None]) % d
-    residual = np.empty((len(ms), len(n1)))
-    exact = np.empty((len(ms), len(n1)), dtype=bool)
-    step = max(1, _FFZ_BLOCK // max(1, len(n1) * d))
+    def recognized(m1, m2):
+        shift, alpha, beta, ok = _affine_rows(_Rows.monomial(d, a, m1, m2, sigma * m1 * m2), d)
+        return shift[..., 0], alpha, beta[..., 0], ok
+
+    ms, ns = (np.asarray(k, dtype=np.int64).reshape(-1, 2) % two_d for k in (ms, ns))
+    # component j of every m + n is one of sums[j]; place[j][m_j + n_j] is its index there
+    sums = [distinct(np.add.outer(distinct(ms[:, j]), distinct(ns[:, j]))) for j in (0, 1)]
+    place = np.zeros((2, 2 * two_d), dtype=np.int64)
+    for j in (0, 1):
+        place[j, sums[j]] = place[j, sums[j] + two_d] = np.arange(len(sums[j]))
+    s_m, al_m, be_m, ok_m = recognized(ms[:, :1], ms[:, 1:])
+    s_n, al_n, be_n, ok_n = recognized(*ns.T)
+    s_k, al_k, be_k, ok_k = recognized(sums[0][:, None], sums[1])
+    step = max(1, _FFZ_BLOCK // max(1, len(ns)))
     for start in range(0, len(ms), step):
-        # (B, 1) m rows against the (N,) n stack; row exponents are (B, N, d)
-        m1, m2 = ms[start:start + step, :, None].transpose(1, 0, 2)
-        e_m, e = rows(m1[:, 0], m2[:, 0]), rows(m1 + n1, m2 + n2)
-        x = (e_m[:, None] + e_n[n_index, (r + m1[..., None]) % d]) % two_d
-        x_rev = (e_n + e_m[:, shifted]) % two_d
-        w = (m1 * n2 - m2 * n1)[..., None]
-        block = slice(start, start + step)
-        exact[block] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=-1)
-        sine = 2j * np.sin(np.pi * w / d)
-        residual[block] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=-1)
-    return residual, exact
+        rows = slice(start, start + step)
+        (m1, m2), (n1, n2) = ms[rows, :, None].transpose(1, 0, 2), ns.T
+        k = place[0, m1 + n1], place[1, m2 + n2]
+        w = (m1 * n2 - m2 * n1) % two_d
+        base = al_m[rows] + al_n - al_k[k]
+        c, c_rev = (base + be_n * s_m[rows]) % two_d, (base + be_m[rows] * s_n) % two_d
+        ok = ok_m[rows] & ok_n & ok_k[k]
+        regular = ok & ((s_m[rows] + s_n) % d == s_k[k]) & ((be_m[rows] + be_n) % two_d == be_k[k])
+        holds = (regular | ok & (w % d == 0)) & _unit_sums_equal(c, -w, c_rev, w, two_d)
+        residual, fail = np.zeros(holds.shape), ~holds
+        sine = table[w[fail]] - table[-w[fail] % two_d]
+        residual[fail] = np.abs(table[c[fail]] - table[c_rev[fail]] - sine)
+        for i, j in np.argwhere(fail & ~regular):
+            x, y, z = (_Rows.monomial(d, a, *v, sigma * v[0] * v[1])
+                       for v in (ms[start + i], ns[j], ms[start + i] + ns[j]))
+            sine = table[w[i, j]] - table[-w[i, j] % two_d]
+            residual[i, j] = _relation(False, (1, x @ y), (-1, y @ x), (-sine, z))[1]
+        yield rows, holds, residual
 
 
 @lru_cache(maxsize=None)
@@ -421,8 +426,7 @@ def select_ffz_sign_convention() -> int:
     Decides both signs exactly at d = 3, a = 0 over every pair of indices in
     0..2; exactly one of the two candidate signs passes and is returned.
     """
-    grid = [(m1, m2) for m1 in range(3) for m2 in range(3)]
-    winners = [s for s in (+1, -1) if _commutator_residuals(3, 0, s, grid, grid)[1].all()]
+    winners = [s for s in (+1, -1) if ffz_sweep(3, 0, 2, sign_convention=s).passed]
     if len(winners) != 1:
         raise RuntimeError(f"sign selection did not isolate one convention: {winners}")
     return winners[0]
@@ -431,17 +435,17 @@ def select_ffz_sign_convention() -> int:
 def ffz_commutator_residual(
     d: int, a: int, m, n, sign_convention: int | None = None, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
-    """[T_m, T_n] = 2i sin(pi (m^n)/d) T_{m+n}, decided exactly, with its float residual."""
-    m = as_wedge(m)
-    n = as_wedge(n)
+    """[T_m, T_n] = 2i sin(pi (m^n)/d) T_{m+n}, decided on integers; tol is recorded, not read."""
+    check_tolerance(tol)
+    m, n = as_wedge(m), as_wedge(n)
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
-    residuals, exact = _commutator_residuals(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])
-    residual, exact = float(residuals[0, 0]), bool(exact[0, 0])
+    [(_, holds, residual)] = _commutator_blocks(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])
+    exact = bool(holds[0, 0])
     return VerificationReport(
         kind="ffz_commutator",
-        passed=exact and residual < tol,
+        passed=exact,
         tolerance=tol,
-        max_residual=residual,
+        max_residual=float(residual[0, 0]),
         details={
             "d": d,
             "a": a,
@@ -462,28 +466,30 @@ def ffz_sweep(
 
     The swept range includes 0 (so T_(1,0) = V_a and T_(0,1) = Z appear),
     which widens the strictly-positive index set the identity is stated for;
-    the report records the range.  The sweep passes when every pair holds
-    exactly and its float shadow stays below tol.  The failure of the
-    opposite sign at the basic pair (1,0),(0,1) is recorded as a negative
-    control.
+    the report records the range.  It passes when every pair holds, decided
+    on integers (tol is validated and recorded, not read); more than
+    FFZ_MAX_PAIRS pairs, (max_m + 1)**4, raise ValueError.  The failure of
+    the opposite sign at the basic pair (1,0),(0,1) is a negative control.
     """
     check_tolerance(tol)
-    if max_m is None:
-        max_m = 2 * d - 1
+    max_m = 2 * d - 1 if max_m is None else max_m
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
+    if (max_m + 1) ** 4 > FFZ_MAX_PAIRS:
+        raise ValueError(f"max_m = {max_m} sweeps more than FFZ_MAX_PAIRS = {FFZ_MAX_PAIRS} pairs")
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
-    grid = [(m1, m2) for m1 in range(max_m + 1) for m2 in range(max_m + 1)]
-    residuals, exact = _commutator_residuals(d, a, sigma, grid, grid)
-    exact = bool(exact.all())
-    i, j = np.unravel_index(residuals.argmax(), residuals.shape)
-    worst = float(residuals[i, j])
-    worst_pair = (list(grid[i]), list(grid[j])) if worst > 0 else None
+    grid = np.indices((max_m + 1, max_m + 1)).reshape(2, -1).T
+    exact, worst, worst_pair = True, 0.0, None
+    for rows, holds, residual in _commutator_blocks(d, a, sigma, grid, grid):
+        exact &= bool(holds.all())
+        i, j = np.unravel_index(residual.argmax(), residual.shape)
+        if residual[i, j] > worst:
+            worst, worst_pair = float(residual[i, j]), (grid[rows][i].tolist(), grid[j].tolist())
 
     opposite = ffz_commutator_residual(d, a, (1, 0), (0, 1), sign_convention=-sigma, tol=tol)
     return VerificationReport(
         kind="ffz_sweep",
-        passed=exact and worst < tol,
+        passed=exact,
         tolerance=tol,
         max_residual=worst,
         details={

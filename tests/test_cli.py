@@ -569,6 +569,7 @@ class TestSu2Command:
         (["ffz", "--dim", "-3"], "d must be >= 2, got -3"),
         (["ffz", "--dim", "3", "--max-m", "-1"], "max_m must be >= 0, got -1"),
         (["su2", "--two-j", "-1"], "two_j must be >= 1, got -1"),
+        (["ffz", "--dim", "3", "--max-m", "100000"], "more than FFZ_MAX_PAIRS = 33554432 pairs"),
     ],
 )
 def test_empty_sweep_refused(argv, message, capsys):
@@ -589,6 +590,12 @@ class TestFfzCommand:
         assert main(["ffz", "--dim", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 2 and doc["pass"]
+
+    def test_tolerance_not_read(self, capsys):
+        # the verdict is exact, so a tolerance below float rounding still passes
+        assert main(["ffz", "--dim", "7", "--a", "3", "--tol", "1e-15"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] and doc["max_residual"] == 0.0
 
 
 class TestGenCommand:

@@ -195,6 +195,48 @@ class TestPartition:
         assert rep.max_residual == pytest.approx(dense, abs=1e-12)
         assert rep.max_residual > 0.1  # |1 - q| = 2 sin(pi/p)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(PRIME_POWERS_TO_16), st.data())
+    def test_verdict_matches_dense_products(self, pe, data):
+        p, e = pe
+        slots = st.tuples(*[st.integers(0, p - 1)] * e)
+        a_params = data.draw(slots)
+        # part of one commuting class, with or without random labels added
+        members = data.draw(st.sampled_from(partition_commuting_classes(p, e))).members
+        members = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4, unique=True))
+        members += data.draw(st.lists(st.builds(lambda x, z: WeylLabel(p, e, x, z), slots, slots),
+                                      max_size=2))
+        rep = commutation_soundness([CommutingClass(0, tuple(members))], p, e, a_params)
+        ws = [build_w(p, e, lbl, a_params).entries for lbl in members]
+        dense = max((np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2)), default=0.0)
+        assert rep.passed is bool(dense < 1e-9)
+        assert rep.max_residual == pytest.approx(dense, abs=1e-12)
+
+    @pytest.mark.parametrize("plant", ["non_affine_row", "slope_not_multiple"])
+    def test_planted_rows_fail(self, monkeypatch, plant):
+        # every label's rows changed at d = 9, one unit entry per row kept, so that the
+        # shift and slope read from rows 0, 1 and 3 still obey the commutation law:
+        # row 4 = (1, 1) times q, or tau**(2 x.r), a slope that is no multiple of 2d/p = 6
+        from mubkit import composite
+
+        original = composite._label_rows
+
+        def planted(p, a_params, xs, zs):
+            rows = original(p, a_params, xs, zs)
+            if plant == "non_affine_row":
+                rows.exp[..., 4] += 2
+            else:
+                rows.exp[...] += 2 * np.asarray(xs) @ mub._points(p, 2).T
+            rows.exp[...] %= 2 * rows.dim
+            return rows
+
+        classes = partition_commuting_classes(3, 2)
+        monkeypatch.setattr(composite, "_label_rows", planted)
+        assert not commutation_soundness(classes, 3, 2, (0, 0)).passed
+        # and the planted operators do fail to commute
+        ws = [planted(3, (0, 0), lbl.x, lbl.z).dense() for lbl in classes[2].members]
+        assert max(np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2)) > 0.1
+
     def test_non_prime_p_rejected(self):
         with pytest.raises(ValueError):
             partition_commuting_classes(4, 1)

@@ -4,12 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubkit import weyl
-from mubkit.cyclo import CyclotomicSum, _phase_table
+from mubkit.cyclo import CyclotomicSum
 from mubkit.weyl import (
+    FFZ_MAX_PAIRS,
     OperatorMatrix,
     WedgeIndex,
-    _commutator_residuals,
-    _monomial_rows,
+    _affine_rows,
+    _commutator_blocks,
+    _Rows,
     _unit_sums_equal,
     build_t,
     build_v,
@@ -138,10 +140,21 @@ class TestBuildT:
         with pytest.raises(ValueError):
             build_t(3, 0, (-1, 0), +1)
 
+    def test_huge_indices_reduce_mod_2d(self):
+        # (10**10 + 3)**2 overflows int64; the indices enter mod 2d = 14
+        m1 = 10**10 + 3
+        assert exact_equal(build_t(7, 1, (m1, 1), -1), build_t(7, 1, (m1 % 14, 1), -1))
+
 
 def monomial_chain(d, a, m1, m2, sigma):
     """tau**(sigma m1 m2) V_a**m1 Z**m2 from exact operator products."""
     return (build_v(d, a).power(m1) @ build_z(d).power(m2)).scale_phase(sigma * m1 * m2)
+
+
+def residuals(d, a, sigma, ms, ns):
+    """(residual, holds), each (M, N), gathered from _commutator_blocks."""
+    blocks = list(_commutator_blocks(d, a, sigma, ms, ns))
+    return tuple(np.concatenate([block[k] for block in blocks]) for k in (2, 1))
 
 
 def commutator_reference(d, a, sigma, m, n):
@@ -177,12 +190,12 @@ class TestClosedForm:
             st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)), min_size=1, max_size=4
         )
         ms, ns = data.draw(pairs), data.draw(pairs)
-        expected = [[commutator_reference(d, a, sigma, m, n) for n in ns] for m in ms]
-        # entries are O(1), so rounding stays far below 1e-13
-        np.testing.assert_allclose(
-            _commutator_residuals(d, a, sigma, ms, ns)[0], expected, rtol=0, atol=1e-13
-        )
-
+        expected = np.array([[commutator_reference(d, a, sigma, m, n) for n in ns] for m in ms])
+        residual, holds = residuals(d, a, sigma, ms, ns)
+        # a failing pair misses by O(1/d**2); entries are O(1), so rounding stays below 1e-12
+        assert np.array_equal(holds, expected < 1e-9)
+        assert (residual[holds] == 0.0).all()
+        np.testing.assert_allclose(residual[~holds], expected[~holds], rtol=0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(weyl_params(9), st.data())
@@ -194,9 +207,56 @@ class TestClosedForm:
         ms, ns = data.draw(pairs), data.draw(pairs)
         # a failing pair misses by O(1/d**2), far above float rounding
         expected = [[commutator_reference(d, a, sigma, m, n) < 1e-9 for n in ns] for m in ms]
-        assert _commutator_residuals(d, a, sigma, ms, ns)[1].tolist() == expected
+        assert residuals(d, a, sigma, ms, ns)[1].tolist() == expected
         opposite = -select_ffz_sign_convention()
-        assert not _commutator_residuals(d, a, opposite, [(1, 0)], [(0, 1)])[1][0, 0]
+        assert not residuals(d, a, opposite, [(1, 0)], [(0, 1)])[1][0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(weyl_params(13), st.data())
+    def test_monomials_are_recognized(self, params, data):
+        d, a, sigma = params
+        m1, m2 = data.draw(st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)))
+        shift, _, beta, ok = _affine_rows(_Rows.monomial(d, a, m1, m2, sigma * m1 * m2), d)
+        assert ok and shift.tolist() == [m1 % d] and beta.tolist() == [2 * (a * m1 + m2) % (2 * d)]
+
+    def test_odd_slope_refused(self):
+        # tau**r at column r + 1 is affine, but its odd slope wraps at row d - 1
+        d, r = 5, np.arange(5)
+        for slope, ok in ((1, False), (2, True)):
+            rows = _Rows((r + 1) % d, slope * r % (2 * d), np.ones(d, dtype=np.int64))
+            assert bool(_affine_rows(rows, d)[3]) is ok
+
+    @pytest.mark.parametrize("target, plant, affine, expected", [
+        ((1, 0), lambda col, exp, d: (col, exp + 2 * (np.arange(d) == 3)), False,
+         [[False, False], [True, True]]),
+        ((1, 1), lambda col, exp, d: (col, exp + 2 * np.arange(d)), True,
+         [[False, True], [True, True]]),
+        ((1, 1), lambda col, exp, d: ((col + 1) % d, exp), True,
+         [[False, True], [True, True]]),
+    ], ids=["non_affine_row", "wrong_slope", "wrong_shift"])
+    def test_planted_rows_fail(self, monkeypatch, target, plant, affine, expected):
+        # one operator changed at d = 5, one unit entry per row kept: row 3 of T_(1,0)
+        # times q (rows 0 and 1 still read as a monomial), or T_(1,1) affine but off
+        d, a, sigma = 5, 2, select_ffz_sign_convention()
+        original = _Rows.monomial.__func__
+
+        def planted(cls, d, a, m1, m2, phase=0):
+            rows = original(cls, d, a, m1, m2, phase)
+            hit = ((np.asarray(m1) % (2 * d) == target[0])
+                   & (np.asarray(m2) % (2 * d) == target[1]))[..., None]
+            col, exp = plant(rows.col, rows.exp, d)
+            return cls(np.where(hit, col, rows.col), np.where(hit, exp % (2 * d), rows.exp), rows.norm)
+
+        monkeypatch.setattr(_Rows, "monomial", classmethod(planted))
+        assert bool(_affine_rows(_Rows.monomial(d, a, *target, 0), d)[3]) is affine
+        # m = (1, 0) against n = (2, 0) has w = 0: [T_m, T_n] must vanish, and planted it does not
+        ms, ns = [(1, 0), (0, 1)], [(0, 1), (2, 0)]
+        residual, holds = residuals(d, a, sigma, ms, ns)
+        assert holds.tolist() == expected
+        # failing residuals come from the planted rows; build_t reads them too
+        reference = [[commutator_reference(d, a, sigma, m, n) for n in ns] for m in ms]
+        np.testing.assert_allclose(residual, np.where(holds, 0.0, reference), rtol=0, atol=1e-12)
+        assert (residual[~holds] > 0.1).all()
 
 
 @st.composite
@@ -264,6 +324,41 @@ class TestFfz:
         assert rep.details["exact"] is False
         assert rep.max_residual > 0.1
 
+    def test_huge_index_passes_exactly(self):
+        # the wedge 10**10 is 0 mod 5, so [T_m, T_n] = 0; no float sine decides it
+        rep = ffz_commutator_residual(5, 1, (10**10, 1), (0, 1))
+        assert rep.passed and rep.max_residual == 0.0
+        assert (rep.details["m"], rep.details["n"], rep.details["wedge"]) == (
+            [10**10, 1], [0, 1], 10**10)
+
+    @pytest.mark.parametrize("d", range(2, 14))
+    def test_sweep_exact_every_a(self, d):
+        for a in range(d):
+            rep = ffz_sweep(d, a, tol=1e-15)
+            assert rep.passed and rep.max_residual == 0.0 and rep.details["worst_pair"] is None
+            assert rep.details["opposite_sign_fails"]
+
+    def test_opposite_sign_sweep_reports_worst_pair(self):
+        rep = ffz_sweep(3, 0, max_m=2, sign_convention=+1)
+        assert not rep.passed and rep.details["exact"] is False
+        residual, holds = residuals(3, 0, +1, *[[(i, j) for i in range(3) for j in range(3)]] * 2)
+        assert rep.max_residual == residual.max() > 0.1
+        m, n = rep.details["worst_pair"]
+        assert residual[3 * m[0] + m[1], 3 * n[0] + n[1]] == rep.max_residual
+
+    def test_oversized_sweep_refused_before_anything_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the refused sweep was built")
+
+        monkeypatch.setattr(weyl, "_commutator_blocks", unreachable)
+        monkeypatch.setattr(weyl.np, "indices", unreachable)
+        with pytest.raises(ValueError, match="FFZ_MAX_PAIRS"):
+            ffz_sweep(3, 0, max_m=10**5)
+        largest = int(FFZ_MAX_PAIRS ** 0.25) - 1
+        assert (largest + 1) ** 4 <= FFZ_MAX_PAIRS < (largest + 2) ** 4
+        with pytest.raises(ValueError, match="FFZ_MAX_PAIRS"):
+            ffz_sweep(3, 0, max_m=largest + 1)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_sweep(self, d):
         for a in range(d):
@@ -279,37 +374,8 @@ class TestFfz:
         assert rep.details["includes_zero_indices"]
 
 
-def per_m_residuals(d, a, sigma, ms, ns):
-    """_commutator_residuals with one m row against the n stack at a time, the same formulas."""
-    ms = np.asarray(ms, dtype=np.int64).reshape(-1, 2)
-    n1, n2 = np.asarray(ns, dtype=np.int64).reshape(-1, 2).T
-    two_d, r = 2 * d, np.arange(d)
-    table = _phase_table(two_d)
-
-    def rows(m1, m2):
-        return _monomial_rows(d, a, m1, m2, sigma * m1 * m2)
-
-    e_n = rows(n1, n2)
-    residual = np.empty((len(ms), len(n1)))
-    exact = np.empty((len(ms), len(n1)), dtype=bool)
-    for i, (m1, m2) in enumerate(ms):
-        e_m, e = rows(m1, m2), rows(m1 + n1, m2 + n2)
-        x = (e_m + e_n[:, (r + m1) % d]) % two_d
-        x_rev = (e_n + e_m[(r + n1[:, None]) % d]) % two_d
-        w = (m1 * n2 - m2 * n1)[:, None]
-        exact[i] = _unit_sums_equal(x, e - w, x_rev, e + w, two_d).all(axis=1)
-        sine = 2j * np.sin(np.pi * w / d)
-        residual[i] = np.abs(table[x] - table[x_rev] - sine * table[e]).max(axis=1)
-    return residual, exact
-
-
-def assert_bitwise_equal(got, expected):
-    assert got[0].tobytes() == expected[0].tobytes()
-    assert np.array_equal(got[1], expected[1])
-
-
 class TestBlockedSweep:
-    """The blocked kernel against one m row at a time: residuals equal to the bit."""
+    """The blocked kernel against one m row per block: every pair once, the same verdicts."""
 
     @settings(max_examples=60, deadline=None)
     @given(weyl_params(11), st.data())
@@ -319,31 +385,43 @@ class TestBlockedSweep:
             st.tuples(st.integers(0, 3 * d), st.integers(0, 3 * d)), min_size=1, max_size=30
         )
         ms, ns = data.draw(pairs), data.draw(pairs)
-        # from one m row per block (block < N d) to every m row in one block
-        block = data.draw(st.integers(1, 2 * len(ms) * len(ns) * d))
+        # from one m row per block (block < N) to every m row in one block
+        block = data.draw(st.integers(1, 2 * len(ms) * len(ns)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weyl, "_FFZ_BLOCK", block)
-            got = _commutator_residuals(d, a, sigma, ms, ns)
-        assert_bitwise_equal(got, per_m_residuals(d, a, sigma, ms, ns))
+            got = residuals(d, a, sigma, ms, ns)
+            mp.setattr(weyl, "_FFZ_BLOCK", 1)
+            assert_equal(got, residuals(d, a, sigma, ms, ns))
 
     @pytest.mark.parametrize("rows_per_block", [1, 7, 64, 99, 100])
     def test_full_sweep_grid(self, monkeypatch, rows_per_block):
         # the d = 5 sweep grid has 100 m rows, and 100 is no multiple of 7, 64 or 99
         d, grid = 5, [(m1, m2) for m1 in range(10) for m2 in range(10)]
-        monkeypatch.setattr(weyl, "_FFZ_BLOCK", rows_per_block * len(grid) * d)
+        sigma = select_ffz_sign_convention()
         for a in range(d):
-            sigma = select_ffz_sign_convention()
-            got = _commutator_residuals(d, a, sigma, grid, grid)
-            assert_bitwise_equal(got, per_m_residuals(d, a, sigma, grid, grid))
+            monkeypatch.setattr(weyl, "_FFZ_BLOCK", rows_per_block * len(grid))
+            blocks = list(_commutator_blocks(d, a, sigma, grid, grid))
+            assert [len(holds) for _, holds, _ in blocks[:-1]] == [rows_per_block] * (len(blocks) - 1)
+            got = residuals(d, a, sigma, grid, grid)
+            monkeypatch.setattr(weyl, "_FFZ_BLOCK", 1)
+            assert_equal(got, residuals(d, a, sigma, grid, grid))
             assert got[1].all()
 
     def test_default_block_at_d11(self):
-        # one m row of the d = 11 sweep (484 x 11 elements) fills a default block
+        # the d = 11 sweep meets 484 n at once, so a default block holds 16 m rows
         d, grid = 11, [(m1, m2) for m1 in range(22) for m2 in range(22)]
-        assert len(grid) * d <= weyl._FFZ_BLOCK < 2 * len(grid) * d
+        assert weyl._FFZ_BLOCK // len(grid) == 16
         ms = grid[::37]
-        got = _commutator_residuals(d, 4, -1, ms, grid)
-        assert_bitwise_equal(got, per_m_residuals(d, 4, -1, ms, grid))
+        blocks = list(_commutator_blocks(d, 4, +1, ms, grid))
+        assert [holds.shape for _, holds, _ in blocks] == [(14, len(grid))]
+        residual, holds = residuals(d, 4, +1, ms, grid)
+        expected = [[commutator_reference(d, 4, +1, m, n) for n in grid[::53]] for m in ms]
+        np.testing.assert_allclose(residual[:, ::53], expected, rtol=0, atol=1e-12)
+
+
+def assert_equal(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
 
 
 class TestOperatorMatrix:
