@@ -27,8 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _frozen, _phase_table, check_tolerance, is_prime
-from .mub import MAX_DIM, MubBasis, MubSet, _points, verify_set
+from .cyclo import (DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, check_tolerance,
+                    is_prime)
+from .mub import MAX_DIM, MubBasis, MubSet, verify_set
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
 
@@ -104,17 +105,17 @@ def _check_params(p: int, e: int, a_params) -> tuple:
 def _label_rows(p: int, a_params, xs, zs) -> _Rows:
     """Rows of the labelled operators, x and z stacked (..., e): the tensor product in closed form.
 
-    Row R, with base-p digits r_i (slot 0 most significant), holds its entry
-    at the column with digits (r_i + x_i) mod p.  Its tau exponent mod 2d is
-    the sum over slots of d/p times the slot's exponent mod 2p at row r_i,
-    since tau_p = tau_d**(d/p).
+    Row r, a point of F_p^e in cyclo._points order, holds its entry at the
+    column r + x, digitwise mod p.  Its tau exponent mod 2d is the sum over
+    factors i of d/p times factor i's exponent mod 2p at its row r_i, since
+    tau_p = tau_d**(d/p).
     """
     xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
     e = xs.shape[-1]
     d, digits = p**e, _points(p, e)
     slots = _monomial_rows(p, np.asarray(a_params), xs, zs, 0)
     exp = (d // p) * slots[..., np.arange(e), digits].sum(axis=-1) % (2 * d)
-    col = (digits + xs[..., None, :]) % p @ p ** np.arange(e - 1, -1, -1)
+    col = (digits + xs[..., None, :]) % p @ _unit_slots(p, e)
     return _Rows(col, exp, np.ones_like(exp))
 
 
@@ -242,7 +243,7 @@ def _class_form(cid: int, members: np.ndarray, p: int, e: int) -> np.ndarray | N
     if symplectic.any():
         i, j = np.argwhere(symplectic)[0]
         raise ValueError(f"class {cid}: members {i} and {j} fail to commute")
-    weights = p ** np.arange(e - 1, -1, -1)
+    weights = _unit_slots(p, e)
     if not xs.any() and sorted(zs @ weights) == list(range(1, d)):
         return None
     index = xs @ weights
@@ -262,9 +263,9 @@ def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) ->
     """tau exponents (G, d, d) of the joint eigenbases of G graph classes with forms (G, e, e).
 
     With R = S + diag(a_params) mod p, vector n, for b the n-th point of
-    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at index j (slot 0 most
-    significant): the 1/2 is the inverse of 2 mod p for odd p, and for p = 2
-    the quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at point j (cyclo._points
+    order): the 1/2 is the inverse of 2 mod p for odd p, and for p = 2 the
+    quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
     """
     d = p**e
     points = _points(p, e)
@@ -280,9 +281,9 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     Both kinds are exact.  The all-clock class gives the computational
     basis.  A graph class {(x, Sx)} gives the stabilizer states with R = S +
     diag(a_params) mod p: vector n, for b the n-th point of F_p^e, has
-    component omega**(-1/2 j.Rj + b.j) / sqrt(d) at index j (slot 0 most
-    significant).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2
-    the quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    component omega**(-1/2 j.Rj + b.j) / sqrt(d) at point j (cyclo._points
+    order).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2 the
+    quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
     The basis holds the members as class_labels (m, 2, e), rows x and z.
     """
     a_params = _check_params(p, e, a_params)
@@ -350,7 +351,7 @@ def commutation_soundness(
         labels = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
         xs, zs = labels[:, 0], labels[:, 1]
         form_ok &= not ((xs @ zs.T - zs @ xs.T) % p).any()
-        shift, _, beta, ok = _affine_rows(_label_rows(p, a_params, xs, zs), p)
+        shift, _, beta, ok = _affine_rows(_label_rows(p, a_params, xs, zs), p, e)
         cross = beta @ shift.T
         phases = (cross.T - cross) % len(table)
         commute &= bool(ok.all()) and not phases.any()

@@ -45,20 +45,39 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
+def _prime_power(d: int) -> tuple[int, int] | None:
+    """(p, e) with d = p**e and p prime, by trial division; None if d is no prime power."""
+    if d < 2:
+        return None
+    p = 2
+    while d % p and p * p < d:
+        p += 1
+    if d % p:
+        p = d
+    e = 1
+    while p**e < d:
+        e += 1
+    return (p, e) if p**e == d else None
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime: its own least divisor above 1."""
+    return _prime_power(n) == (n, 1)
+
+
+@lru_cache(maxsize=None)
+def _points(b: int, e: int) -> np.ndarray:
+    """All of Z_b**e, (b**e, e), read-only: the package's one digit order of Z_b**e.
+
+    Slot s holds the point whose base-b digits, slot 0 most significant, spell s.
+    """
+    return _frozen(np.indices((b,) * e).reshape(e, -1).T, np.int64)
+
+
+@lru_cache(maxsize=None)
+def _unit_slots(b: int, e: int) -> np.ndarray:
+    """The slots b**(e-1-k) of the unit vectors e_k of Z_b**e (see _points), (e,), read-only."""
+    return _frozen(b ** np.arange(e - 1, -1, -1), np.int64)
 
 
 @lru_cache(maxsize=None)

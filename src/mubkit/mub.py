@@ -6,9 +6,11 @@ carries the tau exponent t(d-t)a + 2tn with t = d-1-s (storage keeps the
 highest-weight component first).  The computational basis plus the d
 eigenbases form a complete set of d+1 mutually unbiased bases exactly when
 d is prime.  The verifier decides the defining overlap condition of exact
-bases on integers where the paper's Gauss-sum rule applies (monomial and
-quadratic-phase bases), by the cyclotomic norm certificate for other exact
-bases, and numerically for float ones.
+bases on integers where the paper's Gauss-sum rule applies: monomial bases,
+and quadratic-phase bases, recognized by one form over Z_b**e with d = b**e
+(b = d, or b = p at d = p**e; cyclo owns the digit order of Z_b**e).  It
+uses the cyclotomic norm certificate for other exact bases, and floats for
+float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
@@ -29,9 +31,12 @@ from .cyclo import (
     PhaseExponent,
     _frozen,
     _phase_table,
+    _points,
+    _unit_slots,
     check_tolerance,
     conjugate_phases,
     is_prime,
+    _prime_power,
 )
 from .report import VerificationReport
 
@@ -463,92 +468,62 @@ def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
     return residual, deviation
 
 
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """Whether the entries of each row of rows (k, d) are pairwise distinct, (k,)."""
-    ordered = np.sort(rows, axis=1)
-    return (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-
-
 @lru_cache(maxsize=None)
-def _points(p: int, e: int) -> np.ndarray:
-    """All of F_p^e in lexicographic order (slot 0 most significant), (p**e, e), read-only."""
-    return _frozen(np.indices((p,) * e).reshape(e, -1).T, np.int64)
+def _form_layout(d: int, b: int, e: int) -> tuple:
+    """What _form_keys reads over Z_b**e, d = b**e, points in cyclo._points order.
 
-
-@lru_cache(maxsize=None)
-def _field_layout(d: int) -> tuple | None:
-    """What _field_keys needs at d = p**e with e >= 2, else None.
-
-    That is p; mod, the modulus of the row values v (p, or 4 for p = 2);
-    lin, the factor of their linear term (1, or 2 for p = 2); half, the
-    inverse of 2 mod p (1 for p = 2); u = 2d/mod, the exponent of one unit
-    of v; the points (d, e); steps (e, d), the exponent u lin j_k of a unit
-    of the linear term's coordinate k at point j; the slots of the unit
-    vectors e_k (e,) and of e_i + e_k (e, e); and the weights mod**k (e,)
-    that key a row's values at the unit slots.  Slot s holds the point of
-    F_p^e whose base-p digits, slot 0 most significant, spell s.
+    That is b; u = d/b, the exponent of one unit of w; the points (d, e) and
+    u times them; squares (e * e, d), with A.ravel() @ squares = u (j.Aj -
+    diag(A).j) at point j; reads (e + d, 1 + e), the flat indices of row 0's
+    slot 0 and slots e_i + e_k (digitwise mod b), then of each row's slot 0
+    and slots e_k; the slots of the e_k (e,); weights (e,), the slots of the
+    unit vectors of Z_2b**e, which code its points; and the sorted codes of
+    2 Z_b**e (d,).
     """
-    p = next(q for q in range(2, d + 1) if d % q == 0)
-    e = round(math.log(d, p))
-    if e < 2 or p**e != d:
-        return None
-    mod = 4 if p == 2 else p
-    points = _points(p, e)
-    units = p ** np.arange(e - 1, -1, -1)
+    points, units = _points(b, e), _unit_slots(b, e)
     eye = np.eye(e, dtype=np.int64)
-    pairs = (eye[:, None] + eye[None]) % p @ units
-    lin, u = mod // p, 2 * d // mod
-    return p, mod, lin, (p + 1) // 2, u, points, u * lin * points.T, units, pairs, mod ** np.arange(e)
+    u = d // b
+    squares = u * (points[:, :, None] * points[:, None] - eye * points[:, :, None])
+    rows = np.concatenate([np.zeros(e, np.int64), np.arange(d)])[:, None]
+    slots = np.concatenate([(eye[:, None] + eye[None]) % b @ units, np.tile(units, (d, 1))])
+    reads = rows * d + np.pad(slots, ((0, 0), (1, 0)))
+    weights = _unit_slots(2 * b, e)
+    arrays = (points, u * points, squares.reshape(d, -1).T, reads, units, weights,
+              np.sort(2 * points @ weights))
+    return (b, u, *(_frozen(a, np.int64) for a in arrays))
 
 
-def _cyclic_keys(f: np.ndarray) -> tuple:
-    """Which of k flat bases are cyclic quadratic, and their radical keys (k, d).
+def _form_keys(exps: np.ndarray, b, u, points, upoints, squares, reads, units, weights, evens):
+    """Which of m flat bases are quadratic over Z_b**e, and their radical keys (m, d).
 
-    f (k, d, d) holds each basis's exponents less its rows' slot-0 exponents,
-    mod 2d.  A basis is cyclic if row n is c s**2 + l_n s mod 2d at every
-    slot s, with c d + l_n even, so that the row is a function on Z_d, and
-    the l_n pairwise distinct, which is the basis's orthonormality.  c is
-    read off slots 1 and 2 of row 0 (2c = f(2) - 2f(1) mod 2d, so c mod d,
-    which is all that matters), at d = 2 off the parity alone, and l_n off
-    slot 1; they must reproduce every entry.  Key h is c h mod d: two cyclic
-    bases agree at key h iff h lies in the radical of (c_a - c_b) h mod d.
+    exps (m, d, d) holds the bases' exponents, and the rest is _form_layout.
+    Let f be each basis's exponents less its rows' slot-0 exponents, mod 2d.
+    A basis is quadratic if every entry of f is u w, with w_n(j) = j.Aj +
+    l_n.j mod 2b at the point j of row n's slot, for a symmetric A, b A_kk +
+    l_nk even, so that w_n is a function on Z_b**e, and the l_n pairwise
+    distinct, which is the basis's orthonormality: the l_n - b diag(A) mod
+    2b run over 2 Z_b**e once each.  A is read off row 0 as 2 A_ik =
+    w_0(e_i + e_k) - w_0(e_i) - w_0(e_k) mod 2b, so A mod b, which is all
+    that matters, and l_nk = w_n(e_k) - A_kk; they must reproduce every
+    entry.  Key h is the slot of A h mod b: two quadratic bases over one
+    Z_b**e agree at key h iff h lies in the radical of A_a - A_b.
     """
-    d = f.shape[1]
-    s = np.arange(d)
-    c = (f[:, 0, 2] - 2 * f[:, 0, 1]) % (2 * d) // 2 if d > 2 else f[:, 0, 1] % 2
-    lin = (f[:, :, 1] - c[:, None]) % (2 * d)
-    ok = ((c[:, None] * d + lin) % 2 == 0).all(axis=1) & _distinct(lin)
-    ok &= ((c[:, None, None] * s * s + lin[:, :, None] * s) % (2 * d) == f).all(axis=(1, 2))
-    return ok, c[:, None] * s % d
-
-
-def _field_keys(f: np.ndarray, p, mod, lin, half, u, points, steps, units, pairs, weights):
-    """Which of k flat bases at d = p**e are field quadratic, and their radical keys (k, d).
-
-    f is as in _cyclic_keys and the rest is _field_layout(d).  A basis is of
-    the field kind if every entry of f is u times v, u = 2d/p for odd p and
-    d/2 for p = 2, and row n is v(j) = Q(j) + (l_n . j) mod p at point j,
-    with Q(j) = j.Aj / 2 for a symmetric A over F_p, or, for p = 2,
-    v(j) = j.Aj + 2 (l_n . j) mod 4 with the diagonal of A in Z_4 (j_k**2 =
-    j_k).  A is read off row 0 at the pair slots e_i + e_k (and 2e_k, the
-    diagonal, for odd p) less the unit slots, the diagonal at the unit slots
-    for p = 2; l_n off the unit slots; they must reproduce every entry, and
-    the l_n must be pairwise distinct.  Key h is the slot of A h mod p: two
-    field bases agree at key h iff h lies in the radical of A_a - A_b.
-    """
-    at_units = f[:, :, units] // u
-    first = at_units[:, 0]
-    form = (f[:, 0, pairs] // u - first[:, :, None] - first[:, None, :]) % mod // lin
-    if p == 2:
-        # the diagonal, as a strided view of each form
-        form.reshape(len(f), -1)[:, :: len(units) + 1] = first
-    images = points @ form
-    quad = half * (images * points).sum(axis=2)
-    # a row that is not row 0 plus lin times a linear term fails below: // drops its remainder
-    linear = (at_units - quad[:, None, units]) // lin
-    # every prediction is a multiple of u, so an entry of f that is not fails too
-    ok = ((u * quad[:, None] + linear @ steps) % (u * mod) == f).all(axis=(1, 2))
-    return ok & _distinct(at_units @ weights), images % p @ units
+    m, e, two_d = len(exps), len(units), 2 * u * b
+    raw = exps.reshape(m, -1)[:, reads]
+    w = (raw[..., 1:] - raw[..., :1]) % two_d // u
+    at_units, first = w[:, e:], w[:, e]
+    # an odd 2 A_ik is floored here and fails below at slot e_i + e_k
+    form = (w[:, :e] - first[:, :, None] - first[:, None]) % (2 * b) // 2
+    # every prediction is a multiple of u past its row's slot 0, so an entry of f that is not fails
+    predicted = at_units @ upoints.T
+    predicted += (form.reshape(m, -1) @ squares)[:, None]
+    predicted += raw[:, e:, :1]
+    # the remainder by floor division, which numpy vectorizes and int64 % it does not
+    predicted -= predicted // two_d * two_d
+    ok = (predicted == exps).all(axis=(1, 2))
+    diagonal = form.reshape(m, 1, -1)[..., :: e + 1]
+    ok &= (np.sort((at_units - (b + 1) * diagonal) % (2 * b) @ weights) == evens).all(axis=1)
+    return ok, points @ form % b @ units
 
 
 #: Integer rules by basis code (see _basis_codes): 0 takes the certificate,
@@ -567,17 +542,17 @@ _CROSS_RULE = np.array([[0, 0, 0, 0, 0, 0],
 
 @lru_cache(maxsize=None)
 def _recognizers(d: int) -> tuple:
-    """(code, recognizer) of each quadratic kind tried at d, in order.
+    """(code, _form_layout) of each quadratic kind tried at d, in order.
 
-    The field kind (code 5) is tried at d = p**e with e >= 2, first, since
-    the composite sets there are of that kind; the cyclic kind (code 4) at
-    every d >= 2.
+    The field kind (code 5), over Z_p**e, is tried at d = p**e with e >= 2,
+    first, since the composite sets there are of that kind; the cyclic kind
+    (code 4), over Z_d, at every d >= 2.
     """
     if d < 2:
         return ()
-    layout = _field_layout(d)
-    field = () if layout is None else ((5, lambda f: _field_keys(f, *layout)),)
-    return (*field, (4, _cyclic_keys))
+    split = _prime_power(d)
+    field = () if split is None or split[1] < 2 else ((5, _form_layout(d, *split)),)
+    return (*field, (4, _form_layout(d, d, 1)))
 
 
 def _basis_codes(exps: np.ndarray, scales: np.ndarray) -> tuple:
@@ -586,31 +561,30 @@ def _basis_codes(exps: np.ndarray, scales: np.ndarray) -> tuple:
     Codes: 1 a monomial basis (every row of scale 0 with one exponent >= 0)
     whose rows use distinct slots, 2 one whose rows share a slot, 3 a flat
     basis (every exponent >= 0, every scale 1), 4 a cyclic and 5 a field
-    quadratic basis (flat, see _cyclic_keys and _field_keys), 0 any other.
+    quadratic basis (flat, and of one form over Z_d or over Z_p**e at d =
+    p**e, see _form_keys and _recognizers), 0 any other.
     """
     m, d = exps.shape[:2]
     support = exps >= 0
     # each row's support size and scale in one number: 1 for a monomial row, 2d + 1 a flat one
     row_codes = support.sum(axis=2) + (d + 1) * scales
-    low, high = row_codes.min(axis=1), row_codes.max(axis=1)
-    code = np.zeros(m, np.intp)
+    monomial = (row_codes == 1).all(axis=1)
+    flat = (row_codes == 2 * d + 1).all(axis=1)
+    code = 3 * flat
+    # d rows of one slot each use distinct slots iff they use every slot
+    code[monomial] = 2 - support[monomial].any(axis=1).all(axis=1)
     keys = np.zeros((m, d), np.min_scalar_type(d))
-    monomial = ((low == 1) & (high == 1)).nonzero()[0]
-    if monomial.size:
-        code[monomial] = 2 - (support[monomial].sum(axis=1) == 1).all(axis=1)
-    rows = ((low == 2 * d + 1) & (high == 2 * d + 1)).nonzero()[0]
-    code[rows] = 3
-    f = exps[rows]
-    f = (f - f[:, :, :1]) % (2 * d)
-    for kind, recognize in _recognizers(d):
+    rows = flat.nonzero()[0]
+    flats = exps[rows]
+    for kind, layout in _recognizers(d):
         if not rows.size:
             break
-        ok, found = recognize(f)
+        ok, found = _form_keys(flats, *layout)
         if ok.all():
             code[rows], keys[rows] = kind, found
             break
         code[rows[ok]], keys[rows[ok]] = kind, found[ok]
-        rows, f = rows[~ok], f[~ok]
+        rows, flats = rows[~ok], flats[~ok]
     return code, keys
 
 
@@ -755,9 +729,10 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     the computational basis), which passes iff no two rows share a slot; a
     monomial basis of scale 0 against a flat basis of scale 1, which is
     unbiased by inspection; and the pairs of quadratic-phase bases of one
-    kind (cyclic, or over F_p^e at d = p**e), recognized on integers, which
-    pass iff the radical of the difference of their forms is 0, the paper's
-    Gauss-sum rule: gcd(c_a - c_b, d) = 1 for the cyclic kind, det(A_a -
+    kind, recognized on integers by one form over Z_b**e (see _form_keys:
+    b = d is the cyclic kind, b = p at d = p**e the field kind), which pass
+    iff the radical of the difference of their forms is 0, the paper's
+    Gauss-sum rule: gcd(A_a - A_b, d) = 1 for the cyclic kind, det(A_a -
     A_b) != 0 mod p for the field kind.  Every set mubkit builds is decided
     there.  Every other exact pair passes iff every Galois conjugate of its
     scaled overlaps meets its target within 1/2 (see

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .cyclo import is_prime
+from .cyclo import _prime_power
 
 if TYPE_CHECKING:
     from .mub import MubSet
@@ -191,21 +191,20 @@ def mubset_to_doc(mub_set: "MubSet", exact: bool) -> dict:
 
 
 def _parse_label(text: str) -> int | str:
-    return int(text) if text.isdigit() else text
-
-
-def _prime_power(d: int) -> tuple[int, int]:
-    """(p, e) with d = p**e; ValueError if d is not a prime power."""
-    for p in filter(is_prime, range(2, d + 1)):
-        e = round(math.log(d, p))
-        if p**e == d:
-            return p, e
-    raise ValueError(f"class_labels need a prime-power dim, got {d}")
+    """The int text spells in canonical decimal, else text: str() of the label gives text back."""
+    try:
+        label = int(text)
+    except ValueError:
+        return text
+    return label if str(label) == text else text
 
 
 def _parse_class_labels(label_docs, d: int, where: str) -> np.ndarray:
     """The members (m, 2, e) of a class_labels list, rows x and z."""
-    p, e = _prime_power(d)
+    split = _prime_power(d)
+    if split is None:
+        raise ValueError(f"class_labels need a prime-power dim, got {d}")
+    p, e = split
     if not isinstance(label_docs, list):
         raise ValueError(f"{where}: class_labels must be a list")
     for lbl in label_docs:

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, CyclotomicSum, _frozen, _phase_table, check_tolerance
+from .cyclo import (DEFAULT_TOL, CyclotomicSum, _frozen, _phase_table, _points, _unit_slots,
+                    check_tolerance)
 from .report import VerificationReport
 
 
@@ -262,18 +263,18 @@ def _equality(lhs: _Rows, rhs: _Rows, scale: int = 1) -> tuple[bool, float]:
     return _relation(lhs.same(rhs), (1, lhs), (-1, rhs), scale=scale)
 
 
-def _affine_rows(rows: _Rows, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(shift, alpha, beta, ok) of stacked operators with rows r in Z_b**e (d = b**e, slot 0 first).
+def _affine_rows(rows: _Rows, b: int, e: int = 1) -> tuple:
+    """(shift, alpha, beta, ok) of stacked operators with rows r in Z_b**e, d = b**e.
 
-    ok holds where every row r is tau**(alpha + beta.r) at column r + shift
+    Rows and columns are the points of Z_b**e in cyclo._points order.  ok
+    holds where every row r is tau**(alpha + beta.r) at column r + shift
     (digitwise mod b) and every beta_i is a multiple of 2d/b, as for T_m
-    (b = d) and the labels of composite (b = p).  Then X Y has shift s_X +
-    s_Y, slope beta_X + beta_Y and phase alpha_X + alpha_Y + beta_Y.s_X (mod
-    2d): b beta_Y = 0 mod 2d drops the digit wrap of r + s_X.
+    (b = d, e = 1) and the labels of composite (b = p).  Then X Y has shift
+    s_X + s_Y, slope beta_X + beta_Y and phase alpha_X + alpha_Y + beta_Y.s_X
+    (mod 2d): b beta_Y = 0 mod 2d drops the digit wrap of r + s_X.
     """
-    d, two_d = rows.dim, 2 * rows.dim
-    weights = b ** np.arange(round(np.log(d) / np.log(b)) - 1, -1, -1)
-    digits = np.arange(d)[:, None] // weights % b
+    two_d = 2 * rows.dim
+    digits, weights = _points(b, e), _unit_slots(b, e)
     shift, alpha = digits[rows.col[..., 0]], rows.exp[..., 0]
     beta = (rows.exp[..., weights] - alpha[..., None]) % two_d
     ok = ((rows.col == (digits + shift[..., None, :]) % b @ weights)

@@ -336,6 +336,22 @@ class TestVerifyCommand:
         rc = main(["verify", "--set", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("label", ["²", "٣"])
+    def test_non_ascii_digit_labels_stay_strings(self, label, tmp_path, capsys):
+        # int() refuses "²" and reads "٣" as 3, basis 3's label: neither is an int label
+        def edit(doc):
+            doc["bases"][0]["label"] = label
+            assert [b.label for b in mubset_from_doc(doc).bases] == [label, 0, 1, 2, 3, 4]
+
+        assert self._verify_edited(tmp_path, edit, ("set", "--dim", "5", "--exact")) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["pass"] is True
+
+    def test_labels_round_trip(self):
+        for text in ["0", "12", "-3", "07", "-0", "+1", " 1", "1_0", "²", "٣", "s", "class:0"]:
+            label = serialize._parse_label(text)
+            assert str(label) == text
+            assert isinstance(label, int) is (text in ("0", "12", "-3"))
+
     @staticmethod
     def _verify_edited(tmp_path, edit, argv=("set", "--dim", "3", "--exact")):
         """Verify a set file (by default exact, d = 3) after edit(doc) has tampered with it."""

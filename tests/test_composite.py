@@ -20,6 +20,7 @@ from mubkit.composite import (
     partition_commuting_classes,
 )
 from mubkit import mub
+from mubkit.cyclo import _points
 from mubkit.mub import MubBasis, MubSet, build_basis, build_complete_set, overlap_matrix, verify_set
 from mubkit.weyl import OperatorMatrix, build_v, build_z
 
@@ -226,7 +227,7 @@ class TestPartition:
             if plant == "non_affine_row":
                 rows.exp[..., 4] += 2
             else:
-                rows.exp[...] += 2 * np.asarray(xs) @ mub._points(p, 2).T
+                rows.exp[...] += 2 * np.asarray(xs) @ _points(p, 2).T
             rows.exp[...] %= 2 * rows.dim
             return rows
 

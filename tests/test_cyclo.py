@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import canonicalize_coeffs
-from mubkit.cyclo import CyclotomicSum, PhaseExponent, is_prime
+from mubkit.cyclo import CyclotomicSum, PhaseExponent, _prime_power, is_prime
 
 
 def direct_eval(raw, d):
@@ -25,6 +25,12 @@ class TestIsPrime:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
         for n in range(25):
             assert is_prime(n) == (n in primes)
+
+    def test_prime_power_split(self):
+        primes = [p for p in range(2, 600) if all(p % k for k in range(2, p))]
+        powers = {p**e: (p, e) for p in primes for e in range(1, 10)}
+        for d in range(-3, 600):
+            assert _prime_power(d) == powers.get(d)
 
 
 class TestPhaseExponent:

@@ -915,7 +915,7 @@ def field_bases(draw, p, e, label):
     included), or j.Aj mod 4 with a diagonal in Z_4 for p = 2, where u =
     d/2 and lin = 2; u = 2d/p and lin = 1 for odd p.  The l_n run over
     F_p^e in random order with random phases; an invalid basis repeats one
-    or has one exponent moved.
+    or has one exponent moved.  e = 1 is the prime field, d = p.
     """
     d = p**e
     mod = 4 if p == 2 else p
@@ -936,9 +936,34 @@ def field_bases(draw, p, e, label):
 
 
 @st.composite
+def form_bases(draw):
+    """(b, e, A, exps): a quadratic basis over Z_b**e, rows u (j.Aj + l_n.j) + k_n mod 2d.
+
+    d = b**e and u = d/b; b = d (e = 1) at a d with no field kind, or b = p
+    at d = p**e with e >= 2.  A is symmetric over Z_2b, the l_n are b
+    diag(A) mod 2 plus twice the points of Z_b**e in random order, and the
+    phases k_n are random.
+    """
+    b, e = draw(st.sampled_from([(d, 1) for d in (2, 3, 5, 6, 7, 10, 11, 12, 13)]
+                                + [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]))
+    d, u = b**e, b ** (e - 1)
+    entries = draw(st.lists(st.integers(0, 2 * b - 1), min_size=e * e, max_size=e * e))
+    upper = np.triu(np.reshape(entries, (e, e)))
+    form = upper + np.triu(upper, 1).T
+    points = np.array(list(itertools.product(range(b), repeat=e)))
+    linear = b * np.diag(form) % 2 + 2 * points[draw(st.permutations(range(d)))]
+    quad = (points @ form * points).sum(axis=1)
+    phases = draw(st.lists(st.integers(0, 2 * d - 1), min_size=d, max_size=d))
+    return b, e, form, (u * (quad + linear @ points.T) + np.array(phases)[:, None]) % (2 * d)
+
+
+@st.composite
 def quadratic_pairs(draw):
-    """Two bases of one quadratic kind, or one of each kind at a prime power d."""
-    powers = ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
+    """Two bases of one quadratic kind, or one of each kind at a prime power d.
+
+    Field bases over F_p (e = 1) are of the cyclic kind.
+    """
+    powers = ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2))
     kind, d, p, e = draw(st.sampled_from([("cyclic", d, d, 1) for d in range(2, 13)]
                                          + [("field", p**e, p, e) for p, e in powers]))
 
@@ -946,7 +971,7 @@ def quadratic_pairs(draw):
         return draw(cyclic_bases(d, label) if kind == "cyclic" else field_bases(p, e, label))
 
     other = draw(st.sampled_from([kind, "cyclic"]))
-    return basis("a", kind), basis("b", other), kind == other
+    return basis("a", kind), basis("b", other), kind == other or e == 1
 
 
 class TestQuadraticPairs:
@@ -968,6 +993,26 @@ class TestQuadraticPairs:
                 assert counts(rep) == (0, 0, 1)
                 if rep.passed:
                     assert rep.max_residual == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11]).flatmap(lambda p: field_bases(p, 1, "a")))
+    def test_prime_field_bases_are_cyclic(self, case):
+        # the cyclic kind is the one form over Z_b**e at e = 1
+        basis, valid = case
+        code, _ = mub._basis_codes(basis.exponents[None], basis.scales[None])
+        if valid:
+            assert code[0] == 4
+            assert counts(verify_unbiased(basis, basis)) == (0, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(form_bases())
+    def test_keys_are_the_slots_of_the_form_images(self, case):
+        b, e, form, exps = case
+        code, keys = mub._basis_codes(exps[None], np.ones((1, b**e), np.int64))
+        points = itertools.product(range(b), repeat=e)
+        slots = [sum(int(v) * b ** (e - 1 - k) for k, v in enumerate(form @ h % b)) for h in points]
+        assert code[0] == (4 if e == 1 else 5)
+        assert keys[0].tolist() == slots
 
     @pytest.mark.parametrize("d", [4, 8, 9, 16, 25, 27])
     def test_dropped_duplicated_and_perturbed_bases(self, d):
