@@ -29,7 +29,7 @@ import numpy as np
 
 from .cyclo import (DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, check_tolerance,
                     is_prime)
-from .mub import MAX_DIM, MubBasis, MubSet, verify_set
+from .mub import MAX_DIM, MubBasis, MubSet, _pair_table, _pair_verdicts
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
 
@@ -259,20 +259,31 @@ def _class_form(cid: int, members: np.ndarray, p: int, e: int) -> np.ndarray | N
     return form
 
 
+@lru_cache(maxsize=None)
+def _stabilizer_layout(p: int, e: int) -> tuple:
+    """(2d/p) j.b (d, d), the squares j_i j_k (e * e, d) and the coefficient of j.Rj, at d = p**e.
+
+    Points j and b run in cyclo._points order, R.ravel() @ squares = j.Rj,
+    and the arrays are read-only.  The coefficient is 2d/p times 1/2, the
+    inverse of 2 mod p, for odd p; for p = 2 the quadratic term is an
+    i-power, j.Rj mod 4 with R lifted to 0/1, so it is d/2.
+    """
+    d, points = p**e, _points(p, e)
+    squares = (points[:, :, None] * points[:, None]).reshape(d, -1).T
+    half = d // 2 if p == 2 else (2 * d // p) * (p + 1) // 2
+    return _frozen((2 * d // p) * (points @ points.T), np.int64), _frozen(squares, np.int64), half
+
+
 def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) -> np.ndarray:
     """tau exponents (G, d, d) of the joint eigenbases of G graph classes with forms (G, e, e).
 
     With R = S + diag(a_params) mod p, vector n, for b the n-th point of
-    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at point j (cyclo._points
-    order): the 1/2 is the inverse of 2 mod p for odd p, and for p = 2 the
-    quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
+    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at point j, read with the
+    constants of _stabilizer_layout.
     """
-    d = p**e
-    points = _points(p, e)
-    quad = ((points @ ((forms + np.diag(a_params)) % p)) * points).sum(axis=2)
-    # omega_p = tau**(2d/p); for p = 2 the phases live in Z_4, with tau**(d/2) = i
-    mod, half = (4, 1) if p == 2 else (p, (p + 1) // 2)
-    return (2 * d // mod) * ((mod // p) * (points @ points.T) - half * quad[:, None, :]) % (2 * d)
+    linear, squares, half = _stabilizer_layout(p, e)
+    quad = ((forms + np.diag(a_params)) % p).reshape(len(forms), -1) @ squares
+    return (linear - half * quad[:, None, :]) % (2 * p**e)
 
 
 def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
@@ -309,26 +320,32 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     class, first, contributes the computational basis.  Every basis is
     exact: the set's exponent stack is written once, the graph bases in one
     broadcast from the spread forms, and each basis views its rows and its
-    class labels.  The whole set is verified pairwise, on integers, before
-    being returned; failure raises ConstructionError with the offending pair.
+    class labels.  Before the set is returned, every pair i <= j is decided
+    by verify_set's pair kernel (mub._pair_verdicts), on integers; no report
+    is built unless a pair fails, which raises ConstructionError naming the
+    first failing pair in verify_set's order and its residual.
     """
     check_tolerance(tol)
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
     exps = np.empty((d + 1, d, d), np.int64)
-    exps[0] = np.eye(d, dtype=np.int64) - 1
+    exps[0] = -1
+    exps[0].flat[:: d + 1] = 0
     exps[1:] = _stabilizer_exponents(p, e, _spread_forms(p, e), a_params)
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    mub_set = MubSet._of_stacks(d, [f"class:{c}" for c in range(d + 1)], exps, scales,
-                                class_labels=_class_labels(p, e))
-    report = verify_set(mub_set, tol)
-    if not report.passed:
-        pair = report.details["failing_pairs"][0]
+    labels = [f"class:{c}" for c in range(d + 1)]
+    mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
+    i, j = _pair_table(d + 1)
+    deviation, passed, _ = _pair_verdicts(mub_set.amps, exps, scales, mub_set.exact_bases,
+                                          i == j, i, j, tol)
+    if not passed.all():
+        q = np.argmin(passed)  # the first failing pair in verify_set's order
+        pair = (labels[i[q]], labels[j[q]])
         raise ConstructionError(
             f"composite construction failed unbiasedness for pair "
-            f"({pair['a']}, {pair['b']}) with residual {pair['max_residual']:.3e}",
-            pair=(pair["a"], pair["b"]),
+            f"({pair[0]}, {pair[1]}) with residual {deviation[q]:.3e}",
+            pair=pair,
         )
     return mub_set
 

@@ -20,7 +20,7 @@ them, so the float and the exact data cannot drift apart.
 """
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -56,16 +56,16 @@ GRAM_BLOCK_BYTES = 1 << 20
 MAX_DIM = 128
 
 
-def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
+def _amplitudes(d: int, exps, scales) -> np.ndarray:
     """tau**exps / d**(scales/2), an exact 0 at exponent -1: the amps of exact rows.
 
-    exps has the slots on its last axis and scales one value per row (or one
-    for all rows); out is an optional complex128 array to write into.  The
-    phases are row k = 1 of conjugate_phases(d), read as the certificate
-    reads them, so the Gram of two exact bases' amps is their conjugate-1
-    certificate Gram over d**((sa+sb)/2).
+    exps has the slots on its last axis, in -1..2d-1 (_check_exponents), and
+    scales one value per row (or one for all rows).  The phases are row k =
+    1 of conjugate_phases(d), read as the certificate reads them, so the
+    Gram of two exact bases' amps is their conjugate-1 certificate Gram over
+    d**((sa+sb)/2); exponent -1 indexes its last column, the zero.
     """
-    amps = np.take(conjugate_phases(d)[0], exps, mode="wrap", out=out)
+    amps = conjugate_phases(d)[0][exps]
     amps /= np.sqrt(float(d) ** np.asarray(scales))[..., None]
     return amps
 
@@ -73,8 +73,8 @@ def _amplitudes(d: int, exps, scales, out=None) -> np.ndarray:
 def _check_exponents(d: int, exps: np.ndarray) -> None:
     """ValueError unless every tau exponent lies in -1..2d-1.
 
-    _amplitudes wraps any integer into a phase or zero, so an exponent
-    outside this range would be stored as a wrong amplitude.
+    _amplitudes indexes a row of 2d + 1 columns with them, so an exponent
+    outside this range would be stored as a wrong amplitude or not at all.
     """
     if exps.size and (exps.min() < -1 or exps.max() >= 2 * d):
         raise ValueError(f"tau exponents must lie in -1..{2 * d - 1} (-1 for an exact zero)")
@@ -210,6 +210,14 @@ def _restack(bases, name: str, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _check_labels(labels) -> None:
+    """ValueError unless the basis labels are unique and there is at least one."""
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"basis labels must be unique, got {list(labels)}")
+    if not labels:
+        raise ValueError("a set needs at least one basis")
+
+
 @dataclass(frozen=True)
 class MubSet:
     """Bases of one dimension, their arrays stacked once in basis order.
@@ -224,50 +232,53 @@ class MubSet:
     dim: int
     bases: tuple
     forced: bool = False
-    stacks: InitVar[dict | None] = None
     amps: np.ndarray = field(init=False, repr=False, compare=False)
     exponents: np.ndarray = field(init=False, repr=False, compare=False)
     scales: np.ndarray = field(init=False, repr=False, compare=False)
     exact_bases: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, stacks):
-        labels = [b.label for b in self.bases]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"basis labels must be unique, got {labels}")
-        if not self.bases:
-            raise ValueError("a set needs at least one basis")
+    def __post_init__(self):
+        _check_labels([b.label for b in self.bases])
         for b in self.bases:
             if b.dim != self.dim:
                 raise ValueError(f"basis {b.label} has dim {b.dim}, expected {self.dim}")
         d, n = self.dim, len(self.bases)
         exact = [b for b in self.bases if b.exact]
-        if stacks is None:
-            stacks = {
-                "amps": _restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
-                "exponents": _restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
-                "scales": _restack(self.bases, "scales", np.empty((n, d), np.int64)),
-            }
-        _assign(self, **stacks, exact_bases=_frozen([b.exact for b in self.bases], bool))
+        _assign(
+            self,
+            amps=_restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
+            exponents=_restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
+            scales=_restack(self.bases, "scales", np.empty((n, d), np.int64)),
+            exact_bases=_frozen([b.exact for b in self.bases], bool),
+        )
 
     @classmethod
     def _of_stacks(cls, dim: int, labels, exponents, scales, amps=None, class_labels=None,
                    forced: bool = False):
         """The set of bases labels from its stacks, exponents (m, d, d) of the first m.
 
-        scales (n, d) is int64; amps, if given, an (n, d, d) complex128 whose
-        rows m.. hold the float bases' amps; class_labels one row per basis.
-        The exact bases' amps are derived into rows :m in one broadcast, and
-        each basis is made of read-only views of its rows.  The set keeps the
-        arrays uncopied, so the caller must not write to them afterwards.
+        scales (n, d) is int64; amps, needed when m < n, an (n, d, d)
+        complex128 whose rows m.. hold the float bases' amps; class_labels
+        one row per basis.  The set is assembled in one pass, with the
+        checks of MubSet: labels unique and at least one, the stacks' shapes
+        and exponents in -1..2d-1.  The exact bases' amps are derived in one
+        broadcast, exact_bases marks the first m, and each basis is made of
+        read-only views of its rows.  The set keeps the arrays uncopied, so
+        the caller must not write to them afterwards.
         """
         n, m = len(labels), len(exponents)
-        amps = np.empty((n, dim, dim), np.complex128) if amps is None else amps
-        if m > n or exponents.shape[1:] != (dim, dim) or scales.shape != (n, dim):
-            raise ValueError(f"need exponents (m <= {n}, {dim}, {dim}), scales ({n}, {dim})")
+        if (m > n or (amps is None and m < n) or exponents.shape[1:] != (dim, dim)
+                or scales.shape != (n, dim)):
+            raise ValueError(f"need exponents (m <= {n}, {dim}, {dim}), scales ({n}, {dim}), "
+                             "and amps if m < n")
+        _check_labels(labels)
         _check_exponents(dim, exponents)
-        _amplitudes(dim, exponents, scales[:m], out=amps[:m])
-        stacks = {"amps": amps, "exponents": exponents, "scales": scales}
-        for array in stacks.values():
+        if amps is None:
+            amps = _amplitudes(dim, exponents, scales)
+        else:
+            amps[:m] = _amplitudes(dim, exponents, scales[:m])
+        exact = np.arange(n) < m
+        for array in (amps, exponents, scales, exact):
             array.setflags(write=False)
         members = [None] * n if class_labels is None else class_labels
         bases = tuple(
@@ -276,7 +287,8 @@ class MubSet:
             for label, a, e, s, c in zip(labels, amps, (*exponents, *[None] * (n - m)), scales,
                                          members)
         )
-        return cls(dim, bases, forced, stacks)
+        return _assign(cls.__new__(cls), dim=dim, bases=bases, forced=forced, amps=amps,
+                       exponents=exponents, scales=scales, exact_bases=exact)
 
     @property
     def exact(self) -> bool:
@@ -342,18 +354,21 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
         raise ValueError(f"d must be >= 2, got {d}")
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the supported bound {MAX_DIM}")
-    if not is_prime(d) and not force:
+    prime = is_prime(d)
+    if not prime and not force:
         raise ValueError(
             f"d = {d} is not prime: the cyclic recipe yields d+1 pairwise "
             "unbiased bases only in prime dimension; pass force=True (mubkit set "
             "--force) to build the (incomplete) family anyway"
         )
     exps = np.empty((d + 1, d, d), np.int64)
-    exps[0] = np.eye(d, dtype=np.int64) - 1
+    # the computational basis: exponent 0 on the diagonal, -1 (an exact zero) elsewhere
+    exps[0] = -1
+    exps[0].flat[:: d + 1] = 0
     exps[1:] = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    return MubSet._of_stacks(d, ("s", *range(d)), exps, scales, forced=not is_prime(d))
+    return MubSet._of_stacks(d, ("s", *range(d)), exps, scales, forced=not prime)
 
 
 # -- verification ------------------------------------------------------------
@@ -510,7 +525,9 @@ def _form_keys(exps: np.ndarray, b, u, points, upoints, squares, reads, units, w
     """
     m, e, two_d = len(exps), len(units), 2 * u * b
     raw = exps.reshape(m, -1)[:, reads]
-    w = (raw[..., 1:] - raw[..., :1]) % two_d // u
+    w = (raw[..., 1:] - raw[..., :1]) % two_d
+    if u > 1:
+        w //= u
     at_units, first = w[:, e:], w[:, e]
     # an odd 2 A_ik is floored here and fails below at slot e_i + e_k
     form = (w[:, :e] - first[:, :, None] - first[:, None]) % (2 * b) // 2
@@ -575,7 +592,9 @@ def _basis_codes(exps: np.ndarray, scales: np.ndarray) -> tuple:
     code[monomial] = 2 - support[monomial].any(axis=1).all(axis=1)
     keys = np.zeros((m, d), np.min_scalar_type(d))
     rows = flat.nonzero()[0]
-    flats = exps[rows]
+    # a run of flat bases, as in every built set, is read in place
+    run = rows.size and rows[-1] - rows[0] == rows.size - 1
+    flats = exps[rows[0] : rows[-1] + 1] if run else exps[rows]
     for kind, layout in _recognizers(d):
         if not rows.size:
             break
@@ -609,14 +628,18 @@ def _integer_verdicts(exps, scales, i, j, same) -> tuple:
     """
     d = exps.shape[1]
     code, keys = _basis_codes(exps, scales)
-    rule = np.where(i == j, _OWN_RULE[code[i]], _CROSS_RULE[code[i], code[j]] * ~same)
+    ci = code[i]
+    rule = _CROSS_RULE[ci, code[j]]
+    rule[same] = 0
+    own = i == j
+    rule[own] = _OWN_RULE[ci[own]]
     biased = rule == 2
     deviation = biased.astype(float)
     q = (rule == 3).nonzero()[0]
     step = max(1, GRAM_BLOCK_BYTES // (3 * d))
     for k in range(0, len(q), step):
         block = q[k : k + step]
-        radical = np.count_nonzero(keys[i[block]] == keys[j[block]], axis=1)
+        radical = (keys[i[block]] == keys[j[block]]).sum(axis=1)
         if (radical > 1).any():
             biased[block] = radical > 1
             deviation[block] = (radical > 1) * np.maximum(1, np.sqrt(radical) - 1) / math.sqrt(d)
@@ -759,11 +782,13 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     deviation, passed, counts = _pair_verdicts(
         mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases, i == j, i, j, tol
     )
-    labels = [b.label for b in mub_set.bases]
-    failing = [
-        {"a": labels[i[q]], "b": labels[j[q]], "max_residual": float(deviation[q])}
-        for q in np.flatnonzero(~passed).tolist()
-    ]
+    failing = []
+    if not passed.all():
+        labels = [b.label for b in mub_set.bases]
+        failing = [
+            {"a": labels[i[q]], "b": labels[j[q]], "max_residual": float(deviation[q])}
+            for q in np.flatnonzero(~passed).tolist()
+        ]
     details = {
         "dim": mub_set.dim,
         "n_bases": n,

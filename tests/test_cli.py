@@ -25,7 +25,6 @@ from mubkit.mub import (
     gauss_sum_magnitude,
     verify_set,
 )
-from mubkit.report import VerificationReport
 
 
 class TestParseArgs:
@@ -674,12 +673,19 @@ class TestCompositeCommand:
         assert 0 < report["max_residual"] < 1e-15
 
     def test_failed_construction_exits_1(self, capsys, monkeypatch):
-        # build_composite_set verifies the set it built and names a failing pair
-        failing = {"a": "class:0", "b": "class:1", "max_residual": 1.0}
-        report = VerificationReport("mub_set", False, 1e-10, 1.0, {"failing_pairs": [failing]})
-        monkeypatch.setattr(mubkit.composite, "verify_set", lambda *args: report)
+        # build_composite_set verifies the set it built and names a failing pair: here graph
+        # class 2 is written as a copy of class 1, a quadratic pair with radical 4 = d
+        stabilizer_exponents = mubkit.composite._stabilizer_exponents
+
+        def planted(*args):
+            exps = stabilizer_exponents(*args)
+            exps[1] = exps[0]
+            return exps
+
+        monkeypatch.setattr(mubkit.composite, "_stabilizer_exponents", planted)
         assert main(["composite", "--p", "2", "--e", "2"]) == 1
-        assert "failed unbiasedness for pair (class:0, class:1)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed unbiasedness for pair (class:1, class:2) with residual 5.000e-01" in err
 
 
 def _python(code: str, *args: str, cwd=None, check=True) -> subprocess.CompletedProcess:

@@ -1,3 +1,4 @@
+import math
 from functools import reduce
 from itertools import combinations, product
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubkit import composite
 from mubkit.composite import (
     CommutingClass,
     ConstructionError,
     WeylLabel,
     _class_labels,
     _spread_forms,
+    _stabilizer_exponents,
     build_composite_set,
     build_w,
     commutation_soundness,
@@ -425,3 +428,70 @@ class TestOneBroadcastBuild:
             assert not getattr(mub_set, name).flags.writeable
             assert all(np.shares_memory(getattr(b, name), getattr(mub_set, name))
                        for b in mub_set.bases)
+
+
+#: Every (p, e) with p in {2, 3, 5, 7} and d = p**e <= 49.
+PRIME_POWERS_TO_49 = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                      (5, 1), (5, 2), (7, 1), (7, 2)]
+
+
+@st.composite
+def stabilizer_forms(draw):
+    """(p, e, S, a_params): a random symmetric S over F_p**e and random phase parameters."""
+    p, e = draw(st.sampled_from(PRIME_POWERS_TO_49))
+    entries = st.lists(st.integers(0, p - 1), min_size=e * e, max_size=e * e)
+    upper = np.triu(np.array(draw(entries), dtype=np.int64).reshape(e, e))
+    a_params = tuple(draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e)))
+    return p, e, upper + np.triu(upper, 1).T, a_params
+
+
+class TestWriterAndRecognizer:
+    @settings(max_examples=150, deadline=None)
+    @given(stabilizer_forms())
+    def test_recognizer_reads_the_written_form(self, case):
+        # the field-kind recognizer (code 5; the cyclic one, code 4, at e = 1) reads back
+        # the form A = -(S + diag(a)) that the composite writer put into the phases
+        p, e, form, a_params = case
+        d = p**e
+        exps = _stabilizer_exponents(p, e, form[None], a_params)
+        code, keys = mub._basis_codes(exps, np.ones((1, d), np.int64))
+        written = -(form + np.diag(a_params))
+        points = product(range(p), repeat=e)
+        slots = [sum(int(v) * p ** (e - 1 - k) for k, v in enumerate(written @ h % p))
+                 for h in points]
+        assert code[0] == (4 if e == 1 else 5)
+        assert keys[0].tolist() == slots
+
+
+class TestFailedConstruction:
+    @pytest.mark.parametrize("p,e,twice", [(2, 2, 1), (3, 2, 4), (2, 3, 7), (5, 2, 20)])
+    def test_first_biased_pair_is_named(self, p, e, twice, monkeypatch):
+        # graph basis twice (class twice + 1) is written as a copy of the one before it: a
+        # quadratic pair whose radical is all of F_p**e, the first pair that fails
+        written = []
+
+        def copy_one_basis(*args):
+            exps = _stabilizer_exponents(*args)
+            exps[twice] = exps[twice - 1]
+            written.append(exps)
+            return exps
+
+        monkeypatch.setattr(composite, "_stabilizer_exponents", copy_one_basis)
+        d = p**e
+        with pytest.raises(ConstructionError) as failure:
+            build_composite_set(p, e)
+        pair = (f"class:{twice}", f"class:{twice + 1}")
+        residual = max(1, math.sqrt(d) - 1) / math.sqrt(d)
+        assert failure.value.pair == pair
+        assert str(failure.value) == (
+            f"composite construction failed unbiasedness for pair ({pair[0]}, {pair[1]}) "
+            f"with residual {residual:.3e}"
+        )
+        # as verify_set reports the planted set
+        bases = [MubBasis.from_arrays(d, "class:0", exponents=np.eye(d, dtype=np.int64) - 1,
+                                      scales=0)]
+        bases += [MubBasis.from_arrays(d, f"class:{g + 1}", exponents=rows)
+                  for g, rows in enumerate(written[0])]
+        first = verify_set(MubSet(d, tuple(bases))).details["failing_pairs"][0]
+        assert (first["a"], first["b"]) == pair
+        assert f"{first['max_residual']:.3e}" == f"{residual:.3e}"

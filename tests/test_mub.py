@@ -1221,6 +1221,29 @@ class TestArrayStorage:
         with pytest.raises(ValueError, match=r"exponents \(m <= 2, 3, 3\), scales \(2, 3\)"):
             MubSet._of_stacks(3, ("s", 0), np.zeros((3, 3, 3), int), np.ones((2, 3), int))
 
+    def test_stacked_assembly_keeps_the_set_checks(self):
+        full = build_complete_set(5)
+        exps, scales = np.array(full.exponents), np.array(full.scales)
+        with pytest.raises(ValueError, match="labels must be unique"):
+            MubSet._of_stacks(5, ("s", 0, 1, 1, 3, 4), exps, scales)
+        with pytest.raises(ValueError, match="at least one basis"):
+            MubSet._of_stacks(5, (), exps[:0], scales[:0])
+        with pytest.raises(ValueError, match="amps if m < n"):
+            MubSet._of_stacks(5, ("s", *range(5)), exps[:4], scales)
+        # the first m = 4 bases exact, the last two float, from amps rows 4 and 5
+        mixed = MubSet._of_stacks(5, ("s", *range(5)), np.array(exps[:4]), np.array(scales),
+                                  amps=np.array(full.amps))
+        assert mixed.exact_bases.tolist() == [True] * 4 + [False] * 2
+        assert not mixed.exact_bases.flags.writeable
+        assert [b.exact for b in mixed.bases] == mixed.exact_bases.tolist()
+        for k, (basis, alone) in enumerate(zip(mixed.bases, full.bases, strict=True)):
+            for name in ("amps", "scales", "exponents")[: 3 if k < 4 else 2]:
+                view, stack = getattr(basis, name), getattr(mixed, name)
+                assert np.array_equal(view, getattr(alone, name))
+                assert np.shares_memory(view, stack[k])
+                assert not view.flags.writeable and not stack.flags.writeable
+        assert verify_set(mixed).passed
+
     def test_set_stacks_only_present_exponents(self):
         bases = list(build_complete_set(5).bases)
         bases[2] = stripped(bases[2])
