@@ -19,18 +19,19 @@ d = p**e
 print(f"p = {p}, e = {e}: dimension {d}\n")
 
 # The degeneracy that forces the class construction:
-double_flip = mk.build_w(p, e, mk.WeylLabel(p, e, (1, 1), (0, 0)), (0, 0))
+double_flip = mk.build_w(p, e, [(1, 1), (0, 0)], (0, 0))
 report = mk.degeneracy_report(double_flip)
 print("spectrum of the double flip V (x) V:",
       [f"{v:.0f} (x{m})" for v, m in zip(report.eigenvalues, report.multiplicities)])
 print("degenerate:", report.degenerate, "- a single operator cannot fix a basis\n")
 
+# classes (p^e + 1, p^e - 1, 2, e): member m of class c holds rows x and z
 classes = mk.partition_commuting_classes(p, e)
-print(f"{len(classes)} commuting classes of {len(classes[0].members)} labels:")
-for cls in classes:
-    pretty = ["".join(f"V{x}Z{z}" for x, z in zip(l.x, l.z)) for l in cls.members]
-    tag = "  <- diagonal (gives the computational basis)" if cls.is_diagonal() else ""
-    print(f"  class {cls.id}: {pretty}{tag}")
+print(f"{len(classes)} commuting classes of {classes.shape[1]} labels:")
+for cid, members in enumerate(classes):
+    pretty = ["".join(f"V{x}Z{z}" for x, z in zip(*label)) for label in members.tolist()]
+    tag = "" if members[:, 0].any() else "  <- diagonal (gives the computational basis)"
+    print(f"  class {cid}: {pretty}{tag}")
 
 mub_set = mk.build_composite_set(p, e)
 rep = mk.verify_set(mub_set, tol=1e-9)

@@ -22,10 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cyclo": ("DEFAULT_TOL", "CyclotomicSum", "PhaseExponent", "is_prime"),
     "composite": (
-        "CommutingClass",
         "ConstructionError",
         "DegeneracyReport",
-        "WeylLabel",
         "build_composite_set",
         "build_w",
         "degeneracy_report",

@@ -15,26 +15,26 @@ class is isotropic) and S_g - S_g' is invertible for g != g' (so the
 classes partition all p**(2e) - 1 labels).  Each graph class has the
 stabilizer states omega**(-1/2 j.Rj + b.j) (i-powers for p = 2) as its
 joint eigenbasis, with R = S + diag(a_params); the all-clock class gives
-the computational basis.  The spread forms and the class labels, an int
-array (p**e + 1, p**e - 1, 2, e), are cached per (p, e) and read-only;
-build_composite_set writes every graph basis in one broadcast over the
-forms, with no per-label objects.  Correctness rests on the unbiasedness
-verifier, not on the construction.
+the computational basis.  A label is an int array (2, e), rows x and z.
+The spread forms and the class labels (p**e + 1, p**e - 1, 2, e) are
+cached per (p, e) and read-only; build_composite_set writes every graph
+basis in one broadcast over the forms, through mub's writer of quadratic
+bases.  Correctness rests on the unbiasedness verifier, not on the
+construction.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
 from .cyclo import (DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, check_tolerance,
                     is_prime)
-from .mub import MAX_DIM, MubBasis, MubSet, _pair_table, _pair_verdicts
+from .mub import (MAX_DIM, MubBasis, MubSet, _form_exponents, _form_layout, _pair_table,
+                  _pair_verdicts)
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
-
-#: Distance below which degeneracy_report merges two eigenvalues.
-CLUSTER_TOL = 1e-8
 
 
 class ConstructionError(RuntimeError):
@@ -43,43 +43,6 @@ class ConstructionError(RuntimeError):
     def __init__(self, message: str, pair=None):
         super().__init__(message)
         self.pair = pair
-
-
-@dataclass(frozen=True)
-class WeylLabel:
-    """Exponent vectors (x, z) mod p for one tensor-product operator."""
-
-    p: int
-    e: int
-    x: tuple
-    z: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(v) % self.p for v in self.x))
-        object.__setattr__(self, "z", tuple(int(v) % self.p for v in self.z))
-        if len(self.x) != self.e or len(self.z) != self.e:
-            raise ValueError("x and z must have length e")
-
-    def is_identity(self) -> bool:
-        return not any(self.x) and not any(self.z)
-
-    def symplectic_form(self, other: "WeylLabel") -> int:
-        acc = sum(xs * zo - zs * xo for xs, zo, zs, xo in zip(self.x, other.z, self.z, other.x))
-        return acc % self.p
-
-    def commutes_with(self, other: "WeylLabel") -> bool:
-        return self.symplectic_form(other) == 0
-
-
-@dataclass(frozen=True)
-class CommutingClass:
-    """p**e - 1 pairwise-commuting labels; one class supplies one basis."""
-
-    id: int
-    members: tuple
-
-    def is_diagonal(self) -> bool:
-        return all(not any(lbl.x) for lbl in self.members)
 
 
 def _check_dim(p: int, e: int) -> None:
@@ -93,24 +56,34 @@ def _check_dim(p: int, e: int) -> None:
 
 def _check_params(p: int, e: int, a_params) -> tuple:
     _check_dim(p, e)
-    a_params = tuple(int(v) for v in a_params)
-    if len(a_params) != e or any(not 0 <= v < p for v in a_params):
-        raise ValueError(f"a_params must be length {e} with entries in 0..{p - 1}")
-    return a_params
+    a_params = tuple(a_params)
+    if len(a_params) != e or not all(isinstance(v, (int, np.integer)) and 0 <= v < p
+                                     for v in a_params):
+        raise ValueError(f"a_params must be length {e} with integer entries in 0..{p - 1}")
+    return tuple(map(int, a_params))
+
+
+def _check_labels(labels, p: int, e: int, ndim: int) -> np.ndarray:
+    """Integer labels, one (2, e) at ndim 2 or members (m, 2, e) at 3, as int64 reduced mod p."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.ndim != ndim or labels.shape[-2:] != (2, e):
+        shape = "(2, e)" if ndim == 2 else "(m, 2, e)"
+        raise ValueError(f"labels must be integers of shape {shape}, rows x and z, with e = {e}; "
+                         f"got {labels.dtype} of shape {labels.shape}")
+    return labels.astype(np.int64) % p
 
 
 # -- operators ----------------------------------------------------------------
 
 
 def _label_rows(p: int, a_params, xs, zs) -> _Rows:
-    """Rows of the labelled operators, x and z stacked (..., e): the tensor product in closed form.
+    """Rows of the labelled operators, int x and z (..., e): the tensor product in closed form.
 
     Row r, a point of F_p^e in cyclo._points order, holds its entry at the
     column r + x, digitwise mod p.  Its tau exponent mod 2d is the sum over
     factors i of d/p times factor i's exponent mod 2p at its row r_i, since
     tau_p = tau_d**(d/p).
     """
-    xs, zs = np.asarray(xs, dtype=np.int64), np.asarray(zs, dtype=np.int64)
     e = xs.shape[-1]
     d, digits = p**e, _points(p, e)
     slots = _monomial_rows(p, np.asarray(a_params), xs, zs, 0)
@@ -119,20 +92,21 @@ def _label_rows(p: int, a_params, xs, zs) -> _Rows:
     return _Rows(col, exp, np.ones_like(exp))
 
 
-def build_w(p: int, e: int, label: WeylLabel, a_params) -> OperatorMatrix:
-    """Tensor product with per-slot factor V_{a_i}**x_i Z**z_i.
+def build_w(p: int, e: int, label, a_params) -> OperatorMatrix:
+    """Tensor product with per-slot factor V_{a_i}**x_i Z**z_i, label (2, e) the rows x and z.
 
     Pure shift labels (z = 0, x = 1..1) give the plain tensor product of
     phased shifts; clock-type factors are the auxiliary content that resolves
     spectral degeneracy.
     """
     a_params = _check_params(p, e, a_params)
-    return OperatorMatrix.from_exact(_label_rows(p, a_params, label.x, label.z).exact())
+    x, z = _check_labels(label, p, e, 2)
+    return OperatorMatrix.from_exact(_label_rows(p, a_params, x, z).exact())
 
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    """Eigenvalue multiset of a unitary, with multiplicities."""
+    """Eigenvalue multiset of a phased permutation, each distinct value once by turn from 0."""
 
     dim: int
     eigenvalues: tuple
@@ -141,33 +115,35 @@ class DegeneracyReport:
 
 
 def degeneracy_report(matrix: OperatorMatrix) -> DegeneracyReport:
-    """Cluster the spectrum of a unitary within CLUSTER_TOL and flag any multiplicity > 1."""
-    if not matrix.is_unitary(DEFAULT_TOL):
-        raise ValueError("input matrix is not unitary")
-    eigs = np.linalg.eigvals(matrix.entries)
-    clusters = _cluster_phases(eigs, CLUSTER_TOL)
-    values = tuple(complex(eigs[c[0]]) for c in clusters)
-    mults = tuple(len(c) for c in clusters)
-    return DegeneracyReport(matrix.dim, values, mults, any(m > 1 for m in mults))
+    """The exact spectrum of a phased permutation, from its cycles; flags any multiplicity > 1.
 
-
-def _cluster_phases(eigs: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of near-equal unit-modulus eigenvalues, sorted by angle.
-
-    Eigenvalues sit on the unit circle, so clustering sorts by angle and
-    merges across the 0/2pi seam when the extremes meet.
+    matrix must be exact, its entries those of its annotation, one in each
+    row and column, as every operator mubkit builds is, else ValueError.  A
+    cycle of length L whose entries multiply to tau**c contributes the turns
+    (c/2d + k)/L, k < L, as reduced integer pairs, so counts are exact.
     """
-    angles = np.mod(np.angle(eigs), 2 * np.pi)
-    order = np.argsort(angles, kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(eigs[idx] - eigs[clusters[-1][-1]]) < tol:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1 and abs(eigs[clusters[0][0]] - eigs[clusters[-1][-1]]) < tol:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
+    support = None if matrix.exact is None else matrix.exact >= 0
+    if (support is None or (support.sum(axis=0) != 1).any() or (support.sum(axis=1) != 1).any()
+            or not np.array_equal(matrix.entries, OperatorMatrix.from_exact(matrix.exact).entries)):
+        raise ValueError("input must be an exact phased permutation: a unitary with one "
+                         "tau-power entry in each row and each column")
+    d = matrix.dim
+    col = support.argmax(axis=1).tolist()
+    exp = matrix.exact[np.arange(d), col].tolist()
+    counts, seen = {}, [False] * d
+    for start in range(d):
+        row, length, c = start, 0, 0
+        while not seen[row]:
+            seen[row] = True
+            row, length, c = col[row], length + 1, c + exp[row]
+        for k in range(length):
+            turn, turns = c % (2 * d) + 2 * d * k, 2 * d * length
+            key = turn // math.gcd(turn, turns), turns // math.gcd(turn, turns)
+            counts[key] = counts.get(key, 0) + 1
+    order = sorted(counts, key=cmp_to_key(lambda s, t: s[0] * t[1] - t[0] * s[1]))
+    values = tuple(complex(np.exp(2j * np.pi * n / m)) for n, m in order)
+    mults = tuple(counts[key] for key in order)
+    return DegeneracyReport(d, values, mults, any(m > 1 for m in mults))
 
 
 # -- class partition -----------------------------------------------------------
@@ -214,8 +190,8 @@ def _class_labels(p: int, e: int) -> np.ndarray:
     return _frozen(labels, np.int64)
 
 
-def partition_commuting_classes(p: int, e: int) -> list[CommutingClass]:
-    """Partition all non-identity labels into p**e + 1 commuting classes.
+def partition_commuting_classes(p: int, e: int) -> np.ndarray:
+    """Partition all non-identity labels into p**e + 1 commuting classes: _class_labels.
 
     Class 0 is the all-clock class {(0, z)}; class 1 + n is the graph
     {(x, S_g x) : x != 0} of the n-th field element g in lexicographic
@@ -223,10 +199,7 @@ def partition_commuting_classes(p: int, e: int) -> list[CommutingClass]:
     in lexicographic label order.
     """
     _check_dim(p, e)
-    return [
-        CommutingClass(cid, tuple(WeylLabel(p, e, x, z) for x, z in members))
-        for cid, members in enumerate(_class_labels(p, e))
-    ]
+    return _class_labels(p, e)
 
 
 # -- joint eigenbases -----------------------------------------------------------
@@ -259,35 +232,18 @@ def _class_form(cid: int, members: np.ndarray, p: int, e: int) -> np.ndarray | N
     return form
 
 
-@lru_cache(maxsize=None)
-def _stabilizer_layout(p: int, e: int) -> tuple:
-    """(2d/p) j.b (d, d), the squares j_i j_k (e * e, d) and the coefficient of j.Rj, at d = p**e.
-
-    Points j and b run in cyclo._points order, R.ravel() @ squares = j.Rj,
-    and the arrays are read-only.  The coefficient is 2d/p times 1/2, the
-    inverse of 2 mod p, for odd p; for p = 2 the quadratic term is an
-    i-power, j.Rj mod 4 with R lifted to 0/1, so it is d/2.
-    """
-    d, points = p**e, _points(p, e)
-    squares = (points[:, :, None] * points[:, None]).reshape(d, -1).T
-    half = d // 2 if p == 2 else (2 * d // p) * (p + 1) // 2
-    return _frozen((2 * d // p) * (points @ points.T), np.int64), _frozen(squares, np.int64), half
-
-
 def _stabilizer_exponents(p: int, e: int, forms: np.ndarray, a_params: tuple) -> np.ndarray:
     """tau exponents (G, d, d) of the joint eigenbases of G graph classes with forms (G, e, e).
 
-    With R = S + diag(a_params) mod p, vector n, for b the n-th point of
-    F_p^e, has exponent 2d/p (b.j - 1/2 j.Rj) at point j, read with the
-    constants of _stabilizer_layout.
+    With R = S + diag(a_params), they are the quadratic bases of form -R
+    mod p over Z_p**e whose row n has the n-th point (mub._form_exponents).
     """
-    linear, squares, half = _stabilizer_layout(p, e)
-    quad = ((forms + np.diag(a_params)) % p).reshape(len(forms), -1) @ squares
-    return (linear - half * quad[:, None, :]) % (2 * p**e)
+    forms = (np.diag([-v for v in a_params]) - forms) % p
+    return _form_exponents(forms, None, 0, *_form_layout(p**e, p, e))
 
 
-def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
-    """Orthonormal simultaneous eigenbasis of every operator in the class.
+def joint_eigenbasis(members, p: int, e: int, a_params, cid: int) -> MubBasis:
+    """Orthonormal simultaneous eigenbasis of every operator of a class, members (m, 2, e).
 
     Both kinds are exact.  The all-clock class gives the computational
     basis.  A graph class {(x, Sx)} gives the stabilizer states with R = S +
@@ -295,13 +251,13 @@ def joint_eigenbasis(cls: CommutingClass, p: int, e: int, a_params) -> MubBasis:
     component omega**(-1/2 j.Rj + b.j) / sqrt(d) at point j (cyclo._points
     order).  For odd p the 1/2 is the inverse of 2 mod p; for p = 2 the
     quadratic term is an i-power, -j.Rj mod 4 with R lifted to 0/1.
-    The basis holds the members as class_labels (m, 2, e), rows x and z.
+    The basis, labelled class:<cid>, holds the members as class_labels.
     """
     a_params = _check_params(p, e, a_params)
+    members = _check_labels(members, p, e, 3)
     d = p**e
-    label = f"class:{cls.id}"
-    members = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
-    form = _class_form(cls.id, members, p, e)
+    label = f"class:{cid}"
+    form = _class_form(cid, members, p, e)
     if form is None:
         exps = np.eye(d, dtype=np.int64) - 1
         return MubBasis.from_arrays(d, label, exponents=exps, scales=0, class_labels=members)
@@ -351,22 +307,24 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
 
 
 def commutation_soundness(
-    classes: list[CommutingClass], p: int, e: int, a_params, tol: float = DEFAULT_TOL
+    classes, p: int, e: int, a_params, tol: float = DEFAULT_TOL
 ) -> VerificationReport:
     """Every two operators of each class commute, decided by the group law, and so do their labels.
 
-    Each member's rows give its shift x and slope beta (_affine_rows, b = p),
-    and W_A W_B = tau**(beta_B.x_A - beta_A.x_B) W_B W_A; a member of another
-    form fails.  The residual is 0.0 when every pair commutes, else the
-    largest |1 - tau**k| of a failing pair; tol is validated and recorded, not read.
+    classes holds one member array (m, 2, e) per class, as the array of
+    partition_commuting_classes does.  Each member's rows give its shift x
+    and slope beta (_affine_rows, b = p), and W_A W_B = tau**(beta_B.x_A -
+    beta_A.x_B) W_B W_A; a member of another form fails.  The residual is
+    0.0 when every pair commutes, else the largest |1 - tau**k| of a
+    failing pair; tol is validated and recorded, not read.
     """
     check_tolerance(tol)
     a_params = _check_params(p, e, a_params)
     table = _phase_table(2 * p**e)
     commute, form_ok, worst = True, True, 0.0
-    for cls in classes:
-        labels = np.array([(lbl.x, lbl.z) for lbl in cls.members], dtype=np.int64).reshape(-1, 2, e)
-        xs, zs = labels[:, 0], labels[:, 1]
+    for members in classes:
+        members = _check_labels(members, p, e, 3)
+        xs, zs = members[:, 0], members[:, 1]
         form_ok &= not ((xs @ zs.T - zs @ xs.T) % p).any()
         shift, _, beta, ok = _affine_rows(_label_rows(p, a_params, xs, zs), p, e)
         cross = beta @ shift.T

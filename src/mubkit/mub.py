@@ -485,30 +485,48 @@ def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
 
 @lru_cache(maxsize=None)
 def _form_layout(d: int, b: int, e: int) -> tuple:
-    """What _form_keys reads over Z_b**e, d = b**e, points in cyclo._points order.
+    """What _form_exponents writes and _form_keys reads over Z_b**e, d = b**e.
 
-    That is b; u = d/b, the exponent of one unit of w; the points (d, e) and
-    u times them; squares (e * e, d), with A.ravel() @ squares = u (j.Aj -
-    diag(A).j) at point j; reads (e + d, 1 + e), the flat indices of row 0's
-    slot 0 and slots e_i + e_k (digitwise mod b), then of each row's slot 0
-    and slots e_k; the slots of the e_k (e,); weights (e,), the slots of the
+    That is b; u = d/b, the exponent of one unit of w; the points (d, e),
+    in cyclo._points order; linear (d, d), 2u r.j at points r and j;
+    squares (e * e, d), with A.ravel() @ squares = u (j.Aj + b diag(A).j)
+    at point j; reads (e + d, 1 + e), the flat indices of row 0's slot 0
+    and slots e_i + e_k (digitwise mod b), then of each row's slot 0 and
+    slots e_k; the slots of the e_k (e,); weights (e,), the slots of the
     unit vectors of Z_2b**e, which code its points; and the sorted codes of
     2 Z_b**e (d,).
     """
     points, units = _points(b, e), _unit_slots(b, e)
     eye = np.eye(e, dtype=np.int64)
     u = d // b
-    squares = u * (points[:, :, None] * points[:, None] - eye * points[:, :, None])
+    squares = u * (points[:, :, None] * points[:, None] + b * eye * points[:, :, None])
     rows = np.concatenate([np.zeros(e, np.int64), np.arange(d)])[:, None]
     slots = np.concatenate([(eye[:, None] + eye[None]) % b @ units, np.tile(units, (d, 1))])
     reads = rows * d + np.pad(slots, ((0, 0), (1, 0)))
     weights = _unit_slots(2 * b, e)
-    arrays = (points, u * points, squares.reshape(d, -1).T, reads, units, weights,
+    arrays = (points, 2 * u * points @ points.T, squares.reshape(d, -1).T, reads, units, weights,
               np.sort(2 * points @ weights))
     return (b, u, *(_frozen(a, np.int64) for a in arrays))
 
 
-def _form_keys(exps: np.ndarray, b, u, points, upoints, squares, reads, units, weights, evens):
+def _form_exponents(forms, rows, slot0, b, u, points, linear, squares, *_) -> np.ndarray:
+    """tau exponents (m, d, d) of m quadratic bases over Z_b**e, the rest being _form_layout.
+
+    Basis k has the symmetric form forms[k] = A (e, e); its row n has the
+    point r of slot rows[k, n] (rows None: the n-th point) and exponent
+    slot0 at point 0 ((m, d, 1), or one for all), so the entry at point j
+    is u w_n(j) + slot0, w_n(j) = j.Aj + l_n.j with l_n = b diag(A) + 2r.
+    """
+    exps = (forms.reshape(len(forms), -1) @ squares)[:, None] + slot0
+    exps = exps + (linear if rows is None else linear.take(rows, axis=0))
+    # the remainder by floor division, which numpy vectorizes and int64 % it does not
+    wraps = exps // (2 * u * b)
+    wraps *= 2 * u * b
+    exps -= wraps
+    return exps
+
+
+def _form_keys(exps: np.ndarray, b, u, points, linear, squares, reads, units, weights, evens):
     """Which of m flat bases are quadratic over Z_b**e, and their radical keys (m, d).
 
     exps (m, d, d) holds the bases' exponents, and the rest is _form_layout.
@@ -519,9 +537,9 @@ def _form_keys(exps: np.ndarray, b, u, points, upoints, squares, reads, units, w
     distinct, which is the basis's orthonormality: the l_n - b diag(A) mod
     2b run over 2 Z_b**e once each.  A is read off row 0 as 2 A_ik =
     w_0(e_i + e_k) - w_0(e_i) - w_0(e_k) mod 2b, so A mod b, which is all
-    that matters, and l_nk = w_n(e_k) - A_kk; they must reproduce every
-    entry.  Key h is the slot of A h mod b: two quadratic bases over one
-    Z_b**e agree at key h iff h lies in the radical of A_a - A_b.
+    that matters, and 2r_n = l_n - b diag(A); _form_exponents must write
+    every entry from them.  Key h is the slot of A h mod b: two quadratic
+    bases over one Z_b**e agree at key h iff h lies in the radical of A_a - A_b.
     """
     m, e, two_d = len(exps), len(units), 2 * u * b
     raw = exps.reshape(m, -1)[:, reads]
@@ -531,15 +549,13 @@ def _form_keys(exps: np.ndarray, b, u, points, upoints, squares, reads, units, w
     at_units, first = w[:, e:], w[:, e]
     # an odd 2 A_ik is floored here and fails below at slot e_i + e_k
     form = (w[:, :e] - first[:, :, None] - first[:, None]) % (2 * b) // 2
+    # 2r_n = w_n(e_k) - (b + 1) A_kk mod 2b; an odd entry fails the check on its codes
+    lifts = (at_units - (b + 1) * form.reshape(m, 1, -1)[..., :: e + 1]) % (2 * b)
+    ok = (np.sort(lifts @ weights) == evens).all(axis=1)
     # every prediction is a multiple of u past its row's slot 0, so an entry of f that is not fails
-    predicted = at_units @ upoints.T
-    predicted += (form.reshape(m, -1) @ squares)[:, None]
-    predicted += raw[:, e:, :1]
-    # the remainder by floor division, which numpy vectorizes and int64 % it does not
-    predicted -= predicted // two_d * two_d
-    ok = (predicted == exps).all(axis=(1, 2))
-    diagonal = form.reshape(m, 1, -1)[..., :: e + 1]
-    ok &= (np.sort((at_units - (b + 1) * diagonal) % (2 * b) @ weights) == evens).all(axis=1)
+    predicted = _form_exponents(form, lifts // 2 @ units, raw[:, e:, :1], b, u, points, linear,
+                                squares)
+    ok &= (predicted == exps).all(axis=(1, 2))
     return ok, points @ form % b @ units
 
 

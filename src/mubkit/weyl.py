@@ -120,9 +120,6 @@ class OperatorMatrix:
         gram = self.entries @ self.entries.conj().T
         return float(np.abs(gram - np.eye(self.dim)).max())
 
-    def is_unitary(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.unitarity_residual() < tol
-
 
 def exact_equal(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     """Exact matrix equality via phase annotations (False if unavailable)."""

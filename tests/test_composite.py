@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from mubkit import composite
 from mubkit.composite import (
-    CommutingClass,
     ConstructionError,
-    WeylLabel,
+    _check_labels,
     _class_labels,
     _spread_forms,
     _stabilizer_exponents,
@@ -33,47 +32,60 @@ PRIME_POWERS_TO_16 = [
 ]
 
 
-def symplectic_oracle(label_a, label_b):
-    """Independent symplectic form implementation for cross-checks."""
+def symplectic_oracle(label_a, label_b, p):
+    """Independent symplectic form implementation for cross-checks, labels (2, e)."""
     total = 0
-    for xa, za, xb, zb in zip(label_a.x, label_a.z, label_b.x, label_b.z):
-        total += xa * zb - za * xb
-    return total % label_a.p
+    for xa, za, xb, zb in zip(*label_a, *label_b):
+        total += int(xa) * int(zb) - int(za) * int(xb)
+    return total % p
 
 
-class TestWeylLabel:
+def unit_label(e, x, z):
+    """The label (2, e) with x and z in the first slot only."""
+    return [(x,) + (0,) * (e - 1), (z,) + (0,) * (e - 1)]
+
+
+class TestLabels:
     def test_mod_reduction(self):
-        lbl = WeylLabel(3, 2, (4, -1), (0, 5))
-        assert lbl.x == (1, 2)
-        assert lbl.z == (0, 2)
+        assert _check_labels([(4, -1), (0, 5)], 3, 2, 2).tolist() == [[1, 2], [0, 2]]
+        assert np.array_equal(build_w(3, 2, [(4, -1), (0, 5)], (0, 0)).exact,
+                              build_w(3, 2, [(1, 2), (0, 2)], (0, 0)).exact)
 
-    def test_identity_flag(self):
-        assert WeylLabel(2, 1, (0,), (0,)).is_identity()
-        assert not WeylLabel(2, 1, (1,), (0,)).is_identity()
+    def test_label_of_another_e_refused(self):
+        # an e = 1 label at e = 2 would broadcast to V (x) V; a class of them would not reshape
+        with pytest.raises(ValueError, match=r"shape \(2, e\).*e = 2"):
+            build_w(2, 2, [(1,), (0,)], (0, 0))
+        with pytest.raises(ValueError, match=r"shape \(m, 2, e\).*e = 2"):
+            joint_eigenbasis([[(1,), (0,)], [(0,), (1,)]], 2, 2, (0, 0), 0)
+        with pytest.raises(ValueError, match=r"shape \(m, 2, e\)"):
+            commutation_soundness([np.zeros((3, 2, 1), np.int64)], 2, 2, (0, 0))
 
-    def test_commutation_criterion(self):
-        a = WeylLabel(2, 2, (0, 1), (0, 0))
-        b = WeylLabel(2, 2, (1, 0), (0, 0))
-        c = WeylLabel(2, 2, (0, 0), (0, 1))
-        assert a.commutes_with(b)
-        assert not a.commutes_with(c)
+    @pytest.mark.parametrize("label", [[(1.0, 0.0), (0.0, 0.0)], [(1, 1), (0, 0), (1, 1)],
+                                       [[(1, 1), (0, 0)]], [(True, False), (False, False)]])
+    def test_non_integer_or_misshapen_label_refused(self, label):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            build_w(2, 2, label, (0, 0))
+
+    def test_classes_as_array_or_sequence(self):
+        classes = partition_commuting_classes(3, 2)
+        assert not classes.flags.writeable and classes is _class_labels(3, 2)
+        as_array = commutation_soundness(classes, 3, 2, (1, 2))
+        as_list = commutation_soundness([c.tolist() for c in classes], 3, 2, (1, 2))
+        assert as_array == as_list and as_array.passed
 
 
 class TestBuildW:
     def test_double_flip(self):
-        lbl = WeylLabel(2, 2, (1, 1), (0, 0))
-        w = build_w(2, 2, lbl, (0, 0))
+        w = build_w(2, 2, [(1, 1), (0, 0)], (0, 0))
         flip = build_v(2, 0).entries
         assert np.allclose(w.entries, np.kron(flip, flip), atol=1e-14)
 
     def test_e1_reduces_to_generator(self):
-        lbl = WeylLabel(3, 1, (1,), (0,))
-        w = build_w(3, 1, lbl, (1,))
+        w = build_w(3, 1, [(1,), (0,)], (1,))
         assert np.abs(w.entries - build_v(3, 1).entries).max() < 1e-14
 
     def test_v_tensor_z_spectrum(self):
-        lbl = WeylLabel(2, 2, (1, 0), (0, 1))
-        w = build_w(2, 2, lbl, (0, 0))
+        w = build_w(2, 2, [(1, 0), (0, 1)], (0, 0))
         oracle = np.kron(build_v(2, 0).entries, build_z(2).entries)
         assert np.allclose(w.entries, oracle, atol=1e-14)
         eigs = np.sort_complex(np.linalg.eigvals(w.entries))
@@ -89,15 +101,22 @@ class TestBuildW:
         a_params, x, z = flat[:e], flat[e : 2 * e], flat[2 * e :]
         slots = [build_v(p, a).power(i) @ build_z(p).power(j) for a, i, j in zip(a_params, x, z)]
         expected = reduce(OperatorMatrix.tensor, slots)
-        assert np.array_equal(build_w(p, e, WeylLabel(p, e, x, z), a_params).exact, expected.exact)
+        assert np.array_equal(build_w(p, e, [x, z], a_params).exact, expected.exact)
 
     def test_capacity_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            build_w(2, 8, WeylLabel(2, 8, (1,) * 8, (0,) * 8), (0,) * 8)
+            build_w(2, 8, [(1,) * 8, (0,) * 8], (0,) * 8)
 
     def test_bad_a_params(self):
         with pytest.raises(ValueError):
-            build_w(2, 2, WeylLabel(2, 2, (1, 0), (0, 0)), (0,))
+            build_w(2, 2, [(1, 0), (0, 0)], (0,))
+
+
+def every_w(p, e):
+    """Every labelled operator at d = p**e: each label (x, z) at each a_params."""
+    slots = list(product(range(p), repeat=e))
+    for a_params, x, z in product(slots, slots, slots):
+        yield build_w(p, e, [x, z], a_params)
 
 
 class TestDegeneracyReport:
@@ -107,8 +126,7 @@ class TestDegeneracyReport:
         assert rep.multiplicities == (1,) * 5
 
     def test_double_flip_degenerate(self):
-        lbl = WeylLabel(2, 2, (1, 1), (0, 0))
-        rep = degeneracy_report(build_w(2, 2, lbl, (0, 0)))
+        rep = degeneracy_report(build_w(2, 2, [(1, 1), (0, 0)], (0, 0)))
         assert rep.degenerate
         assert sorted(rep.multiplicities) == [2, 2]
         values = sorted(rep.eigenvalues, key=lambda v: v.real)
@@ -124,31 +142,64 @@ class TestDegeneracyReport:
         with pytest.raises(ValueError, match="unitary"):
             degeneracy_report(bad)
 
+    def test_dense_and_non_permutation_input_refused(self):
+        # a dense unitary, exact matrices with two entries in a row or a column, and an
+        # identity whose annotation is the flip
+        hadamard = OperatorMatrix(2, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        two_in_row = OperatorMatrix.from_exact([[0, 0], [-1, 0]])
+        two_in_column = OperatorMatrix.from_exact([[0, -1], [0, -1]])
+        mislabelled = OperatorMatrix(2, np.eye(2), exact=[[-1, 0], [0, -1]])
+        for matrix in (hadamard, two_in_row, two_in_column, mislabelled,
+                       OperatorMatrix(3, build_z(3).entries)):
+            with pytest.raises(ValueError, match="exact phased permutation"):
+                degeneracy_report(matrix)
+
+    def test_listed_by_turn_from_one(self):
+        # V_1 at d = 3 has the eigenvalues 1, omega and omega**2, each once
+        rep = degeneracy_report(build_v(3, 1))
+        assert rep.eigenvalues[0] == 1
+        assert np.allclose(rep.eigenvalues, np.exp(2j * np.pi * np.arange(3) / 3), atol=1e-15)
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_multiplicities_match_the_eigensolver(self, d):
+        # every W at d = 4 and 8, and V_a and Z at d = 2..19, against np.linalg.eigvals
+        p, e = 2, d.bit_length() - 1
+        matrices = list(every_w(p, e))
+        if d == 4:
+            matrices += [build_v(n, a) for n in range(2, 20) for a in range(n)]
+            matrices += [build_z(n) for n in range(2, 20)]
+        for matrix in matrices:
+            rep = degeneracy_report(matrix)
+            eigs = np.linalg.eigvals(matrix.entries)
+            turns = [np.angle(v) / (2 * np.pi) % 1 for v in rep.eigenvalues]
+            assert turns == sorted(turns) and len(set(np.round(turns, 9))) == len(turns)
+            found = [int((np.abs(eigs - v) < 1e-8).sum()) for v in rep.eigenvalues]
+            assert list(rep.multiplicities) == found and sum(found) == matrix.dim
+            assert rep.degenerate is (max(found) > 1)
+
 
 class TestPartition:
     def test_p2_e2_counts(self):
         classes = partition_commuting_classes(2, 2)
-        assert len(classes) == 5
-        assert all(len(c.members) == 3 for c in classes)
+        assert classes.shape == (5, 3, 2, 2)
         seen = set()
         for c in classes:
-            for lbl in c.members:
-                key = (lbl.x, lbl.z)
+            for lbl in c:
+                key = tuple(map(tuple, lbl.tolist()))
                 assert key not in seen
                 seen.add(key)
         assert len(seen) == 15
 
     def test_p3_e2_counts(self):
         classes = partition_commuting_classes(3, 2)
-        assert len(classes) == 10
-        assert all(len(c.members) == 8 for c in classes)
-        covered = {(l.x, l.z) for c in classes for l in c.members}
+        assert classes.shape == (10, 8, 2, 2)
+        covered = {tuple(lbl.ravel().tolist()) for c in classes for lbl in c}
         assert len(covered) == 80
 
     def test_p3_e1_lines(self):
         classes = partition_commuting_classes(3, 1)
         assert len(classes) == 4
-        as_sets = [{(l.x[0], l.z[0]) for l in c.members} for c in classes]
+        as_sets = [{(x, z) for [x], [z] in c.tolist()} for c in classes]
         assert {(0, 1), (0, 2)} in as_sets  # clock-only line
         assert {(1, 0), (2, 0)} in as_sets  # shift-only line
         mixed = [s for s in as_sets if all(x and z for x, z in s)]
@@ -158,22 +209,22 @@ class TestPartition:
     def test_classes_commute(self, p, e):
         classes = partition_commuting_classes(p, e)
         for c in classes:
-            for i, a in enumerate(c.members):
-                for b in c.members[i + 1 :]:
-                    assert symplectic_oracle(a, b) == 0
+            for i, a in enumerate(c):
+                for b in c[i + 1 :]:
+                    assert symplectic_oracle(a, b, p) == 0
 
     def test_first_class_is_diagonal(self):
         for p, e in [(2, 2), (3, 2), (5, 1)]:
             classes = partition_commuting_classes(p, e)
-            assert classes[0].is_diagonal()
-            assert not any(c.is_diagonal() for c in classes[1:])
+            assert not classes[0][:, 0].any()
+            assert all(members[:, 0].any() for members in classes[1:])
 
     def test_spread_order(self):
         # all-clock class, then one graph {(x, g x)} per g in increasing order
         classes = partition_commuting_classes(5, 1)
-        for g, cls in enumerate(classes[1:]):
-            assert [(l.x, l.z) for l in cls.members] == [((x,), (g * x % 5,)) for x in range(1, 5)]
-        assert all(not any(l.z) for l in partition_commuting_classes(2, 3)[1].members)
+        for g, members in enumerate(classes[1:]):
+            assert members.tolist() == [[[x], [g * x % 5]] for x in range(1, 5)]
+        assert not partition_commuting_classes(2, 3)[1][:, 1].any()
 
     def test_matrix_level_commutation(self):
         classes = partition_commuting_classes(2, 2)
@@ -188,13 +239,11 @@ class TestPartition:
         a_params = tuple((i + 1) % p for i in range(e))
         assert commutation_soundness(classes, p, e, a_params).max_residual == 0.0
         # V Z in the first slot against Z there: W_a W_b = q W_b W_a
-        shift = WeylLabel(p, e, (1,) + (0,) * (e - 1), (1,) + (0,) * (e - 1))
-        clock = WeylLabel(p, e, (0,) * e, (1,) + (0,) * (e - 1))
-        bad = CommutingClass(len(classes), (classes[1].members[0], shift, clock))
-        rep = commutation_soundness(classes + [bad], p, e, a_params)
+        bad = np.array([classes[1][0], unit_label(e, 1, 1), unit_label(e, 0, 1)])
+        rep = commutation_soundness([*classes, bad], p, e, a_params)
         assert not rep.passed and not rep.details["symplectic_forms_vanish"]
         # the dense commutators of the bad class are the reference
-        ws = [build_w(p, e, lbl, a_params).entries for lbl in bad.members]
+        ws = [build_w(p, e, lbl, a_params).entries for lbl in bad]
         dense = max(np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2))
         assert rep.max_residual == pytest.approx(dense, abs=1e-12)
         assert rep.max_residual > 0.1  # |1 - q| = 2 sin(pi/p)
@@ -206,11 +255,11 @@ class TestPartition:
         slots = st.tuples(*[st.integers(0, p - 1)] * e)
         a_params = data.draw(slots)
         # part of one commuting class, with or without random labels added
-        members = data.draw(st.sampled_from(partition_commuting_classes(p, e))).members
-        members = data.draw(st.lists(st.sampled_from(members), min_size=1, max_size=4, unique=True))
-        members += data.draw(st.lists(st.builds(lambda x, z: WeylLabel(p, e, x, z), slots, slots),
-                                      max_size=2))
-        rep = commutation_soundness([CommutingClass(0, tuple(members))], p, e, a_params)
+        members = partition_commuting_classes(p, e)[data.draw(st.integers(0, p**e))]
+        picked = data.draw(st.lists(st.integers(0, p**e - 2), min_size=1, max_size=4, unique=True))
+        members = members[picked].tolist()
+        members += data.draw(st.lists(st.tuples(slots, slots), max_size=2))
+        rep = commutation_soundness([members], p, e, a_params)
         ws = [build_w(p, e, lbl, a_params).entries for lbl in members]
         dense = max((np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2)), default=0.0)
         assert rep.passed is bool(dense < 1e-9)
@@ -221,8 +270,6 @@ class TestPartition:
         # every label's rows changed at d = 9, one unit entry per row kept, so that the
         # shift and slope read from rows 0, 1 and 3 still obey the commutation law:
         # row 4 = (1, 1) times q, or tau**(2 x.r), a slope that is no multiple of 2d/p = 6
-        from mubkit import composite
-
         original = composite._label_rows
 
         def planted(p, a_params, xs, zs):
@@ -238,7 +285,7 @@ class TestPartition:
         monkeypatch.setattr(composite, "_label_rows", planted)
         assert not commutation_soundness(classes, 3, 2, (0, 0)).passed
         # and the planted operators do fail to commute
-        ws = [planted(3, (0, 0), lbl.x, lbl.z).dense() for lbl in classes[2].members]
+        ws = [planted(3, (0, 0), x, z).dense() for x, z in classes[2]]
         assert max(np.abs(a @ b - b @ a).max() for a, b in combinations(ws, 2)) > 0.1
 
     def test_non_prime_p_rejected(self):
@@ -249,10 +296,9 @@ class TestPartition:
 class TestJointEigenbasis:
     def test_shift_class_gives_tensor_fourier(self):
         classes = partition_commuting_classes(2, 2)
-        shift_class = next(
-            c for c in classes if all(not any(l.z) for l in c.members)
-        )
-        basis = joint_eigenbasis(shift_class, 2, 2, (0, 0))
+        cid = next(c for c, members in enumerate(classes) if not members[:, 1].any())
+        basis = joint_eigenbasis(classes[cid], 2, 2, (0, 0), cid)
+        assert basis.label == f"class:{cid}"
         # tensor of the 2-dim flip eigenbases: each vector matches exactly one
         plus_minus = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         fourier = np.kron(plus_minus, plus_minus)
@@ -267,8 +313,8 @@ class TestJointEigenbasis:
         classes = partition_commuting_classes(3, 1)
         references = [build_basis(3, a) for a in range(3)]
         matched = set()
-        for cls in classes[1:]:
-            basis = joint_eigenbasis(cls, 3, 1, (0,))
+        for cid, members in enumerate(classes[1:], 1):
+            basis = joint_eigenbasis(members, 3, 1, (0,), cid)
             hits = [
                 a
                 for a, ref in enumerate(references)
@@ -283,26 +329,18 @@ class TestJointEigenbasis:
         assert matched == {0, 1, 2}
 
     def test_single_degenerate_member_refused(self):
-        lone = CommutingClass(99, (WeylLabel(2, 2, (1, 1), (0, 0)),))
         with pytest.raises(ValueError, match="unresolved"):
-            joint_eigenbasis(lone, 2, 2, (0, 0))
+            joint_eigenbasis([[(1, 1), (0, 0)]], 2, 2, (0, 0), 99)
 
     def test_non_commuting_class_refused(self):
-        bad = CommutingClass(
-            98,
-            (WeylLabel(2, 1, (1,), (0,)), WeylLabel(2, 1, (0,), (1,))),
-        )
-        with pytest.raises(ValueError, match="commute"):
-            joint_eigenbasis(bad, 2, 1, (0,))
+        with pytest.raises(ValueError, match="class 98: members 0 and 1 fail to commute"):
+            joint_eigenbasis([[(1,), (0,)], [(0,), (1,)]], 2, 1, (0,), 98)
 
     def test_non_graph_class_refused(self):
         # commuting and complete, but neither all-clock nor a graph over x
-        mixed = CommutingClass(
-            97,
-            tuple(WeylLabel(2, 2, (x, 0), (0, z)) for x, z in [(0, 1), (1, 0), (1, 1)]),
-        )
+        mixed = [[(x, 0), (0, z)] for x, z in [(0, 1), (1, 0), (1, 1)]]
         with pytest.raises(ValueError, match="unresolved"):
-            joint_eigenbasis(mixed, 2, 2, (0, 0))
+            joint_eigenbasis(mixed, 2, 2, (0, 0), 97)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -314,9 +352,9 @@ class TestJointEigenbasis:
     )
     def test_eigenvector_residuals(self, case):
         (p, e), a_params = case
-        for cls in partition_commuting_classes(p, e):
-            rows = joint_eigenbasis(cls, p, e, a_params).as_array()
-            for lbl in cls.members:
+        for cid, members in enumerate(partition_commuting_classes(p, e)):
+            rows = joint_eigenbasis(members, p, e, a_params, cid).as_array()
+            for lbl in members:
                 image = build_w(p, e, lbl, a_params).entries @ rows.T
                 lam = np.einsum("ij,ji->i", rows.conj(), image)
                 assert np.abs(image - rows.T * lam).max() < 1e-9
@@ -367,11 +405,24 @@ class TestBuildCompositeSet:
         with pytest.raises(ValueError):
             build_composite_set(2, 2, (2, 0))
 
+    @pytest.mark.parametrize("a_params", [(1.5, 0), ("1", 0), (1.0, 0)])
+    def test_non_integer_a_params_refused(self, a_params):
+        # int() would have read each of these as (1, 0)
+        with pytest.raises(ValueError, match="integer entries"):
+            build_composite_set(2, 2, a_params)
+        with pytest.raises(ValueError, match="integer entries"):
+            build_w(2, 2, [(1, 0), (0, 0)], a_params)
+
+    def test_numpy_integer_a_params_accepted(self):
+        built = build_composite_set(3, 2, np.array([1, 2]))
+        assert np.array_equal(built.exponents, build_composite_set(3, 2, (1, 2)).exponents)
+
 
 def per_class_set(p, e, a_params):
     """Reference: the partition, then one joint eigenbasis per class."""
     classes = partition_commuting_classes(p, e)
-    return classes, MubSet(p**e, tuple(joint_eigenbasis(c, p, e, a_params) for c in classes))
+    bases = (joint_eigenbasis(members, p, e, a_params, cid) for cid, members in enumerate(classes))
+    return classes, MubSet(p**e, tuple(bases))
 
 
 class TestOneBroadcastBuild:
@@ -390,9 +441,9 @@ class TestOneBroadcastBuild:
         assert np.array_equal(built.exponents, reference.exponents)
         assert np.array_equal(built.scales, reference.scales)
         assert [b.label for b in built.bases] == [b.label for b in reference.bases]
-        for basis, cls in zip(built.bases, classes):
+        for basis, members in zip(built.bases, classes):
             assert basis.class_labels.shape == (p**e - 1, 2, e)
-            assert basis.class_labels.tolist() == [[list(l.x), list(l.z)] for l in cls.members]
+            assert np.array_equal(basis.class_labels, members)
         assert verify_set(built) == verify_set(reference)
 
     def test_labels_and_forms_are_read_only(self):
@@ -461,6 +512,18 @@ class TestWriterAndRecognizer:
                  for h in points]
         assert code[0] == (4 if e == 1 else 5)
         assert keys[0].tolist() == slots
+
+    def test_one_writer_writes_the_cyclic_bases(self):
+        # eigenbasis a of the phased shift is the quadratic basis over Z_d of form A = -a
+        # mod d with w_n(1) = (d-3)a - 2n and slot-0 exponent (d-1)(a+2n); the writer,
+        # given the rows' points as _form_keys takes them from w_n(1), writes it exactly
+        for d in range(2, 129):
+            a, n = np.arange(d)[:, None], np.arange(d)
+            form = -a % d
+            rows = ((d - 3) * a - 2 * n - (d + 1) * form) % (2 * d) // 2
+            slot0 = ((d - 1) * (a + 2 * n))[..., None]
+            written = mub._form_exponents(form[:, :, None], rows, slot0, *mub._form_layout(d, d, 1))
+            assert np.array_equal(written, mub._eigen_exponents(d, a, n)), d
 
 
 class TestFailedConstruction:
