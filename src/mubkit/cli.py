@@ -3,6 +3,7 @@
 Subcommands: gen (generator matrices), set (complete MUB set for prime d),
 verify (re-check a serialized set), sumrule (Gauss-sum table), su2 (polar
 decomposition checks), ffz (commutator sweep), composite (prime-power set).
+Only verify takes --tol: the others decide on integers.
 
 Exit codes: 0 all verifications pass, 1 a verification failed, 2 usage
 error.  Reports go to stdout unless --output is given; diagnostics go to
@@ -50,11 +51,6 @@ def _a_params(text: str) -> tuple:
 def _add_common(parser: argparse.ArgumentParser, run, formats: bool = False) -> None:
     """The options every subcommand shares, and run, the handler main calls with the namespace."""
     parser.set_defaults(run=run)
-    # argparse passes a string default through type= as well, so $MUBKIT_TOL
-    # is checked like --tol (and only read when --tol is absent)
-    parser.add_argument("--tol", type=_tolerance,
-                        default=os.environ.get(ENV_TOL) or str(DEFAULT_TOL),
-                        help=f"pass/fail tolerance (default {DEFAULT_TOL}, or ${ENV_TOL})")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the report/artifact here instead of stdout")
     if formats:
@@ -84,6 +80,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
     p_verify = sub.add_parser("verify", help="verify a serialized MUB set")
     p_verify.add_argument("--set", dest="set_path", type=Path, required=True)
+    # argparse passes a string default through type= as well, so $MUBKIT_TOL
+    # is checked like --tol (and only read when --tol is absent)
+    p_verify.add_argument("--tol", type=_tolerance,
+                          default=os.environ.get(ENV_TOL) or str(DEFAULT_TOL),
+                          help=f"pass/fail tolerance (default {DEFAULT_TOL}, or ${ENV_TOL})")
     _add_common(p_verify, _run_verify)
 
     p_sum = sub.add_parser("sumrule", help="Gauss-sum magnitude table")
@@ -164,7 +165,7 @@ def _run_set(args: argparse.Namespace) -> int:
     if args.exact and args.format == "csv":
         raise ValueError("--exact needs --format json: csv holds float amplitudes only")
     mub_set = mub.build_complete_set(args.dim, force=args.force)
-    report = mub.verify_set(mub_set, args.tol)
+    report = mub.verify_set(mub_set)
     _write_set(args, mub_set, args.exact)
     if not report.passed:
         for pair in report.details["failing_pairs"]:
@@ -182,7 +183,10 @@ def _run_set(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     from . import mub
 
-    doc = json.loads(args.set_path.read_text())
+    try:
+        doc = json.loads(args.set_path.read_text())
+    except RecursionError:
+        raise ValueError(f"{args.set_path}: nested deeper than the JSON decoder reads") from None
     mub_set = serialize.mubset_from_doc(doc)
     report = mub.verify_set(mub_set, args.tol)
     out = {
@@ -224,7 +228,7 @@ def _run_su2(args: argparse.Namespace) -> int:
     su2.AngularParams(args.two_j, 0)
 
     def one(a: int) -> dict:
-        commutators, action = su2._check_su2_and_action(args.two_j, a, args.tol)
+        commutators, action = su2._check_su2_and_action(args.two_j, a)
         res = commutators.details["residuals"]
         return {
             "two_j": args.two_j,
@@ -255,7 +259,7 @@ def _run_ffz(args: argparse.Namespace) -> int:
     weyl._check_dim_param(args.dim, 0)
 
     def one(a: int) -> dict:
-        rep = weyl.ffz_sweep(args.dim, a, args.max_m, tol=args.tol)
+        rep = weyl.ffz_sweep(args.dim, a, args.max_m)
         details = rep.details
         return {
             "d": args.dim,
@@ -282,7 +286,7 @@ def _run_composite(args: argparse.Namespace) -> int:
     if a_params is not None and len(a_params) == 1 and args.e > 1:
         a_params = a_params * args.e
     try:
-        mub_set = build_composite_set(args.p, args.e, a_params, tol=args.tol)
+        mub_set = build_composite_set(args.p, args.e, a_params)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,8 +29,7 @@ from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
-from .cyclo import (DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, check_tolerance,
-                    is_prime)
+from .cyclo import DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, is_prime
 from .mub import (MAX_DIM, MubBasis, MubSet, _form_exponents, _form_layout, _pair_table,
                   _pair_verdicts)
 from .report import VerificationReport
@@ -117,14 +116,13 @@ class DegeneracyReport:
 def degeneracy_report(matrix: OperatorMatrix) -> DegeneracyReport:
     """The exact spectrum of a phased permutation, from its cycles; flags any multiplicity > 1.
 
-    matrix must be exact, its entries those of its annotation, one in each
-    row and column, as every operator mubkit builds is, else ValueError.  A
-    cycle of length L whose entries multiply to tau**c contributes the turns
-    (c/2d + k)/L, k < L, as reduced integer pairs, so counts are exact.
+    matrix must be exact, one entry in each row and column, as every
+    operator mubkit builds is, else ValueError.  A cycle of length L whose
+    entries multiply to tau**c contributes the turns (c/2d + k)/L, k < L,
+    as reduced integer pairs, so counts are exact.
     """
     support = None if matrix.exact is None else matrix.exact >= 0
-    if (support is None or (support.sum(axis=0) != 1).any() or (support.sum(axis=1) != 1).any()
-            or not np.array_equal(matrix.entries, OperatorMatrix.from_exact(matrix.exact).entries)):
+    if support is None or (support.sum(axis=0) != 1).any() or (support.sum(axis=1) != 1).any():
         raise ValueError("input must be an exact phased permutation: a unitary with one "
                          "tau-power entry in each row and each column")
     d = matrix.dim
@@ -268,7 +266,7 @@ def joint_eigenbasis(members, p: int, e: int, a_params, cid: int) -> MubBasis:
 # -- complete sets ---------------------------------------------------------------
 
 
-def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL) -> MubSet:
+def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     """p**e + 1 pairwise-unbiased bases in dimension p**e.
 
     Every class of the spread contributes its joint eigenbasis, in the order
@@ -281,7 +279,6 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     is built unless a pair fails, which raises ConstructionError naming the
     first failing pair in verify_set's order and its residual.
     """
-    check_tolerance(tol)
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
     exps = np.empty((d + 1, d, d), np.int64)
@@ -293,8 +290,9 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     labels = [f"class:{c}" for c in range(d + 1)]
     mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
     i, j = _pair_table(d + 1)
+    # every basis is exact, so no float deviation is compared against DEFAULT_TOL
     deviation, passed, _ = _pair_verdicts(mub_set.amps, exps, scales, mub_set.exact_bases,
-                                          i == j, i, j, tol)
+                                          i == j, i, j, DEFAULT_TOL)
     if not passed.all():
         q = np.argmin(passed)  # the first failing pair in verify_set's order
         pair = (labels[i[q]], labels[j[q]])
@@ -306,9 +304,7 @@ def build_composite_set(p: int, e: int, a_params=None, tol: float = DEFAULT_TOL)
     return mub_set
 
 
-def commutation_soundness(
-    classes, p: int, e: int, a_params, tol: float = DEFAULT_TOL
-) -> VerificationReport:
+def commutation_soundness(classes, p: int, e: int, a_params) -> VerificationReport:
     """Every two operators of each class commute, decided by the group law, and so do their labels.
 
     classes holds one member array (m, 2, e) per class, as the array of
@@ -316,9 +312,8 @@ def commutation_soundness(
     and slope beta (_affine_rows, b = p), and W_A W_B = tau**(beta_B.x_A -
     beta_A.x_B) W_B W_A; a member of another form fails.  The residual is
     0.0 when every pair commutes, else the largest |1 - tau**k| of a
-    failing pair; tol is validated and recorded, not read.
+    failing pair.
     """
-    check_tolerance(tol)
     a_params = _check_params(p, e, a_params)
     table = _phase_table(2 * p**e)
     commute, form_ok, worst = True, True, 0.0
@@ -334,7 +329,7 @@ def commutation_soundness(
     return VerificationReport(
         kind="commutation_soundness",
         passed=commute and form_ok,
-        tolerance=tol,
+        tolerance=None,
         max_residual=worst,
         details={"p": p, "e": e, "symplectic_forms_vanish": form_ok},
     )

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 class VerificationReport:
     """Outcome of one verification: max residual vs the tolerance used.
 
+    tolerance is None for a check decided without a tolerance, on integers.
     details carries check-specific payload (overlap tables, sweep ranges,
     the sign convention in force, failing pairs, ...); everything in it is
     JSON-serializable.
@@ -14,7 +15,7 @@ class VerificationReport:
 
     kind: str
     passed: bool
-    tolerance: float
+    tolerance: float | None
     max_residual: float
     details: dict = field(default_factory=dict)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, check_tolerance
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _equality, _relation, _Rows, build_v
 
@@ -133,36 +132,34 @@ def _action_relations(j_plus: _Rows, j_minus: _Rows, a: int) -> dict:
     return {"raising": _equality(j_plus, raising), "lowering": _equality(j_minus, lowering)}
 
 
-def _report(kind: str, relations: dict, tol: float, **details) -> VerificationReport:
-    """Passes when every relation holds; tol is recorded, not read."""
+def _report(kind: str, relations: dict, **details) -> VerificationReport:
+    """Passes when every relation holds."""
     residuals = {name: residual for name, (_, residual) in relations.items()}
     return VerificationReport(
         kind=kind,
         passed=all(holds for holds, _ in relations.values()),
-        tolerance=tol,
+        tolerance=None,
         max_residual=max(residuals.values()),
         details={**details, "residuals": residuals},
     )
 
 
-def _su2_report(rows: tuple, two_j: int, a: int, tol: float) -> VerificationReport:
-    return _report("su2_commutators", _commutation_relations(*rows), tol, two_j=two_j, a=a)
+def _check_su2_and_action(two_j: int, a: int) -> tuple[VerificationReport, VerificationReport]:
+    """(check_su2, check_ladder_action) at (two_j, a), composing the ladder rows once."""
+    j_plus, j_minus, two_jz = _ladder_rows(two_j, a)
+    return (_report("su2_commutators", _commutation_relations(j_plus, j_minus, two_jz),
+                    two_j=two_j, a=a),
+            _report("ladder_action", _action_relations(j_plus, j_minus, a), two_j=two_j, a=a,
+                    raising_checked_against="closed-form action (upper branch)",
+                    lowering_checked_against="operator composition"))
 
 
-def _action_report(rows: tuple, two_j: int, a: int, tol: float) -> VerificationReport:
-    j_plus, j_minus, _ = rows
-    return _report("ladder_action", _action_relations(j_plus, j_minus, a), tol, two_j=two_j, a=a,
-                   raising_checked_against="closed-form action (upper branch)",
-                   lowering_checked_against="operator composition")
-
-
-def check_su2(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
+def check_su2(two_j: int, a: int) -> VerificationReport:
     """Decide the commutators, the Casimir, adjointness and the j_z action at (two_j, a)."""
-    check_tolerance(tol)
-    return _su2_report(_ladder_rows(two_j, a), two_j, a, tol)
+    return _check_su2_and_action(two_j, a)[0]
 
 
-def check_ladder_action(two_j: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
+def check_ladder_action(two_j: int, a: int) -> VerificationReport:
     """Decide the explicit ladder actions row by row.
 
     The raising operator is checked against the closed-form action (its
@@ -170,13 +167,4 @@ def check_ladder_action(two_j: int, a: int, tol: float = DEFAULT_TOL) -> Verific
     the composition v_a^dagger h.  The report records which source each
     side was checked against.
     """
-    check_tolerance(tol)
-    return _action_report(_ladder_rows(two_j, a), two_j, a, tol)
-
-
-def _check_su2_and_action(two_j: int, a: int,
-                          tol: float) -> tuple[VerificationReport, VerificationReport]:
-    """(check_su2, check_ladder_action) at (two_j, a), composing the ladder rows once."""
-    check_tolerance(tol)
-    rows = _ladder_rows(two_j, a)
-    return _su2_report(rows, two_j, a, tol), _action_report(rows, two_j, a, tol)
+    return _check_su2_and_action(two_j, a)[1]

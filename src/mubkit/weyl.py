@@ -16,18 +16,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclo import (DEFAULT_TOL, CyclotomicSum, _frozen, _phase_table, _points, _unit_slots,
-                    check_tolerance)
+from .cyclo import CyclotomicSum, _frozen, _phase_table, _points, _unit_slots
 from .report import VerificationReport
+
+
+def _tau_powers(exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exact reduced mod 2d, -1 for each negative exponent; the tau powers it names, 0 at -1)."""
+    mod = 2 * exact.shape[0]
+    exact = np.where(exact < 0, -1, exact % mod)
+    return exact, np.where(exact < 0, 0, _phase_table(mod)[exact])
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Dense d x d complex matrix, optionally annotated with exact phases.
 
-    exact, when present, is an int64 grid of tau exponents mod 2*dim with -1
-    marking an exactly-zero entry; entries are always regenerated from the
-    annotation so the float shadow and the exact data never drift apart.
+    exact, when present, is an int64 grid of tau exponents, reduced here mod
+    2*dim with -1 marking an exactly-zero entry (any negative exponent); the
+    entries must be exactly the tau powers it names, else ValueError, so
+    the float shadow and the exact data never drift apart.
     """
 
     dim: int
@@ -40,10 +47,13 @@ class OperatorMatrix:
             raise ValueError(f"entries must be {self.dim}x{self.dim}, got {entries.shape}")
         object.__setattr__(self, "entries", entries)
         if self.exact is not None:
-            exact = _frozen(self.exact, np.int64)
+            exact = np.asarray(self.exact, dtype=np.int64)
             if exact.shape != entries.shape:
                 raise ValueError("exact annotation shape mismatch")
-            object.__setattr__(self, "exact", exact)
+            exact, powers = _tau_powers(exact)
+            if not np.array_equal(entries, powers):
+                raise ValueError("entries must be the tau powers the exact annotation names")
+            object.__setattr__(self, "exact", _frozen(exact, np.int64))
 
     @property
     def phase_modulus(self) -> int:
@@ -53,12 +63,7 @@ class OperatorMatrix:
     def from_exact(cls, exact) -> "OperatorMatrix":
         """Build from a tau-exponent grid (-1 = zero entry)."""
         exact = np.asarray(exact, dtype=np.int64)
-        dim = exact.shape[0]
-        mod = 2 * dim
-        exact = np.where(exact < 0, -1, exact % mod)
-        table = _phase_table(mod)
-        entries = np.where(exact < 0, 0, table[np.where(exact < 0, 0, exact)])
-        return cls(dim, entries, exact)
+        return cls(exact.shape[0], _tau_powers(exact)[1], exact)
 
     @classmethod
     def identity(cls, dim: int) -> "OperatorMatrix":
@@ -331,16 +336,15 @@ def trace_inner_exact(a: OperatorMatrix, b: OperatorMatrix) -> CyclotomicSum:
     return CyclotomicSum.from_exponent_counts(diffs, a.dim)
 
 
-def q_commutation_residual(d: int, a: int, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """V_a Z = q Z V_a, decided on rows; tol is validated and recorded, not read."""
-    check_tolerance(tol)
+def q_commutation_residual(d: int, a: int) -> VerificationReport:
+    """V_a Z = q Z V_a, decided on rows."""
     _check_dim_param(d, a)
     v, z, q = (_Rows.monomial(d, *args) for args in ((a, 1, 0), (0, 0, 1), (0, 0, 0, 2)))
     exact_zero, residual = _equality(v @ z, q @ z @ v)
     return VerificationReport(
         kind="q_commutation",
         passed=exact_zero,
-        tolerance=tol,
+        tolerance=None,
         max_residual=residual,
         details={"d": d, "a": a, "exact_zero": exact_zero},
     )
@@ -431,10 +435,9 @@ def select_ffz_sign_convention() -> int:
 
 
 def ffz_commutator_residual(
-    d: int, a: int, m, n, sign_convention: int | None = None, tol: float = DEFAULT_TOL
+    d: int, a: int, m, n, sign_convention: int | None = None
 ) -> VerificationReport:
-    """[T_m, T_n] = 2i sin(pi (m^n)/d) T_{m+n}, decided on integers; tol is recorded, not read."""
-    check_tolerance(tol)
+    """[T_m, T_n] = 2i sin(pi (m^n)/d) T_{m+n}, decided on integers."""
     m, n = as_wedge(m), as_wedge(n)
     sigma = select_ffz_sign_convention() if sign_convention is None else sign_convention
     [(_, holds, residual)] = _commutator_blocks(d, a, sigma, [(m.m1, m.m2)], [(n.m1, n.m2)])
@@ -442,7 +445,7 @@ def ffz_commutator_residual(
     return VerificationReport(
         kind="ffz_commutator",
         passed=exact,
-        tolerance=tol,
+        tolerance=None,
         max_residual=float(residual[0, 0]),
         details={
             "d": d,
@@ -457,19 +460,17 @@ def ffz_commutator_residual(
 
 
 def ffz_sweep(
-    d: int, a: int, max_m: int | None = None, sign_convention: int | None = None,
-    tol: float = DEFAULT_TOL,
+    d: int, a: int, max_m: int | None = None, sign_convention: int | None = None
 ) -> VerificationReport:
     """Sweep the commutator identity over all m, n with components 0..max_m.
 
     The swept range includes 0 (so T_(1,0) = V_a and T_(0,1) = Z appear),
     which widens the strictly-positive index set the identity is stated for;
     the report records the range.  It passes when every pair holds, decided
-    on integers (tol is validated and recorded, not read); more than
-    FFZ_MAX_PAIRS pairs, (max_m + 1)**4, raise ValueError.  The failure of
-    the opposite sign at the basic pair (1,0),(0,1) is a negative control.
+    on integers; more than FFZ_MAX_PAIRS pairs, (max_m + 1)**4, raise
+    ValueError.  The failure of the opposite sign at the basic pair
+    (1,0),(0,1) is a negative control.
     """
-    check_tolerance(tol)
     max_m = 2 * d - 1 if max_m is None else max_m
     if max_m < 0:
         raise ValueError(f"max_m must be >= 0, got {max_m}")
@@ -484,11 +485,11 @@ def ffz_sweep(
         if residual[i, j] > worst:
             worst, worst_pair = float(residual[i, j]), (grid[rows][i].tolist(), grid[j].tolist())
 
-    opposite = ffz_commutator_residual(d, a, (1, 0), (0, 1), sign_convention=-sigma, tol=tol)
+    opposite = ffz_commutator_residual(d, a, (1, 0), (0, 1), sign_convention=-sigma)
     return VerificationReport(
         kind="ffz_sweep",
         passed=exact,
-        tolerance=tol,
+        tolerance=None,
         max_residual=worst,
         details={
             "d": d,

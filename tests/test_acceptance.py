@@ -82,13 +82,13 @@ def test_criterion_05_su2_commutators_and_action():
     worst = 0.0
     for two_j in range(1, 13):
         for a in range(two_j + 1):
-            rep = mk.check_su2(two_j, a, tol=1e-10)
+            rep = mk.check_su2(two_j, a)
             residuals = rep.details["residuals"]
             ok &= residuals["jz_jp"] < 1e-10
             ok &= residuals["jz_jm"] < 1e-10
             ok &= residuals["jp_jm"] < 1e-10
             ok &= residuals["jz_action"] == 0.0  # exact
-            action = mk.check_ladder_action(two_j, a, tol=1e-10)
+            action = mk.check_ladder_action(two_j, a)
             ok &= action.passed
             worst = max(worst, rep.max_residual, action.max_residual)
     _check(5, "su(2) ladder algebra for two_j <= 12, every a", ok, f"max residual {worst:.2e}")
@@ -100,7 +100,7 @@ def test_criterion_06_ffz_commutator_sweep():
     convention = None
     for d in (2, 3, 5, 7):
         for a in range(d):
-            rep = mk.ffz_sweep(d, a, max_m=2 * d - 1, tol=1e-10)
+            rep = mk.ffz_sweep(d, a, max_m=2 * d - 1)
             ok &= rep.passed
             worst = max(worst, rep.max_residual)
             convention = rep.details["sign_convention"]

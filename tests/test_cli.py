@@ -62,31 +62,49 @@ class TestParseArgs:
 
     def test_nonpositive_tol_rejected(self):
         with pytest.raises(SystemExit) as err:
-            parse_args(["set", "--dim", "3", "--tol", "-1"])
+            parse_args(["verify", "--set", "f.json", "--tol", "-1"])
         assert err.value.code == 2
 
     def test_env_tolerance(self, monkeypatch):
         monkeypatch.setenv("MUBKIT_TOL", "1e-7")
-        assert parse_args(["set", "--dim", "3"]).tol == 1e-7
+        assert parse_args(["verify", "--set", "f.json"]).tol == 1e-7
+        # --tol wins, and the variable is then not read, even when it is not a number
+        assert parse_args(["verify", "--set", "f.json", "--tol", "1e-8"]).tol == 1e-8
+        monkeypatch.setenv("MUBKIT_TOL", "abc")
+        assert parse_args(["verify", "--set", "f.json", "--tol", "1e-8"]).tol == 1e-8
         monkeypatch.delenv("MUBKIT_TOL")
-        assert parse_args(["set", "--dim", "3"]).tol == 1e-10
+        assert parse_args(["verify", "--set", "f.json"]).tol == 1e-10
 
-    @pytest.mark.parametrize("argv,env", [
-        (["gen", "--dim", "2"], "abc"),
-        (["su2", "--two-j", "2"], "nan"),
-        (["set", "--dim", "5"], "inf"),
-        (["set", "--dim", "5", "--tol", "nan"], None),
-        (["set", "--dim", "5", "--tol", "inf"], None),
-    ], ids=["env-abc", "env-nan", "env-inf", "flag-nan", "flag-inf"])
-    def test_tolerance_must_be_finite_and_positive(self, argv, env, monkeypatch, capsys):
+    @pytest.mark.parametrize("env,flag", [
+        ("abc", None), ("nan", None), ("inf", None), ("0", None), ("-1", None),
+        (None, "abc"), (None, "nan"), (None, "inf"), (None, "0"),
+    ], ids=["env-abc", "env-nan", "env-inf", "env-0", "env--1",
+            "flag-abc", "flag-nan", "flag-inf", "flag-0"])
+    def test_tolerance_must_be_finite_and_positive(self, env, flag, monkeypatch, capsys):
         if env is None:
             monkeypatch.delenv("MUBKIT_TOL", raising=False)
         else:
             monkeypatch.setenv("MUBKIT_TOL", env)
+        argv = ["verify", "--set", "f.json"] + ([] if flag is None else ["--tol", flag])
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert "must be a finite positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--dim", "2"], ["set", "--dim", "3"], ["sumrule", "--dim", "3"],
+        ["su2", "--two-j", "2"], ["ffz", "--dim", "2"], ["composite", "--p", "2", "--e", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_only_verify_takes_a_tolerance(self, argv, monkeypatch, capsys):
+        # these commands decide on integers: --tol is an unknown flag, and $MUBKIT_TOL is not read
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--tol", "1e-9"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+        monkeypatch.delenv("MUBKIT_TOL", raising=False)
+        expected = main(argv), capsys.readouterr().out
+        monkeypatch.setenv("MUBKIT_TOL", "abc")
+        assert (main(argv), capsys.readouterr().out) == expected
 
     def test_internal_tol_flag_is_gone(self):
         with pytest.raises(SystemExit) as err:
@@ -335,6 +353,15 @@ class TestVerifyCommand:
         rc = main(["verify", "--set", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("shape", ["{}", '{"dim": 3, "exact": false, "bases": {}}'])
+    def test_nesting_past_the_decoder_exit_2(self, shape, tmp_path, capsys):
+        # 200 000 nested arrays, alone or under "bases", overflow the JSON decoder's recursion
+        path = tmp_path / "deep.json"
+        path.write_text(shape.replace("{}", "[" * 200_000 + "]" * 200_000, 1))
+        assert main(["verify", "--set", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "nested deeper" in captured.err and not captured.out
+
     @pytest.mark.parametrize("label", ["²", "٣"])
     def test_non_ascii_digit_labels_stay_strings(self, label, tmp_path, capsys):
         # int() refuses "²" and reads "٣" as 3, basis 3's label: neither is an int label
@@ -562,7 +589,7 @@ class TestSu2Command:
         ladder_rows = mubkit.su2._ladder_rows
         monkeypatch.setattr(mubkit.su2, "_ladder_rows",
                             lambda *args: composed.append(args) or ladder_rows(*args))
-        assert [mubkit.su2._check_su2_and_action(two_j, a, 1e-10)
+        assert [mubkit.su2._check_su2_and_action(two_j, a)
                 for a in range(two_j + 1)] == reference
         assert composed == [(two_j, a) for a in range(two_j + 1)]
         composed.clear()
@@ -606,11 +633,12 @@ class TestFfzCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 2 and doc["pass"]
 
-    def test_tolerance_not_read(self, capsys):
-        # the verdict is exact, so a tolerance below float rounding still passes
-        assert main(["ffz", "--dim", "7", "--a", "3", "--tol", "1e-15"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["pass"] and doc["max_residual"] == 0.0
+    def test_tol_flag_refused(self, capsys):
+        # the verdict is exact, so ffz takes no tolerance
+        with pytest.raises(SystemExit) as err:
+            main(["ffz", "--dim", "7", "--a", "3", "--tol", "1e-15"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --tol 1e-15" in capsys.readouterr().err
 
 
 class TestGenCommand:
@@ -662,11 +690,10 @@ class TestCompositeCommand:
         ]
 
     def test_stricter_tol_is_honoured(self, tmp_path, capsys):
-        # the d = 8 set is exact, so it is decided on integers whatever the tolerance;
+        # the d = 8 set is exact, so composite decides it on integers without a tolerance;
         # its document holds floats, which deviate from unbiasedness by about 1e-16
         out = tmp_path / "set8.json"
-        argv = ["composite", "--p", "2", "--e", "3", "--tol", "1e-30", "--output", str(out)]
-        assert main(argv) == 0
+        assert main(["composite", "--p", "2", "--e", "3", "--output", str(out)]) == 0
         assert main(["verify", "--set", str(out), "--tol", "1e-30"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is False and report["exact"] is False

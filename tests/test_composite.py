@@ -143,16 +143,16 @@ class TestDegeneracyReport:
             degeneracy_report(bad)
 
     def test_dense_and_non_permutation_input_refused(self):
-        # a dense unitary, exact matrices with two entries in a row or a column, and an
-        # identity whose annotation is the flip
+        # a dense unitary and exact matrices with two entries in a row or a column
         hadamard = OperatorMatrix(2, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
         two_in_row = OperatorMatrix.from_exact([[0, 0], [-1, 0]])
         two_in_column = OperatorMatrix.from_exact([[0, -1], [0, -1]])
-        mislabelled = OperatorMatrix(2, np.eye(2), exact=[[-1, 0], [0, -1]])
-        for matrix in (hadamard, two_in_row, two_in_column, mislabelled,
-                       OperatorMatrix(3, build_z(3).entries)):
+        for matrix in (hadamard, two_in_row, two_in_column, OperatorMatrix(3, build_z(3).entries)):
             with pytest.raises(ValueError, match="exact phased permutation"):
                 degeneracy_report(matrix)
+        # an identity whose annotation is the flip is refused when it is made
+        with pytest.raises(ValueError, match="tau powers"):
+            OperatorMatrix(2, np.eye(2), exact=[[-1, 0], [0, -1]])
 
     def test_listed_by_turn_from_one(self):
         # V_1 at d = 3 has the eigenvalues 1, omega and omega**2, each once

@@ -31,7 +31,8 @@ from mubkit.mub import (
     verify_unbiased,
 )
 from mubkit.su2 import check_ladder_action, check_su2
-from mubkit.weyl import OperatorMatrix, build_v, ffz_sweep, q_commutation_residual
+from mubkit.weyl import (OperatorMatrix, build_v, ffz_commutator_residual, ffz_sweep,
+                         q_commutation_residual)
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -1131,25 +1132,39 @@ class TestMonomialPairs:
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize(
-    "check",
+    "check, refusal",
     [
-        lambda tol: verify_set(build_complete_set(3), tol),
-        lambda tol: verify_unbiased(build_basis(3, 0), build_basis(3, 1), tol),
-        lambda tol: build_composite_set(2, 2, tol=tol),
-        lambda tol: ffz_sweep(3, 1, 2, tol=tol),
-        lambda tol: check_su2(2, 0, tol),
-        lambda tol: check_ladder_action(2, 0, tol),
-        lambda tol: q_commutation_residual(3, 1, tol),
-        lambda tol: commutation_soundness(partition_commuting_classes(2, 1), 2, 1, (0,), tol),
+        (lambda tol: verify_set(build_complete_set(3), tol), ValueError),
+        (lambda tol: verify_unbiased(build_basis(3, 0), build_basis(3, 1), tol), ValueError),
+        # the checks decided on integers take no tolerance at all
+        (lambda tol: build_composite_set(2, 2, tol=tol), TypeError),
+        (lambda tol: ffz_sweep(3, 1, 2, tol=tol), TypeError),
+        (lambda tol: check_su2(2, 0, tol=tol), TypeError),
+        (lambda tol: check_ladder_action(2, 0, tol=tol), TypeError),
+        (lambda tol: q_commutation_residual(3, 1, tol=tol), TypeError),
+        (lambda tol: commutation_soundness(partition_commuting_classes(2, 1), 2, 1, (0,), tol=tol),
+         TypeError),
     ],
     ids=[
         "verify_set", "verify_unbiased", "build_composite_set", "ffz_sweep", "check_su2",
         "check_ladder_action", "q_commutation_residual", "commutation_soundness",
     ],
 )
-def test_library_refuses_bad_tolerance(check, tol):
-    with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+def test_library_refuses_bad_tolerance(check, refusal, tol):
+    with pytest.raises(refusal, match="tolerance must be a finite positive|keyword argument 'tol'"):
         check(tol)
+
+
+def test_only_float_verdicts_record_a_tolerance():
+    integer_reports = [
+        ffz_sweep(3, 1, 2), ffz_commutator_residual(3, 1, (1, 0), (0, 1)),
+        check_su2(2, 0), check_ladder_action(2, 0), q_commutation_residual(3, 1),
+        commutation_soundness(partition_commuting_classes(2, 1), 2, 1, (0,)),
+    ]
+    assert all(rep.passed and rep.tolerance is None for rep in integer_reports)
+    mub_set = build_complete_set(3)
+    assert verify_set(mub_set, 1e-9).tolerance == 1e-9
+    assert verify_unbiased(*mub_set.bases[:2], 1e-9).tolerance == 1e-9
 
 
 class TestArrayStorage:

@@ -334,7 +334,7 @@ class TestFfz:
     @pytest.mark.parametrize("d", range(2, 14))
     def test_sweep_exact_every_a(self, d):
         for a in range(d):
-            rep = ffz_sweep(d, a, tol=1e-15)
+            rep = ffz_sweep(d, a)
             assert rep.passed and rep.max_residual == 0.0 and rep.details["worst_pair"] is None
             assert rep.details["opposite_sign_fails"]
 
@@ -431,6 +431,15 @@ class TestOperatorMatrix:
             table = np.exp(2j * np.pi * np.arange(2 * m.dim) / (2 * m.dim))
             recon = np.where(m.exact < 0, 0, table[np.where(m.exact < 0, 0, m.exact)])
             assert np.abs(recon - m.entries).max() < 1e-12
+
+    def test_annotation_is_reduced_and_must_name_the_entries(self):
+        # an unreduced annotation is reduced mod 2d, so it equals the identity's
+        identity = OperatorMatrix.identity(2)
+        unreduced = OperatorMatrix(2, np.eye(2), exact=[[4, -1], [-1, 0]])
+        assert exact_equal(unreduced, identity) and trace_inner_exact(unreduced, identity) == 2
+        # an annotation that names other entries is refused, so no exact trace reads it
+        with pytest.raises(ValueError, match="tau powers"):
+            OperatorMatrix(2, np.eye(2), exact=[[-1, 0], [0, -1]])
 
     def test_dagger_involution(self):
         m = build_v(5, 2)
