@@ -191,7 +191,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     report = mub.verify_set(mub_set, args.tol)
     out = {
         "dim": mub_set.dim,
-        "n_bases": len(mub_set.bases),
+        "n_bases": len(mub_set.labels),
         "complete": report.details["complete"],
         "tolerance": args.tol,
         "exact": report.details["exact"],

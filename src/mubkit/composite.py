@@ -273,11 +273,12 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     and with the members of partition_commuting_classes; the all-clock
     class, first, contributes the computational basis.  Every basis is
     exact: the set's exponent stack is written once, the graph bases in one
-    broadcast from the spread forms, and each basis views its rows and its
-    class labels.  Before the set is returned, every pair i <= j is decided
-    by verify_set's pair kernel (mub._pair_verdicts), on integers; no report
-    is built unless a pair fails, which raises ConstructionError naming the
-    first failing pair in verify_set's order and its residual.
+    broadcast from the spread forms, and the set derives its amps and its
+    bases, which view its rows and its class labels, on first read.  Before
+    the set is returned, every pair i <= j is decided by verify_set's pair
+    kernel (mub._pair_verdicts), on integers; no report is built unless a
+    pair fails, which raises ConstructionError naming the first failing pair
+    in verify_set's order and its residual.
     """
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
@@ -289,10 +290,10 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     scales[0] = 0
     labels = [f"class:{c}" for c in range(d + 1)]
     mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
-    i, j = _pair_table(d + 1)
+    i, j, same = _pair_table(d + 1)
     # every basis is exact, so no float deviation is compared against DEFAULT_TOL
-    deviation, passed, _ = _pair_verdicts(mub_set.amps, exps, scales, mub_set.exact_bases,
-                                          i == j, i, j, DEFAULT_TOL)
+    deviation, passed, _ = _pair_verdicts(d, None, exps, scales, mub_set.exact_bases, same, i, j,
+                                          DEFAULT_TOL)
     if not passed.all():
         q = np.argmin(passed)  # the first failing pair in verify_set's order
         pair = (labels[i[q]], labels[j[q]])

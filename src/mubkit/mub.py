@@ -13,15 +13,17 @@ uses the cyclotomic norm certificate for other exact bases, and floats for
 float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
-holds amps (d, d), tau exponents (d, d) or None, and per-vector scales (d,);
-a set stacks them once into (n, d, d) and (n, d).  An exact basis has one
-stored form, its exponents and scales: its amps are always derived from
-them, so the float and the exact data cannot drift apart.
+holds tau exponents (d, d) or None, and per-vector scales (d,); a set stacks
+them once into (m, d, d) and (n, d).  An exact basis or set has one stored
+form, its exponents and scales: its amps are derived from them on first
+read, so the float and the exact data cannot drift apart, and building and
+verifying an exact set derives none.  A float basis, and a set with one, is
+given its amps.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,7 +83,10 @@ def _check_exponents(d: int, exps: np.ndarray) -> None:
 
 
 def _assign(obj, **fields):
-    """obj, an instance of a frozen dataclass, with fields set as given, unchecked."""
+    """obj, an instance of a frozen dataclass, with fields set as given, unchecked.
+
+    A field that is a cached_property, such as amps, is filled this way too.
+    """
     obj.__dict__.update(fields)
     return obj
 
@@ -112,21 +117,21 @@ class MubVector:
 class MubBasis:
     """An ordered orthonormal basis labeled 's', an integer a, or 'class:<id>'.
 
-    amps (d, d) holds the vectors as rows; exponents (d, d) their tau
-    exponents in -1..2d-1 (-1 for an exact zero), or None when the basis has
-    no exact form; scales (d,) each vector's scale_sqrt_dim; class_labels
-    (m, 2, e) the Weyl labels of a composite basis's commuting class, rows x
-    and z of each member, or None.  All are read-only.  An exact basis is
-    given by its exponents and scales alone, which it copies, and its amps
-    are tau**e / d**(s/2) of them, so no basis holds amps that differ from
-    its exponents, and exponents outside -1..2d-1 raise ValueError.
-    MubBasis(dim, label, vectors) stacks MubVectors once, the exact ones by
-    their exponents and scales; the builders view the rows of one stack.
+    exponents (d, d) holds the vectors' tau exponents as rows, in -1..2d-1
+    (-1 for an exact zero), or None when the basis has no exact form;
+    scales (d,) each vector's scale_sqrt_dim; class_labels (m, 2, e) the
+    Weyl labels of a composite basis's commuting class, rows x and z of each
+    member, or None; amps (d, d) the vectors as complex rows.  All are
+    read-only.  An exact basis is stored as its exponents and scales alone,
+    which it copies, and exponents outside -1..2d-1 raise ValueError; its
+    amps are tau**e / d**(s/2) of them, derived on first read, so no basis
+    holds amps that differ from its exponents.  A float basis is given its
+    amps.  MubBasis(dim, label, vectors) stacks MubVectors once, the exact
+    ones by their exponents and scales; a set's bases view its rows.
     """
 
     dim: int
     label: int | str
-    amps: np.ndarray
     exponents: np.ndarray | None
     scales: np.ndarray
     class_labels: np.ndarray | None
@@ -166,16 +171,24 @@ class MubBasis:
             raise ValueError(f"basis {label} must hold {dim} vectors of length {dim}")
         vector_scales = np.empty(dim, np.int64)
         vector_scales[...] = scales
-        if exps is not None:
-            _check_exponents(dim, exps)
-            amps = _amplitudes(dim, exps, vector_scales)
         if class_labels is not None:
             class_labels = _frozen(class_labels, np.int64)
             if class_labels.ndim != 3 or class_labels.shape[1] != 2:
                 raise ValueError(f"basis {label}: class_labels must have shape (members, 2, e)")
-        _assign(self, dim=dim, label=label, amps=_frozen(amps, np.complex128),
-                exponents=None if exps is None else _frozen(exps, np.int64),
+        if exps is None:
+            _assign(self, amps=_frozen(amps, np.complex128))
+        else:
+            _check_exponents(dim, exps)
+            exps = _frozen(exps, np.int64)
+        _assign(self, dim=dim, label=label, exponents=exps,
                 scales=_frozen(vector_scales, np.int64), class_labels=class_labels)
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """The vectors as rows (d, d), read-only: tau**e / d**(s/2) of an exact basis."""
+        amps = _amplitudes(self.dim, self.exponents, self.scales)
+        amps.setflags(write=False)
+        return amps
 
     @property
     def vectors(self) -> tuple:
@@ -195,21 +208,6 @@ class MubBasis:
         return self.exponents is not None
 
 
-def _restack(bases, name: str, stack: np.ndarray) -> np.ndarray:
-    """Copy each basis's array `name` into its row of stack and re-point the basis there.
-
-    Re-pointing basis by basis frees each array that nothing else holds once
-    it is copied, rather than after the whole set is stacked.
-    """
-    for b, row in zip(bases, stack):
-        row[...] = getattr(b, name)
-        view = row.view()
-        view.setflags(write=False)
-        object.__setattr__(b, name, view)
-    stack.setflags(write=False)
-    return stack
-
-
 def _check_labels(labels) -> None:
     """ValueError unless the basis labels are unique and there is at least one."""
     if len(set(labels)) != len(labels):
@@ -218,38 +216,46 @@ def _check_labels(labels) -> None:
         raise ValueError("a set needs at least one basis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MubSet:
-    """Bases of one dimension, their arrays stacked once in basis order.
+    """Bases of one dimension, stored as stacks in basis order.
 
-    amps (n, d, d) and scales (n, d) stack every basis's arrays; exponents
-    (m, d, d) stacks those of the m bases that have them, which exact_bases
-    (n,) marks.  Each basis is re-pointed at read-only views of these rows,
-    so the set holds its arrays once; a set built by _of_stacks is given
-    its stacks, and its bases are made of their rows.
+    labels (n,) names the bases; scales (n, d) stacks their scales;
+    exponents (m, d, d) stacks those of the m bases that have them, which
+    exact_bases (n,) marks; class_labels holds one (members, 2, e) array or
+    None per basis.  amps (n, d, d) stacks every basis's vectors, and bases
+    (n,) holds one MubBasis per row, made of read-only views of the stacks,
+    its amps a row of amps.  An exact set's amps are derived from its
+    exponents and scales on first read, and its bases on first read of
+    bases, so building and verifying it makes neither; a set with a float
+    basis is given its amps when it is built, the exact rows derived then.
+    MubSet(dim, bases) copies the bases' arrays into its stacks.
     """
 
     dim: int
-    bases: tuple
-    forced: bool = False
-    amps: np.ndarray = field(init=False, repr=False, compare=False)
-    exponents: np.ndarray = field(init=False, repr=False, compare=False)
-    scales: np.ndarray = field(init=False, repr=False, compare=False)
-    exact_bases: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple
+    forced: bool
+    exponents: np.ndarray = field(repr=False)
+    scales: np.ndarray = field(repr=False)
+    exact_bases: np.ndarray = field(repr=False)
+    class_labels: tuple | np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _check_labels([b.label for b in self.bases])
-        for b in self.bases:
-            if b.dim != self.dim:
-                raise ValueError(f"basis {b.label} has dim {b.dim}, expected {self.dim}")
-        d, n = self.dim, len(self.bases)
-        exact = [b for b in self.bases if b.exact]
-        _assign(
-            self,
-            amps=_restack(self.bases, "amps", np.empty((n, d, d), np.complex128)),
-            exponents=_restack(exact, "exponents", np.empty((len(exact), d, d), np.int64)),
-            scales=_restack(self.bases, "scales", np.empty((n, d), np.int64)),
-            exact_bases=_frozen([b.exact for b in self.bases], bool),
+    def __init__(self, dim: int, bases, forced: bool = False):
+        labels = [b.label for b in bases]
+        _check_labels(labels)
+        for b in bases:
+            if b.dim != dim:
+                raise ValueError(f"basis {b.label} has dim {b.dim}, expected {dim}")
+        exact = np.array([b.exact for b in bases])
+        amps = None
+        if not exact.all():
+            amps = np.empty((len(bases), dim, dim), np.complex128)
+            amps[~exact] = [b.amps for b in bases if not b.exact]
+        self._assemble(
+            dim, labels,
+            np.array([b.exponents for b in bases if b.exact], np.int64).reshape(-1, dim, dim),
+            np.array([b.scales for b in bases], np.int64), exact, amps,
+            tuple(b.class_labels for b in bases), forced,
         )
 
     @classmethod
@@ -261,10 +267,9 @@ class MubSet:
         complex128 whose rows m.. hold the float bases' amps; class_labels
         one row per basis.  The set is assembled in one pass, with the
         checks of MubSet: labels unique and at least one, the stacks' shapes
-        and exponents in -1..2d-1.  The exact bases' amps are derived in one
-        broadcast, exact_bases marks the first m, and each basis is made of
-        read-only views of its rows.  The set keeps the arrays uncopied, so
-        the caller must not write to them afterwards.
+        and exponents in -1..2d-1.  exact_bases marks the first m.  The set
+        keeps the arrays uncopied, so the caller must not write to them
+        afterwards.
         """
         n, m = len(labels), len(exponents)
         if (m > n or (amps is None and m < n) or exponents.shape[1:] != (dim, dim)
@@ -273,22 +278,41 @@ class MubSet:
                              "and amps if m < n")
         _check_labels(labels)
         _check_exponents(dim, exponents)
-        if amps is None:
-            amps = _amplitudes(dim, exponents, scales)
-        else:
-            amps[:m] = _amplitudes(dim, exponents, scales[:m])
-        exact = np.arange(n) < m
-        for array in (amps, exponents, scales, exact):
+        mub_set = cls.__new__(cls)
+        mub_set._assemble(dim, labels, exponents, scales, np.arange(n) < m, amps,
+                          (None,) * n if class_labels is None else class_labels, forced)
+        return mub_set
+
+    def _assemble(self, dim, labels, exponents, scales, exact, amps, class_labels, forced):
+        """Store the checked stacks read-only; amps, given iff a basis is float, gets the
+        exact rows here and fills the amps cache."""
+        if amps is not None:
+            amps[exact] = _amplitudes(dim, exponents, scales[exact])
+            amps.setflags(write=False)
+            _assign(self, amps=amps)
+        for array in (exponents, scales, exact):
             array.setflags(write=False)
-        members = [None] * n if class_labels is None else class_labels
-        bases = tuple(
-            _assign(MubBasis.__new__(MubBasis), dim=dim, label=label, amps=a, exponents=e,
-                    scales=s, class_labels=c)
-            for label, a, e, s, c in zip(labels, amps, (*exponents, *[None] * (n - m)), scales,
-                                         members)
+        _assign(self, dim=dim, labels=tuple(labels), forced=forced, exponents=exponents,
+                scales=scales, exact_bases=exact, class_labels=class_labels)
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        """The (n, d, d) stack of every basis's vectors, read-only: tau**e / d**(s/2) of an
+        exact set, derived on first read."""
+        amps = _amplitudes(self.dim, self.exponents, self.scales)
+        amps.setflags(write=False)
+        return amps
+
+    @cached_property
+    def bases(self) -> tuple:
+        """One MubBasis per row, made of read-only views of the stacks on first read."""
+        rows = iter(self.exponents)
+        return tuple(
+            _assign(MubBasis.__new__(MubBasis), dim=self.dim, label=label, amps=a,
+                    exponents=next(rows) if e else None, scales=s, class_labels=c)
+            for label, a, s, e, c in zip(self.labels, self.amps, self.scales,
+                                         self.exact_bases.tolist(), self.class_labels)
         )
-        return _assign(cls.__new__(cls), dim=dim, bases=bases, forced=forced, amps=amps,
-                       exponents=exponents, scales=scales, exact_bases=exact)
 
     @property
     def exact(self) -> bool:
@@ -347,8 +371,8 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
     Non-prime d is refused (the cyclic recipe cannot reach d+1 pairwise
     unbiased bases there); force=True builds the family anyway so the
     failure can be exhibited, and the resulting set is marked forced.  The
-    (d+1, d, d) exponents, the scales and the amps are built once for the
-    whole set, and each basis is made of read-only views of its rows.
+    (d+1, d, d) exponents and the scales are built once for the whole set,
+    which derives its amps and bases from them on first read.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
@@ -390,10 +414,12 @@ def _block_pairs(n_conj: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple:
-    """The pairs i <= j of n bases, row by row, as read-only index arrays i and j (P,)."""
-    table = np.triu_indices(n)
-    for index in table:
-        index.setflags(write=False)
+    """The pairs i <= j of n bases, row by row: read-only index arrays i and j (P,) and
+    the mask same = (i == j) (P,)."""
+    i, j = np.triu_indices(n)
+    table = i, j, i == j
+    for array in table:
+        array.setflags(write=False)
     return table
 
 
@@ -662,23 +688,23 @@ def _integer_verdicts(exps, scales, i, j, same) -> tuple:
     return rule > 0, ~biased, deviation
 
 
-def _pair_verdicts(amps, exps, scales, exact, same, i, j, tol):
-    """Deviations, verdicts and counts of the pairs (i, j) (P,) of n bases.
+def _pair_verdicts(d, amps, exps, scales, exact, same, i, j, tol):
+    """Deviations, verdicts and counts of the pairs (i, j) (P,) of n bases of dimension d.
 
-    amps (n, d, d) and scales (n, d) stack the bases, exps (m, d, d) the
-    exponents of the bases exact (n,) marks; same (P,) marks the pairs whose
-    target is the identity.  verify_set passes every pair i <= j
-    (_pair_table), verify_unbiased its one pair.  There are three routes:
-    pairs with a non-exact basis go to _deviations, which an all-exact set
-    never calls; exact pairs that _integer_verdicts decides are settled
-    there, on integers; every other exact pair goes to
-    _certificate_residuals at all K conjugates.  Returns (P,) deviations and
-    verdicts, an exact pair's verdict being its exact one, and the counts
-    that verify_set reports.  Exponents lie in -1..2d-1, which MubBasis and
-    MubSet._of_stacks enforce: conjugate_phases has columns for 0..2d-1 and
-    a zero column that -1 wraps to.
+    amps (n, d, d), None when every basis is exact, and scales (n, d) stack
+    the bases, exps (m, d, d) the exponents of the bases exact (n,) marks;
+    same (P,) marks the pairs whose target is the identity.  verify_set
+    passes every pair i <= j (_pair_table), verify_unbiased its one pair.
+    There are three routes: pairs with a non-exact basis go to _deviations,
+    the only reader of amps, which an all-exact set never calls; exact pairs
+    that _integer_verdicts decides are settled there, on integers; every
+    other exact pair goes to _certificate_residuals at all K conjugates.
+    Returns (P,) deviations and verdicts, an exact pair's verdict being its
+    exact one, and the counts that verify_set reports.  Exponents lie in
+    -1..2d-1, which MubBasis and MubSet._of_stacks enforce: conjugate_phases
+    has columns for 0..2d-1 and a zero column that -1 wraps to.
     """
-    d, m = amps.shape[1], len(exps)
+    m = len(exps)
     counts = {"conjugates": None, "gram_pairs": 0, "integer_pairs": 0}
     deviation, passed = np.empty(len(i)), np.empty(len(i), dtype=bool)
     if exact.all():
@@ -737,7 +763,7 @@ def verify_unbiased(
     same = bool(a_basis.label == b_basis.label)
     exact = a_basis.exact and b_basis.exact
     deviation, passed, counts = _pair_verdicts(
-        np.stack([b.amps for b in bases]),
+        d, None if exact else np.stack([b.amps for b in bases]),
         np.array([b.exponents for b in bases if exact], dtype=np.int64).reshape(-1, d, d),
         np.stack([b.scales for b in bases]), np.full(len(bases), exact), np.array([same]),
         np.zeros(1, dtype=np.intp), np.full(1, len(bases) - 1), tol,
@@ -793,14 +819,15 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     does not hold.
     """
     check_tolerance(tol)
-    n = len(mub_set.bases)
-    i, j = _pair_table(n)
+    labels = mub_set.labels
+    n = len(labels)
+    i, j, same = _pair_table(n)
     deviation, passed, counts = _pair_verdicts(
-        mub_set.amps, mub_set.exponents, mub_set.scales, mub_set.exact_bases, i == j, i, j, tol
+        mub_set.dim, None if mub_set.exact else mub_set.amps, mub_set.exponents,
+        mub_set.scales, mub_set.exact_bases, same, i, j, tol,
     )
     failing = []
     if not passed.all():
-        labels = [b.label for b in mub_set.bases]
         failing = [
             {"a": labels[i[q]], "b": labels[j[q]], "max_residual": float(deviation[q])}
             for q in np.flatnonzero(~passed).tolist()

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .cyclo import _prime_power
+from .cyclo import _frozen, _prime_power
 
 if TYPE_CHECKING:
     from .mub import MubSet
@@ -175,17 +175,17 @@ def mubset_to_doc(mub_set: "MubSet", exact: bool) -> dict:
         raise ValueError("exact serialization requested for a set without exact amplitudes")
     mod = 2 * mub_set.dim
     bases = []
-    for basis in mub_set.bases:
+    for b, (label, members) in enumerate(zip(mub_set.labels, mub_set.class_labels)):
         if exact:
             vectors = [
                 [_amplitude_exact_doc(k, mod, scale) for k in row]
-                for row, scale in zip(basis.exponents.tolist(), basis.scales.tolist())
+                for row, scale in zip(mub_set.exponents[b].tolist(), mub_set.scales[b].tolist())
             ]
         else:
-            vectors = basis.amps.view(np.float64).reshape(mub_set.dim, mub_set.dim, 2).tolist()
-        basis_doc = {"label": str(basis.label), "vectors": vectors}
-        if basis.class_labels is not None:
-            basis_doc["class_labels"] = _class_labels_doc(basis.class_labels)
+            vectors = mub_set.amps[b].view(np.float64).reshape(mub_set.dim, mub_set.dim, 2).tolist()
+        basis_doc = {"label": str(label), "vectors": vectors}
+        if members is not None:
+            basis_doc["class_labels"] = _class_labels_doc(members)
         bases.append(basis_doc)
     return {"dim": mub_set.dim, "exact": exact, "bases": bases}
 
@@ -200,7 +200,7 @@ def _parse_label(text: str) -> int | str:
 
 
 def _parse_class_labels(label_docs, d: int, where: str) -> np.ndarray:
-    """The members (m, 2, e) of a class_labels list, rows x and z."""
+    """The members (m, 2, e) of a class_labels list, rows x and z, read-only."""
     split = _prime_power(d)
     if split is None:
         raise ValueError(f"class_labels need a prime-power dim, got {d}")
@@ -218,7 +218,8 @@ def _parse_class_labels(label_docs, d: int, where: str) -> np.ndarray:
                 f"{where}: class label {lbl} needs x and z lists of length {e} "
                 f"with entries in 0..{p - 1}"
             )
-    return np.array([(lbl["x"], lbl["z"]) for lbl in label_docs], dtype=np.int64).reshape(-1, 2, e)
+    members = np.array([(lbl["x"], lbl["z"]) for lbl in label_docs], dtype=np.int64)
+    return _frozen(members.reshape(-1, 2, e), np.int64)
 
 
 def _list(value, what: str) -> list:
@@ -342,14 +343,19 @@ def _refuse_overflowing_vectors(mub_set: "MubSet") -> None:
         return
     basis, n, k = np.argwhere(np.isinf(norms))[0]
     raise ValueError(
-        f"basis {mub_set.bases[basis].label} vector {n} amplitude {k}: the vector's "
+        f"basis {mub_set.labels[basis]} vector {n} amplitude {k}: the vector's "
         "squared norm overflows a float"
     )
 
 
 def mubset_from_doc(doc: dict) -> "MubSet":
-    """The set a mubset_to_doc document describes; ValueError names any malformed field."""
-    from .mub import MubBasis, MubSet
+    """The set a mubset_to_doc document describes; ValueError names any malformed field.
+
+    Each basis is validated on its own; the set is then assembled from one
+    stack of exponents and scales (exact) or of amps (numeric), so an exact
+    set derives no amps here.
+    """
+    from .mub import MubSet
 
     if not isinstance(doc, dict):
         raise ValueError("set document must be an object")
@@ -361,7 +367,7 @@ def mubset_from_doc(doc: dict) -> "MubSet":
         raise ValueError(f"exact must be true or false, got {exact!r}")
     if not _list(doc.get("bases"), "bases"):
         raise ValueError("set document has no bases")
-    bases = []
+    labels, rows, members = [], [], []
     for index, basis_doc in enumerate(doc["bases"]):
         if not isinstance(basis_doc, dict) or not isinstance(basis_doc.get("label"), str):
             raise ValueError(f"basis {index} must be an object with a string label")
@@ -375,15 +381,18 @@ def mubset_from_doc(doc: dict) -> "MubSet":
         class_labels = None
         if "class_labels" in basis_doc:
             class_labels = _parse_class_labels(basis_doc["class_labels"], d, f"basis {label}")
-        if exact:
-            exps, scales = vectors
-            bases.append(MubBasis.from_arrays(d, label, exponents=exps, scales=scales,
-                                              class_labels=class_labels))
-        else:
-            bases.append(MubBasis.from_arrays(d, label, vectors, class_labels=class_labels))
-    mub_set = MubSet(d, tuple(bases))
-    if not exact:
-        _refuse_overflowing_vectors(mub_set)
+        labels.append(label)
+        rows.append(vectors)
+        members.append(class_labels)
+    # the stacks are allocated only now, when every basis is known to hold d x d amplitudes
+    if exact:
+        exps, scales = zip(*rows)
+        return MubSet._of_stacks(d, labels, np.array(exps, np.int64), np.array(scales, np.int64),
+                                 class_labels=tuple(members))
+    mub_set = MubSet._of_stacks(d, labels, np.empty((0, d, d), np.int64),
+                                np.ones((len(rows), d), np.int64),
+                                np.array(rows, np.complex128), tuple(members))
+    _refuse_overflowing_vectors(mub_set)
     return mub_set
 
 
@@ -415,7 +424,7 @@ def _float_strings(mub_set: "MubSet"):
         raise ValueError("non-finite float in serialized output")
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
     strings = np.array(list(map(format_float, bits.view(np.float64).tolist())), dtype=object)
-    index = index.reshape(len(mub_set.bases), -1)
+    index = index.reshape(len(mub_set.labels), -1)
     return lambda b: tuple(strings[index[b]].tolist())
 
 
@@ -426,11 +435,11 @@ def _set_chunks(mub_set: "MubSet", exact: bool, amplitude: str, strings) -> Iter
     row = "[" + ",".join([amplitude] * d) + "]"
     vectors = "[" + ",".join([row] * d) + "]"
     yield '{"dim":%d,"exact":%s,"bases":[' % (d, "true" if exact else "false")
-    for b, basis in enumerate(mub_set.bases):
+    for b, (label, members) in enumerate(zip(mub_set.labels, mub_set.class_labels)):
         chunk = '{"label":%s,"vectors":%s' % (
-            encode_basestring_ascii(str(basis.label)), vectors % strings(b))
-        if basis.class_labels is not None:
-            chunk += ',"class_labels":' + dumps(_class_labels_doc(basis.class_labels))
+            encode_basestring_ascii(str(label)), vectors % strings(b))
+        if members is not None:
+            chunk += ',"class_labels":' + dumps(_class_labels_doc(members))
         yield ("," if b else "") + chunk + "}"
     yield "]}\n"
 
@@ -466,7 +475,7 @@ def mubset_csv_chunks(mub_set: "MubSet") -> Iterator[str]:
     that is not finite."""
     strings = _float_strings(mub_set)
     lines = (",".join(["%s"] * 2 * mub_set.dim) + "\n") * mub_set.dim
-    return (lines % strings(b) for b in range(len(mub_set.bases)))
+    return (lines % strings(b) for b in range(len(mub_set.labels)))
 
 
 def sumrule_chunks(d: int, decided: dict, csv: bool) -> Iterator[str]:

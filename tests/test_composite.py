@@ -464,12 +464,14 @@ class TestOneBroadcastBuild:
         def refuse(*args, **kwargs):
             raise AssertionError("not on the composite path")
 
-        for name in ("_certificate_residuals", "_deviations", "_restack"):
+        for name in ("_certificate_residuals", "_deviations", "_amplitudes"):
             monkeypatch.setattr(mub, name, refuse)
         monkeypatch.setattr(MubBasis, "_store", refuse)
         d = p**e
         mub_set = build_composite_set(p, e)
         rep = verify_set(mub_set)
+        # the amps and the bases are derived only when read, after the verdict
+        monkeypatch.undo()
         # every pair is decided on integers: no Gram, float or certificate
         assert rep.passed and rep.details["exact"] is True and rep.max_residual == 0.0
         assert rep.details["conjugates"] == rep.details["gram_pairs"] == 0

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -600,10 +601,11 @@ class TestPairTable:
     """verify_set reads its pairs i <= j from one cached, read-only table per basis count."""
 
     def test_cached_and_read_only(self):
-        i, j = mub._pair_table(4)
-        assert mub._pair_table(4)[0] is i
+        i, j, same = mub._pair_table(4)
+        assert mub._pair_table(4)[0] is i and mub._pair_table(4)[2] is same
         assert [i.tolist(), j.tolist()] == [index.tolist() for index in np.triu_indices(4)]
-        for index in (i, j):
+        assert same.tolist() == (i == j).tolist()
+        for index in (i, j, same):
             assert not index.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 index[0] = 1
@@ -1286,6 +1288,138 @@ class TestArrayStorage:
             MubBasis(3, 1, rows, class_labels=[[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="dim 3, expected 5"):
             MubSet(5, (build_basis(3, 1),))
+
+
+@pytest.fixture
+def no_amps(monkeypatch):
+    """Refuse every derivation of exact amps while the test runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact amps derived")
+
+    monkeypatch.setattr(mub, "_amplitudes", refuse)
+    return monkeypatch
+
+
+def underived(*objects):
+    """Whether none of the sets or bases has derived its amps or its bases yet."""
+    return not any({"amps", "bases"} & vars(o).keys() for o in objects)
+
+
+@st.composite
+def exact_stacks(draw):
+    """(d, exponents (n, d, d) in -1..2d-1, scales (n, d) of 0 and 1) for d = 2..31."""
+    d, n = draw(st.integers(2, 31)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return d, rng.integers(-1, 2 * d, (n, d, d)), rng.integers(0, 2, (n, d))
+
+
+class TestDerivedOnFirstRead:
+    """An exact set or basis stores its exponents and scales; its amps and a set's bases are
+    derived on first read, and building and deciding it reads neither."""
+
+    @pytest.mark.parametrize("d", [2, 5, 7, 23])
+    def test_build_and_verify_derive_no_amps(self, d, no_amps):
+        mub_set = build_complete_set(d)
+        assert verify_set(mub_set).passed
+        assert underived(mub_set)
+
+    @pytest.mark.parametrize("p,e,a_params", [(2, 2, (0, 1)), (3, 2, (1, 2)), (2, 4, None)])
+    def test_composite_build_derives_no_amps(self, p, e, a_params, no_amps):
+        mub_set = build_composite_set(p, e, a_params)
+        assert verify_set(mub_set).passed
+        assert underived(mub_set)
+
+    def test_exact_writers_derive_no_amps(self, no_amps):
+        from mubkit.serialize import dumps, mubset_json_chunks, mubset_to_doc
+
+        for mub_set in (build_complete_set(5), build_composite_set(2, 2)):
+            text = "".join(mubset_json_chunks(mub_set, exact=True))
+            assert text == dumps(mubset_to_doc(mub_set, exact=True)) + "\n"
+            assert underived(mub_set)
+
+    def test_verify_unbiased_of_exact_bases_derives_no_amps(self, no_amps):
+        a, b = build_basis(7, 1), build_basis(7, 2)
+        assert verify_unbiased(a, b).passed and verify_unbiased(a, a).passed
+        assert not verify_unbiased(a, MubBasis.from_arrays(7, "copy", exponents=a.exponents)).passed
+        assert underived(a, b)
+
+    def test_reading_an_exact_document_derives_no_amps(self, no_amps):
+        from mubkit.serialize import mubset_from_doc, mubset_to_doc
+
+        sets = [(built, mubset_from_doc(mubset_to_doc(built, exact=True)))
+                for built in (build_complete_set(7), build_composite_set(3, 2))]
+        for built, read in sets:
+            assert verify_set(read) == verify_set(built)
+            assert underived(read)
+        no_amps.undo()
+        for built, read in sets:
+            assert read.labels == built.labels
+            assert np.array_equal(read.exponents, built.exponents)
+            assert np.array_equal(read.amps, built.amps)
+            for basis, alone in zip(read.bases, built.bases, strict=True):
+                assert np.array_equal(basis.class_labels, alone.class_labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_stacks())
+    def test_first_read_is_the_derivation(self, stack):
+        d, exps, scales = stack
+        n = len(exps)
+        mub_set = MubSet._of_stacks(d, tuple(range(n)), exps.copy(), scales.copy())
+        assert underived(mub_set)
+        amps = mub_set.amps
+        expected = mub._amplitudes(d, exps, scales)
+        assert amps.dtype == expected.dtype and amps.tobytes() == expected.tobytes()
+        assert not amps.flags.writeable
+        assert mub_set.amps is amps
+        bases = mub_set.bases
+        assert mub_set.bases is bases
+        for k, basis in enumerate(bases):
+            assert np.shares_memory(basis.amps, amps[k])
+            assert basis.amps.tobytes() == amps[k].tobytes()
+            alone = MubBasis.from_arrays(d, k, exponents=exps[k], scales=scales[k])
+            assert underived(alone)
+            assert alone.amps.tobytes() == amps[k].tobytes()
+            assert alone.amps is alone.amps and not alone.amps.flags.writeable
+
+    def test_float_rows_are_kept_verbatim(self):
+        from mubkit.serialize import dumps, mubset_from_doc, mubset_to_doc
+
+        rng = np.random.default_rng(5)
+        floats = [MubBasis.from_arrays(5, f"f{k}", rng.normal(size=(5, 5, 2)).view(complex)[..., 0])
+                  for k in range(2)]
+        exact = build_basis(5, 2)
+        # a float basis holds its amps from construction
+        assert all("amps" in vars(b) for b in floats) and underived(exact)
+        for bases in (floats, [exact, floats[0]], [floats[1], exact, floats[0]]):
+            mub_set = MubSet(5, tuple(bases))
+            assert "amps" in vars(mub_set)
+            assert mub_set.exact_bases.tolist() == [b is exact for b in bases]
+            for k, basis in enumerate(bases):
+                assert mub_set.amps[k].tobytes() == basis.amps.tobytes()
+                assert mub_set.bases[k].amps.tobytes() == basis.amps.tobytes()
+        doc = json.loads(dumps(mubset_to_doc(MubSet(5, tuple(floats)), exact=False)))
+        read = mubset_from_doc(doc)
+        assert not read.exact and read.exponents.shape == (0, 5, 5)
+        for k, basis in enumerate(floats):
+            assert read.amps[k].tobytes() == basis.amps.tobytes()
+            assert read.bases[k].amps.tobytes() == basis.amps.tobytes()
+
+    def test_stripped_vectors_build_a_float_set(self):
+        # how a benchmark self-test plants a set without exact exponents
+        built = build_complete_set(7)
+        bases = tuple(
+            MubBasis(b.dim, b.label, tuple(dataclasses.replace(v, exact_exponents=None)
+                                           for v in b.vectors))
+            for b in built.bases
+        )
+        mub_set = MubSet(built.dim, bases)
+        assert not mub_set.exact and not mub_set.exact_bases.any()
+        assert mub_set.exponents.shape == (0, 7, 7)
+        assert mub_set.amps.tobytes() == built.amps.tobytes()
+        rep = verify_set(mub_set)
+        assert rep.passed and rep.details["exact"] is False
+        assert rep.details["gram_pairs"] == 8 * 9 // 2 and rep.details["integer_pairs"] == 0
 
 
 class TestGaussSum:
