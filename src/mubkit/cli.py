@@ -209,12 +209,12 @@ def _run_sumrule(args: argparse.Namespace) -> int:
     d = args.dim
     if not is_prime(d):
         raise ValueError(f"the sum rule holds for prime dimensions; got {d}")
-    # The sum, and so every field of a row, depends on the indices only through
-    # (x, y) = (a - b, n_alpha - n_beta): each key is decided once, at its first
-    # row, (a, b, n_alpha, n_beta) = (max(x, 0), max(-x, 0), max(y, 0), max(-y, 0)).
+    # Every field of a row depends on the indices only through (x, y) = (a - b,
+    # n_alpha - n_beta) mod d (at d = 2, x = -1 and 1 give conjugate sums): each
+    # key is decided once, at the indices (x, 0, y, 0).
     decided = {}
-    for x, y in itertools.product(range(1 - d, d), repeat=2):
-        indices = (max(x, 0), max(-x, 0), max(y, 0), max(-y, 0))
+    for x, y in itertools.product(range(d), repeat=2):
+        indices = (x, 0, y, 0)
         abs2, numeric = mub.gauss_sum_magnitude(d, *indices)
         expected = mub.gauss_sum_expected_sq(d, *indices)
         decided[x, y] = numeric, expected, abs2 == expected

@@ -30,8 +30,8 @@ from functools import cmp_to_key, lru_cache
 import numpy as np
 
 from .cyclo import DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, is_prime
-from .mub import (MAX_DIM, MubBasis, MubSet, _form_exponents, _form_layout, _pair_table,
-                  _pair_verdicts)
+from .mub import (MAX_DIM, MubBasis, MubSet, _complete_set, _form_exponents, _form_layout,
+                  _pair_table, _pair_verdicts)
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
 
@@ -282,18 +282,13 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     """
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
-    exps = np.empty((d + 1, d, d), np.int64)
-    exps[0] = -1
-    exps[0].flat[:: d + 1] = 0
-    exps[1:] = _stabilizer_exponents(p, e, _spread_forms(p, e), a_params)
-    scales = np.ones((d + 1, d), np.int64)
-    scales[0] = 0
     labels = [f"class:{c}" for c in range(d + 1)]
-    mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
+    mub_set = _complete_set(d, labels, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params),
+                            _class_labels(p, e))
     i, j, same = _pair_table(d + 1)
     # every basis is exact, so no float deviation is compared against DEFAULT_TOL
-    deviation, passed, _ = _pair_verdicts(d, None, exps, scales, mub_set.exact_bases, same, i, j,
-                                          DEFAULT_TOL)
+    deviation, passed, _ = _pair_verdicts(d, None, mub_set.exponents, mub_set.scales,
+                                          mub_set.exact_bases, same, i, j, DEFAULT_TOL)
     if not passed.all():
         q = np.argmin(passed)  # the first failing pair in verify_set's order
         pair = (labels[i[q]], labels[j[q]])

@@ -3,14 +3,18 @@
 For each parameter a the phased shift has a non-degenerate spectrum and its
 eigenvectors form a flat orthonormal basis whose component at storage slot s
 carries the tau exponent t(d-t)a + 2tn with t = d-1-s (storage keeps the
-highest-weight component first).  The computational basis plus the d
-eigenbases form a complete set of d+1 mutually unbiased bases exactly when
-d is prime.  The verifier decides the defining overlap condition of exact
-bases on integers where the paper's Gauss-sum rule applies: monomial bases,
-and quadratic-phase bases, recognized by one form over Z_b**e with d = b**e
-(b = d, or b = p at d = p**e; cyclo owns the digit order of Z_b**e).  It
-uses the cyclotomic norm certificate for other exact bases, and floats for
-float ones.
+highest-weight component first).  _eigen_exponents alone writes that
+closed form: build_basis and build_complete_set write through it,
+build_mub_vector is a row of build_basis, and gauss_sum_magnitude reads
+its sum's exponents from it, as the form is linear in (a, n).  The
+computational basis plus the d eigenbases form a complete set of d+1
+mutually unbiased bases exactly when d is prime; _complete_set assembles
+it, and composite's sets too.  The verifier decides the defining overlap
+condition of exact bases on integers where the paper's Gauss-sum rule
+applies: monomial bases, and quadratic-phase bases, recognized by one form
+over Z_b**e with d = b**e (b = d, or b = p at d = p**e; cyclo owns the
+digit order of Z_b**e).  It uses the cyclotomic norm certificate for other
+exact bases, and floats for float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds tau exponents (d, d) or None, and per-vector scales (d,); a set stacks
@@ -342,22 +346,19 @@ def _eigen_exponents(d: int, a, n) -> np.ndarray:
     return (t * (d - t) * np.asarray(a)[..., None] + 2 * t * np.asarray(n)[..., None]) % (2 * d)
 
 
-def build_mub_vector(d: int, a: int, n: int) -> MubVector:
-    """The eigenvector of the phased shift with eigenvalue exponent (d-1)a - 2n."""
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    _check_index(d, "a", a)
-    _check_index(d, "n", n)
-    exps = _eigen_exponents(d, a, n)
-    return MubVector(d, a, n, _amplitudes(d, exps, 1), exps, scale_sqrt_dim=1)
-
-
 def build_basis(d: int, a: int) -> MubBasis:
     """The orthonormal eigenbasis of the phased shift at parameter a."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     _check_index(d, "a", a)
     return MubBasis.from_arrays(d, a, exponents=_eigen_exponents(d, a, np.arange(d)))
+
+
+def build_mub_vector(d: int, a: int, n: int) -> MubVector:
+    """Row n of build_basis(d, a): the eigenvector with eigenvalue exponent (d-1)a - 2n."""
+    basis = build_basis(d, a)
+    _check_index(d, "n", n)
+    return MubVector(d, a, n, basis.amps[n], basis.exponents[n])
 
 
 def spherical_basis(d: int) -> MubBasis:
@@ -385,14 +386,20 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
             "unbiased bases only in prime dimension; pass force=True (mubkit set "
             "--force) to build the (incomplete) family anyway"
         )
+    exps = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
+    return _complete_set(d, ("s", *range(d)), exps, forced=not prime)
+
+
+def _complete_set(d: int, labels, flat, class_labels=None, forced: bool = False) -> MubSet:
+    """Both builders' set: the computational basis, then d bases of scale 1 with exponents flat."""
     exps = np.empty((d + 1, d, d), np.int64)
-    # the computational basis: exponent 0 on the diagonal, -1 (an exact zero) elsewhere
+    # the computational basis: exponent 0 on the diagonal, -1 (an exact zero) elsewhere, scale 0
     exps[0] = -1
     exps[0].flat[:: d + 1] = 0
-    exps[1:] = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
+    exps[1:] = flat
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    return MubSet._of_stacks(d, ("s", *range(d)), exps, scales, forced=not prime)
+    return MubSet._of_stacks(d, labels, exps, scales, class_labels=class_labels, forced=forced)
 
 
 # -- verification ------------------------------------------------------------
@@ -450,23 +457,23 @@ def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
     same (P,) marks the pairs of one basis; phases holds the rows of
     conjugate_phases(d) to evaluate, row 0 conjugate 1.  For amplitudes
     tau**e / d**(s/2) the scaled overlaps z are cyclotomic integers, and
-    |z|**2 = d**(sa+sb-1) across bases (z = d**sa * I within one) holds
-    exactly iff the residual is below 1/2 in every conjugate sigma_k
-    (mubkit.cyclo).  A target below 1 (sa = sb = 0) has no algebraic-integer
-    solution, so its residual is inf.  Conjugate 1 over d**((sa+sb)/2) is
-    the Gram of the bases' amps (see _amplitudes), so its moduli also give
-    each pair's float deviation as _deviations defines it.  Returns both as
-    (P,) arrays.  Each block of _block_pairs pairs is one batched Gram
-    (K, B, d, d) over the K conjugates and its pairs, written straight into
-    them; its gathered phase grids, Gram, moduli and scaled conjugate-1
-    moduli share one work buffer that every block reuses, so memory stays
-    bounded.
+    |z|**2 = d**(sa+sb-1) across bases (within one, z is diagonal with
+    z_nn**2 = d**(sa_n+sb_n) and z_nn > 0) holds exactly iff the residual
+    is below 1/2 in every conjugate sigma_k (mubkit.cyclo).  A target below
+    1 (sa = sb = 0) has no algebraic-integer solution, so its residual is
+    inf.  Conjugate 1 over d**((sa+sb)/2) is the Gram of the bases' amps
+    (see _amplitudes), so its moduli also give each pair's float deviation
+    as _deviations defines it.  Returns both as (P,) arrays.  Each block of
+    _block_pairs pairs is one batched Gram (K, B, d, d) over the K
+    conjugates and its pairs, written straight into them; its gathered
+    phase grids, Gram, moduli and scaled conjugate-1 moduli share one work
+    buffer that every block reuses, so memory stays bounded.
     """
     d, n_k, n_pairs = exps.shape[1], len(phases), len(i)
     step = max(1, min(n_pairs, _block_pairs(n_k, d)))
     size = n_k * step * d * d
     work = np.empty(3 * size, np.complex128)
-    eye = np.eye(d)
+    eye, slots = np.eye(d), np.arange(d)
     weights = float(d) ** scales
     # the least scale of each basis: a pair whose least scales sum below 1 has a target below 1
     least = scales.min(axis=1)
@@ -484,9 +491,14 @@ def _certificate_residuals(exps, scales, same, phases, i, j) -> tuple:
         grams = np.matmul(row_grid, col_grid.transpose(0, 1, 3, 2),
                           out=work[2 * size : 2 * size + used].reshape(shape))
         one = same[pairs]
-        # diag(d**s) per pair of one basis
-        targets = eye * weights[bi[one]][:, None]
-        one_residuals = np.abs(grams[:, one] - targets).max(axis=(0, 2, 3))
+        # z = 0 off the diagonal; z_nn = d**((sa_n + sb_n)/2), maybe irrational, as its square
+        # at every conjugate and its sign at conjugate 1
+        powers = weights[bi[one]] * weights[bj[one]]
+        errors = grams[:, one]
+        diagonal = errors[..., slots, slots]
+        errors[..., slots, slots] = diagonal * diagonal - powers
+        one_residuals = np.maximum(np.abs(errors).max(axis=(0, 2, 3)),
+                                   np.abs(diagonal[0] - np.sqrt(powers)).max(axis=1))
         # the grids are spent, so the moduli overwrite the row grid, and
         # conjugate 1's scaled moduli the row grid's second half
         moduli = np.abs(grams, out=work.view(np.float64)[:used].reshape(shape))
@@ -862,16 +874,14 @@ def gauss_sum_magnitude(
 
     Returns its squared magnitude as an exact cyclotomic integer together
     with the numeric magnitude.  For prime d the squared magnitude is d**2,
-    0 or d according to the index pattern.
+    0 or d according to the index pattern.  The exponents are _eigen_exponents,
+    linear in (a, n), at (a - b, n_alpha - n_beta), reversed into k order.
     """
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     for name, value in (("a", a), ("b", b), ("n_alpha", n_alpha), ("n_beta", n_beta)):
         _check_index(d, name, value)
-    k = np.arange(d)
-    if d % 2:
-        assert not (k * (d - k) * (a - b) % 2).any()
-    exps = (k * (d - k) * (a - b) + 2 * k * (n_alpha - n_beta)) % (2 * d)
+    exps = _eigen_exponents(d, a - b, n_alpha - n_beta)[::-1]
     total = CyclotomicSum.from_exponent_counts(exps, d)
     numeric = abs(complex(_phase_table(2 * d)[exps].sum()))
     return total.abs_squared(), numeric
@@ -893,14 +903,12 @@ def eigen_relation_residual(d: int, a: int, n: int) -> int:
     Counts the component slots where the tau exponent of the matrix action
     differs from eigenvalue-exponent + component-exponent (mod 2d).
     """
-    vec = build_mub_vector(d, a, n)
-    exps = vec.exact_exponents
-    two_d = 2 * d
-    lam = eigenvalue_exponent(d, a, n).value
-    lhs = np.empty(d, dtype=np.int64)
-    lhs[: d - 1] = (2 * np.arange(1, d) * a + exps[1:]) % two_d
-    lhs[d - 1] = exps[0]
-    rhs = (lam + exps) % two_d
+    from .weyl import _Rows
+
+    exps = build_mub_vector(d, a, n).exact_exponents
+    v = _Rows.monomial(d, a, 1, 0)
+    lhs = (v.exp + exps[v.col]) % (2 * d)
+    rhs = (eigenvalue_exponent(d, a, n).value + exps) % (2 * d)
     return int(np.count_nonzero(lhs - rhs))
 
 

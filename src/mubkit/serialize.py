@@ -8,10 +8,9 @@ used.  Parsing uses the stdlib.
 dumps dispatches on each value's exact type: floats, ints, strings, bools
 and None through the _SCALARS table, dicts and lists by identity.  Only
 another type (a numpy scalar, a tuple, a subclass) takes the isinstance
-path in _native.  A dict key's encoded form is memoized for the length of
-one dumps call, so a key repeated across thousands of rows is encoded once.
-The CLI writes set documents and the sumrule table through the *_chunks
-functions instead, which give the same bytes without building the dicts.
+path in _native.  The CLI writes set documents and the sumrule table, its
+large documents, through the *_chunks functions instead, which give the
+same bytes without building the dicts.
 
 mubset_from_doc validates each basis in whole-basis passes over its
 amplitudes (_checked_vectors) and falls back to checking one amplitude at a
@@ -48,7 +47,7 @@ def format_float(x: float) -> str:
 def dumps(obj) -> str:
     """Render a document of dicts/lists/scalars as deterministic JSON."""
     pieces: list[str] = []
-    _emit(obj, pieces, {})
+    _emit(obj, pieces)
     return "".join(pieces)
 
 
@@ -77,46 +76,26 @@ _SCALARS = {
 }
 
 
-def _emit(obj, pieces: list[str], keys: dict) -> None:
-    """Append obj's JSON to pieces; keys memoizes each str key's encoded form."""
+def _emit(obj, pieces: list[str]) -> None:
+    """Append obj's JSON to pieces."""
     kind = type(obj)
     if kind not in _SCALARS and kind is not dict and kind is not list:
         obj, kind = _native(obj)
-    encode = _SCALARS.get(kind)
-    if encode is not None:
-        pieces.append(encode(obj))
+    if kind in _SCALARS:
+        pieces.append(_SCALARS[kind](obj))
         return
-    # each member is followed by ","; the last one is overwritten by the closing bracket
-    if kind is dict:
-        pieces.append("{")
-        for key, value in obj.items():
-            encoded = keys.get(key) if type(key) is str else None
-            if encoded is None:
-                encoded = encode_basestring_ascii(str(key)) + ":"
-                if type(key) is str:
-                    keys[key] = encoded
-            pieces.append(encoded)
-            encode = _SCALARS.get(type(value))
-            if encode is None:
-                _emit(value, pieces, keys)
-            else:
-                pieces.append(encode(value))
-            pieces.append(",")
-        close = "}"
-    else:
-        pieces.append("[")
-        for item in obj:
-            encode = _SCALARS.get(type(item))
-            if encode is None:
-                _emit(item, pieces, keys)
-            else:
-                pieces.append(encode(item))
-            pieces.append(",")
-        close = "]"
+    is_dict = kind is dict
+    pieces.append("{" if is_dict else "[")
+    # each member is followed by ","; the last one is dropped before the closing bracket
+    for member in obj:
+        if is_dict:
+            pieces.append(encode_basestring_ascii(str(member)) + ":")
+            member = obj[member]
+        _emit(member, pieces)
+        pieces.append(",")
     if obj:
-        pieces[-1] = close
-    else:
-        pieces.append(close)
+        pieces.pop()
+    pieces.append("}" if is_dict else "]")
 
 
 # -- matrices -----------------------------------------------------------------
@@ -482,11 +461,11 @@ def sumrule_chunks(d: int, decided: dict, csv: bool) -> Iterator[str]:
     """The chunks of the Gauss-sum table at dimension d, one per value of a.
 
     Rows run over (a, b, n_alpha, n_beta) in 0..d-1, in lexicographic order,
-    and decided maps each (a - b, n_alpha - n_beta) to the (magnitude,
-    expected_sq, exact_match) of its rows.  The json form is dumps of
-    {dim, entries: [{a, b, n_alpha, n_beta, magnitude, expected_sq,
-    exact_match}...], pass} plus a newline, the csv form a header and one
-    line per row.  Each key's fields are formatted once, here, so a
+    and decided maps each ((a - b) mod d, (n_alpha - n_beta) mod d) to the
+    (magnitude, expected_sq, exact_match) of its rows.  The json form is
+    dumps of {dim, entries: [{a, b, n_alpha, n_beta, magnitude,
+    expected_sq, exact_match}...], pass} plus a newline, the csv form a
+    header and one line per row.  Each key's fields are formatted once, here, so a
     non-finite magnitude raises ValueError before the first chunk.
     """
     if csv:
@@ -503,6 +482,6 @@ def sumrule_chunks(d: int, decided: dict, csv: bool) -> Iterator[str]:
                  for key, (magnitude, expected, ok) in decided.items()}
         foot = '],"pass":%s}\n' % dumps(all(ok for _, _, ok in decided.values()))
     rows = ((sep if a else "") + sep.join(
-        prefix % (a, b, n_alpha, n_beta) + tails[a - b, n_alpha - n_beta]
+        prefix % (a, b, n_alpha, n_beta) + tails[(a - b) % d, (n_alpha - n_beta) % d]
         for b, n_alpha, n_beta in product(range(d), repeat=3)) for a in range(d))
     return chain([head], rows, [foot])

@@ -265,6 +265,7 @@ class TestSetCommand:
             raise AssertionError("no set is built past MAX_DIM")
 
         monkeypatch.setattr(mubkit.mub, "_eigen_exponents", refuse)
+        monkeypatch.setattr(mubkit.mub, "_complete_set", refuse)
         monkeypatch.setattr(mubkit.mub.MubSet, "_of_stacks", refuse)
         for argv in (["set", "--dim", "129"], ["set", "--dim", "1000", "--force"]):
             assert main(argv) == 2
@@ -525,6 +526,15 @@ class TestDeterminism:
              "f7d24accfc675ef1e1efd6243247226945c2be1834bf91e9c4f0ebc5461e4c45"),
             (["set", "--dim", "5", "--exact"],
              "37b999e5facbdc9ab9b8dbe16938e7d1173747713fba6d1bcf9b4b78dd7312ae"),
+            (["set", "--dim", "13", "--exact"],
+             "94808be4758843d13bd369b2ebebfbcfa88b6b9a0639f06f935d35a2b2cd3bb0"),
+            (["set", "--dim", "19"],
+             "ec3344178a6b466a76b0d56c43bd1bfdea6ea3afaa1f6968a1cf28a0e0b6a2df"),
+            # reference_sumrule calls gauss_sum_magnitude itself, so only these pin its bytes
+            (["sumrule", "--dim", "7"],
+             "39c8c97eb7f68b89bf547c5d3354f9018c83e8aa7ecfea020c1fedd008b05e97"),
+            (["sumrule", "--dim", "11", "--format", "csv"],
+             "4e252618531ddb4383fe795f1731358f6e923708865c28232d49a0c23f9b6756"),
         ],
     )
     def test_output_bytes_are_pinned(self, argv, digest, capsys):

@@ -245,6 +245,23 @@ class TestVerifyUnbiased:
             MubSet._of_stacks(5, ("s", 2), np.stack([spherical_basis(5).exponents, exps]),
                               np.array([[0] * 5, [1] * 5]))
 
+    def test_one_label_pair_needs_the_identity(self):
+        # each diagonal overlap z_nn is certified as z_nn**2 = d**(sa_n + sb_n) at every
+        # conjugate, with its sign from conjugate 1: rescaled has overlaps sqrt(7) I with b,
+        # and negated has z_33 = -7, which meets z_33**2 = 7**2
+        b = build_basis(7, 1)
+        rescaled = MubBasis.from_arrays(7, 1, exponents=b.exponents, scales=0)
+        negated = b.exponents.copy()
+        negated[3] = (negated[3] + 7) % 14
+        negated = MubBasis.from_arrays(7, 1, exponents=negated)
+        for pair, deviation in (((b, rescaled), np.sqrt(7) - 1), ((rescaled, b), np.sqrt(7) - 1),
+                                ((b, negated), 2.0)):
+            rep = verify_unbiased(*pair)
+            assert not rep.passed and rep.details["exact"] is False
+            assert rep.details["gram_pairs"] == 1 and rep.details["conjugates"] == 3
+            assert rep.max_residual == pytest.approx(deviation, abs=1e-12)
+        assert verify_unbiased(b, MubBasis.from_arrays(7, 1, exponents=b.exponents)).passed
+
     def test_max_residual_is_overlap_deviation(self):
         # a pair decided on integers reports the deviation of its exact overlaps, 0.0
         # here, of which its amps' float deviation is the rounding
@@ -1456,6 +1473,16 @@ class TestGaussSum:
                         assert d * moduli[n_alpha, n_beta] == pytest.approx(
                             numeric, abs=1e-12
                         )
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_matches_written_out_formula_bit_for_bit(self, d):
+        table = _phase_table(2 * d)
+        for a, b, n_alpha, n_beta in itertools.product(range(d), repeat=4):
+            exps = np.array([(k * (d - k) * (a - b) + 2 * k * (n_alpha - n_beta)) % (2 * d)
+                             for k in range(d)])
+            abs2, numeric = gauss_sum_magnitude(d, a, b, n_alpha, n_beta)
+            assert numeric.hex() == abs(complex(table[exps].sum())).hex()
+            assert abs2 == CyclotomicSum.from_exponent_counts(exps, d).abs_squared()
 
     def test_expected_table(self):
         assert gauss_sum_expected_sq(5, 1, 1, 2, 2) == 25
