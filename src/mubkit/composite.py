@@ -17,9 +17,9 @@ stabilizer states omega**(-1/2 j.Rj + b.j) (i-powers for p = 2) as its
 joint eigenbasis, with R = S + diag(a_params); the all-clock class gives
 the computational basis.  A label is an int array (2, e), rows x and z.
 The spread forms and the class labels (p**e + 1, p**e - 1, 2, e) are
-cached per (p, e) and read-only; build_composite_set writes every graph
-basis in one broadcast over the forms, through mub's writer of quadratic
-bases.  Correctness rests on the unbiasedness verifier, not on the
+cached per (p, e), in immutable memory; build_composite_set writes every
+graph basis in one broadcast over the forms, through mub's writer of
+quadratic bases.  Correctness rests on the unbiasedness verifier, not on the
 construction.
 """
 
@@ -29,8 +29,8 @@ from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
-from .cyclo import DEFAULT_TOL, _frozen, _phase_table, _points, _unit_slots, is_prime
-from .mub import (MAX_DIM, MubBasis, MubSet, _complete_set, _form_exponents, _form_layout,
+from .cyclo import DEFAULT_TOL, _immutable, _phase_table, _points, _unit_slots, is_prime
+from .mub import (MAX_DIM, MubBasis, MubSet, _complete_stacks, _form_exponents, _form_layout,
                   _pair_table, _pair_verdicts)
 from .report import VerificationReport
 from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
@@ -149,7 +149,7 @@ def degeneracy_report(matrix: OperatorMatrix) -> DegeneracyReport:
 
 @lru_cache(maxsize=None)
 def _spread_forms(p: int, e: int) -> np.ndarray:
-    """S_g[i, j] = Tr(g alpha**(i+j)) mod p for every g in F_{p^e}, (p**e, e, e), read-only.
+    """S_g[i, j] = Tr(g alpha**(i+j)) mod p for every g in F_{p^e}, (p**e, e, e), immutable.
 
     F_{p^e} is F_p[alpha] for the first monic irreducible polynomial of
     degree e (coefficients in lexicographic order); g = sum_k g_k alpha**k
@@ -169,12 +169,12 @@ def _spread_forms(p: int, e: int) -> np.ndarray:
         if (mult[1:] @ field[1:].T % p).any(axis=1).all():
             break
     shifted = np.stack(powers)[np.add.outer(np.arange(e), np.arange(e))]
-    return _frozen(np.einsum("gab,ijba->gij", mult, shifted) % p, np.int64)
+    return _immutable(np.einsum("gab,ijba->gij", mult, shifted) % p, np.int64)
 
 
 @lru_cache(maxsize=None)
 def _class_labels(p: int, e: int) -> np.ndarray:
-    """Every class's member labels, (p**e + 1, p**e - 1, 2, e), read-only.
+    """Every class's member labels, (p**e + 1, p**e - 1, 2, e), immutable.
 
     Entry [c, m] holds member m of class c as rows x and z: class 0 is
     {(0, z)} and class 1 + g is {(x, S_g x)}, each over the nonzero points
@@ -185,7 +185,7 @@ def _class_labels(p: int, e: int) -> np.ndarray:
     labels[0, :, 1] = nonzero
     labels[1:, :, 0] = nonzero
     labels[1:, :, 1] = nonzero @ _spread_forms(p, e) % p
-    return _frozen(labels, np.int64)
+    return _immutable(labels, np.int64)
 
 
 def partition_commuting_classes(p: int, e: int) -> np.ndarray:
@@ -283,8 +283,8 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
     labels = [f"class:{c}" for c in range(d + 1)]
-    mub_set = _complete_set(d, labels, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params),
-                            _class_labels(p, e))
+    stacks = _complete_stacks(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params))
+    mub_set = MubSet._of_stacks(d, labels, *stacks, class_labels=_class_labels(p, e))
     i, j, same = _pair_table(d + 1)
     # every basis is exact, so no float deviation is compared against DEFAULT_TOL
     deviation, passed, _ = _pair_verdicts(d, None, mub_set.exponents, mub_set.scales,

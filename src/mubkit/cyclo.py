@@ -38,6 +38,13 @@ def _frozen(array, dtype) -> np.ndarray:
     return view
 
 
+def _immutable(array, dtype) -> np.ndarray:
+    """A copy of array as a contiguous dtype array over immutable bytes, for cached arrays:
+    unlike _frozen's view, no array in its .base chain can be made writable."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return np.frombuffer(array.tobytes(), dtype).reshape(array.shape)
+
+
 def check_tolerance(tol: float) -> float:
     """tol, if it is a finite positive number; ValueError otherwise."""
     if not (math.isfinite(tol) and tol > 0):
@@ -67,22 +74,22 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def _points(b: int, e: int) -> np.ndarray:
-    """All of Z_b**e, (b**e, e), read-only: the package's one digit order of Z_b**e.
+    """All of Z_b**e, (b**e, e), immutable: the package's one digit order of Z_b**e.
 
     Slot s holds the point whose base-b digits, slot 0 most significant, spell s.
     """
-    return _frozen(np.indices((b,) * e).reshape(e, -1).T, np.int64)
+    return _immutable(np.indices((b,) * e).reshape(e, -1).T, np.int64)
 
 
 @lru_cache(maxsize=None)
 def _unit_slots(b: int, e: int) -> np.ndarray:
-    """The slots b**(e-1-k) of the unit vectors e_k of Z_b**e (see _points), (e,), read-only."""
-    return _frozen(b ** np.arange(e - 1, -1, -1), np.int64)
+    """The slots b**(e-1-k) of the unit vectors e_k of Z_b**e (see _points), (e,), immutable."""
+    return _immutable(b ** np.arange(e - 1, -1, -1), np.int64)
 
 
 @lru_cache(maxsize=None)
 def _phase_table(modulus: int) -> np.ndarray:
-    """Unit phases exp(2i*pi*k/modulus) for k = 0..modulus-1, read-only.
+    """Unit phases exp(2i*pi*k/modulus) for k = 0..modulus-1, immutable.
 
     Quarter-circle entries are exactly 1, i, -1, -i; all numeric phases in
     the package come from this table, so those values stay float-clean.
@@ -93,8 +100,7 @@ def _phase_table(modulus: int) -> np.ndarray:
         quarters, rem = divmod(4 * k, modulus)
         if rem == 0:
             table[k] = cardinal[quarters]
-    table.setflags(write=False)
-    return table
+    return _immutable(table, np.complex128)
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +111,11 @@ def conjugate_phases(d: int) -> np.ndarray:
     sigma_k per complex-conjugate pair (only k = 1 for d = 2).  Indexing the
     columns by tau exponents applies every sigma_k at once; a final zero
     column makes exponent -1, the package's mark for an exact zero, give 0.
-    Read-only.
+    Immutable.
     """
     ks = np.array([k for k in range(1, d) if math.gcd(k, 2 * d) == 1], dtype=np.int64)
     rows = _phase_table(2 * d)[np.outer(ks, np.arange(2 * d)) % (2 * d)]
-    rows = np.concatenate([rows, np.zeros((len(ks), 1))], axis=1)
-    rows.setflags(write=False)
-    return rows
+    return _immutable(np.concatenate([rows, np.zeros((len(ks), 1))], axis=1), np.complex128)
 
 
 @dataclass(frozen=True)

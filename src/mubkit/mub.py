@@ -8,17 +8,18 @@ closed form: build_basis and build_complete_set write through it,
 build_mub_vector is a row of build_basis, and gauss_sum_magnitude reads
 its sum's exponents from it, as the form is linear in (a, n).  The
 computational basis plus the d eigenbases form a complete set of d+1
-mutually unbiased bases exactly when d is prime; _complete_set assembles
-it, and composite's sets too.  The verifier decides the defining overlap
-condition of exact bases on integers where the paper's Gauss-sum rule
-applies: monomial bases, and quadratic-phase bases, recognized by one form
-over Z_b**e with d = b**e (b = d, or b = p at d = p**e; cyclo owns the
+mutually unbiased bases exactly when d is prime; _complete_stacks lays
+out its stacks, and composite's too.  The verifier decides the defining
+overlap condition of exact bases on integers where the paper's Gauss-sum
+rule applies: monomial bases, and quadratic-phase bases, recognized by one
+form over Z_b**e with d = b**e (b = d, or b = p at d = p**e; cyclo owns the
 digit order of Z_b**e).  It uses the cyclotomic norm certificate for other
 exact bases, and floats for float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds tau exponents (d, d) or None, and per-vector scales (d,); a set stacks
-them once into (m, d, d) and (n, d).  An exact basis or set has one stored
+them once into (m, d, d) and (n, d), which the sets built at one prime d
+share, immutable (_prime_stacks).  An exact basis or set has one stored
 form, its exponents and scales: its amps are derived from them on first
 read, so the float and the exact data cannot drift apart, and building and
 verifying an exact set derives none.  A float basis, and a set with one, is
@@ -26,6 +27,7 @@ given its amps.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -36,6 +38,7 @@ from .cyclo import (
     CyclotomicSum,
     PhaseExponent,
     _frozen,
+    _immutable,
     _phase_table,
     _points,
     _unit_slots,
@@ -273,7 +276,7 @@ class MubSet:
         checks of MubSet: labels unique and at least one, the stacks' shapes
         and exponents in -1..2d-1.  exact_bases marks the first m.  The set
         keeps the arrays uncopied, so the caller must not write to them
-        afterwards.
+        afterwards, or passes immutable ones, as build_complete_set does.
         """
         n, m = len(labels), len(exponents)
         if (m > n or (amps is None and m < n) or exponents.shape[1:] != (dim, dim)
@@ -371,10 +374,13 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
 
     Non-prime d is refused (the cyclic recipe cannot reach d+1 pairwise
     unbiased bases there); force=True builds the family anyway so the
-    failure can be exhibited, and the resulting set is marked forced.  The
-    (d+1, d, d) exponents and the scales are built once for the whole set,
-    which derives its amps and bases from them on first read.
+    failure can be exhibited, and the resulting set is marked forced.  d
+    must be an integer: 7.0 raises TypeError.  Every set built at a prime d
+    shares its (d+1, d, d) exponents and scales, immutable, built on first
+    use (_prime_stacks); a forced set's are built afresh.  The set derives
+    its amps and bases from them on first read.
     """
+    d = operator.index(d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if d > MAX_DIM:
@@ -386,12 +392,25 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
             "unbiased bases only in prime dimension; pass force=True (mubkit set "
             "--force) to build the (incomplete) family anyway"
         )
-    exps = _eigen_exponents(d, np.arange(d)[:, None], np.arange(d))
-    return _complete_set(d, ("s", *range(d)), exps, forced=not prime)
+    stacks = _prime_stacks(d) if prime else _cyclic_stacks(d)
+    return MubSet._of_stacks(d, ("s", *range(d)), *stacks, forced=not prime)
 
 
-def _complete_set(d: int, labels, flat, class_labels=None, forced: bool = False) -> MubSet:
-    """Both builders' set: the computational basis, then d bases of scale 1 with exponents flat."""
+def _cyclic_stacks(d: int) -> tuple:
+    """_complete_stacks of the computational basis and the d eigenbases, built afresh."""
+    return _complete_stacks(d, _eigen_exponents(d, np.arange(d)[:, None], np.arange(d)))
+
+
+@lru_cache(maxsize=None)
+def _prime_stacks(d: int) -> tuple:
+    """_cyclic_stacks(d) of a prime d in immutable memory (cyclo._immutable), shared by
+    every set built at d: 16.6 MB at d = 127, about 105 MB for all primes up to MAX_DIM."""
+    return tuple(_immutable(stack, np.int64) for stack in _cyclic_stacks(d))
+
+
+def _complete_stacks(d: int, flat) -> tuple:
+    """Both builders' exponents (d+1, d, d) and scales (d+1, d): the computational basis,
+    then d bases of scale 1 with exponents flat."""
     exps = np.empty((d + 1, d, d), np.int64)
     # the computational basis: exponent 0 on the diagonal, -1 (an exact zero) elsewhere, scale 0
     exps[0] = -1
@@ -399,7 +418,7 @@ def _complete_set(d: int, labels, flat, class_labels=None, forced: bool = False)
     exps[1:] = flat
     scales = np.ones((d + 1, d), np.int64)
     scales[0] = 0
-    return MubSet._of_stacks(d, labels, exps, scales, class_labels=class_labels, forced=forced)
+    return exps, scales
 
 
 # -- verification ------------------------------------------------------------
@@ -421,13 +440,10 @@ def _block_pairs(n_conj: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple:
-    """The pairs i <= j of n bases, row by row: read-only index arrays i and j (P,) and
+    """The pairs i <= j of n bases, row by row: immutable index arrays i and j (P,) and
     the mask same = (i == j) (P,)."""
     i, j = np.triu_indices(n)
-    table = i, j, i == j
-    for array in table:
-        array.setflags(write=False)
-    return table
+    return tuple(_immutable(array, array.dtype) for array in (i, j, i == j))
 
 
 def _deviations(amps: np.ndarray, same: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -532,7 +548,7 @@ def _form_layout(d: int, b: int, e: int) -> tuple:
     and slots e_i + e_k (digitwise mod b), then of each row's slot 0 and
     slots e_k; the slots of the e_k (e,); weights (e,), the slots of the
     unit vectors of Z_2b**e, which code its points; and the sorted codes of
-    2 Z_b**e (d,).
+    2 Z_b**e (d,).  The arrays are immutable.
     """
     points, units = _points(b, e), _unit_slots(b, e)
     eye = np.eye(e, dtype=np.int64)
@@ -544,7 +560,7 @@ def _form_layout(d: int, b: int, e: int) -> tuple:
     weights = _unit_slots(2 * b, e)
     arrays = (points, 2 * u * points @ points.T, squares.reshape(d, -1).T, reads, units, weights,
               np.sort(2 * points @ weights))
-    return (b, u, *(_frozen(a, np.int64) for a in arrays))
+    return (b, u, *(_immutable(a, np.int64) for a in arrays))
 
 
 def _form_exponents(forms, rows, slot0, b, u, points, linear, squares, *_) -> np.ndarray:

@@ -265,7 +265,8 @@ class TestSetCommand:
             raise AssertionError("no set is built past MAX_DIM")
 
         monkeypatch.setattr(mubkit.mub, "_eigen_exponents", refuse)
-        monkeypatch.setattr(mubkit.mub, "_complete_set", refuse)
+        monkeypatch.setattr(mubkit.mub, "_complete_stacks", refuse)
+        monkeypatch.setattr(mubkit.mub, "_prime_stacks", refuse)
         monkeypatch.setattr(mubkit.mub.MubSet, "_of_stacks", refuse)
         for argv in (["set", "--dim", "129"], ["set", "--dim", "1000", "--force"]):
             assert main(argv) == 2

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclo_oracle import canonicalize_coeffs
-from mubkit import mub
+from mubkit import composite as composite_module
+from mubkit import cyclo, mub
 from mubkit.composite import build_composite_set, commutation_soundness, partition_commuting_classes
 from mubkit.cyclo import DEFAULT_TOL, CyclotomicSum, _phase_table, conjugate_phases
 from mubkit.mub import (
@@ -1437,6 +1438,98 @@ class TestDerivedOnFirstRead:
         rep = verify_set(mub_set)
         assert rep.passed and rep.details["exact"] is False
         assert rep.details["gram_pairs"] == 8 * 9 // 2 and rep.details["integer_pairs"] == 0
+
+
+def base_chain(array):
+    """array, its base, its base's base, ..., as long as they are arrays."""
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
+def assert_immutable(array):
+    """No array in array's .base chain can be made writable or written to."""
+    for link in base_chain(array):
+        with pytest.raises(ValueError):
+            link.setflags(write=True)
+        with pytest.raises(ValueError, match="read-only"):
+            link[(0,) * link.ndim] = 0
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+class TestSharedPrimeStacks:
+    """Every set built at one prime d shares one pair of stacks, in immutable memory;
+    forced sets and every verdict are built afresh."""
+
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    def test_builds_at_one_prime_share_their_stacks(self, d):
+        first, second = build_complete_set(d), build_complete_set(d)
+        assert np.shares_memory(first.exponents, second.exponents)
+        assert np.shares_memory(first.scales, second.scales)
+
+    @pytest.mark.parametrize("d", [4, 6, 9])
+    def test_forced_builds_are_not_cached(self, d):
+        cached = mub._prime_stacks.cache_info().currsize
+        first, second = build_complete_set(d, force=True), build_complete_set(d, force=True)
+        assert not np.shares_memory(first.exponents, second.exponents)
+        assert not np.shares_memory(first.scales, second.scales)
+        assert mub._prime_stacks.cache_info().currsize == cached
+
+    def test_no_write_reaches_a_shared_array(self):
+        built, composite = build_complete_set(5), build_composite_set(2, 2)
+        for array in (built.exponents, built.scales, built.bases[1].exponents,
+                      composite.class_labels, composite.bases[1].class_labels):
+            assert_immutable(array)
+        # a write through .base once zeroed the cached spread under every later composite set
+        assert build_composite_set(2, 2).class_labels[1:, :, 1].any()
+        assert verify_set(build_complete_set(5)).passed
+
+    @pytest.mark.parametrize("module,name,args", [
+        pytest.param(module, name, args, id=name) for module, name, args in (
+            (composite_module, "_class_labels", (2, 2)),
+            (composite_module, "_spread_forms", (3, 2)),
+            (cyclo, "_points", (3, 2)),
+            (cyclo, "_unit_slots", (3, 2)),
+            (mub, "_form_layout", (9, 3, 2)),
+            (mub, "_pair_table", (4,)),
+            (cyclo, "_phase_table", (10,)),
+            (cyclo, "conjugate_phases", (5,)),
+            (mub, "_prime_stacks", (5,)),
+        )
+    ])
+    def test_every_cached_array_is_immutable(self, module, name, args):
+        value = getattr(module, name)(*args)
+        arrays = [a for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        assert arrays
+        for array in arrays:
+            assert_immutable(array)
+
+    def test_cache_is_keyed_on_an_integer_d(self):
+        built = build_complete_set(7)
+        # 7.0 hashes like 7, so only the integer check keeps it from the d = 7 stacks
+        with pytest.raises(TypeError):
+            build_complete_set(7.0)
+        numpy_int = build_complete_set(np.int64(7))
+        assert np.shares_memory(numpy_int.exponents, built.exponents)
+        assert type(numpy_int.dim) is int and numpy_int.dim == 7
+        with pytest.raises(ValueError, match=">= 2"):
+            build_complete_set(True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(PRIMES_TO_31) | st.integers(4, 31), min_size=1, max_size=5))
+    def test_shared_stacks_equal_a_fresh_build(self, dims):
+        # primes and forced non-primes interleaved; force=True at a prime d takes the shared stacks
+        for d in dims:
+            built = build_complete_set(d, force=True)
+            assert built.forced is (d not in PRIMES_TO_31)
+            fresh = MubSet._of_stacks(d, ("s", *range(d)), *mub._cyclic_stacks(d),
+                                      forced=built.forced)
+            np.testing.assert_array_equal(built.exponents, fresh.exponents)
+            np.testing.assert_array_equal(built.scales, fresh.scales)
+            assert verify_set(built) == verify_set(fresh)
 
 
 class TestGaussSum:
