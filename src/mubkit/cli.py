@@ -11,7 +11,7 @@ stderr.  Output is byte-identical for identical configurations.
 
 Each handler imports the modules its subcommand uses, so a process loads
 only those: gen and ffz load weyl, su2 loads su2 and weyl, set, verify and
-sumrule load mub, and composite loads composite.
+sumrule load mub, and composite loads composite and mub.
 """
 
 import argparse

@@ -19,11 +19,15 @@ the computational basis.  A label is an int array (2, e), rows x and z.
 The spread forms and the class labels (p**e + 1, p**e - 1, 2, e) are
 cached per (p, e), in immutable memory; build_composite_set writes every
 graph basis in one broadcast over the forms, through mub's writer of
-quadratic bases.  Correctness rests on the unbiasedness verifier, not on the
-construction.
+quadratic bases, and keeps the stacks it wrote per (p, e, a_params) in a
+store bounded in bytes (_STACK_STORE).  Correctness rests on the
+unbiasedness verifier, not on the construction: every build is checked.
+Only the operators (_label_rows, build_w, commutation_soundness) import
+weyl, so building a set loads composite and mub alone.
 """
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 
@@ -33,7 +37,17 @@ from .cyclo import DEFAULT_TOL, _immutable, _phase_table, _points, _unit_slots, 
 from .mub import (MAX_DIM, MubBasis, MubSet, _complete_stacks, _form_exponents, _form_layout,
                   _pair_table, _pair_verdicts)
 from .report import VerificationReport
-from .weyl import OperatorMatrix, _affine_rows, _monomial_rows, _Rows
+
+#: Bytes the store of composite stacks may hold, counted over its arrays;
+#: the least recently used entries are evicted past it.  An entry at d =
+#: 128 holds 4.36 MB (4.23 MB of int16 exponents), so seven of them fit, as
+#: do all 89 sets of d = 4 to 27 (2.4 MB).
+STACK_STORE_BYTES = 32 << 20
+
+#: (p, e, a_params) -> the exponents (d+1, d, d) as int16 and the scales
+#: (d+1, d) of a set that passed its construction check, in immutable
+#: memory (cyclo._immutable), least recently used first.
+_STACK_STORE = OrderedDict()
 
 
 class ConstructionError(RuntimeError):
@@ -75,7 +89,7 @@ def _check_labels(labels, p: int, e: int, ndim: int) -> np.ndarray:
 # -- operators ----------------------------------------------------------------
 
 
-def _label_rows(p: int, a_params, xs, zs) -> _Rows:
+def _label_rows(p: int, a_params, xs, zs) -> "_Rows":
     """Rows of the labelled operators, int x and z (..., e): the tensor product in closed form.
 
     Row r, a point of F_p^e in cyclo._points order, holds its entry at the
@@ -83,6 +97,8 @@ def _label_rows(p: int, a_params, xs, zs) -> _Rows:
     factors i of d/p times factor i's exponent mod 2p at its row r_i, since
     tau_p = tau_d**(d/p).
     """
+    from .weyl import _monomial_rows, _Rows
+
     e = xs.shape[-1]
     d, digits = p**e, _points(p, e)
     slots = _monomial_rows(p, np.asarray(a_params), xs, zs, 0)
@@ -91,13 +107,15 @@ def _label_rows(p: int, a_params, xs, zs) -> _Rows:
     return _Rows(col, exp, np.ones_like(exp))
 
 
-def build_w(p: int, e: int, label, a_params) -> OperatorMatrix:
+def build_w(p: int, e: int, label, a_params) -> "OperatorMatrix":
     """Tensor product with per-slot factor V_{a_i}**x_i Z**z_i, label (2, e) the rows x and z.
 
     Pure shift labels (z = 0, x = 1..1) give the plain tensor product of
     phased shifts; clock-type factors are the auxiliary content that resolves
     spectral degeneracy.
     """
+    from .weyl import OperatorMatrix
+
     a_params = _check_params(p, e, a_params)
     x, z = _check_labels(label, p, e, 2)
     return OperatorMatrix.from_exact(_label_rows(p, a_params, x, z).exact())
@@ -113,7 +131,7 @@ class DegeneracyReport:
     degenerate: bool
 
 
-def degeneracy_report(matrix: OperatorMatrix) -> DegeneracyReport:
+def degeneracy_report(matrix: "OperatorMatrix") -> DegeneracyReport:
     """The exact spectrum of a phased permutation, from its cycles; flags any multiplicity > 1.
 
     matrix must be exact, one entry in each row and column, as every
@@ -272,19 +290,35 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     Every class of the spread contributes its joint eigenbasis, in the order
     and with the members of partition_commuting_classes; the all-clock
     class, first, contributes the computational basis.  Every basis is
-    exact: the set's exponent stack is written once, the graph bases in one
-    broadcast from the spread forms, and the set derives its amps and its
-    bases, which view its rows and its class labels, on first read.  Before
-    the set is returned, every pair i <= j is decided by verify_set's pair
-    kernel (mub._pair_verdicts), on integers; no report is built unless a
-    pair fails, which raises ConstructionError naming the first failing pair
-    in verify_set's order and its residual.
+    exact: the set's exponent stack is written once per (p, e, a_params),
+    the graph bases in one broadcast from the spread forms, and the set
+    derives its amps and its bases, which view its rows and its class
+    labels, on first read.  Before the set is returned, every pair i <= j is
+    decided by verify_set's pair kernel (mub._pair_verdicts), on integers;
+    no report is built unless a pair fails, which raises ConstructionError
+    naming the first failing pair in verify_set's order and its residual.
+
+    A set that passes is stored (_STACK_STORE): its exponents as int16, as
+    they lie in -1..2d-1 <= 255, and its scales, immutable, at most
+    STACK_STORE_BYTES in all, the least recently used evicted first.  A
+    later build with the same parameters widens the stored exponents to its
+    own int64 stack and shares the scales; no verdict is stored, so every
+    build is checked as above.  Unlike mub._prime_stacks, whose 31 keys
+    bound it, the store has a key per phase vector, so it is bounded in
+    bytes, and int16 keeps its d = 4 to 27 sets small.
     """
     a_params = _check_params(p, e, (0,) * e if a_params is None else a_params)
     d = p**e
     labels = [f"class:{c}" for c in range(d + 1)]
-    stacks = _complete_stacks(d, _stabilizer_exponents(p, e, _spread_forms(p, e), a_params))
-    mub_set = MubSet._of_stacks(d, labels, *stacks, class_labels=_class_labels(p, e))
+    key = p, e, a_params
+    stored = _STACK_STORE.get(key)
+    if stored is None:
+        flat = _stabilizer_exponents(p, e, _spread_forms(p, e), a_params)
+        exps, scales = _complete_stacks(d, flat)
+    else:
+        _STACK_STORE.move_to_end(key)
+        exps, scales = stored[0].astype(np.int64), stored[1]
+    mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
     i, j, same = _pair_table(d + 1)
     # every basis is exact, so no float deviation is compared against DEFAULT_TOL
     deviation, passed, _ = _pair_verdicts(d, None, mub_set.exponents, mub_set.scales,
@@ -297,7 +331,17 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
             f"({pair[0]}, {pair[1]}) with residual {deviation[q]:.3e}",
             pair=pair,
         )
+    if stored is None:
+        _store_stacks(key, exps, scales)
     return mub_set
+
+
+def _store_stacks(key, exps, scales) -> None:
+    """Store a checked set's stacks under key, then evict to STACK_STORE_BYTES."""
+    _STACK_STORE[key] = _immutable(exps, np.int16), _immutable(scales, np.int64)
+    held = sum(array.nbytes for entry in _STACK_STORE.values() for array in entry)
+    while held > STACK_STORE_BYTES:
+        held -= sum(array.nbytes for array in _STACK_STORE.popitem(last=False)[1])
 
 
 def commutation_soundness(classes, p: int, e: int, a_params) -> VerificationReport:
@@ -310,6 +354,8 @@ def commutation_soundness(classes, p: int, e: int, a_params) -> VerificationRepo
     0.0 when every pair commutes, else the largest |1 - tau**k| of a
     failing pair.
     """
+    from .weyl import _affine_rows
+
     a_params = _check_params(p, e, a_params)
     table = _phase_table(2 * p**e)
     commute, form_ok, worst = True, True, 0.0

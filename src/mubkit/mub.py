@@ -350,9 +350,11 @@ def _eigen_exponents(d: int, a, n) -> np.ndarray:
 
 
 def build_basis(d: int, a: int) -> MubBasis:
-    """The orthonormal eigenbasis of the phased shift at parameter a."""
+    """The orthonormal eigenbasis of the phased shift at parameter a, an integer: a = 1.0
+    raises TypeError, as it would be written as the label "1.0"."""
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    a = operator.index(a)
     _check_index(d, "a", a)
     return MubBasis.from_arrays(d, a, exponents=_eigen_exponents(d, a, np.arange(d)))
 
@@ -360,8 +362,9 @@ def build_basis(d: int, a: int) -> MubBasis:
 def build_mub_vector(d: int, a: int, n: int) -> MubVector:
     """Row n of build_basis(d, a): the eigenvector with eigenvalue exponent (d-1)a - 2n."""
     basis = build_basis(d, a)
+    n = operator.index(n)
     _check_index(d, "n", n)
-    return MubVector(d, a, n, basis.amps[n], basis.exponents[n])
+    return MubVector(d, basis.label, n, basis.amps[n], basis.exponents[n])
 
 
 def spherical_basis(d: int) -> MubBasis:
@@ -404,7 +407,11 @@ def _cyclic_stacks(d: int) -> tuple:
 @lru_cache(maxsize=None)
 def _prime_stacks(d: int) -> tuple:
     """_cyclic_stacks(d) of a prime d in immutable memory (cyclo._immutable), shared by
-    every set built at d: 16.6 MB at d = 127, about 105 MB for all primes up to MAX_DIM."""
+    every set built at d: 16.6 MB at d = 127, about 105 MB for all primes up to MAX_DIM.
+
+    d alone is the key, so 31 entries bound the cache and the sets use its int64 arrays
+    themselves; composite sets have a key per phase vector, so their store is bounded in
+    bytes and holds int16 exponents that each build widens (composite._STACK_STORE)."""
     return tuple(_immutable(stack, np.int64) for stack in _cyclic_stacks(d))
 
 

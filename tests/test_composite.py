@@ -542,6 +542,8 @@ class TestFailedConstruction:
             return exps
 
         monkeypatch.setattr(composite, "_stabilizer_exponents", copy_one_basis)
+        # a stored set would be served without a write, so the planted write is built and checked
+        composite._STACK_STORE.clear()
         d = p**e
         with pytest.raises(ConstructionError) as failure:
             build_composite_set(p, e)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -156,6 +157,19 @@ class TestBuildBasis:
         for a in range(d):
             cols = build_basis(d, a).as_array().T
             assert np.abs(cols.conj().T @ cols - np.eye(d)).max() < 1e-12
+
+    def test_parameters_must_be_integers(self):
+        # a float a was once written as the label "1.0", which a round trip read back changed
+        with pytest.raises(TypeError):
+            build_basis(5, 1.0)
+        with pytest.raises(TypeError):
+            build_mub_vector(5, 1, 2.0)
+        from mubkit.serialize import mubset_from_doc, mubset_to_doc
+        built = MubSet(5, (spherical_basis(5), build_basis(5, np.int64(1))))
+        assert type(built.labels[1]) is int
+        assert mubset_from_doc(mubset_to_doc(built, exact=True)).labels == ("s", 1)
+        vector = build_mub_vector(5, np.int64(1), np.int64(2))
+        assert type(vector.a) is type(vector.n) is int and (vector.a, vector.n) == (1, 2)
 
 
 class TestCompleteSet:
@@ -1486,8 +1500,9 @@ class TestSharedPrimeStacks:
         assert build_composite_set(2, 2).class_labels[1:, :, 1].any()
         assert verify_set(build_complete_set(5)).passed
 
-    @pytest.mark.parametrize("module,name,args", [
-        pytest.param(module, name, args, id=name) for module, name, args in (
+    @pytest.mark.parametrize("cached", [
+        pytest.param(functools.partial(getattr(module, name), *args), id=name)
+        for module, name, args in (
             (composite_module, "_class_labels", (2, 2)),
             (composite_module, "_spread_forms", (3, 2)),
             (cyclo, "_points", (3, 2)),
@@ -1498,9 +1513,9 @@ class TestSharedPrimeStacks:
             (cyclo, "conjugate_phases", (5,)),
             (mub, "_prime_stacks", (5,)),
         )
-    ])
-    def test_every_cached_array_is_immutable(self, module, name, args):
-        value = getattr(module, name)(*args)
+    ] + [pytest.param(lambda: stored_stacks(3, 2, (1, 2)), id="_STACK_STORE")])
+    def test_every_cached_array_is_immutable(self, cached):
+        value = cached()
         arrays = [a for a in (value if isinstance(value, tuple) else (value,))
                   if isinstance(a, np.ndarray)]
         assert arrays
@@ -1530,6 +1545,139 @@ class TestSharedPrimeStacks:
             np.testing.assert_array_equal(built.exponents, fresh.exponents)
             np.testing.assert_array_equal(built.scales, fresh.scales)
             assert verify_set(built) == verify_set(fresh)
+
+
+def stored_stacks(p, e, a_params):
+    """The store's entry for (p, e, a_params), put there by a build if it is not."""
+    build_composite_set(p, e, a_params)
+    return composite_module._STACK_STORE[p, e, a_params]
+
+
+def fresh_stacks(p, e, a_params):
+    """The exponents and scales of the set at (p, e, a_params), written afresh."""
+    forms = composite_module._spread_forms(p, e)
+    return mub._complete_stacks(p**e, composite_module._stabilizer_exponents(p, e, forms, a_params))
+
+
+def stored_bytes():
+    """The bytes of every array in the store."""
+    return sum(array.nbytes for entry in composite_module._STACK_STORE.values()
+               for array in entry)
+
+
+def counted_calls(monkeypatch, name):
+    """The calls made from now on to composite's function name, which still runs."""
+    calls, function = [], getattr(composite_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(composite_module, name, counted)
+    return calls
+
+
+#: (p, e) with p**e <= 27 and e >= 2, the sizes of the prime_power mix.
+SMALL_PRIME_POWERS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+class TestCompositeStackStore:
+    """A composite set's stacks are written once per (p, e, a_params) and stored as int16,
+    bounded in bytes; every build is still checked, and only a passing set is stored."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(composite_module, "_STACK_STORE", type(composite_module._STACK_STORE)())
+
+    @pytest.mark.parametrize("p,e,a_params", [(2, 2, (0, 1)), (3, 2, (1, 2)), (2, 4, (1, 0, 1, 1))])
+    def test_second_build_is_served_from_the_store(self, p, e, a_params, monkeypatch):
+        writes = counted_calls(monkeypatch, "_stabilizer_exponents")
+        first = build_composite_set(p, e, a_params)
+        second = build_composite_set(p, e, list(a_params))
+        assert len(writes) == 1
+        exps, scales = composite_module._STACK_STORE[p, e, a_params]
+        assert exps.dtype == np.int16 and scales.dtype == np.int64
+        fresh_exps, fresh_scales = fresh_stacks(p, e, a_params)
+        for built in (first, second):
+            assert built.exponents.dtype == built.scales.dtype == np.int64
+            np.testing.assert_array_equal(built.exponents, fresh_exps)
+            np.testing.assert_array_equal(built.scales, fresh_scales)
+        # each set widens its own exponents; the scales are shared
+        assert not np.shares_memory(first.exponents, second.exponents)
+        assert not np.shares_memory(second.exponents, exps)
+        assert np.shares_memory(second.scales, scales)
+
+    def test_a_store_hit_is_still_checked(self, monkeypatch):
+        calls = counted_calls(monkeypatch, "_pair_verdicts")
+        for _ in range(3):
+            build_composite_set(2, 3, (1, 0, 1))
+        assert len(calls) == 3
+        assert len(composite_module._STACK_STORE) == 1
+
+    def test_no_write_reaches_a_stored_array(self):
+        built = [build_composite_set(3, 2, (1, 2)) for _ in range(2)]  # a miss, then a hit
+        for array in composite_module._STACK_STORE[3, 2, (1, 2)]:
+            assert_immutable(array)
+        # a set's own arrays can be made writable; writing them leaves the store as it was
+        for mub_set in built:
+            for array in (mub_set.exponents, mub_set.scales):
+                for link in base_chain(array):
+                    try:
+                        link.setflags(write=True)
+                    except ValueError:
+                        continue
+                    link[...] = 0
+        again = build_composite_set(3, 2, (1, 2))
+        for got, fresh in zip((again.exponents, again.scales), fresh_stacks(3, 2, (1, 2))):
+            np.testing.assert_array_equal(got, fresh)
+        assert verify_set(again).passed
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(SMALL_PRIME_POWERS).flatmap(
+        lambda pe: st.tuples(st.just(pe), st.lists(st.integers(0, pe[0] - 1), min_size=pe[1],
+                                                     max_size=pe[1]).map(tuple))),
+        min_size=1, max_size=6))
+    def test_stored_stacks_equal_a_fresh_write(self, builds):
+        # hits and misses interleaved, across sizes and phase vectors
+        for (p, e), a_params in builds:
+            built = build_composite_set(p, e, a_params)
+            exps, scales = fresh_stacks(p, e, a_params)
+            np.testing.assert_array_equal(built.exponents, exps)
+            np.testing.assert_array_equal(built.scales, scales)
+            fresh = MubSet._of_stacks(p**e, built.labels, exps, scales,
+                                      class_labels=composite_module._class_labels(p, e))
+            assert verify_set(built) == verify_set(fresh)
+
+    def test_eviction_keeps_the_store_within_its_cap(self, monkeypatch):
+        # one d = 9 entry holds 1620 bytes of exponents and 720 of scales: the cap fits three
+        monkeypatch.setattr(composite_module, "STACK_STORE_BYTES", 3 * 2340 + 100)
+        keys = [(3, 2, (a, b)) for a in range(3) for b in range(3)]
+        for key in keys:
+            build_composite_set(*key)
+            assert stored_bytes() <= composite_module.STACK_STORE_BYTES
+        assert list(composite_module._STACK_STORE) == keys[-3:]
+        # a hit makes its entry the most recently used, so the oldest other one goes next
+        build_composite_set(*keys[-3])
+        build_composite_set(*keys[0])
+        assert list(composite_module._STACK_STORE) == [keys[-1], keys[-3], keys[0]]
+        # an entry larger than the cap is not kept
+        build_composite_set(2, 4)
+        assert (2, 4, (0,) * 4) not in composite_module._STACK_STORE
+        assert stored_bytes() <= composite_module.STACK_STORE_BYTES
+
+    def test_a_failing_construction_stores_nothing(self, monkeypatch):
+        write = composite_module._stabilizer_exponents
+
+        def planted(*args):
+            exps = write(*args)
+            exps[1] = exps[0]
+            return exps
+
+        monkeypatch.setattr(composite_module, "_stabilizer_exponents", planted)
+        for _ in range(2):
+            with pytest.raises(composite_module.ConstructionError):
+                build_composite_set(2, 2)
+        assert not composite_module._STACK_STORE
 
 
 class TestGaussSum:
