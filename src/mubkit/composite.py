@@ -303,7 +303,7 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
     STACK_STORE_BYTES in all, the least recently used evicted first.  A
     later build with the same parameters widens the stored exponents to its
     own int64 stack and shares the scales; no verdict is stored, so every
-    build is checked as above.  Unlike mub._prime_stacks, whose 31 keys
+    build is checked as above.  Unlike mub._prime_set, whose 31 keys
     bound it, the store has a key per phase vector, so it is bounded in
     bytes, and int16 keeps its d = 4 to 27 sets small.
     """
@@ -319,10 +319,10 @@ def build_composite_set(p: int, e: int, a_params=None) -> MubSet:
         _STACK_STORE.move_to_end(key)
         exps, scales = stored[0].astype(np.int64), stored[1]
     mub_set = MubSet._of_stacks(d, labels, exps, scales, class_labels=_class_labels(p, e))
-    i, j, same = _pair_table(d + 1)
+    i, j, kind = _pair_table(d + 1)
     # every basis is exact, so no float deviation is compared against DEFAULT_TOL
     deviation, passed, _ = _pair_verdicts(d, None, mub_set.exponents, mub_set.scales,
-                                          mub_set.exact_bases, same, i, j, DEFAULT_TOL)
+                                          mub_set.exact_bases, kind, i, j, DEFAULT_TOL)
     if not passed.all():
         q = np.argmin(passed)  # the first failing pair in verify_set's order
         pair = (labels[i[q]], labels[j[q]])

@@ -18,17 +18,17 @@ exact bases, and floats for float ones.
 
 Bases and sets are stored as read-only arrays with vectors as rows: a basis
 holds tau exponents (d, d) or None, and per-vector scales (d,); a set stacks
-them once into (m, d, d) and (n, d), which the sets built at one prime d
-share, immutable (_prime_stacks).  An exact basis or set has one stored
-form, its exponents and scales: its amps are derived from them on first
-read, so the float and the exact data cannot drift apart, and building and
-verifying an exact set derives none.  A float basis, and a set with one, is
-given its amps.
+them once into (m, d, d) and (n, d); each build at a prime d is a new set
+over one checked, immutable template (_prime_set).  An exact basis or set
+has one stored form, its exponents and scales: its amps are derived from
+them on first read, so the float and the exact data cannot drift apart, and
+building and verifying an exact set derives none.  A float basis, and a set
+with one, is given its amps.  No verdict is cached.
 """
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -326,6 +326,10 @@ class MubSet:
         return bool(self.exact_bases.all())
 
 
+#: The stored fields of a MubSet, which each build at a prime d copies from its template.
+_SET_FIELDS = tuple(f.name for f in fields(MubSet))
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -378,25 +382,27 @@ def build_complete_set(d: int, force: bool = False) -> MubSet:
     Non-prime d is refused (the cyclic recipe cannot reach d+1 pairwise
     unbiased bases there); force=True builds the family anyway so the
     failure can be exhibited, and the resulting set is marked forced.  d
-    must be an integer: 7.0 raises TypeError.  Every set built at a prime d
-    shares its (d+1, d, d) exponents and scales, immutable, built on first
-    use (_prime_stacks); a forced set's are built afresh.  The set derives
-    its amps and bases from them on first read.
+    must be an integer: 7.0 raises TypeError.  At a prime d each build is a
+    new set carrying the fields of one template, assembled and checked once
+    in immutable memory (_prime_set), so the amps and bases it derives on
+    first read are its own and freed with it; a forced set is built and
+    checked afresh.  No verdict is cached: verify_set decides every set.
     """
     d = operator.index(d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the supported bound {MAX_DIM}")
-    prime = is_prime(d)
-    if not prime and not force:
+    if is_prime(d):
+        template = vars(_prime_set(d))
+        return _assign(MubSet.__new__(MubSet), **{name: template[name] for name in _SET_FIELDS})
+    if not force:
         raise ValueError(
             f"d = {d} is not prime: the cyclic recipe yields d+1 pairwise "
             "unbiased bases only in prime dimension; pass force=True (mubkit set "
             "--force) to build the (incomplete) family anyway"
         )
-    stacks = _prime_stacks(d) if prime else _cyclic_stacks(d)
-    return MubSet._of_stacks(d, ("s", *range(d)), *stacks, forced=not prime)
+    return MubSet._of_stacks(d, ("s", *range(d)), *_cyclic_stacks(d), forced=True)
 
 
 def _cyclic_stacks(d: int) -> tuple:
@@ -405,14 +411,17 @@ def _cyclic_stacks(d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _prime_stacks(d: int) -> tuple:
-    """_cyclic_stacks(d) of a prime d in immutable memory (cyclo._immutable), shared by
-    every set built at d: 16.6 MB at d = 127, about 105 MB for all primes up to MAX_DIM.
+def _prime_set(d: int) -> MubSet:
+    """The set of a prime d, checked once by MubSet._of_stacks, its stacks and exact_bases in
+    immutable memory (cyclo._immutable): 16.6 MB at d = 127, about 105 MB for all primes up
+    to MAX_DIM.  Builds carry its fields and it is never returned, so it derives no amps.
 
     d alone is the key, so 31 entries bound the cache and the sets use its int64 arrays
     themselves; composite sets have a key per phase vector, so their store is bounded in
     bytes and holds int16 exponents that each build widens (composite._STACK_STORE)."""
-    return tuple(_immutable(stack, np.int64) for stack in _cyclic_stacks(d))
+    stacks = (_immutable(stack, np.int64) for stack in _cyclic_stacks(d))
+    template = MubSet._of_stacks(d, ("s", *range(d)), *stacks)
+    return _assign(template, exact_bases=_immutable(template.exact_bases, bool))
 
 
 def _complete_stacks(d: int, flat) -> tuple:
@@ -448,9 +457,10 @@ def _block_pairs(n_conj: int, d: int) -> int:
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple:
     """The pairs i <= j of n bases, row by row: immutable index arrays i and j (P,) and
-    the mask same = (i == j) (P,)."""
+    their kinds (P,), 1 for a basis's own pair (i == j) and 0 for a cross pair (see
+    _RULES)."""
     i, j = np.triu_indices(n)
-    return tuple(_immutable(array, array.dtype) for array in (i, j, i == j))
+    return tuple(_immutable(array, np.intp) for array in (i, j, i == j))
 
 
 def _deviations(amps: np.ndarray, same: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -580,9 +590,13 @@ def _form_exponents(forms, rows, slot0, b, u, points, linear, squares, *_) -> np
     """
     exps = (forms.reshape(len(forms), -1) @ squares)[:, None] + slot0
     exps = exps + (linear if rows is None else linear.take(rows, axis=0))
+    two_d = 2 * u * b
+    if not two_d & (two_d - 1):
+        # 2d a power of two: the low bits are the remainder, in two's complement too
+        return np.bitwise_and(exps, two_d - 1, out=exps)
     # the remainder by floor division, which numpy vectorizes and int64 % it does not
-    wraps = exps // (2 * u * b)
-    wraps *= 2 * u * b
+    wraps = exps // two_d
+    wraps *= two_d
     exps -= wraps
     return exps
 
@@ -620,18 +634,19 @@ def _form_keys(exps: np.ndarray, b, u, points, linear, squares, reads, units, we
     return ok, points @ form % b @ units
 
 
-#: Integer rules by basis code (see _basis_codes): 0 takes the certificate,
-#: 1 passes, 2 fails with deviation 1.0, 3 counts the radical.  _OWN_RULE
-#: decides a basis's own pair, _CROSS_RULE a pair of two bases not compared
-#: against the identity: a monomial basis against a flat one, and two
-#: quadratic bases of one kind.
-_OWN_RULE = np.array([0, 1, 2, 0, 1, 1])
-_CROSS_RULE = np.array([[0, 0, 0, 0, 0, 0],
-                        [0, 0, 0, 1, 1, 1],
-                        [0, 0, 0, 1, 1, 1],
-                        [0, 1, 1, 0, 0, 0],
-                        [0, 1, 1, 0, 3, 0],
-                        [0, 1, 1, 0, 0, 3]])
+#: Integer rules _RULES[kind, code_i, code_j] by pair kind and basis code
+#: (see _basis_codes): 0 takes the certificate, 1 passes, 2 fails with
+#: deviation 1.0, 3 counts the radical.  Kind 0 is a cross pair, 1 a basis's
+#: own pair, decided by its code, 2 two objects with one label, which the
+#: certificate compares against the identity.
+_RULES = np.zeros((3, 6, 6), np.intp)
+_RULES[0] = [[0, 0, 0, 0, 0, 0],
+             [0, 0, 0, 1, 1, 1],
+             [0, 0, 0, 1, 1, 1],
+             [0, 1, 1, 0, 0, 0],
+             [0, 1, 1, 0, 3, 0],
+             [0, 1, 1, 0, 0, 3]]
+_RULES[1] = np.array([0, 1, 2, 0, 1, 1])[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -684,18 +699,18 @@ def _basis_codes(exps: np.ndarray, scales: np.ndarray) -> tuple:
     return code, keys
 
 
-def _integer_verdicts(exps, scales, i, j, same) -> tuple:
+def _integer_verdicts(exps, scales, i, j, kind) -> tuple:
     """Which exact pairs (i, j) (P,) the integer rules decide, their verdicts and deviations.
 
-    exps (m, d, d) and scales (m, d) stack m exact bases; same (P,) marks the
-    pairs whose target is the identity.  Decided, as three (P,) arrays (see
-    _basis_codes for the kinds of basis):
+    exps (m, d, d) and scales (m, d) stack m exact bases; kind (P,) holds
+    each pair's kind (see _RULES).  Decided, as three (P,) arrays (see
+    _basis_codes for the kinds of basis), by one read of _RULES:
     - a monomial basis's own pair: it passes iff no two rows share a slot,
       with deviation 1.0 if they do;
     - a monomial basis against a flat one: every overlap has modulus
       1/sqrt(d), so it passes;
     - a quadratic basis's own pair: it passes;
-    - two quadratic bases of one kind, not same: every overlap's squared
+    - two quadratic bases of one kind, a cross pair: every overlap's squared
       modulus is 0 or r/d, r = |rad| the size of the radical of the
       difference of their forms (the Gauss-sum rule), counted as the keys
       at which they agree; it passes iff r = 1.
@@ -705,11 +720,7 @@ def _integer_verdicts(exps, scales, i, j, same) -> tuple:
     """
     d = exps.shape[1]
     code, keys = _basis_codes(exps, scales)
-    ci = code[i]
-    rule = _CROSS_RULE[ci, code[j]]
-    rule[same] = 0
-    own = i == j
-    rule[own] = _OWN_RULE[ci[own]]
+    rule = _RULES[kind, code[i], code[j]]
     biased = rule == 2
     deviation = biased.astype(float)
     q = (rule == 3).nonzero()[0]
@@ -723,55 +734,53 @@ def _integer_verdicts(exps, scales, i, j, same) -> tuple:
     return rule > 0, ~biased, deviation
 
 
-def _pair_verdicts(d, amps, exps, scales, exact, same, i, j, tol):
+def _pair_verdicts(d, amps, exps, scales, exact, kind, i, j, tol):
     """Deviations, verdicts and counts of the pairs (i, j) (P,) of n bases of dimension d.
 
     amps (n, d, d), None when every basis is exact, and scales (n, d) stack
     the bases, exps (m, d, d) the exponents of the bases exact (n,) marks;
-    same (P,) marks the pairs whose target is the identity.  verify_set
-    passes every pair i <= j (_pair_table), verify_unbiased its one pair.
-    There are three routes: pairs with a non-exact basis go to _deviations,
-    the only reader of amps, which an all-exact set never calls; exact pairs
-    that _integer_verdicts decides are settled there, on integers; every
-    other exact pair goes to _certificate_residuals at all K conjugates.
-    Returns (P,) deviations and verdicts, an exact pair's verdict being its
-    exact one, and the counts that verify_set reports.  Exponents lie in
-    -1..2d-1, which MubBasis and MubSet._of_stacks enforce: conjugate_phases
-    has columns for 0..2d-1 and a zero column that -1 wraps to.
+    kind (P,) holds the pairs' kinds (see _RULES); kinds 1 and 2 target the
+    identity.  verify_set passes every pair i <= j (_pair_table),
+    verify_unbiased its one pair.  Pairs with a non-exact basis go to
+    _deviations, the only reader of amps; exact pairs that _integer_verdicts
+    decides are settled there, on integers, and every other one by
+    _certificate_residuals at all K conjugates, written into the integer
+    route's arrays, which an all-exact set returns as they are.  Returns
+    (P,) deviations and verdicts, an exact pair's verdict its exact one, and
+    verify_set's counts.  Exponents lie in -1..2d-1, which MubBasis and
+    MubSet._of_stacks enforce: conjugate_phases has columns for 0..2d-1 and
+    a zero column that -1 wraps to.
     """
-    m = len(exps)
     counts = {"conjugates": None, "gram_pairs": 0, "integer_pairs": 0}
-    deviation, passed = np.empty(len(i)), np.empty(len(i), dtype=bool)
-    if exact.all():
-        # a slice costs less than a mask, and every pair is written below
-        pairs, exact_scales, rank = slice(None), scales, None
+    if amps is None:
+        ei, ej, ekind, exact_scales = i, j, kind, scales
     else:
+        deviation, passed = np.empty(len(i)), np.empty(len(i), dtype=bool)
         pairs = exact[i] & exact[j]
         floats = ~pairs
-        deviation[floats] = _deviations(amps, same[floats], i[floats], j[floats])
+        deviation[floats] = _deviations(amps, kind[floats] > 0, i[floats], j[floats])
         np.less(deviation, tol, out=passed)
         counts["gram_pairs"] = int(np.count_nonzero(floats))
-        if not m:
+        if not len(exps):
             return deviation, passed, counts
-        exact_scales, rank = scales[exact], np.cumsum(exact) - 1
-    # the exact pairs, by exact basis
-    ei, ej, esame = i[pairs], j[pairs], same[pairs]
-    if rank is not None:
-        ei, ej = rank[ei], rank[ej]
-    decided, exact_passed, exact_deviation = _integer_verdicts(exps, exact_scales, ei, ej, esame)
+        # the exact pairs, by exact basis
+        rank = np.cumsum(exact) - 1
+        ei, ej, ekind, exact_scales = rank[i[pairs]], rank[j[pairs]], kind[pairs], scales[exact]
+    decided, exact_passed, exact_deviation = _integer_verdicts(exps, exact_scales, ei, ej, ekind)
     todo = (~decided).nonzero()[0]
-    conjugates = 0
+    counts.update(conjugates=0, integer_pairs=len(ei) - len(todo))
     if todo.size:
         phases = conjugate_phases(d)
         residual, exact_deviation[todo] = _certificate_residuals(
-            exps, exact_scales, esame[todo], phases, ei[todo], ej[todo]
+            exps, exact_scales, ekind[todo] > 0, phases, ei[todo], ej[todo]
         )
         exact_passed[todo] = residual < 0.5
         counts["gram_pairs"] += len(todo)
-        conjugates = len(phases)
+        counts["conjugates"] = len(phases)
+    if amps is None:
+        return exact_deviation, exact_passed, counts
     deviation[pairs] = exact_deviation
     passed[pairs] = exact_passed
-    counts.update(conjugates=conjugates, integer_pairs=len(ei) - len(todo))
     return deviation, passed, counts
 
 
@@ -796,11 +805,13 @@ def verify_unbiased(
     d = a_basis.dim
     bases = (a_basis,) if a_basis is b_basis else (a_basis, b_basis)
     same = bool(a_basis.label == b_basis.label)
+    # a basis's own pair, two objects with one label, or a cross pair (see _RULES)
+    kind = 1 if a_basis is b_basis else 2 if same else 0
     exact = a_basis.exact and b_basis.exact
     deviation, passed, counts = _pair_verdicts(
         d, None if exact else np.stack([b.amps for b in bases]),
         np.array([b.exponents for b in bases if exact], dtype=np.int64).reshape(-1, d, d),
-        np.stack([b.scales for b in bases]), np.full(len(bases), exact), np.array([same]),
+        np.stack([b.scales for b in bases]), np.full(len(bases), exact), np.array([kind]),
         np.zeros(1, dtype=np.intp), np.full(1, len(bases) - 1), tol,
     )
     return VerificationReport(
@@ -856,10 +867,11 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
     check_tolerance(tol)
     labels = mub_set.labels
     n = len(labels)
-    i, j, same = _pair_table(n)
+    i, j, kind = _pair_table(n)
+    exact = mub_set.exact
     deviation, passed, counts = _pair_verdicts(
-        mub_set.dim, None if mub_set.exact else mub_set.amps, mub_set.exponents,
-        mub_set.scales, mub_set.exact_bases, same, i, j, tol,
+        mub_set.dim, None if exact else mub_set.amps, mub_set.exponents,
+        mub_set.scales, mub_set.exact_bases, kind, i, j, tol,
     )
     failing = []
     if not passed.all():
@@ -873,7 +885,7 @@ def verify_set(mub_set: MubSet, tol: float = DEFAULT_TOL) -> VerificationReport:
         "complete": n == mub_set.dim + 1,
         "n_pairs": n * (n - 1) // 2,
         "failing_pairs": failing,
-        "exact": mub_set.exact,
+        "exact": exact,
         **counts,
     }
     if mub_set.forced:

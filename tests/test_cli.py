@@ -266,7 +266,7 @@ class TestSetCommand:
 
         monkeypatch.setattr(mubkit.mub, "_eigen_exponents", refuse)
         monkeypatch.setattr(mubkit.mub, "_complete_stacks", refuse)
-        monkeypatch.setattr(mubkit.mub, "_prime_stacks", refuse)
+        monkeypatch.setattr(mubkit.mub, "_prime_set", refuse)
         monkeypatch.setattr(mubkit.mub.MubSet, "_of_stacks", refuse)
         for argv in (["set", "--dim", "129"], ["set", "--dim", "1000", "--force"]):
             assert main(argv) == 2

@@ -527,6 +527,27 @@ class TestWriterAndRecognizer:
             written = mub._form_exponents(form[:, :, None], rows, slot0, *mub._form_layout(d, d, 1))
             assert np.array_equal(written, mub._eigen_exponents(d, a, n)), d
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2, 1), (2, 3), (2, 7), (4, 2), (3, 2), (5, 1)]), st.data())
+    def test_remainder_is_taken_from_either_sign(self, split, data):
+        # at 2d a power of two the writer keeps the low bits, elsewhere it floor-divides:
+        # both give the remainder in 0..2d-1, negative sums included
+        b, e = split
+        d, m = b**e, 2
+        layout = mub._form_layout(d, b, e)
+        _, _, _, linear, squares = layout[:5]
+
+        def draw(lo, hi, size):
+            return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=size,
+                                               max_size=size)), np.int64)
+
+        forms = draw(-50, 50, m * e * e).reshape(m, e, e)
+        forms = forms + forms.transpose(0, 2, 1)
+        slot0 = draw(-10**6, 10**6, m * d).reshape(m, d, 1)
+        sums = (forms.reshape(m, -1) @ squares)[:, None] + slot0 + linear
+        written = mub._form_exponents(forms, None, slot0, *layout)
+        np.testing.assert_array_equal(written, np.mod(sums, 2 * d))
+
 
 class TestFailedConstruction:
     @pytest.mark.parametrize("p,e,twice", [(2, 2, 1), (3, 2, 4), (2, 3, 7), (5, 2, 20)])

@@ -1164,6 +1164,64 @@ class TestMonomialPairs:
         assert verify_set(build_complete_set(5)).details["complete"] is True
 
 
+@st.composite
+def changed_stacks(draw):
+    """The stacks of a built set (prime d <= 13, composite d <= 16) with one change: an
+    exponent moved to another slot of its row or set to another value, a basis duplicated,
+    or a basis dropped."""
+    build = draw(st.sampled_from([
+        *(functools.partial(build_complete_set, d) for d in (2, 3, 5, 7, 11, 13)),
+        *(functools.partial(build_composite_set, *pe) for pe in ((2, 2), (2, 3), (3, 2), (2, 4))),
+    ]))
+    mub_set = build()
+    exps, scales = np.array(mub_set.exponents), np.array(mub_set.scales)
+    n, d = exps.shape[:2]
+    k = draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["move", "set", "duplicate", "drop"]))
+    row, slot, to = (draw(st.integers(0, d - 1)) for _ in range(3))
+    if change == "move":
+        # the computational basis gets two rows on one slot when slot == row
+        exps[k, row, [slot, to]] = exps[k, row, [to, slot]]
+    elif change == "set":
+        exps[k, row, slot] = draw(st.integers(-1, 2 * d - 1).filter(
+            lambda e: e != exps[k, row, slot]))
+    elif change == "duplicate":
+        at = draw(st.integers(0, n))
+        exps = np.insert(exps, at, exps[k], axis=0)
+        scales = np.insert(scales, at, scales[k], axis=0)
+    else:
+        exps, scales = np.delete(exps, k, axis=0), np.delete(scales, k, axis=0)
+    return exps, scales
+
+
+class TestRuleTable:
+    """_RULES is pinned against the certificate: every pair the integer route decides
+    gets the verdict of the norm certificate at every conjugate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(changed_stacks())
+    def test_integer_verdicts_agree_with_the_certificate(self, stacks):
+        exps, scales = stacks
+        d = exps.shape[1]
+        i, j, kind = mub._pair_table(len(exps))
+        decided, passed, _ = mub._integer_verdicts(exps, scales, i, j, kind)
+        residual, _ = mub._certificate_residuals(exps, scales, kind[decided] > 0,
+                                                 conjugate_phases(d), i[decided], j[decided])
+        np.testing.assert_array_equal(passed[decided], residual < 0.5)
+        # two objects with one label are compared against the identity by the certificate
+        one_label = np.full(len(i), 2)
+        decided, _, _ = mub._integer_verdicts(exps, scales, i, j, one_label)
+        assert not decided.any()
+        a = MubBasis.from_arrays(d, "x", exponents=exps[0], scales=scales[0])
+        b = MubBasis.from_arrays(d, "x", exponents=exps[0], scales=scales[0])
+        rep = verify_unbiased(a, b)
+        assert counts(rep) == (len(conjugate_phases(d)), 1, 0)
+        residual, _ = mub._certificate_residuals(exps[:1], scales[:1], np.array([True]),
+                                                 conjugate_phases(d), np.zeros(1, int),
+                                                 np.zeros(1, int))
+        assert rep.passed is bool(residual[0] < 0.5)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize(
     "check, refusal",
@@ -1474,26 +1532,57 @@ PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 class TestSharedPrimeStacks:
-    """Every set built at one prime d shares one pair of stacks, in immutable memory;
-    forced sets and every verdict are built afresh."""
+    """Every set built at one prime d is a new set carrying the fields of one checked
+    template, in immutable memory; forced sets and every verdict are built afresh."""
 
     @pytest.mark.parametrize("d", [2, 5, 7])
     def test_builds_at_one_prime_share_their_stacks(self, d):
         first, second = build_complete_set(d), build_complete_set(d)
-        assert np.shares_memory(first.exponents, second.exponents)
-        assert np.shares_memory(first.scales, second.scales)
+        assert first is not second
+        for name in mub._SET_FIELDS:
+            assert getattr(first, name) is getattr(second, name), name
+
+    @pytest.mark.parametrize("d", [2, 7])
+    def test_derived_caches_are_each_builds_own(self, d):
+        first, second = build_complete_set(d), build_complete_set(d)
+        amps, bases = first.amps, first.bases
+        template = mub._prime_set(d)
+        for other in (second, template):
+            assert "amps" not in vars(other) and "bases" not in vars(other)
+        assert second.amps is not amps and second.bases is not bases
+        np.testing.assert_array_equal(second.amps, amps)
+
+    def test_each_prime_is_checked_once_and_every_set_decided(self, monkeypatch):
+        checked, recognized = [], []
+        of_stacks, basis_codes = MubSet._of_stacks, mub._basis_codes
+
+        def counted_of_stacks(*args, **kwargs):
+            checked.append(args[0])
+            return of_stacks(*args, **kwargs)
+
+        def counted_basis_codes(*args):
+            recognized.append(args)
+            return basis_codes(*args)
+
+        monkeypatch.setattr(MubSet, "_of_stacks", counted_of_stacks)
+        monkeypatch.setattr(mub, "_basis_codes", counted_basis_codes)
+        mub._prime_set.cache_clear()
+        for d in (5, 7, 5, 7, 7):
+            assert verify_set(build_complete_set(d)).passed
+        assert checked == [5, 7]
+        assert len(recognized) == 5
 
     @pytest.mark.parametrize("d", [4, 6, 9])
     def test_forced_builds_are_not_cached(self, d):
-        cached = mub._prime_stacks.cache_info().currsize
+        cached = mub._prime_set.cache_info().currsize
         first, second = build_complete_set(d, force=True), build_complete_set(d, force=True)
         assert not np.shares_memory(first.exponents, second.exponents)
         assert not np.shares_memory(first.scales, second.scales)
-        assert mub._prime_stacks.cache_info().currsize == cached
+        assert mub._prime_set.cache_info().currsize == cached
 
     def test_no_write_reaches_a_shared_array(self):
         built, composite = build_complete_set(5), build_composite_set(2, 2)
-        for array in (built.exponents, built.scales, built.bases[1].exponents,
+        for array in (built.exponents, built.scales, built.exact_bases, built.bases[1].exponents,
                       composite.class_labels, composite.bases[1].class_labels):
             assert_immutable(array)
         # a write through .base once zeroed the cached spread under every later composite set
@@ -1511,11 +1600,13 @@ class TestSharedPrimeStacks:
             (mub, "_pair_table", (4,)),
             (cyclo, "_phase_table", (10,)),
             (cyclo, "conjugate_phases", (5,)),
-            (mub, "_prime_stacks", (5,)),
+            (mub, "_prime_set", (5,)),
         )
     ] + [pytest.param(lambda: stored_stacks(3, 2, (1, 2)), id="_STACK_STORE")])
     def test_every_cached_array_is_immutable(self, cached):
         value = cached()
+        if isinstance(value, MubSet):
+            value = tuple(getattr(value, name) for name in mub._SET_FIELDS)
         arrays = [a for a in (value if isinstance(value, tuple) else (value,))
                   if isinstance(a, np.ndarray)]
         assert arrays
